@@ -49,10 +49,17 @@ def drop_self_rows(order: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
     appear (crowded out of a truncated ordering by zero-distance
     duplicates) loses its last entry instead — either way the result is
     exactly the first ``w - 1`` non-self entries, order preserved.
+
+    Rows that start with their own index (the common case) just drop the
+    first column; only the rest pay for a stable partition.
     """
-    keep = order != row_indices[:, None]
-    kept_cols = np.argsort(~keep, axis=1, kind="stable")[:, : order.shape[1] - 1]
-    return np.take_along_axis(order, kept_cols, axis=1)
+    out = order[:, 1:].copy()
+    rest = np.flatnonzero(order[:, 0] != row_indices)
+    if rest.size:
+        keep = order[rest] != row_indices[rest, None]
+        kept_cols = np.argsort(~keep, axis=1, kind="stable")[:, : out.shape[1]]
+        out[rest] = np.take_along_axis(order[rest], kept_cols, axis=1)
+    return out
 
 
 def topk_batch(distances: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:

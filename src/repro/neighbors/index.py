@@ -14,16 +14,16 @@ memory cost stays ``O(n · max_length)`` rather than ``O(n²)``.
 
 :meth:`NeighborOrderCache.order_matrix` additionally materialises *all*
 orderings at once as a dense ``(n, max_length)`` matrix, computed block-wise
-from pairwise-distance chunks with a single stable argsort per block — the
+from pairwise-distance chunks with one stable selection per row — the
 entry point the vectorized learning kernels build on.
 
-:meth:`NeighborOrderCache.append` grows the cache *incrementally*: new
-tuples are merged into every cached ordering by one sorted merge per row
-(cost ``O(n · (L + b))`` instead of the ``O(n²)`` rebuild), and the result
-reports, per pre-existing tuple, the first ordering position that changed —
-the signal the online engine uses to invalidate only the affected per-tuple
-models.  The merged orderings are exactly those a cold rebuild over the
-grown data would produce (same distance values, same index tie-breaks).
+The lifecycle methods :meth:`~NeighborOrderCache.append`,
+:meth:`~NeighborOrderCache.remove` and :meth:`~NeighborOrderCache.replace`
+repair the cached orderings *incrementally* (see the last paragraph) and
+report, per tuple, the first ordering position that changed — the signal
+the online engine uses to invalidate only the affected per-tuple models.
+The repaired orderings are exactly those a cold rebuild over the mutated
+data would produce (same distance values, same index tie-breaks).
 
 :class:`NeighborOrderCache` can be backed either by a private data matrix
 (the standalone/batch mode) or — for the online engine — by a *store
@@ -35,16 +35,21 @@ row values are gathered from the store on demand, and pairwise distances
 are computed per shard — bit-identical to the matrix mode, without the
 cache owning any tuple payload.
 
-:meth:`NeighborOrderCache.remove` and :meth:`NeighborOrderCache.replace`
-complete the tuple lifecycle.  Removal compacts every cached ordering (an
-order-preserving deletion of the removed entries, so index tie-breaks stay
-correct under the compacted renumbering) and re-fills the few rows whose
-capped ordering went short from fresh distance rows; replacement removes
-the stale entry from every ordering and merges the revised tuple back in by
-one row-wise ``(distance, index)`` lexsort over the kept distances.  Both
-report per-row first-changed positions exactly like :meth:`append`, and
-both leave the cache bit-identical to a cold rebuild over the surviving
-data.
+Each repair sorts, merges and re-fills only the rows whose ordering the
+mutation can change; every other row costs one vectorised scan or gather
+and is reported unchanged:
+
+* :meth:`NeighborOrderCache.append` merges the appended tuples only into
+  the rows whose nearest candidate is closer than the row's last cached
+  distance;
+* :meth:`NeighborOrderCache.remove` renumbers every row with one index-map
+  gather, then compacts — or, when a capped row went short, re-fills from
+  fresh distance rows in bounded blocks — only the rows that held a
+  removed tuple;
+* :meth:`NeighborOrderCache.replace` re-sorts only the rows that held the
+  revised tuple or that it now enters, re-fills the capped rows it fell
+  out of, and takes the revised tuple's own ordering from the distance row
+  it already computed.
 """
 
 from __future__ import annotations
@@ -69,6 +74,12 @@ __all__ = [
 ]
 
 _BACKENDS = ("brute", "kdtree")
+
+
+def _first_difference(new: np.ndarray, old: np.ndarray, length: int) -> np.ndarray:
+    """Per row, the first column where ``new`` and ``old`` differ (else ``length``)."""
+    differs = new != old
+    return np.where(differs.any(axis=1), differs.argmax(axis=1), length)
 
 
 class NeighborIndex:
@@ -329,52 +340,83 @@ class NeighborOrderCache:
             self._cache[index] = cached
         return cached
 
+    def _chunk_rows(self) -> int:
+        """Query rows per distance block: keeps a ``(chunk, n)`` block near
+        ~100k floats (measured fastest: the block plus its argpartition
+        scratch stay cache-resident)."""
+        n = self.n_points
+        return max(32, min(n, 100_000 // max(1, n)))
+
+    def _select_rows(self, distances: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """Cold orderings of the tuples ``owners`` from their distance rows.
+
+        One stable selection per row (ties broken by index, exactly like the
+        per-row ``np.lexsort`` of :meth:`order_of`), minus the self entry
+        without ``include_self``, truncated to the effective length.
+        """
+        n = distances.shape[1]
+        length = self.effective_length()
+        # Without include_self the self entry must be dropped from the kept
+        # prefix, so one extra ordered position is selected per row.
+        select = min(n, length + (0 if self.include_self else 1))
+        if select < n:
+            _, order = topk_batch(distances, select)
+        else:
+            order = stable_order(distances)
+        if not self.include_self:
+            order = drop_self_rows(order, owners)
+        return order[:, :length]
+
+    def _cold_rows(
+        self,
+        rows: np.ndarray,
+        chunk_size: Optional[int] = None,
+        with_distances: bool = True,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Cold orderings (and distances) of ``rows`` over the current data.
+
+        Computed block-wise, one pairwise-distance chunk of
+        :meth:`_chunk_rows` query rows at a time, so refilling many rows
+        never holds more than one ``(chunk, n)`` distance block.
+        """
+        if chunk_size is None:
+            chunk_size = self._chunk_rows()
+        length = self.effective_length()
+        orders = np.empty((rows.shape[0], length), dtype=int)
+        dists = np.empty((rows.shape[0], length)) if with_distances else None
+        for start in range(0, rows.shape[0], chunk_size):
+            block = rows[start : start + chunk_size]
+            stop = start + block.shape[0]
+            distances = self._pairwise(self._data[block])
+            order = self._select_rows(distances, block)
+            orders[start:stop] = order
+            if dists is not None:
+                dists[start:stop] = np.take_along_axis(distances, order, axis=1)
+        return orders, dists
+
     def order_matrix(self, chunk_size: Optional[int] = None) -> np.ndarray:
         """All orderings as one ``(n, L)`` matrix (``L`` = effective length).
 
         The matrix is built block-wise: one pairwise-distance chunk per
-        block, one stable argsort (ties broken by index, exactly like the
-        per-row ``np.lexsort`` of :meth:`order_of`), and — without
-        ``include_self`` — one masked removal of the diagonal entry.  The
-        result is cached, after which :meth:`order_of` and :meth:`prefix`
-        become O(1) row views.
+        block, one stable selection per row (ties broken by index, exactly
+        like the per-row ``np.lexsort`` of :meth:`order_of`), and — without
+        ``include_self`` — one removal of the self entry.  The result is
+        cached, after which :meth:`order_of` and :meth:`prefix` become O(1)
+        row views.
 
         Parameters
         ----------
         chunk_size:
-            Number of query rows per distance block; defaults to a size
-            keeping the ``(chunk, n)`` distance block near ~100k floats
-            (measured fastest: the block plus its argpartition scratch
-            stay cache-resident).
+            Number of query rows per distance block; defaults to
+            :meth:`_chunk_rows`.
         """
         if self._matrix is not None:
             return self._matrix
-        n = self.n_points
-        length = self.effective_length()
-        if chunk_size is None:
-            chunk_size = max(32, min(n, 100_000 // max(1, n)))
-        # Without include_self the self entry must be dropped from the kept
-        # prefix, so one extra ordered position is selected per row.
-        select = min(n, length + (0 if self.include_self else 1))
-        out = np.empty((n, length), dtype=int)
-        out_dists = np.empty((n, length)) if self.keep_distances else None
-        for start in range(0, n, chunk_size):
-            stop = min(start + chunk_size, n)
-            distances = self._pairwise(self._data[start:stop])
-            if select < n:
-                _, order = topk_batch(distances, select)
-            else:
-                order = stable_order(distances)
-            if not self.include_self:
-                order = drop_self_rows(order, np.arange(start, stop))
-            order = order[:, :length]
-            out[start:stop] = order
-            if out_dists is not None:
-                out_dists[start:stop] = np.take_along_axis(distances, order, axis=1)
-        self._matrix = out
-        self._dists = out_dists
+        self._matrix, self._dists = self._cold_rows(
+            np.arange(self.n_points), chunk_size, self.keep_distances
+        )
         self._cache.clear()
-        return out
+        return self._matrix
 
     def prefix(self, index: int, length: int) -> np.ndarray:
         """``NN(t_index, F, length)`` as a prefix of the cached ordering."""
@@ -423,18 +465,21 @@ class NeighborOrderCache:
     def append(self, rows=None, *, slots=None) -> OrderAppendResult:
         """Add tuples to the indexed data and update every cached ordering.
 
-        Each pre-existing tuple's ordering is merged with the new candidate
-        distances by one stable row-wise sort over ``L + b`` entries; the new
-        tuples' orderings are computed against the grown store.  Both are
-        *exactly* the orderings a cold rebuild would produce: the per-pair
-        distance values are identical and ties still break by index (old
-        tuples carry smaller indices than appended ones, and the old cached
-        ordering/new candidate block are each already in index order, so a
-        stable sort on distance preserves the lexicographic order).
+        A pre-existing tuple's ordering is merged with the new candidate
+        distances by one stable row-wise sort over ``L + b`` entries — but
+        only when its nearest candidate is strictly closer than its last
+        cached distance (a tie cannot enter: appended indices exceed every
+        old one); the new tuples' orderings are computed against the grown
+        store.  Both are *exactly* the orderings a cold rebuild would
+        produce: the per-pair distance values are identical and ties still
+        break by index (the old cached ordering and the new candidate block
+        are each already in index order, so a stable sort on distance
+        preserves the lexicographic order).
 
         The effective ordering length grows back towards the requested
-        ``max_length`` cap as the store grows; a tuple whose cached ordering
-        held *all* points keeps a complete ordering after the merge.
+        ``max_length`` cap as the store grows; while it grows every row is
+        merged, so a tuple whose cached ordering held *all* points keeps a
+        complete ordering.
 
         In store-backed mode pass ``slots`` (the columnar-store slots the
         engine appended) instead of ``rows``; the values are gathered from
@@ -484,55 +529,64 @@ class NeighborOrderCache:
             self.max_length = min(self._requested_length, self.max_neighbors())
         new_length = self.effective_length()
 
+        orders = np.empty((n_after, new_length), dtype=int)
+        dists = np.empty((n_after, new_length))
         # --- Orderings of the appended tuples (cold path over the full
         # store, truncated selection exactly like order_matrix()).
-        select = min(n_after, new_length + (0 if self.include_self else 1))
-        if select < n_after:
-            _, appended_order = topk_batch(appended_distances, select)
-        else:
-            appended_order = stable_order(appended_distances)
-        if not self.include_self:
-            appended_order = drop_self_rows(appended_order, new_indices)
-        appended_order = appended_order[:, :new_length]
-        appended_order_dists = np.take_along_axis(
-            appended_distances, appended_order, axis=1
+        orders[n_before:] = self._select_rows(appended_distances, new_indices)
+        dists[n_before:] = np.take_along_axis(
+            appended_distances, orders[n_before:], axis=1
         )
 
-        # --- Merge the new candidates into every pre-existing ordering.
-        candidate_dists = appended_distances[:, :n_before].T  # (n_before, b)
-        concat_dists = np.hstack([old_dists, candidate_dists])
+        # --- Merge the new candidates into the pre-existing orderings they
+        # reach.  Once the capped length stops growing, a row changes only
+        # when its nearest candidate is strictly closer than its last entry:
+        # appended indices exceed every old one, so a tie cannot enter.
+        candidate_dists = appended_distances[:, :n_before]  # (b, n_before)
+        if new_length > old_length:
+            touched = np.arange(n_before)
+        else:
+            orders[:n_before] = old_orders
+            dists[:n_before] = old_dists
+            touched = np.flatnonzero(
+                candidate_dists.min(axis=0) < old_dists[:, -1]
+            )
+        concat_dists = np.hstack([old_dists[touched], candidate_dists[:, touched].T])
         concat_orders = np.hstack(
-            [old_orders, np.broadcast_to(new_indices, (n_before, n_appended))]
+            [
+                old_orders[touched],
+                np.broadcast_to(new_indices, (touched.shape[0], n_appended)),
+            ]
         )
         merge = np.argsort(concat_dists, axis=1, kind="stable")[:, :new_length]
-        merged_orders = np.take_along_axis(concat_orders, merge, axis=1)
-        merged_dists = np.take_along_axis(concat_dists, merge, axis=1)
+        orders[touched] = np.take_along_axis(concat_orders, merge, axis=1)
+        dists[touched] = np.take_along_axis(concat_dists, merge, axis=1)
 
         # First changed position per pre-existing tuple (old_length when the
         # ordering only grew at the tail, new_length when fully unchanged).
-        padded = np.full((n_before, new_length), -1, dtype=int)
-        padded[:, :old_length] = old_orders[:, : min(old_length, new_length)]
-        differs = merged_orders != padded
-        first_changed = np.where(
-            differs.any(axis=1), differs.argmax(axis=1), new_length
+        padded = np.full((touched.shape[0], new_length), -1, dtype=int)
+        padded[:, :old_length] = old_orders[touched]
+        first_changed = np.full(n_before, new_length, dtype=int)
+        first_changed[touched] = _first_difference(
+            orders[touched], padded, new_length
         )
 
-        self._matrix = np.vstack([merged_orders, appended_order])
-        self._dists = np.vstack([merged_dists, appended_order_dists])
+        self._matrix = orders
+        self._dists = dists
         self._cache.clear()
         return OrderAppendResult(n_before, n_appended, first_changed)
 
     def remove(self, indices) -> OrderRemoveResult:
         """Remove tuples from the indexed data and repair every ordering.
 
-        Each surviving tuple's ordering is *compacted*: the removed entries
-        are deleted in place (an order-preserving operation, so the result
-        is the cold ordering over the surviving data under the compacted
-        renumbering — the old index tie-breaks map monotonically onto the
-        new ones).  Rows whose capped ordering loses more entries than the
-        new effective length allows are re-filled from a fresh distance row
-        (the dropped tail was never cached); uncapped caches never need
-        this.
+        Every surviving ordering is renumbered into the compacted index
+        space (old index tie-breaks map monotonically onto the new ones),
+        which leaves the rows that held no removed tuple exact.  The rows
+        that did are *compacted*: the removed entries are deleted in place,
+        an order-preserving operation.  Rows whose capped ordering loses
+        more entries than the new effective length allows are instead
+        re-filled from fresh distance rows, a bounded block at a time (the
+        dropped tail was never cached); uncapped caches never need this.
 
         Returns an :class:`OrderRemoveResult` carrying the per-survivor
         first-changed positions (new index space) and the old→new
@@ -586,57 +640,56 @@ class NeighborOrderCache:
             self.max_length = min(self._requested_length, self.max_neighbors())
         new_length = self.effective_length()
 
-        # --- Compact each survivor's ordering: stable-partition the kept
-        # entries to the front (order preserved), then truncate.
-        rows = old_orders[kept]
-        row_dists = old_dists[kept]
-        keep_entry = ~removed_mask[rows]
-        counts = keep_entry.sum(axis=1)
-        cols = np.argsort(~keep_entry, axis=1, kind="stable")[:, :new_length]
-        compact = np.take_along_axis(rows, cols, axis=1)
-        compact_d = np.take_along_axis(row_dists, cols, axis=1)
-        new_orders = index_map[compact]
-        new_dists = compact_d
+        # --- Renumber every survivor's ordering (removed entries map to -1);
+        # rows that held no removed tuple are then already exact.
+        renumbered = index_map[old_orders[kept]]
+        lost = (renumbered < 0).sum(axis=1)
+        new_orders = renumbered[:, :new_length].copy()
+        new_dists = old_dists[kept, :new_length]
 
-        # --- Rows whose capped ordering went short lost prefix entries the
-        # cache never held beyond the cap; rebuild those rows cold.
-        deficit = np.flatnonzero(counts < new_length)
-        if deficit.size:
-            distances = self._pairwise(self._data[deficit])
-            select = min(n_after, new_length + (0 if self.include_self else 1))
-            if select < n_after:
-                _, order = topk_batch(distances, select)
-            else:
-                order = stable_order(distances)
-            if not self.include_self:
-                order = drop_self_rows(order, deficit)
-            order = order[:, :new_length]
-            new_orders[deficit] = order
-            new_dists[deficit] = np.take_along_axis(distances, order, axis=1)
+        # --- Compact the rows that held a removed tuple: stable-partition
+        # the kept entries to the front (order preserved), then truncate.
+        # A capped row left shorter than the new length lost prefix entries
+        # the cache never held beyond the cap; refill it cold instead.
+        held = np.flatnonzero(lost)
+        short = renumbered.shape[1] - lost[held] < new_length
+        compact = held[~short]
+        if compact.size:
+            cols = np.argsort(renumbered[compact] < 0, axis=1, kind="stable")
+            cols = cols[:, :new_length]
+            new_orders[compact] = np.take_along_axis(renumbered[compact], cols, axis=1)
+            new_dists[compact] = np.take_along_axis(
+                old_dists[kept[compact]], cols, axis=1
+            )
+        refill = held[short]
+        if refill.size:
+            new_orders[refill], new_dists[refill] = self._cold_rows(refill)
 
         # First changed position per survivor: compare neighbour identities
         # against the old prefix (removed entries map to -1, never equal).
-        old_remap = index_map[rows[:, :new_length]]
-        differs = new_orders != old_remap
-        first_changed = np.where(
-            differs.any(axis=1), differs.argmax(axis=1), new_length
+        first_changed = np.full(n_after, new_length, dtype=int)
+        first_changed[held] = _first_difference(
+            new_orders[held], renumbered[held, :new_length], new_length
         )
 
-        self._matrix = np.ascontiguousarray(new_orders)
-        self._dists = np.ascontiguousarray(new_dists)
+        self._matrix = new_orders
+        self._dists = new_dists
         self._cache.clear()
         return OrderRemoveResult(n_before, indices.size, first_changed, index_map)
 
     def replace(self, index: int, row=None, *, slot=None) -> OrderReplaceResult:
         """Replace one indexed tuple's values and repair every ordering.
 
-        Removal + merge over the kept distances: the stale entry for
-        ``index`` is dropped from every ordering (its cached distance is
-        retired) and the revised tuple is merged back in by one row-wise
+        Removal + merge over the kept distances, on the touched rows only:
+        those holding ``index`` and those the revised tuple enters (its
+        ``(distance, index)`` sorts before the row's last entry).  There
+        the stale entry is dropped (its cached distance is retired) and
+        the revised tuple is merged back in by one row-wise
         ``(distance, index)`` lexsort, so ties still break exactly like a
         cold rebuild.  Rows where the revised tuple fell out of a capped
         prefix are re-filled from a fresh distance row; the replaced
-        tuple's own ordering is recomputed outright.
+        tuple's own ordering comes from its candidate distance row.  Every
+        other row is unchanged.
 
         In store-backed mode pass ``slot`` (the fresh columnar-store slot
         holding the revised tuple) instead of ``row``.
@@ -675,53 +728,58 @@ class NeighborOrderCache:
         # other tuple's candidate distance.
         cand_dists = self._pairwise(self._data[index])
 
-        # --- Drop the stale entry for ``index`` from every ordering (it
-        # moves to the last column), then merge the revised candidate in.
+        # --- Touched rows: those holding ``index``, and those the revised
+        # tuple enters, where (d, index) sorts before the row's last
+        # (distance, index).  Every other ordering is unchanged.
         stale = old_orders == index
-        contained = stale.any(axis=1)
-        cols = np.argsort(stale, axis=1, kind="stable")
-        compact = np.take_along_axis(old_orders, cols, axis=1)
-        compact_d = np.take_along_axis(old_dists, cols, axis=1)
-        # Retire the stale entry by pushing it past every finite distance.
-        compact_d[contained, -1] = np.inf
+        touched = stale.any(axis=1)
+        if length:
+            last_dists = old_dists[:, -1]
+            touched |= (cand_dists < last_dists) | (
+                (cand_dists == last_dists) & (index < old_orders[:, -1])
+            )
+        touched[index] = False
+        touched = np.flatnonzero(touched)
+        held = stale[touched]
 
+        # Retire the stale entry by pushing it past every finite distance,
+        # then merge the revised candidate in by one (distance, index) sort.
+        row_dists = old_dists[touched]
+        row_dists[held] = np.inf
         concat_orders = np.hstack(
-            [compact, np.full((n, 1), index, dtype=int)]
+            [old_orders[touched], np.full((touched.shape[0], 1), index)]
         )
-        concat_dists = np.hstack([compact_d, cand_dists[:, None]])
+        concat_dists = np.hstack([row_dists, cand_dists[touched, None]])
         merge = np.lexsort((concat_orders, concat_dists), axis=1)[:, :length]
-        new_orders = np.take_along_axis(concat_orders, merge, axis=1)
-        new_dists = np.take_along_axis(concat_dists, merge, axis=1)
+        rows = np.take_along_axis(concat_orders, merge, axis=1)
+        row_dists = np.take_along_axis(concat_dists, merge, axis=1)
 
         # --- Re-fill rows that cannot be repaired from cached state: a row
-        # whose capped ordering contained ``index`` only knows length - 1
-        # other entries, so when the revised candidate lands on the final
-        # position the true occupant may be an uncached tuple.
-        truncated = length < self.max_neighbors()
-        refill = [index]
-        if truncated and contained.any():
-            cand_last = new_orders[:, length - 1] == index
-            refill = np.flatnonzero(contained & cand_last).tolist()
-            if index not in refill:
-                refill.append(index)
-        refill = np.asarray(sorted(refill), dtype=int)
-        distances = self._pairwise(self._data[refill])
-        select = min(n, length + (0 if self.include_self else 1))
-        if select < n:
-            _, order = topk_batch(distances, select)
-        else:
-            order = stable_order(distances)
-        if not self.include_self:
-            order = drop_self_rows(order, refill)
-        order = order[:, :length]
-        new_orders[refill] = order
-        new_dists[refill] = np.take_along_axis(distances, order, axis=1)
+        # whose capped ordering held ``index`` only knows length - 1 other
+        # entries, so when the revised candidate lands on the final position
+        # the true occupant may be an uncached tuple.
+        if length < self.max_neighbors():
+            refill = held.any(axis=1) & (rows[:, -1] == index)
+            if refill.any():
+                rows[refill], row_dists[refill] = self._cold_rows(touched[refill])
 
-        differs = new_orders != old_orders
-        first_changed = np.where(differs.any(axis=1), differs.argmax(axis=1), length)
+        new_orders = old_orders.copy()
+        new_dists = old_dists.copy()
+        new_orders[touched] = rows
+        new_dists[touched] = row_dists
+        # The revised tuple's own ordering comes from its distance row.
+        own = self._select_rows(cand_dists[None, :], np.array([index]))[0]
+        new_orders[index] = own
+        new_dists[index] = cand_dists[own]
 
-        self._matrix = np.ascontiguousarray(new_orders)
-        self._dists = np.ascontiguousarray(new_dists)
+        changed = np.append(touched, index)
+        first_changed = np.full(n, length, dtype=int)
+        first_changed[changed] = _first_difference(
+            new_orders[changed], old_orders[changed], length
+        )
+
+        self._matrix = new_orders
+        self._dists = new_dists
         self._cache.clear()
         return OrderReplaceResult(index, first_changed)
 
@@ -734,7 +792,7 @@ class NeighborOrderCache:
             return self._dists
         n = self.n_points
         if chunk_size is None:
-            chunk_size = max(32, min(n, 100_000 // max(1, n)))
+            chunk_size = self._chunk_rows()
         dists = np.empty(matrix.shape)
         for start in range(0, n, chunk_size):
             stop = min(start + chunk_size, n)

@@ -56,10 +56,12 @@ Journal memory is thus bounded by the ring capacity regardless of burst
 length; a state older than the ring's floor full-rebuilds instead of
 replaying.  On the next imputation touching a state the journal
 is replayed in two phases — each op maintains the neighbour cache, the
-owner matrix and the dirty sets only (adjacent appends coalesced into one
-batched merge), then ONE batched relearn + cost rebuild + selection runs
-over the dirty union — so a burst of mutations costs one refresh, not one
-per op.  When any step of the pending
+owner matrix and the dirty sets only, then ONE batched relearn + cost
+rebuild + selection runs over the dirty union — so a burst of mutations
+costs one refresh, not one per op.  A run of adjacent appends replays as
+one batched merge and a run of adjacent deletes as one repair, so the
+neighbour cache is repaired once per run rather than once per op; updates
+replay one at a time.  When any step of the pending
 sequence would change the state's *structure* (the candidate ℓ grid still
 growing towards ``max_learning_neighbors``, the validation ``k`` clamped by
 a small ``n``, the global candidate toggling), the state falls back to one
@@ -310,11 +312,31 @@ class _AttributeState:
 
     @staticmethod
     def _coalesced(pending) -> List[Tuple[str, object]]:
-        """Merge runs of adjacent appends into one batched merge."""
+        """Merge each run of adjacent appends, and each run of adjacent
+        deletes, into one op.
+
+        A delete run becomes one delete in the index space before the run:
+        every later delete's indices are mapped back past the tuples the
+        run already removed, and the merged indices are kept sorted with
+        their retired slots aligned.  Update runs stay one op at a time.
+        """
         out: List[Tuple[str, object]] = []
         for op, payload in pending:
-            if op == "append" and out and out[-1][0] == "append":
+            if out and op == out[-1][0] == "append":
                 out[-1] = ("append", np.concatenate([out[-1][1], payload]))
+            elif out and op == out[-1][0] == "delete":
+                removed, removed_slots = out[-1][1]
+                indices, slots = payload
+                # The i-th removed index (sorted) has removed[i] - i
+                # survivors below it; an index j of the later delete skips
+                # every removed tuple with at most j survivors below it.
+                indices = indices + np.searchsorted(
+                    removed - np.arange(removed.shape[0]), indices, side="right"
+                )
+                merged = np.concatenate([removed, indices])
+                order = np.argsort(merged, kind="stable")
+                slots = np.concatenate([removed_slots, slots])
+                out[-1] = ("delete", (merged[order], slots[order]))
             else:
                 out.append((op, payload))
         return out

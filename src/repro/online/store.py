@@ -243,31 +243,36 @@ class ColumnarTupleStore:
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
-    def _gather_column(self, attr: int, slots: np.ndarray) -> np.ndarray:
-        out = np.empty(slots.shape[0])
-        shard_ids = slots // self.shard_capacity
-        offsets = slots - shard_ids * self.shard_capacity
-        for shard in np.unique(shard_ids):
-            mask = shard_ids == shard
-            out[mask] = self._columns[attr][shard][offsets[mask]]
-        return out
-
     def column(self, attr: int, slots: Optional[np.ndarray] = None) -> np.ndarray:
         """One attribute's values, gathered by slot (default: live order)."""
         if slots is None:
             slots = self._live
-        slots = np.asarray(slots, dtype=np.int64)
-        return self._gather_column(attr, slots)
+        return self.rows(slots, attrs=(attr,))[:, 0]
 
     def rows(
         self, slots: np.ndarray, attrs: Optional[Sequence[int]] = None
     ) -> np.ndarray:
-        """Materialise the tuples at ``slots`` (optionally a column subset)."""
+        """Materialise the tuples at ``slots`` (optionally a column subset).
+
+        The slots are grouped by shard once for every column; when they
+        all sit in one shard each column is one direct gather.
+        """
         slots = np.asarray(slots, dtype=np.int64)
         attrs = tuple(range(self.width)) if attrs is None else tuple(attrs)
         out = np.empty((slots.shape[0], len(attrs)))
+        shard_ids = slots // self.shard_capacity
+        offsets = slots - shard_ids * self.shard_capacity
+        if slots.size and shard_ids.min() == shard_ids.max():
+            groups = [(int(shard_ids[0]), slice(None), offsets)]
+        else:
+            groups = []
+            for shard in np.unique(shard_ids):
+                positions = np.flatnonzero(shard_ids == shard)
+                groups.append((int(shard), positions, offsets[positions]))
         for position, attr in enumerate(attrs):
-            out[:, position] = self._gather_column(attr, slots)
+            column = self._columns[attr]
+            for shard, positions, shard_offsets in groups:
+                out[positions, position] = column[shard][shard_offsets]
         return out
 
     def matrix(self) -> np.ndarray:
@@ -330,15 +335,11 @@ class StoreFeatureView:
         return block if dtype is None else block.astype(dtype)
 
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return self.store.rows(
-                self.slots[int(key) : int(key) + 1], attrs=self.attrs
-            )[0]
-        if isinstance(key, slice):
-            return self.store.rows(self.slots[key], attrs=self.attrs)
-        return self.store.rows(
-            self.slots[np.asarray(key, dtype=np.int64)], attrs=self.attrs
-        )
+        """Rows by ndarray row indexing: ints (negative included), slices,
+        int arrays and boolean masks."""
+        slots = self.slots[key]
+        block = self.store.rows(np.ravel(slots), attrs=self.attrs)
+        return block.reshape(np.shape(slots) + (len(self.attrs),))
 
     # -- view mutators (new views; the store is never touched) ----------- #
     def extended(self, slots: np.ndarray) -> "StoreFeatureView":
@@ -362,8 +363,9 @@ class StoreFeatureView:
     # -- per-shard distance kernel --------------------------------------- #
     def shard_groups(self) -> List[Tuple[int, np.ndarray]]:
         """Logical positions grouped by the shard holding their slot."""
-        capacity = self.store.shard_capacity
-        shard_ids = self.slots // capacity
+        shard_ids = self.slots // self.store.shard_capacity
+        if shard_ids.size and shard_ids.min() == shard_ids.max():
+            return [(int(shard_ids[0]), np.arange(shard_ids.size))]
         return [
             (int(shard), np.flatnonzero(shard_ids == shard))
             for shard in np.unique(shard_ids)

@@ -3,14 +3,16 @@
 Covers the exact-equivalence of the vectorized top-k (including tie repair
 at the ``argpartition`` boundary), the batched self-exclusion, the
 rectangular ``neighbor_order`` batch contract (regression test for the
-ragged-array bug with ``exclude_self=True``), and the bulk
-:meth:`NeighborOrderCache.order_matrix`.
+ragged-array bug with ``exclude_self=True``), the bulk
+:meth:`NeighborOrderCache.order_matrix`, and :func:`drop_self_rows`
+against the stable-partition implementation it replaced.
 """
 
 import numpy as np
 import pytest
 
 from repro.neighbors import BruteForceNeighbors, NeighborOrderCache
+from repro.neighbors.brute import drop_self_rows
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +122,39 @@ class TestOrderMatrix:
         cache.order_matrix()
         cache.clear()
         assert cache._matrix is None
+
+
+def _drop_self_reference(order, row_indices):
+    """The stable-partition implementation every row once paid for."""
+    keep = order != row_indices[:, None]
+    kept_cols = np.argsort(~keep, axis=1, kind="stable")[:, : order.shape[1] - 1]
+    return np.take_along_axis(order, kept_cols, axis=1)
+
+
+class TestDropSelfRows:
+    def test_three_row_cases_match_the_reference(self):
+        order = np.array(
+            [
+                [0, 4, 2, 7],  # row 0: self first
+                [0, 1, 5, 3],  # row 1: behind a zero-distance duplicate (0 < 1)
+                [3, 5, 6, 4],  # row 2: self crowded out of a truncated row
+            ]
+        )
+        owners = np.arange(3)
+        got = drop_self_rows(order, owners)
+        np.testing.assert_array_equal(got, _drop_self_reference(order, owners))
+        np.testing.assert_array_equal(got, [[4, 2, 7], [0, 5, 3], [3, 5, 6]])
+
+    def test_leaves_its_input_alone(self):
+        order = np.array([[1, 0, 2], [1, 2, 0]])
+        before = order.copy()
+        drop_self_rows(order, np.arange(2))
+        np.testing.assert_array_equal(order, before)
+
+    @pytest.mark.parametrize("width", [2, 5, 40])
+    def test_matches_the_reference_on_orderings_with_duplicates(self, data, width):
+        order = BruteForceNeighbors().fit(data).neighbor_order(data)[:, :width]
+        owners = np.arange(data.shape[0])
+        np.testing.assert_array_equal(
+            drop_self_rows(order, owners), _drop_self_reference(order, owners)
+        )

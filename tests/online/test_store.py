@@ -120,6 +120,78 @@ def test_all_rows_deleted_store_stays_usable():
     np.testing.assert_array_equal(store.matrix(), fresh)
 
 
+@pytest.mark.parametrize("shard_capacity", [4, 64])
+def test_gathers_match_the_dense_matrix(shard_capacity):
+    """rows()/column() with one shard or several, holes included."""
+    store = ColumnarTupleStore(3, shard_capacity=shard_capacity)
+    values = RNG.normal(size=(20, 3))
+    store.append(values)
+    store.delete([3, 11])
+    live = np.delete(values, [3, 11], axis=0)
+    slots = store.live_slots
+    np.testing.assert_array_equal(store.rows(slots), live)
+    np.testing.assert_array_equal(
+        store.rows(slots[::-1], attrs=(2, 0)), live[::-1][:, [2, 0]]
+    )
+    np.testing.assert_array_equal(store.column(1), live[:, 1])
+    assert store.rows(slots[:0]).shape == (0, 3)
+
+
+# --------------------------------------------------------------------------- #
+# StoreFeatureView row indexing follows ndarray semantics
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def view_and_matrix():
+    store = ColumnarTupleStore(4, shard_capacity=5)
+    store.append(RNG.normal(size=(13, 4)))
+    store.delete([2, 7])  # slot holes: positions != slots
+    view = store.feature_view(exclude=1)
+    return view, store.matrix()[:, [0, 2, 3]]
+
+
+@pytest.mark.parametrize("key", [0, 4, -1, -11, np.int64(-3)])
+def test_view_int_keys_match_ndarray(view_and_matrix, key):
+    view, matrix = view_and_matrix
+    np.testing.assert_array_equal(view[key], matrix[key])
+
+
+@pytest.mark.parametrize("key", [10_000, -12])
+def test_view_int_keys_out_of_range_raise(view_and_matrix, key):
+    view, _ = view_and_matrix
+    with pytest.raises(IndexError):
+        view[key]
+
+
+@pytest.mark.parametrize(
+    "key",
+    [slice(None), slice(2, 9), slice(None, None, -2), slice(-4, None), slice(5, 2)],
+)
+def test_view_slices_match_ndarray(view_and_matrix, key):
+    view, matrix = view_and_matrix
+    np.testing.assert_array_equal(view[key], matrix[key])
+
+
+@pytest.mark.parametrize(
+    "key", [[0, 10, 3], np.array([-1, 0, -1]), np.array([], dtype=int), []]
+)
+def test_view_int_arrays_match_ndarray(view_and_matrix, key):
+    view, matrix = view_and_matrix
+    got = view[key]
+    assert got.shape == matrix[key].shape
+    np.testing.assert_array_equal(got, matrix[key])
+
+
+def test_view_boolean_masks_select_rows(view_and_matrix):
+    view, matrix = view_and_matrix
+    mask = np.zeros(view.shape[0], dtype=bool)
+    mask[[1, 6, 10]] = True
+    np.testing.assert_array_equal(view[mask], matrix[mask])
+    np.testing.assert_array_equal(view[list(mask)], matrix[mask])
+    assert view[~np.ones_like(mask)].shape == (0, 3)
+    with pytest.raises(IndexError):
+        view[mask[:-1]]  # a mask must cover every row, as for an ndarray
+
+
 # --------------------------------------------------------------------------- #
 # Per-shard distance kernels and the cross-shard top-K merge
 # --------------------------------------------------------------------------- #
