@@ -253,9 +253,8 @@ def test_online_large_store(profile, record_result):
     bursts, delete sweeps, update bursts with slot recycling), the bounded
     journal, and neighbour-query serving through the per-shard top-K merge
     — verified bit-identical to the unsharded brute-force reference at full
-    scale.  Memory is recorded against what the pre-refactor engine would
-    have kept resident for the same store (one feature-submatrix + target
-    copy per cached attribute state).
+    scale.  Memory records what one attribute state's view keeps resident:
+    its slot references and the feature block it gathers once for reads.
     """
     from repro.neighbors import BruteForceNeighbors
     from repro.online import ColumnarTupleStore, ShardedNeighbors
@@ -300,7 +299,7 @@ def test_online_large_store(profile, record_result):
     assert np.array_equal(idx_s, idx_b) and np.array_equal(dist_s, dist_b)
 
     n = store.n_live
-    legacy_per_state = n * width * 8  # feature submatrix + target copy
+    block_bytes = view.gathered_bytes  # kept by the view for later reads
     section = {
         "n_rows": n,
         "width": width,
@@ -313,9 +312,8 @@ def test_online_large_store(profile, record_result):
         "updates_per_second": n_updates / update_seconds,
         "query_seconds": query_seconds,
         "store_bytes": store.nbytes,
-        "legacy_per_state_copy_bytes": legacy_per_state,
         "state_slot_bytes": int(n * 8),
-        "copy_elimination_ratio": legacy_per_state / (n * 8),
+        "state_block_bytes": block_bytes,
     }
     _merge_report(large_store=section)
     record_result(
@@ -327,14 +325,13 @@ def test_online_large_store(profile, record_result):
         f"{n_updates} updates {update_seconds:.3f}s\n"
         f"64-query k=10 sharded top-K merge {query_seconds * 1000:.1f} ms "
         f"(== brute force bit-for-bit)\n"
-        f"per-state resident: {n * 8 / 1e6:.1f} MB slots vs "
-        f"{legacy_per_state / 1e6:.1f} MB legacy copies "
-        f"({legacy_per_state / (n * 8):.0f}x eliminated)",
+        f"per-state resident: {n * 8 / 1e6:.1f} MB slots + "
+        f"{block_bytes / 1e6:.1f} MB gathered block",
     )
 
-    # The memory claim, in numbers: a view costs one int64 per row; the
-    # legacy engine kept width× that in float copies per cached state.
-    assert legacy_per_state / (n * 8) >= width
+    # The view gathered every row once, shard by shard: one (n, width-1)
+    # float block plus one int64 position per row.
+    assert block_bytes == n * (width - 1) * 8 + n * 8
 
 
 def test_online_snapshot_roundtrip_cost(profile, record_result, tmp_path):

@@ -31,9 +31,9 @@ feature view* (:class:`repro.online.store.StoreFeatureView`): an object
 carrying slot references into the shared columnar tuple store instead of a
 ``(n, m)`` float copy.  In store-backed mode the lifecycle methods take
 slot references (``append(slots=...)`` / ``replace(index, slot=...)``),
-row values are gathered from the store on demand, and pairwise distances
-are computed per shard — bit-identical to the matrix mode, without the
-cache owning any tuple payload.
+and pairwise distances are computed per shard over rows the view gathers
+from the store once and keeps — bit-identical to the matrix mode, with the
+store the only owner of tuple payloads.
 
 Each repair sorts, merges and re-fills only the rows whose ordering the
 mutation can change; every other row costs one vectorised scan or gather

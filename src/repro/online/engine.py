@@ -33,14 +33,16 @@ Tuple payloads live in exactly one place: a
 :class:`~repro.online.store.ColumnarTupleStore` — one array per attribute,
 partitioned into fixed-capacity row shards, with free-list slot recycling.
 Every cached attribute state reads *through* the store: its neighbour cache
-holds a :class:`~repro.online.store.StoreFeatureView` (slot references, no
-feature-submatrix copy) and its target column is gathered from the store on
-demand (no target-column copy).  Resident per-state memory is therefore the
-orderings/models/costs plus ``O(n)`` slot integers — independent of the
-schema width — instead of the former ``O(n · m)`` float copies per state.
-Distance kernels and neighbour queries run per shard with an exact
-cross-shard ``(distance, index)`` merge, and a mutation's store writes
-touch only the shards its slots land in.
+holds a :class:`~repro.online.store.StoreFeatureView` (slot references) and
+its target column is gathered from the store on demand (no target-column
+copy).  A view never changes once built — a mutation gives each state a new
+one — so it gathers its ``(n, m-1)`` feature rows once, per shard, and keeps
+them read-only for every later read; the column means that pre-fill query
+features are likewise computed once per store version.  Resident per-state
+memory is the orderings/models/costs, ``O(n)`` slot integers and that one
+gathered block.  Distance kernels and neighbour queries run per shard with
+an exact cross-shard ``(distance, index)`` merge, and a mutation's store
+writes touch only the shards its slots land in.
 
 Deferred maintenance: the mutation journal
 ------------------------------------------
@@ -152,9 +154,9 @@ class _AttributeState:
     shared columnar store, restricted to the complete attributes ``F``),
     the per-tuple models, and — for adaptive learning — the full candidate
     parameter stack and validation-cost matrix needed to refresh a subset
-    of tuples without relearning the rest.  It holds **no copy** of the
-    feature submatrix or the target column: both are gathered from the
-    store on demand through the view's slots.
+    of tuples without relearning the rest.  It owns no tuple payload: the
+    view gathers the feature rows from the store once and keeps them for
+    reads, and the target column is gathered on demand by slot.
     """
 
     def __init__(self, engine: "OnlineImputationEngine", target_index: int):
@@ -243,10 +245,15 @@ class _AttributeState:
         return ("adaptive", tuple(int(c) for c in candidates), k_val, global_active)
 
     # ------------------------------------------------------------------ #
+    @property
+    def current(self) -> bool:
+        """Whether the state has seen every mutation of the engine."""
+        return self.cache is not None and self.version == self.engine._version
+
     def sync(self) -> None:
         """Bring the state up to date with the engine's store."""
         engine = self.engine
-        if self.cache is not None and self.version == engine._version:
+        if self.current:
             return
         n = engine._n
         if n == 0:
@@ -980,6 +987,9 @@ class OnlineImputationEngine:
         self._store: Optional[ColumnarTupleStore] = None
         self._pending: Optional[np.ndarray] = None
         self._version = 0
+        # (version, column means) of the last impute; reused until a
+        # mutation moves _version.
+        self._means: Optional[Tuple[int, np.ndarray]] = None
         self._journal = MutationJournal(self.journal_capacity)
         self._states: "OrderedDict[int, _AttributeState]" = OrderedDict()
         self.stats: Dict[str, int] = {
@@ -1001,6 +1011,8 @@ class OnlineImputationEngine:
             "shards_touched": 0,
             "delete_cost_decrements": 0,
             "delete_cost_guard_rebuilds": 0,
+            "read_cache_hits": 0,
+            "read_cache_misses": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -1334,22 +1346,21 @@ class OnlineImputationEngine:
     def memory_stats(self) -> Dict[str, int]:
         """Resident-memory accounting across the store, journal and states.
 
-        ``legacy_state_copy_bytes`` is what the pre-sharding engine would
-        keep resident for the same cached states (one feature-submatrix
-        plus one target-column copy per state) — the memory the shared
-        columnar store eliminates.  ``state_slot_bytes`` is what the views
-        cost instead.
+        ``state_slot_bytes`` is the slot references of the states' store
+        views; ``state_block_bytes`` is the rows those views have gathered
+        and keep for reads (their per-shard feature blocks and positions),
+        zero for a view no read or repair has touched yet.
         """
         store = self._store
-        n = self._n
-        width = 0 if self._schema is None else self._schema.width
         state_slot_bytes = 0
+        state_block_bytes = 0
         state_order_bytes = 0
         state_model_bytes = 0
         for state in self._states.values():
             if state.cache is None:
                 continue
             state_slot_bytes += int(state.cache.slots.nbytes)
+            state_block_bytes += state.cache.data.gathered_bytes
             orders = state.cache.order_matrix()
             state_order_bytes += int(orders.nbytes)
             dists = state.cache.order_distances
@@ -1363,9 +1374,6 @@ class OnlineImputationEngine:
                     state_model_bytes += int(np.asarray(array).nbytes)
             if state.models is not None:
                 state_model_bytes += int(state.models.parameters.nbytes)
-        n_states = sum(
-            1 for state in self._states.values() if state.cache is not None
-        )
         return {
             "store_bytes": 0 if store is None else store.nbytes,
             "n_shards": 0 if store is None else store.n_shards,
@@ -1377,9 +1385,9 @@ class OnlineImputationEngine:
             "journal_capacity": self.journal_capacity,
             "journal_bytes": self._journal.nbytes,
             "state_slot_bytes": state_slot_bytes,
+            "state_block_bytes": state_block_bytes,
             "state_order_bytes": state_order_bytes,
             "state_model_bytes": state_model_bytes,
-            "legacy_state_copy_bytes": int(n_states * n * width * 8),
         }
 
     # ------------------------------------------------------------------ #
@@ -1394,10 +1402,11 @@ class OnlineImputationEngine:
         """Impute every missing cell of a batch of query tuples.
 
         ``queries`` is an array of shape ``(q, m)`` (or one tuple of length
-        ``m``) with NaN marking the missing cells; a :class:`Relation` is
-        accepted too.  Returns a float array of shape ``(q, m)`` with every
-        missing cell filled — equal (to ``rtol = 1e-9``) to what a cold
-        ``IIMImputer`` refit over the engine's store would produce.
+        ``m``) with NaN marking the missing cells; a :class:`Relation` with
+        the engine's schema is accepted too.  Returns a float array of
+        shape ``(q, m)`` with every missing cell filled — equal (to ``rtol =
+        1e-9``) to what a cold ``IIMImputer`` refit over the engine's store
+        would produce.
 
         With ``collect_provenance=True`` the return value is a pair
         ``(values, provenance)`` where ``provenance`` holds one dict per
@@ -1409,14 +1418,18 @@ class OnlineImputationEngine:
         backend produces values equal at rtol 1e-9, so the numbers are
         unchanged; only the weight capture needs the batched combiner.
         """
-        if isinstance(queries, Relation):
-            values = queries.raw.copy()
-        else:
-            values = np.atleast_2d(np.asarray(queries, dtype=float)).copy()
         if self._n == 0:
             raise NotFittedError(
                 "the engine store is empty; append complete tuples first"
             )
+        if isinstance(queries, Relation):
+            if queries.schema.attributes != self._schema.attributes:
+                raise DataError(
+                    "imputed relation schema does not match the engine schema"
+                )
+            values = queries.raw.copy()
+        else:
+            values = np.atleast_2d(np.asarray(queries, dtype=float)).copy()
         if values.ndim != 2 or values.shape[1] != self._schema.width:
             raise DataError(
                 f"queries must have {self._schema.width} attributes, got shape "
@@ -1431,13 +1444,17 @@ class OnlineImputationEngine:
             raise DataError("cannot impute a relation with a single attribute")
 
         # Query features are pre-filled with store column means, exactly as
-        # the batch orchestration of BaseImputer does (gathered per column;
-        # the store matrix is never materialised on the serve path).
-        width = self._schema.width
-        column_means = np.array(
-            [self._store.column(attr).mean() for attr in range(width)]
-        )
-        filled = np.where(mask, column_means[None, :], values)
+        # the batch orchestration of BaseImputer does.  They depend only on
+        # the store contents, so they are gathered (per column; the store
+        # matrix is never materialised) once per store version.
+        if self._means is None or self._means[0] != self._version:
+            self._means = (self._version, np.array(
+                [self._store.column(a).mean() for a in range(self._schema.width)]
+            ))
+            self.stats["read_cache_misses"] += 1
+        else:
+            self.stats["read_cache_hits"] += 1
+        filled = np.where(mask, self._means[1][None, :], values)
 
         imputer = self.imputer
         k = min(imputer.k, self._n)
@@ -1445,6 +1462,14 @@ class OnlineImputationEngine:
         if collect_provenance:
             backend = "vectorized"
         for target_index in np.flatnonzero(mask.any(axis=0)):
+            # A state's view keeps its gathered rows until a mutation gives
+            # the state a new view (see StoreFeatureView): the read reuses
+            # them when the state is current and an earlier call gathered.
+            state = self._states.get(int(target_index))
+            reused = (
+                state is not None and state.current and state.cache.data.gathered
+            )
+            self.stats["read_cache_hits" if reused else "read_cache_misses"] += 1
             # Syncing the state may replay pending mutations — those get
             # their own phases; the kernel span covers only the search +
             # candidate combination below.
@@ -1470,9 +1495,9 @@ class OnlineImputationEngine:
                         backend=backend,
                     )
                 else:
-                    # Columnar serve: per-shard candidate selection + exact
-                    # cross-shard merge, candidates straight off the model
-                    # stack — the (n, m-1) feature matrix is never built.
+                    # Columnar serve: per-shard candidate selection over the
+                    # view's kept blocks + exact cross-shard merge, candidates
+                    # straight off the model stack.
                     searcher = ShardedNeighbors(
                         state.cache.data, metric=imputer.metric
                     )

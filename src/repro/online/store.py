@@ -2,9 +2,9 @@
 
 Before this module each :class:`~repro.neighbors.NeighborOrderCache` owned a
 private ``(n, |F|)`` feature-submatrix copy and every engine attribute state
-a private target-column copy — ``O(states · n · m)`` resident floats for a
-store the engine itself already holds.  The classes here collapse all of
-that onto **one** columnar store:
+a private target-column copy, each rewritten by every mutation.  The
+classes here give every tuple payload **one** owner, a columnar store, which
+model states read through slot references:
 
 * :class:`ColumnarTupleStore` — the single owner of every tuple payload.
   One array per attribute, partitioned into **fixed-capacity row shards**:
@@ -13,13 +13,14 @@ that onto **one** columnar store:
   the revised tuple into a *fresh* slot so the old version stays readable.
   Retired slots are kept on a pending list until :meth:`release` — the MVCC
   discipline that lets a lazily-synced model state replay a mutation
-  journal against the exact intermediate values each operation saw, without
-  any state holding a data copy of its own.
-* :class:`StoreFeatureView` — a zero-copy ``(n, m-1)`` *view* of the store:
-  an array of slot references plus an excluded (target) attribute.  Reads
-  materialise only the requested block; pairwise distances are computed
-  **per shard** (one bounded ``(q, shard)`` block at a time) and are
-  bit-identical to a monolithic metric call over a materialised matrix.
+  journal against the exact intermediate values each operation saw.
+* :class:`StoreFeatureView` — an immutable ``(n, m-1)`` *view* of the
+  store: an array of slot references plus an excluded (target) attribute.
+  The rows it reads never change, so it gathers them once, per shard, on
+  first use and keeps those blocks for its lifetime; pairwise distances
+  are computed **per shard** (one bounded ``(q, shard)`` block at a time)
+  and are bit-identical to a monolithic metric call over a materialised
+  matrix.
 * :func:`sharded_topk` / :class:`ShardedNeighbors` — neighbour queries as a
   per-shard top-K selection followed by one exact cross-shard merge; the
   merged result reproduces the global ``(distance, index)`` lexsort order
@@ -282,22 +283,37 @@ class ColumnarTupleStore:
     def feature_view(
         self, exclude: Optional[int] = None, slots: Optional[np.ndarray] = None
     ) -> "StoreFeatureView":
-        """A slot-indirected view of the store minus one (target) attribute."""
-        if slots is None:
-            slots = self._live.copy()
-        return StoreFeatureView(self, np.asarray(slots, dtype=np.int64), exclude)
+        """A slot-indirected view of the store minus one (target) attribute.
+
+        The view owns a copy of ``slots`` (default: the live order), so a
+        caller writing to its own array later cannot change the view.
+        """
+        slots = self._live if slots is None else slots
+        return StoreFeatureView(self, np.array(slots, dtype=np.int64), exclude)
 
 
 class StoreFeatureView:
     """A ``(n, m-1)`` feature view: slot references into a columnar store.
 
-    The view owns its ``slots`` array (logical order) but no tuple payload;
-    ``__getitem__`` / ``__array__`` materialise on demand and
-    :meth:`pairwise` computes distance blocks **per shard**, so the largest
-    transient allocation is one ``(shard_capacity, m-1)`` block plus the
-    ``(q, n)`` output.  View mutators (:meth:`extended`, :meth:`selected`,
-    :meth:`replaced`) return new views sharing the store — the shapes the
-    incremental cache maintenance needs for append/remove/replace.
+    A view is immutable once built, and the cache of gathered rows below
+    rests on that:
+
+    * it owns its read-only ``slots`` array (logical order), and the view
+      mutators (:meth:`extended`, :meth:`selected`, :meth:`replaced`)
+      return *new* views sharing the store — the shapes the incremental
+      cache maintenance needs for append/remove/replace, which swaps the
+      neighbour cache's view on every mutation;
+    * the store never rewrites a slot that a resident engine state still
+      references: updates write the revised tuple into a fresh slot, and
+      retired slots stay pending until the mutation journal releases them.
+
+    So the rows a view reads never change.  :meth:`blocks` gathers them
+    once, per shard, on first use and keeps the read-only
+    ``(positions, block)`` pairs for the view's lifetime: resident memory
+    is one ``(n, m-1)`` float block plus ``n`` positions, and
+    :meth:`pairwise` / :func:`sharded_topk` allocate only the ``(q,
+    shard)`` distance blocks and their output.  :meth:`materialize`,
+    ``__getitem__`` and ``__array__`` still return fresh arrays.
     """
 
     def __init__(
@@ -307,7 +323,8 @@ class StoreFeatureView:
         exclude: Optional[int] = None,
     ):
         self.store = store
-        self.slots = np.asarray(slots, dtype=np.int64)
+        self.slots = np.asarray(slots, dtype=np.int64).view()
+        self.slots.setflags(write=False)
         self.exclude = None if exclude is None else int(exclude)
         if self.exclude is not None and not 0 <= self.exclude < store.width:
             raise ConfigurationError(
@@ -316,6 +333,7 @@ class StoreFeatureView:
         self.attrs = tuple(
             a for a in range(store.width) if a != self.exclude
         )
+        self._blocks: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     # -- ndarray-ish protocol ------------------------------------------- #
     @property
@@ -371,6 +389,34 @@ class StoreFeatureView:
             for shard in np.unique(shard_ids)
         ]
 
+    def blocks(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The viewed rows as read-only per-shard ``(positions, block)`` pairs.
+
+        Gathered on the first call and kept for the view's lifetime (see
+        the class docstring for why they cannot go stale).
+        """
+        if self._blocks is None:
+            blocks = []
+            for _, positions in self.shard_groups():
+                block = self.materialize(positions)
+                positions.setflags(write=False)
+                block.setflags(write=False)
+                blocks.append((positions, block))
+            self._blocks = blocks
+        return self._blocks
+
+    @property
+    def gathered(self) -> bool:
+        """Whether :meth:`blocks` has gathered the viewed rows yet."""
+        return self._blocks is not None
+
+    @property
+    def gathered_bytes(self) -> int:
+        """Bytes held by the gathered blocks and their positions (0 before)."""
+        if self._blocks is None:
+            return 0
+        return int(sum(p.nbytes + b.nbytes for p, b in self._blocks))
+
     def pairwise(self, query, metric_fn) -> np.ndarray:
         """Distances of ``query`` against every viewed row, shard by shard.
 
@@ -384,8 +430,7 @@ class StoreFeatureView:
         query_block = query.reshape(1, -1) if single else query
         n = self.shape[0]
         out = np.empty((query_block.shape[0], n))
-        for _, positions in self.shard_groups():
-            block = self.materialize(positions)
+        for positions, block in self.blocks():
             out[:, positions] = metric_fn(query_block, block)
         return out[0] if single else out
 
@@ -415,8 +460,7 @@ def sharded_topk(
 
     candidate_dists: List[np.ndarray] = []
     candidate_positions: List[np.ndarray] = []
-    for _, positions in view.shard_groups():
-        block = view.materialize(positions)
+    for positions, block in view.blocks():
         distances = metric_fn(query_block, block)
         take = min(k, positions.shape[0])
         block_dists, block_order = topk_batch(distances, take)
@@ -436,9 +480,9 @@ class ShardedNeighbors:
     """Drop-in neighbour searcher serving queries straight off a store view.
 
     Mirrors :class:`~repro.neighbors.BruteForceNeighbors.kneighbors` —
-    identical distances, identical tie-breaks — without ever materialising
-    the ``(n, m-1)`` feature matrix: candidates are selected per shard and
-    merged exactly (:func:`sharded_topk`).
+    identical distances, identical tie-breaks — without assembling one
+    ``(n, m-1)`` feature matrix: candidates are selected per shard over the
+    view's kept blocks and merged exactly (:func:`sharded_topk`).
     """
 
     def __init__(self, view: StoreFeatureView, metric: str = "paper_euclidean"):

@@ -8,7 +8,7 @@ from repro.config import (
     set_online_model_cache_size,
     set_online_refresh_policy,
 )
-from repro.data.relation import Relation
+from repro.data.relation import Relation, Schema
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.online import OnlineImputationEngine
 
@@ -168,6 +168,28 @@ def test_from_relation_and_relation_roundtrip(stream_values):
     )
     store = engine.store_relation()
     np.testing.assert_array_equal(store.raw, stream_values[:100])
+
+
+def test_impute_checks_the_relation_schema(stream_values):
+    """A relation whose attributes differ from the engine schema in order
+    is rejected on the read path, exactly like on append."""
+    engine = OnlineImputationEngine.from_relation(
+        Relation(stream_values[:100]), k=3, learning="fixed", learning_neighbors=4
+    )
+    dirty = stream_values[200:206].copy()
+    dirty[:, 1] = np.nan
+    swapped = Schema(engine.schema.attributes[::-1])
+    with pytest.raises(DataError, match="schema does not match"):
+        engine.impute_batch(Relation(dirty, swapped))
+    with pytest.raises(DataError, match="schema does not match"):
+        engine.impute_relation(Relation(dirty, swapped))
+    with pytest.raises(DataError, match="schema does not match"):
+        engine.append(Relation(stream_values[100:103], swapped))
+    # A matching relation answers exactly like its raw values.
+    expected = engine.impute_batch(dirty)
+    matching = Relation(dirty, engine.schema)
+    np.testing.assert_array_equal(engine.impute_batch(matching), expected)
+    np.testing.assert_array_equal(engine.impute_relation(matching).raw, expected)
 
 
 def test_engine_errors(stream_values):
