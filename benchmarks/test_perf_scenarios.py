@@ -13,7 +13,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.config import set_obs_enabled
+from repro import config
 from repro.scenarios import registry, replay
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_online.json"
@@ -32,7 +32,7 @@ def _merge_report(**sections) -> None:
 
 
 def test_scenario_matrix(record_result):
-    previous = set_obs_enabled(True)
+    previous = config.set("obs_enabled", True)
     matrix = {}
     try:
         for name in registry.list():
@@ -69,7 +69,7 @@ def test_scenario_matrix(record_result):
                 },
             }
     finally:
-        set_obs_enabled(previous)
+        config.set("obs_enabled", previous)
 
     _merge_report(scenario_matrix=matrix)
     record_result(

@@ -25,13 +25,14 @@ imputation — run on **vectorized batch kernels** by default: pairwise
 distance blocks with ``argpartition`` top-k, prefix-sum (``cumsum``) U/V
 statistics solved by one stacked ``np.linalg.solve``, and batched candidate
 combination.  The original per-tuple Python loops are retained as an
-executable reference backend, selectable through :mod:`repro.config`:
+executable reference backend, selected by the ``backend`` knob of
+:mod:`repro.config`:
 
->>> import repro
->>> repro.set_backend("loop")        # process-wide          # doctest: +SKIP
->>> with repro.use_backend("loop"):  # temporarily           # doctest: +SKIP
+>>> from repro import config
+>>> config.set("backend", "loop")             # process-wide   # doctest: +SKIP
+>>> with config.override("backend", "loop"):  # temporarily    # doctest: +SKIP
 ...     IIMImputer(k=10).fit(injection.dirty).impute(injection.dirty)
->>> IIMImputer(k=10, backend="loop")  # per-instance         # doctest: +SKIP
+>>> IIMImputer(k=10, backend="loop")          # per-instance   # doctest: +SKIP
 
 The ``REPRO_BACKEND`` environment variable sets the initial default.  The
 test suite asserts both backends agree to ``rtol = 1e-9``;
@@ -56,8 +57,11 @@ to a cold ``IIMImputer`` refit over the same tuples.
 >>> filled = engine.impute_batch(rows_with_nans)             # doctest: +SKIP
 >>> engine.snapshot("artifacts/engine")                      # doctest: +SKIP
 
-Engine knobs (per-attribute model cache size, lazy/eager refresh policy)
-live in :mod:`repro.config` next to the backend knob.  Fitted state —
+Engine knobs (model cache size, refresh policy, hybrid fallback, store
+shards, journal, delete-cost upkeep) are rows of the same
+:data:`repro.config.KNOBS` table as the backend, the WAL, serve, obs,
+query and scenario knobs; each has a ``REPRO_*`` environment variable and
+is read with ``config.get(name)``.  Fitted state —
 engines via ``snapshot``/``load``, every imputer via ``save``/``load`` on
 :class:`~repro.baselines.base.BaseImputer` — persists as ``.npz`` arrays
 plus a JSON manifest (:mod:`repro.online.artifacts`) and restores
@@ -105,7 +109,7 @@ from .baselines import (
     method_capabilities,
     method_spec,
 )
-from .config import BACKENDS, get_backend, resolve_backend, set_backend, use_backend
+from . import config
 from .core import (
     IIMImputer,
     IndividualModels,
@@ -157,11 +161,7 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # Configuration
-    "BACKENDS",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-    "resolve_backend",
+    "config",
     # Core method
     "IIMImputer",
     "IndividualModels",

@@ -37,6 +37,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import config
 from .exceptions import ReproError
 
 PROG = "python -m repro"
@@ -70,19 +71,15 @@ def _cmd_impute(args) -> int:
     from .api import BatchSession
     from .data.io import read_csv, write_csv
 
-    try:
-        overrides = dict(_parse_override(token) for token in args.set or [])
-        session = BatchSession(args.method, **overrides)
-        relation = read_csv(args.csv, has_header=not args.no_header)
-        if relation.n_missing_cells == 0:
-            print(f"{args.csv}: no missing cells; nothing to impute")
-            imputed = relation
-        else:
-            session.fit(relation)
-            imputed = session.impute_relation(relation)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    overrides = dict(_parse_override(token) for token in args.set or [])
+    session = BatchSession(args.method, **overrides)
+    relation = read_csv(args.csv, has_header=not args.no_header)
+    if relation.n_missing_cells == 0:
+        print(f"{args.csv}: no missing cells; nothing to impute")
+        imputed = relation
+    else:
+        session.fit(relation)
+        imputed = session.impute_relation(relation)
     stats = session.stats()
     print(
         f"method {stats['method']} imputed {stats['counters']['imputed_cells']} "
@@ -110,18 +107,9 @@ def _cmd_serve(args) -> int:
     server = SessionServer(
         artifact_root=args.artifact_root,
         wal_root=args.wal_dir,
-        wal_sync=args.sync,
-        deadline_seconds=args.deadline,
-        max_request_bytes=args.max_request_bytes,
         trace_log=args.trace_log,
-        trace_sample=args.trace_sample,
-        workers=args.workers,
-        microbatch_window_ms=args.microbatch_window_ms,
-        microbatch_max_rows=args.microbatch_max_rows,
-        max_rows_per_request=args.max_rows_per_request,
-        max_sessions=args.max_sessions,
-        max_queued_requests=args.max_queued_requests,
         auth_token=args.auth_token,
+        **{name: getattr(args, name) for name in config.SERVE_KNOBS},
     )
     if args.port is not None:
         print(
@@ -136,35 +124,27 @@ def _cmd_serve(args) -> int:
 def _cmd_repl(args) -> int:
     from .api.repl import run_repl
 
-    try:
-        return run_repl(
-            args.connect,
-            artifact_root=args.artifact_root,
-            token=args.auth_token,
-            session=args.session,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_repl(
+        args.connect,
+        artifact_root=args.artifact_root,
+        token=args.auth_token,
+        session=args.session,
+    )
 
 
 def _cmd_recover(args) -> int:
     from .api.sessions import recover_session
 
-    try:
-        session, report = recover_session(
-            args.wal_dir,
-            checkpoint=args.checkpoint,
-            # Recovery only reads; reattach the WAL solely when we are about
-            # to checkpoint (--output), which truncates it afterwards.
-            reattach=args.output is not None,
-        )
-        if args.output is not None:
-            report["output"] = str(session.save(args.output))
-            session.close()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    session, report = recover_session(
+        args.wal_dir,
+        checkpoint=args.checkpoint,
+        # Recovery only reads; reattach the WAL solely when we are about
+        # to checkpoint (--output), which truncates it afterwards.
+        reattach=args.output is not None,
+    )
+    if args.output is not None:
+        report["output"] = str(session.save(args.output))
+        session.close()
     if args.json:
         print(json.dumps(report, indent=2))
         return 0
@@ -261,99 +241,95 @@ def _cmd_scenario(args) -> int:
         replay,
     )
 
-    try:
-        if args.scenario_command == "list":
-            names = registry.list()
-            if args.names:
-                for name in names:
-                    print(name)
-                return 0
-            rows = [
-                {
-                    "name": name,
-                    "generator": get(name).generator,
-                    "seed": get(name).seed,
-                    "golden_digest": golden_digest(name),
-                    "description": get(name).description,
-                }
-                for name in names
-            ]
-            if args.json:
-                print(json.dumps(rows, indent=2))
-                return 0
-            width = max(len(row["name"]) for row in rows)
-            for row in rows:
-                print(
-                    f"{row['name']:<{width}}  {row['generator']:<12} "
-                    f"{row['description']}"
-                )
+    if args.scenario_command == "list":
+        names = registry.list()
+        if args.names:
+            for name in names:
+                print(name)
             return 0
-
-        if args.scenario_command == "describe":
-            spec = _scenario_spec(args)
-            payload = {
-                "spec": spec.to_dict(),
-                "schema": [dict(row) for row in
-                           describe_schema(spec.generator)],
-                "golden_digest": golden_digest(spec.name),
+        rows = [
+            {
+                "name": name,
+                "generator": get(name).generator,
+                "seed": get(name).seed,
+                "golden_digest": golden_digest(name),
+                "description": get(name).description,
             }
-            print(json.dumps(payload, indent=2))
+            for name in names
+        ]
+        if args.json:
+            print(json.dumps(rows, indent=2))
             return 0
-
-        if args.scenario_command == "trace":
-            spec = _scenario_spec(args)
-            trace = generate_trace(spec)
-            if args.output:
-                Path(args.output).write_bytes(trace.to_bytes())
-            print(json.dumps({
-                "scenario": spec.name,
-                "digest": trace.digest(),
-                "n_sessions": len(trace.sessions),
-                "n_steps": len(trace.steps),
-                "n_rounds": trace.n_rounds,
-                "golden_digest": golden_digest(spec.name),
-                "output": args.output,
-            }, indent=2))
-            return 0
-
-        # replay
-        spec = _scenario_spec(args)
-        report = replay(
-            spec,
-            transport=args.transport,
-            verify=not args.no_verify,
-            run_cold=not args.no_cold,
-            check_digest=False if args.no_digest_check else None,
-            isolate_obs=True,
-        )
-        payload = report.as_dict()
-        if args.output:
-            Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-        print(
-            f"scenario {report.scenario}: {report.n_rounds} round(s) over "
-            f"{len(report.session_stats)} session(s) via {report.transport}; "
-            f"verified={report.verified} "
-            f"(max |online-cold| = {report.max_abs_diff:.3g}); "
-            f"online {report.online_seconds:.3f}s"
-            + (
-                f", cold {report.cold_seconds:.3f}s "
-                f"(speedup x{report.speedup:.2f})"
-                if not args.no_cold else ""
-            )
-        )
-        for phase in sorted(report.phase_summaries):
-            summary = report.phase_summaries[phase]
+        width = max(len(row["name"]) for row in rows)
+        for row in rows:
             print(
-                f"  {phase:<22} n={summary['count']:<5} "
-                f"p50={summary['p50']:.6f}s p95={summary['p95']:.6f}s "
-                f"p99={summary['p99']:.6f}s"
+                f"{row['name']:<{width}}  {row['generator']:<12} "
+                f"{row['description']}"
             )
-        if args.output:
-            print(f"report written to {args.output}")
         return 0
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+
+    if args.scenario_command == "describe":
+        spec = _scenario_spec(args)
+        payload = {
+            "spec": spec.to_dict(),
+            "schema": [dict(row) for row in
+                       describe_schema(spec.generator)],
+            "golden_digest": golden_digest(spec.name),
+        }
+        print(json.dumps(payload, indent=2))
+        return 0
+
+    if args.scenario_command == "trace":
+        spec = _scenario_spec(args)
+        trace = generate_trace(spec)
+        if args.output:
+            Path(args.output).write_bytes(trace.to_bytes())
+        print(json.dumps({
+            "scenario": spec.name,
+            "digest": trace.digest(),
+            "n_sessions": len(trace.sessions),
+            "n_steps": len(trace.steps),
+            "n_rounds": trace.n_rounds,
+            "golden_digest": golden_digest(spec.name),
+            "output": args.output,
+        }, indent=2))
+        return 0
+
+    # replay
+    spec = _scenario_spec(args)
+    report = replay(
+        spec,
+        transport=args.scenario_transport,
+        verify=not args.no_verify,
+        run_cold=not args.no_cold,
+        check_digest=False if args.no_digest_check else None,
+        isolate_obs=True,
+    )
+    payload = report.as_dict()
+    if args.output:
+        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
+    print(
+        f"scenario {report.scenario}: {report.n_rounds} round(s) over "
+        f"{len(report.session_stats)} session(s) via {report.transport}; "
+        f"verified={report.verified} "
+        f"(max |online-cold| = {report.max_abs_diff:.3g}); "
+        f"online {report.online_seconds:.3f}s"
+        + (
+            f", cold {report.cold_seconds:.3f}s "
+            f"(speedup x{report.speedup:.2f})"
+            if not args.no_cold else ""
+        )
+    )
+    for phase in sorted(report.phase_summaries):
+        summary = report.phase_summaries[phase]
+        print(
+            f"  {phase:<22} n={summary['count']:<5} "
+            f"p50={summary['p50']:.6f}s p95={summary['p95']:.6f}s "
+            f"p99={summary['p99']:.6f}s"
+        )
+    if args.output:
+        print(f"report written to {args.output}")
+    return 0
 
 
 def _cmd_metrics_dump(args) -> int:
@@ -418,53 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "to DIR/<session>/ so they survive a crash (default: no WAL)",
     )
     serve.add_argument(
-        "--sync", default="default", metavar="POLICY",
-        help="WAL fsync policy: always|batch|off "
-        "(default: REPRO_WAL_SYNC or 'batch')",
-    )
-    serve.add_argument(
-        "--deadline", default="default", metavar="SECONDS",
-        help="per-request deadline in seconds; overruns answer a 'deadline' "
-        "error (default: REPRO_REQUEST_DEADLINE or none)",
-    )
-    serve.add_argument(
-        "--max-request-bytes", default="default", metavar="N",
-        help="bound on one request line; longer lines answer a 'protocol' "
-        "error (default: REPRO_MAX_REQUEST_BYTES or 1048576)",
-    )
-    serve.add_argument(
-        "--workers", default="default", metavar="N",
-        help="worker threads draining session queues; sessions run "
-        "concurrently, one session's requests stay ordered "
-        "(default: REPRO_SERVE_WORKERS or 4)",
-    )
-    serve.add_argument(
-        "--microbatch-window-ms", default="default", metavar="MS",
-        help="how long to hold a single-row impute open for coalescible "
-        "followers; 0 coalesces only already-queued requests "
-        "(default: REPRO_MICROBATCH_WINDOW_MS or 0)",
-    )
-    serve.add_argument(
-        "--microbatch-max-rows", default="default", metavar="N",
-        help="most rows one coalesced impute batch may carry "
-        "(default: REPRO_MICROBATCH_MAX_ROWS or 64)",
-    )
-    serve.add_argument(
-        "--max-rows-per-request", default="default", metavar="N",
-        help="per-request row quota; larger requests answer a 'quota' "
-        "error (default: REPRO_MAX_ROWS_PER_REQUEST or none)",
-    )
-    serve.add_argument(
-        "--max-sessions", default="default", metavar="N",
-        help="live-session quota; further create/restore answers a "
-        "'quota' error (default: REPRO_MAX_SESSIONS or none)",
-    )
-    serve.add_argument(
-        "--max-queued-requests", default="default", metavar="N",
-        help="bound on one session's queued requests; excess answers an "
-        "'overloaded' error (default: REPRO_MAX_QUEUED_REQUESTS or 256)",
-    )
-    serve.add_argument(
         "--auth-token", default=None, metavar="SECRET",
         help="shared-secret auth: every request must carry a matching "
         "'token' field or is answered an 'auth' error (default: no auth)",
@@ -474,12 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="persist sampled request traces as rotated JSONL segments "
         "under DIR (default: in-memory ring only)",
     )
-    serve.add_argument(
-        "--trace-sample", default="default", metavar="RATE",
-        help="fraction of requests whose span tree is captured, in [0, 1] "
-        "(default: REPRO_OBS_TRACE_SAMPLE or 0.1; metrics stay complete "
-        "for every request regardless)",
-    )
+    config.add_flags(serve, config.SERVE_KNOBS)
 
     repl = commands.add_parser(
         "repl",
@@ -581,13 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "latency percentiles",
     )
     _spec_args(scenario_replay)
-    scenario_replay.add_argument(
-        "--transport", default=None,
-        choices=("auto", "engine", "serve", "tcp"),
-        help="how to drive the trace (default: REPRO_SCENARIO_TRANSPORT or "
-        "'auto' — serve loop for multi-tenant scenarios, direct engine "
-        "otherwise)",
-    )
+    config.add_flags(scenario_replay, ["scenario_transport"])
     scenario_replay.add_argument(
         "--no-verify", action="store_true",
         help="report divergence from the cold oracle instead of failing",
@@ -640,28 +558,29 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    if args.command == "impute":
-        return _cmd_impute(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "repl":
-        return _cmd_repl(args)
-    if args.command == "recover":
-        return _cmd_recover(args)
-    if args.command == "metrics-dump":
-        return _cmd_metrics_dump(args)
-    if args.command == "scenario":
-        if (
-            args.scenario_command != "list"
-            and args.name is None
-            and not getattr(args, "spec", None)
-        ):
-            parser.error(
-                f"scenario {args.scenario_command}: a scenario name or "
-                f"--spec FILE is required"
-            )
-        return _cmd_scenario(args)
-    return _cmd_bench(args)
+    if args.command == "scenario" and (
+        args.scenario_command != "list"
+        and args.name is None
+        and not getattr(args, "spec", None)
+    ):
+        parser.error(
+            f"scenario {args.scenario_command}: a scenario name or "
+            f"--spec FILE is required"
+        )
+    command = {
+        "impute": _cmd_impute,
+        "serve": _cmd_serve,
+        "repl": _cmd_repl,
+        "recover": _cmd_recover,
+        "bench": _cmd_bench,
+        "metrics-dump": _cmd_metrics_dump,
+        "scenario": _cmd_scenario,
+    }[args.command]
+    try:
+        return command(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

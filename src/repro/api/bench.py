@@ -472,11 +472,8 @@ def _measure_obs_overhead(
         return seconds
 
     def _drive_with_obs(enabled: bool) -> float:
-        previous = config.set_obs_enabled(enabled)
-        try:
+        with config.override("obs_enabled", enabled):
             seconds, _ = _drive_direct(engine_params, initial, blocks, query_blocks)
-        finally:
-            config.set_obs_enabled(previous)
         return seconds
 
     values = load_dataset(dataset, size=store_rows + n_single + 1).raw
@@ -537,7 +534,7 @@ def _measure_obs_overhead(
     # work, so the 2% bar is really a noise bar: interleave many drives and
     # let each mode's minimum find its quiet window.
     facade_repeats = max(2 * repeats, 7)
-    previous = config.get_obs_enabled()
+    previous = config.get("obs_enabled")
     try:
         for _ in range(facade_repeats):
             noop_seconds.append(_drive_noop())
@@ -548,14 +545,14 @@ def _measure_obs_overhead(
         gc.collect()
         gc.disable()
         for _ in range(serve_rounds):
-            config.set_obs_enabled(False)
+            config.set("obs_enabled", False)
             serve_disabled.append(_serve_round_seconds())
-            config.set_obs_enabled(True)
+            config.set("obs_enabled", True)
             serve_enabled.append(_serve_round_seconds())
     finally:
         if gc_was_enabled:
             gc.enable()
-        config.set_obs_enabled(previous)
+        config.set("obs_enabled", previous)
         server.close_sessions()
         reset_observability()
 

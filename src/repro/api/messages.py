@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..baselines.registry import method_spec
+from ..config import ENGINE_KNOBS
 from ..exceptions import (
     ConfigurationError,
     DataError,
@@ -55,17 +56,6 @@ PROTOCOL_VERSION = 1
 #: ``"online"`` wraps the incremental engine, ``"auto"`` picks online for
 #: mutation-capable methods (IIM) and batch otherwise.
 SESSION_MODES = ("auto", "batch", "online")
-
-#: Engine knobs a :class:`SessionConfig` may carry for online sessions
-#: (forwarded to :class:`~repro.online.OnlineImputationEngine`).
-ENGINE_KNOBS = (
-    "model_cache_size",
-    "refresh_policy",
-    "incremental_fallback_fraction",
-    "shard_capacity",
-    "journal_capacity",
-    "delete_cost_mode",
-)
 
 
 #: Filesystem-safe session names, required whenever a session name becomes

@@ -83,19 +83,7 @@ from typing import Callable, Dict, List, Optional, TextIO, Union
 import numpy as np
 
 from ..baselines.registry import METHOD_SPECS
-from ..config import (
-    get_obs_enabled,
-    resolve_max_queued_requests,
-    resolve_max_request_bytes,
-    resolve_max_rows_per_request,
-    resolve_max_sessions,
-    resolve_microbatch_max_rows,
-    resolve_microbatch_window_ms,
-    resolve_obs_trace_sample,
-    resolve_request_deadline,
-    resolve_serve_workers,
-    resolve_wal_sync,
-)
+from .. import config
 from ..exceptions import (
     AuthenticationError,
     ConfigurationError,
@@ -177,15 +165,23 @@ class SessionServer:
     request's wall-clock, ``max_request_bytes`` bounds each request line,
     and ``fault_injector`` threads a :class:`~repro.reliability.FaultPlan`
     through the WAL, the artifact writer and request dispatch for chaos
-    testing.  The ``"default"`` sentinels resolve through the
-    :mod:`repro.config` knobs.
+    testing.
 
     ``workers``/``microbatch_window_ms``/``microbatch_max_rows``/
     ``max_queued_requests`` shape the dispatch layer (see
     :mod:`repro.api.scheduling`); ``max_rows_per_request`` and
     ``max_sessions`` are admission quotas answering typed ``quota``
-    errors; ``auth_token`` (when set) demands a matching ``"token"``
-    field on every request envelope.
+    errors; ``trace_sample`` pins this process's trace sampling rate;
+    ``auth_token`` (when set) demands a matching ``"token"`` field on
+    every request envelope.
+
+    Each of those ten tuning keywords is the :mod:`repro.config` knob of
+    the same name (:data:`repro.config.SERVE_KNOBS`), and each
+    ``python -m repro serve`` flag is generated from its table row.  The
+    ``"default"`` sentinel resolves the knob process-wide: a
+    :func:`repro.config.set`/:func:`~repro.config.override` value, else
+    its ``REPRO_*`` environment variable, else the table default;
+    ``trace_sample="default"`` leaves the tracer following the knob.
     """
 
     def __init__(
@@ -213,13 +209,13 @@ class SessionServer:
             None if artifact_root is None else Path(artifact_root).resolve()
         )
         self.wal_root = None if wal_root is None else Path(wal_root).resolve()
-        self.wal_sync = resolve_wal_sync(wal_sync)
-        self.deadline_seconds = resolve_request_deadline(deadline_seconds)
-        self.max_request_bytes = resolve_max_request_bytes(max_request_bytes)
-        self.max_rows_per_request = resolve_max_rows_per_request(
-            max_rows_per_request
+        self.wal_sync = config.resolve("wal_sync", wal_sync)
+        self.deadline_seconds = config.resolve("deadline_seconds", deadline_seconds)
+        self.max_request_bytes = config.resolve("max_request_bytes", max_request_bytes)
+        self.max_rows_per_request = config.resolve(
+            "max_rows_per_request", max_rows_per_request
         )
-        self.max_sessions = resolve_max_sessions(max_sessions)
+        self.max_sessions = config.resolve("max_sessions", max_sessions)
         self.auth_token = auth_token
         self.fault_injector = fault_injector
         #: Quarantined sessions: name -> reason the engine was declared
@@ -243,15 +239,15 @@ class SessionServer:
         self._abandoned: Dict[str, List[Dict[str, object]]] = {}
         self.scheduler = RequestScheduler(
             self,
-            workers=resolve_serve_workers(workers),
-            microbatch_window_ms=resolve_microbatch_window_ms(
-                microbatch_window_ms
+            workers=config.resolve("workers", workers),
+            microbatch_window_ms=config.resolve(
+                "microbatch_window_ms", microbatch_window_ms
             ),
-            microbatch_max_rows=resolve_microbatch_max_rows(
-                microbatch_max_rows
+            microbatch_max_rows=config.resolve(
+                "microbatch_max_rows", microbatch_max_rows
             ),
-            max_queued_requests=resolve_max_queued_requests(
-                max_queued_requests
+            max_queued_requests=config.resolve(
+                "max_queued_requests", max_queued_requests
             ),
         )
         #: The process-wide observability handles: one registry/tracer per
@@ -262,7 +258,7 @@ class SessionServer:
         self.trace_sink: Optional[JsonlTraceSink] = None
         if not (isinstance(trace_sample, str) and trace_sample == "default"):
             self.tracer.configure(
-                sample=resolve_obs_trace_sample(trace_sample)
+                sample=config.resolve("trace_sample", trace_sample)
             )
         if trace_log is not None:
             self.trace_sink = JsonlTraceSink(trace_log)
@@ -857,7 +853,7 @@ class SessionServer:
             "max_sessions": self.max_sessions,
             "max_queued_requests": self.scheduler.max_queued_requests,
             "auth": self.auth_token is not None,
-            "obs_enabled": get_obs_enabled(),
+            "obs_enabled": config.get("obs_enabled"),
             "trace_sample": self.tracer.sample,
             "trace_log": (
                 None if self.trace_sink is None

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .._validation import check_non_negative_int, check_positive_int
-from ..config import resolve_backend
+from .. import config
 from ..neighbors import BruteForceNeighbors
 from ..regression import RidgeRegression
 from .base import BaseImputer
@@ -66,7 +66,7 @@ class ERACERImputer(BaseImputer):
         self.k = check_positive_int(k, "k")
         self.n_iterations = check_non_negative_int(n_iterations, "n_iterations")
         self.metric = metric
-        self.backend = None if backend is None else resolve_backend(backend)
+        self.backend = None if backend is None else config.resolve("backend", backend)
 
     def _impute_attribute(
         self,
@@ -76,7 +76,7 @@ class ERACERImputer(BaseImputer):
         feature_indices: Sequence[int],
         target_index: int,
     ) -> np.ndarray:
-        backend = resolve_backend(self.backend)
+        backend = config.resolve("backend", self.backend)
         if backend == "loop":
             return self._impute_loop(
                 features, target, queries, feature_indices, target_index

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .._validation import check_positive_int
-from ..config import resolve_backend
+from .. import config
 from ..neighbors import BruteForceNeighbors
 from ..regression import OrdinaryLeastSquares, batched_design
 from .base import BaseImputer
@@ -84,7 +84,7 @@ class ILLSImputer(BaseImputer):
         self.k = check_positive_int(k, "k")
         self.n_iterations = check_positive_int(n_iterations, "n_iterations")
         self.metric = metric
-        self.backend = None if backend is None else resolve_backend(backend)
+        self.backend = None if backend is None else config.resolve("backend", backend)
 
     def _impute_attribute(
         self,
@@ -97,7 +97,7 @@ class ILLSImputer(BaseImputer):
         complete = self._complete_values
         k = min(self.k, features.shape[0])
         feature_idx = list(feature_indices)
-        backend = resolve_backend(self.backend)
+        backend = config.resolve("backend", self.backend)
 
         feature_searcher = BruteForceNeighbors(metric=self.metric, backend=backend).fit(
             features

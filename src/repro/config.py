@@ -1,1131 +1,349 @@
-"""Global configuration knobs for the library.
+"""Process-wide configuration knobs: one declarative table, four accessors.
 
-The hot paths of IIM (neighbour search, per-candidate model learning, the
-validation step of adaptive learning and batch imputation) exist in two
-implementations:
+Every knob of the library is one :class:`Knob` row of :data:`KNOBS` —
+its name, environment variable, default, parser, one-line doc, and whether
+``None`` is one of its values (an unbounded cache, no deadline).  The rows
+cover the IIM kernel backend, the online engine (model cache, refresh
+policy, hybrid fallback, store shards, mutation journal, delete-cost
+upkeep), the write-ahead log, the serve loop (deadline, request bounds,
+worker pool, micro-batching, admission quotas), observability, query
+provenance and scenario replay.
 
-* ``"vectorized"`` — batched numpy kernels that process whole blocks of
-  tuples per array operation (the default; see the design notes in
-  :mod:`repro.core.learning`);
-* ``"loop"`` — the original per-tuple Python loops, kept as an executable
-  reference.  The test suite asserts that both backends produce the same
-  results to within ``rtol = 1e-9``.
+A knob's value resolves, in decreasing priority, from
 
-The active backend is selected, in decreasing priority, by
+1. a per-call argument (``backend=...``, ``OnlineImputationEngine(
+   shard_capacity=...)``, ``SessionServer(workers=...)``) passed through
+   :func:`resolve`;
+2. the process-wide value chosen by :func:`set` or :func:`override`;
+3. the knob's environment variable;
+4. the table default.
 
-1. an explicit ``backend=...`` argument on the function or class,
-2. the process-wide knob set through :func:`set_backend` /
-   :func:`use_backend`,
-3. the ``REPRO_BACKEND`` environment variable read at import time,
-4. the ``"vectorized"`` default.
+The environment is parsed at a knob's first use, not at ``import repro``,
+so a typo'd value fails there with a :class:`ConfigurationError` naming
+the knob.  Every parsed value is cached, which makes :func:`get` one dict
+lookup: the observability layer consults ``obs_enabled`` on every metric
+mutation.
 
-The module also holds the process-wide defaults of the online imputation
-engine (:mod:`repro.online`):
+>>> from repro import config
+>>> config.get("backend")
+'vectorized'
+>>> with config.override("backend", "loop"):
+...     pass  # everything inside runs on the reference loops
 
-* the **model cache size** — how many per-attribute model states the engine
-  keeps resident (LRU-evicted beyond that; ``None`` keeps all of them) —
-  settable through :func:`set_online_model_cache_size` or the
-  ``REPRO_ONLINE_CACHE_SIZE`` environment variable (``none``/``0`` =
-  unbounded);
-* the **refresh policy** — ``"lazy"`` (appends are folded into the cached
-  model states on the next imputation touching them, so consecutive appends
-  batch into one refresh) or ``"eager"`` (every append refreshes all cached
-  states immediately) — settable through :func:`set_online_refresh_policy`
-  or the ``REPRO_ONLINE_REFRESH`` environment variable;
-* the **incremental fallback fraction** — the hybrid relearn threshold: when
-  one mutation batch (append/delete/update) dirties more than this fraction
-  of an attribute state's tuples, the engine relearns that state with one
-  vectorized full rebuild over the already-maintained neighbour orderings
-  instead of paying per-row merge bookkeeping for no savings — settable
-  through :func:`set_online_fallback_fraction` or the
-  ``REPRO_ONLINE_FALLBACK_FRACTION`` environment variable (``none``
-  disables the fallback, keeping the engine always-incremental).
+The two kernel backends produce the same results to within
+``rtol = 1e-9`` (the test suite asserts it); ``loop`` is the original
+per-tuple Python code kept as an executable reference.
+
+A knob that a constructor overrides per instance shares its name with the
+constructor keyword: :data:`ENGINE_KNOBS` for
+:class:`~repro.online.OnlineImputationEngine` (and the ``engine`` field of
+a session config), :data:`SERVE_KNOBS` for
+:class:`~repro.api.serve.SessionServer`.  Those rows also carry the
+command-line flag that :func:`add_flags` gives ``python -m repro replay``
+and ``python -m repro serve``.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Optional
 
 from .exceptions import ConfigurationError
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-    "resolve_backend",
-    "ONLINE_REFRESH_POLICIES",
-    "DEFAULT_ONLINE_MODEL_CACHE_SIZE",
-    "DEFAULT_ONLINE_REFRESH_POLICY",
-    "get_online_model_cache_size",
-    "set_online_model_cache_size",
-    "resolve_online_model_cache_size",
-    "get_online_refresh_policy",
-    "set_online_refresh_policy",
-    "resolve_online_refresh_policy",
-    "DEFAULT_ONLINE_FALLBACK_FRACTION",
-    "get_online_fallback_fraction",
-    "set_online_fallback_fraction",
-    "resolve_online_fallback_fraction",
-    "DEFAULT_ONLINE_SHARD_CAPACITY",
-    "get_online_shard_capacity",
-    "set_online_shard_capacity",
-    "resolve_online_shard_capacity",
-    "DEFAULT_ONLINE_JOURNAL_CAPACITY",
-    "get_online_journal_capacity",
-    "set_online_journal_capacity",
-    "resolve_online_journal_capacity",
-    "ONLINE_DELETE_COST_MODES",
-    "DEFAULT_ONLINE_DELETE_COST_MODE",
-    "get_online_delete_cost_mode",
-    "set_online_delete_cost_mode",
-    "resolve_online_delete_cost_mode",
-    "WAL_SYNC_POLICIES",
-    "DEFAULT_WAL_SYNC",
-    "get_wal_sync",
-    "set_wal_sync",
-    "resolve_wal_sync",
-    "DEFAULT_MAX_REQUEST_BYTES",
-    "get_max_request_bytes",
-    "set_max_request_bytes",
-    "resolve_max_request_bytes",
-    "DEFAULT_REQUEST_DEADLINE",
-    "get_request_deadline",
-    "set_request_deadline",
-    "resolve_request_deadline",
-    "DEFAULT_SERVE_WORKERS",
-    "get_serve_workers",
-    "set_serve_workers",
-    "resolve_serve_workers",
-    "DEFAULT_MICROBATCH_WINDOW_MS",
-    "get_microbatch_window_ms",
-    "set_microbatch_window_ms",
-    "resolve_microbatch_window_ms",
-    "DEFAULT_MICROBATCH_MAX_ROWS",
-    "get_microbatch_max_rows",
-    "set_microbatch_max_rows",
-    "resolve_microbatch_max_rows",
-    "DEFAULT_MAX_ROWS_PER_REQUEST",
-    "get_max_rows_per_request",
-    "set_max_rows_per_request",
-    "resolve_max_rows_per_request",
-    "DEFAULT_MAX_SESSIONS",
-    "get_max_sessions",
-    "set_max_sessions",
-    "resolve_max_sessions",
-    "DEFAULT_MAX_QUEUED_REQUESTS",
-    "get_max_queued_requests",
-    "set_max_queued_requests",
-    "resolve_max_queued_requests",
-    "DEFAULT_OBS_ENABLED",
-    "get_obs_enabled",
-    "set_obs_enabled",
-    "resolve_obs_enabled",
-    "DEFAULT_QUERY_PROVENANCE",
-    "get_query_provenance",
-    "set_query_provenance",
-    "resolve_query_provenance",
-    "DEFAULT_OBS_TRACE_SAMPLE",
-    "get_obs_trace_sample",
-    "set_obs_trace_sample",
-    "resolve_obs_trace_sample",
-    "SCENARIO_TRANSPORTS",
-    "DEFAULT_SCENARIO_TRANSPORT",
-    "get_scenario_transport",
-    "set_scenario_transport",
-    "resolve_scenario_transport",
-    "DEFAULT_SCENARIO_DIGEST_CHECK",
-    "get_scenario_digest_check",
-    "set_scenario_digest_check",
-    "resolve_scenario_digest_check",
+    "Knob",
+    "KNOBS",
+    "ENGINE_KNOBS",
+    "SERVE_KNOBS",
+    "get",
+    "set",
+    "resolve",
+    "override",
+    "add_flags",
 ]
 
-#: Recognised kernel backends.
-BACKENDS = ("vectorized", "loop")
 
-#: Backend used when neither an argument nor :func:`set_backend` selects one.
-DEFAULT_BACKEND = "vectorized"
+@dataclass(frozen=True)
+class Knob:
+    """One process-wide setting (a row of :data:`KNOBS`)."""
+
+    name: str
+    env: str
+    #: Already in parsed form.
+    default: object
+    #: Maps a value or its string spelling to the parsed value; raises
+    #: ``ValueError`` carrying what it expected.
+    parse: Callable[[object], object]
+    doc: str
+    #: ``None`` is a value of the knob, spelt ``none``/``unbounded``/
+    #: ``off``/``disabled`` or empty in the environment and on flags.
+    nullable: bool = False
+    #: Command-line flag :func:`add_flags` generates for the knob, if any.
+    flag: Optional[str] = None
 
 
-def _validate(name: str) -> str:
-    key = str(name).lower()
-    if key not in BACKENDS:
+def _choice(*options: str):
+    def parse(value) -> str:
+        key = str(value).lower()
+        if key not in options:
+            raise ValueError(f"one of {list(options)}")
+        return key
+
+    return parse
+
+
+def _number(kind, what: str, ok: Callable[[float], bool]):
+    """Parser of ``kind`` numbers, or their spellings, for which ``ok`` holds."""
+    accepted = (int, float) if kind is float else int
+
+    def parse(value):
+        if isinstance(value, str):
+            try:
+                value = kind(value.strip())
+            except ValueError:
+                raise ValueError(what) from None
+        if isinstance(value, bool) or not isinstance(value, accepted) or not ok(value):
+            raise ValueError(what)
+        return kind(value)
+
+    return parse
+
+
+def _flag(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        key = value.strip().lower()
+        if key in ("1", "true", "yes", "on"):
+            return True
+        if key in ("0", "false", "no", "off", ""):
+            return False
+    raise ValueError("a boolean (or 1/0, true/false, yes/no, on/off)")
+
+
+_count = _number(int, "a positive integer", lambda n: n > 0)
+_size = _number(int, "a positive integer (0 = unbounded)", lambda n: n >= 0)
+_fraction = _number(float, "a number in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+
+_NONE_SPELLINGS = ("none", "unbounded", "off", "disabled", "")
+
+KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
+    Knob("backend", "REPRO_BACKEND", "vectorized",
+         _choice("vectorized", "loop"),
+         "IIM kernel backend: vectorized (batched numpy) or loop (the "
+         "per-tuple reference)"),
+    Knob("model_cache_size", "REPRO_ONLINE_CACHE_SIZE", 8,
+         lambda value: _size(value) or None,
+         "per-attribute model states the online engine keeps resident, "
+         "LRU-evicted beyond (none or 0 keeps all)",
+         nullable=True, flag="--cache-size"),
+    Knob("refresh_policy", "REPRO_ONLINE_REFRESH", "lazy",
+         _choice("lazy", "eager"),
+         "engine refresh policy: lazy folds mutations into a model state at "
+         "its next impute, eager at every mutation",
+         flag="--refresh"),
+    # Below the threshold the batched subset relearn still skips enough rows
+    # to win; above it one vectorized rebuild caps the per-sync bookkeeping
+    # at the cold-relearn cost.
+    Knob("incremental_fallback_fraction", "REPRO_ONLINE_FALLBACK_FRACTION", 0.9,
+         _fraction,
+         "fraction of a state's tuples one mutation batch may dirty before "
+         "the engine rebuilds the state whole (none = always incremental)",
+         nullable=True, flag="--fallback-fraction"),
+    Knob("shard_capacity", "REPRO_ONLINE_SHARD_CAPACITY", 4096, _count,
+         "rows per shard of the engine's columnar tuple store",
+         flag="--shard-capacity"),
+    Knob("journal_capacity", "REPRO_ONLINE_JOURNAL_CAPACITY", 512, _count,
+         "mutation-journal ring capacity in entries; overflow spills and "
+         "laggard states rebuild",
+         flag="--journal-capacity"),
+    Knob("delete_cost_mode", "REPRO_ONLINE_DELETE_COST", "rebuild",
+         _choice("rebuild", "decrement"),
+         "delete-path validation-cost upkeep: rebuild (exact scatter) or "
+         "decrement (guarded subtraction)",
+         flag="--delete-cost"),
+    Knob("wal_sync", "REPRO_WAL_SYNC", "batch",
+         _choice("always", "batch", "off"),
+         "WAL sync policy: always fsyncs every record, batch flushes once "
+         "per mutation batch, off leaves records buffered",
+         flag="--sync"),
+    Knob("max_request_bytes", "REPRO_MAX_REQUEST_BYTES", 1_048_576, _count,
+         "longest serve request line in bytes; longer lines answer a "
+         "protocol error",
+         nullable=True, flag="--max-request-bytes"),
+    Knob("deadline_seconds", "REPRO_REQUEST_DEADLINE", None,
+         _number(float, "a positive number of seconds", lambda x: x > 0.0),
+         "per-request serve deadline in seconds; overruns answer a deadline "
+         "error",
+         nullable=True, flag="--deadline"),
+    # Numpy releases the GIL inside the GEMM-heavy kernels, so a few
+    # workers buy cross-session parallelism; more than the live sessions
+    # or cores only adds contention.
+    Knob("workers", "REPRO_SERVE_WORKERS", 4, _count,
+         "serve worker threads draining the per-session queues",
+         flag="--workers"),
+    # 0 merges only requests already queued behind one another, so
+    # request-response clients pay no added latency.
+    Knob("microbatch_window_ms", "REPRO_MICROBATCH_WINDOW_MS", 0.0,
+         _number(float, "a non-negative number of milliseconds",
+                 lambda x: x >= 0.0),
+         "how long a single-row impute waits for coalescible followers, in "
+         "ms (0 = only already-queued ones)",
+         flag="--microbatch-window-ms"),
+    Knob("microbatch_max_rows", "REPRO_MICROBATCH_MAX_ROWS", 64, _count,
+         "most rows one coalesced impute batch carries",
+         flag="--microbatch-max-rows"),
+    Knob("max_rows_per_request", "REPRO_MAX_ROWS_PER_REQUEST", None, _count,
+         "most rows one serve request may carry; larger requests answer a "
+         "quota error",
+         nullable=True, flag="--max-rows-per-request"),
+    Knob("max_sessions", "REPRO_MAX_SESSIONS", None, _count,
+         "most live serve sessions; further create/restore answers a quota "
+         "error",
+         nullable=True, flag="--max-sessions"),
+    Knob("max_queued_requests", "REPRO_MAX_QUEUED_REQUESTS", 256, _count,
+         "most queued requests per serve session; more answer an overloaded "
+         "error",
+         flag="--max-queued-requests"),
+    Knob("obs_enabled", "REPRO_OBS_ENABLED", True, _flag,
+         "whether the metrics registry and request tracer record anything"),
+    # Full span capture costs a few percent on sub-millisecond requests,
+    # so production-style head sampling keeps one request in ten.
+    Knob("trace_sample", "REPRO_OBS_TRACE_SAMPLE", 0.1, _fraction,
+         "fraction of serve requests whose span tree is captured (metrics "
+         "cover every request)",
+         flag="--trace-sample"),
+    Knob("query_provenance", "REPRO_QUERY_PROVENANCE", True, _flag,
+         "whether queries record per-imputed-cell provenance (EXPLAIN and "
+         "the provenance field)"),
+    Knob("scenario_transport", "REPRO_SCENARIO_TRANSPORT", "auto",
+         _choice("auto", "engine", "serve", "tcp"),
+         "scenario replay transport: engine, serve, tcp, or auto (serve for "
+         "multi-tenant specs, engine otherwise)",
+         flag="--transport"),
+    Knob("scenario_digest_check", "REPRO_SCENARIO_DIGEST_CHECK", True, _flag,
+         "whether replays of registered scenarios first check the golden "
+         "trace digest"),
+)}
+
+#: Knobs an :class:`~repro.online.OnlineImputationEngine` keyword of the
+#: same name overrides; also the keys a session config's ``engine`` takes.
+ENGINE_KNOBS = (
+    "model_cache_size",
+    "refresh_policy",
+    "incremental_fallback_fraction",
+    "shard_capacity",
+    "journal_capacity",
+    "delete_cost_mode",
+)
+
+#: Knobs a :class:`~repro.api.serve.SessionServer` keyword of the same name
+#: overrides.
+SERVE_KNOBS = (
+    "wal_sync",
+    "deadline_seconds",
+    "max_request_bytes",
+    "workers",
+    "microbatch_window_ms",
+    "microbatch_max_rows",
+    "max_rows_per_request",
+    "max_sessions",
+    "max_queued_requests",
+    "trace_sample",
+)
+
+#: Parsed values of the knobs read so far (from the environment, the
+#: default, or :func:`set`).
+_values: Dict[str, object] = {}
+
+
+def _knob(name: str) -> Knob:
+    try:
+        return KNOBS[name]
+    except KeyError:
         raise ConfigurationError(
-            f"unknown backend {name!r}; available backends: {sorted(BACKENDS)}"
-        )
-    return key
+            f"unknown knob {name!r}; known knobs: {sorted(KNOBS)}"
+        ) from None
 
 
-# Read but not validated here: a typo'd REPRO_BACKEND should fail at first
-# use with a clear error, not break ``import repro`` itself.
-_current_backend = os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
+def _parse(knob: Knob, value, origin: str = ""):
+    if knob.nullable and (
+        value is None
+        or isinstance(value, str) and value.strip().lower() in _NONE_SPELLINGS
+    ):
+        return None
+    try:
+        return knob.parse(value)
+    except ValueError as exc:
+        expected = f"{exc} or none" if knob.nullable else exc
+        raise ConfigurationError(
+            f"{origin}{knob.name} must be {expected}, got {value!r} "
+            f"({knob.doc})"
+        ) from None
 
 
-def get_backend() -> str:
-    """The process-wide kernel backend (``"vectorized"`` or ``"loop"``)."""
-    return _validate(_current_backend)
+def get(name: str):
+    """The process-wide value of knob ``name``."""
+    try:
+        return _values[name]
+    except KeyError:
+        pass
+    knob = _knob(name)
+    raw = os.environ.get(knob.env)
+    value = knob.default if raw is None else _parse(knob, raw, f"{knob.env}: ")
+    # setdefault: a concurrent set() that landed first wins.
+    return _values.setdefault(name, value)
 
 
-def set_backend(name: str) -> str:
-    """Select the process-wide kernel backend; returns the previous one."""
-    global _current_backend
-    previous = _current_backend
-    _current_backend = _validate(name)
+def set(name: str, value):
+    """Set knob ``name`` process-wide; returns its previous parsed value."""
+    parsed = _parse(_knob(name), value)
+    previous = get(name)
+    _values[name] = parsed
     return previous
 
 
 @contextmanager
-def use_backend(name: str):
-    """Context manager that temporarily selects a kernel backend.
+def override(name: str, value):
+    """Set knob ``name`` for the duration of a ``with`` block.
 
-    >>> from repro.config import use_backend
-    >>> with use_backend("loop"):
-    ...     pass  # everything inside runs on the reference loops
+    >>> with override("refresh_policy", "eager"):
+    ...     pass  # engines built here refresh eagerly
     """
-    previous = set_backend(name)
+    previous = set(name, value)
     try:
         yield
     finally:
-        set_backend(previous)
+        _values[name] = previous
 
 
-def resolve_backend(backend=None) -> str:
-    """Resolve an optional per-call ``backend`` argument against the knob."""
-    if backend is None:
-        return get_backend()
-    return _validate(backend)
+def resolve(name: str, value="default"):
+    """Resolve a per-call ``value`` of knob ``name`` against its process-wide
+    value.
 
-
-# --------------------------------------------------------------------------- #
-# Online engine knobs
-# --------------------------------------------------------------------------- #
-
-#: Recognised refresh policies of :class:`repro.online.OnlineImputationEngine`.
-ONLINE_REFRESH_POLICIES = ("lazy", "eager")
-
-#: Per-attribute model states the engine keeps resident by default.
-DEFAULT_ONLINE_MODEL_CACHE_SIZE: Optional[int] = 8
-
-#: Refresh policy used when neither an argument nor the knob selects one.
-DEFAULT_ONLINE_REFRESH_POLICY = "lazy"
-
-#: Hybrid relearn threshold: a mutation batch dirtying more than this
-#: fraction of an attribute state's tuples triggers one vectorized full
-#: rebuild instead of the per-row incremental path.  Below the threshold
-#: the batched subset relearn still skips enough rows to win; above it the
-#: wholesale rebuild caps the per-sync bookkeeping at the cold-relearn cost.
-DEFAULT_ONLINE_FALLBACK_FRACTION: Optional[float] = 0.9
-
-
-def _validate_cache_size(size) -> Optional[int]:
-    if size is None:
-        return None
-    if isinstance(size, str):
-        key = size.strip().lower()
-        if key in ("none", "unbounded", ""):
-            return None
-        try:
-            size = int(key)
-        except ValueError:
-            raise ConfigurationError(
-                f"model cache size must be a positive integer or 'none', got {size!r}"
-            ) from None
-    if isinstance(size, bool) or not isinstance(size, int):
-        raise ConfigurationError(
-            f"model cache size must be a positive integer or None, got {size!r}"
-        )
-    if size == 0:
-        return None
-    if size < 0:
-        raise ConfigurationError(f"model cache size must be positive, got {size}")
-    return size
-
-
-def _validate_refresh_policy(policy) -> str:
-    key = str(policy).lower()
-    if key not in ONLINE_REFRESH_POLICIES:
-        raise ConfigurationError(
-            f"unknown refresh policy {policy!r}; available policies: "
-            f"{sorted(ONLINE_REFRESH_POLICIES)}"
-        )
-    return key
-
-
-def _validate_fallback_fraction(fraction) -> Optional[float]:
-    if fraction is None:
-        return None
-    if isinstance(fraction, str):
-        key = fraction.strip().lower()
-        if key in ("none", "off", "disabled", ""):
-            return None
-        try:
-            fraction = float(key)
-        except ValueError:
-            raise ConfigurationError(
-                f"fallback fraction must be a float in [0, 1] or 'none', "
-                f"got {fraction!r}"
-            ) from None
-    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
-        raise ConfigurationError(
-            f"fallback fraction must be a float in [0, 1] or None, got {fraction!r}"
-        )
-    fraction = float(fraction)
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigurationError(
-            f"fallback fraction must lie in [0, 1], got {fraction}"
-        )
-    return fraction
-
-
-# Like REPRO_BACKEND, the environment values are validated at first use.
-_online_model_cache_size = os.environ.get(
-    "REPRO_ONLINE_CACHE_SIZE", DEFAULT_ONLINE_MODEL_CACHE_SIZE
-)
-_online_refresh_policy = os.environ.get(
-    "REPRO_ONLINE_REFRESH", DEFAULT_ONLINE_REFRESH_POLICY
-)
-_online_fallback_fraction = os.environ.get(
-    "REPRO_ONLINE_FALLBACK_FRACTION", DEFAULT_ONLINE_FALLBACK_FRACTION
-)
-
-
-def get_online_model_cache_size() -> Optional[int]:
-    """The process-wide engine model cache size (``None`` = unbounded)."""
-    return _validate_cache_size(_online_model_cache_size)
-
-
-def set_online_model_cache_size(size) -> Optional[int]:
-    """Select the process-wide model cache size; returns the previous one."""
-    global _online_model_cache_size
-    previous = _online_model_cache_size
-    _online_model_cache_size = _validate_cache_size(size)
-    return previous
-
-
-def resolve_online_model_cache_size(size=None) -> Optional[int]:
-    """Resolve an optional per-engine cache size against the knob.
-
-    The sentinel ``"default"`` (what the engine constructor uses) defers to
-    the process-wide knob; ``None`` explicitly selects an unbounded cache.
+    The sentinel ``"default"`` — and ``None`` unless ``None`` is a value of
+    the knob — defers to :func:`get`; anything else is parsed.
     """
-    if isinstance(size, str) and size == "default":
-        return get_online_model_cache_size()
-    return _validate_cache_size(size)
+    knob = _knob(name)
+    if (isinstance(value, str) and value == "default") or (
+        value is None and not knob.nullable
+    ):
+        return get(name)
+    return _parse(knob, value)
 
 
-def get_online_refresh_policy() -> str:
-    """The process-wide engine refresh policy (``"lazy"`` or ``"eager"``)."""
-    return _validate_refresh_policy(_online_refresh_policy)
+def add_flags(parser, names: Iterable[str]) -> None:
+    """Give an ``argparse`` parser the flag of each named knob.
 
-
-def set_online_refresh_policy(policy) -> str:
-    """Select the process-wide refresh policy; returns the previous one."""
-    global _online_refresh_policy
-    previous = _online_refresh_policy
-    _online_refresh_policy = _validate_refresh_policy(policy)
-    return previous
-
-
-def resolve_online_refresh_policy(policy=None) -> str:
-    """Resolve an optional per-engine refresh policy against the knob."""
-    if policy is None:
-        return get_online_refresh_policy()
-    return _validate_refresh_policy(policy)
-
-
-def get_online_fallback_fraction() -> Optional[float]:
-    """The process-wide hybrid relearn threshold (``None`` = always incremental)."""
-    return _validate_fallback_fraction(_online_fallback_fraction)
-
-
-def set_online_fallback_fraction(fraction):
-    """Select the process-wide fallback fraction; returns the previous one."""
-    global _online_fallback_fraction
-    previous = _online_fallback_fraction
-    _online_fallback_fraction = _validate_fallback_fraction(fraction)
-    return previous
-
-
-def resolve_online_fallback_fraction(fraction=None) -> Optional[float]:
-    """Resolve an optional per-engine fallback fraction against the knob.
-
-    The sentinel ``"default"`` (what the engine constructor uses) defers to
-    the process-wide knob; ``None`` explicitly disables the fallback.
+    Each flag stores into ``args.<knob name>`` and defaults to the
+    ``"default"`` sentinel, so the constructor receiving it resolves the
+    process-wide value exactly as an in-process caller would.
     """
-    if isinstance(fraction, str) and fraction == "default":
-        return get_online_fallback_fraction()
-    return _validate_fallback_fraction(fraction)
-
-
-# --------------------------------------------------------------------------- #
-# Columnar store / journal knobs
-# --------------------------------------------------------------------------- #
-
-#: Rows per shard of the engine's columnar tuple store.  Appends allocate
-#: whole shards (existing rows never move); mutation bookkeeping touches
-#: only the shards a batch's slots land in.
-DEFAULT_ONLINE_SHARD_CAPACITY = 4096
-
-#: Mutation-journal ring capacity: at most this many append/delete/update
-#: entries are retained for lazy replay.  Entries hold store slot
-#: references only, so the bound caps journal memory at O(capacity)
-#: integers; overflowing entries spill and laggard states full-rebuild.
-DEFAULT_ONLINE_JOURNAL_CAPACITY = 512
-
-#: Recognised delete-path validation-cost maintenance modes.
-ONLINE_DELETE_COST_MODES = ("rebuild", "decrement")
-
-#: How deletes refresh validation-cost rows: ``"rebuild"`` re-accumulates
-#: every dirty row with the cold scatter kernel (exact accumulation order);
-#: ``"decrement"`` subtracts the retired validator pairs from rows that
-#: only *lost* validators, guarded by a cancellation check that falls back
-#: to the rebuild when the subtraction would amplify rounding.
-DEFAULT_ONLINE_DELETE_COST_MODE = "rebuild"
-
-
-def _validate_positive_knob(value, name: str) -> int:
-    if isinstance(value, str):
-        try:
-            value = int(value.strip())
-        except ValueError:
-            raise ConfigurationError(
-                f"{name} must be a positive integer, got {value!r}"
-            ) from None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be positive, got {value}")
-    return value
-
-
-def _validate_delete_cost_mode(mode) -> str:
-    key = str(mode).lower()
-    if key not in ONLINE_DELETE_COST_MODES:
-        raise ConfigurationError(
-            f"unknown delete cost mode {mode!r}; available modes: "
-            f"{sorted(ONLINE_DELETE_COST_MODES)}"
+    for name in names:
+        knob = KNOBS[name]
+        parser.add_argument(
+            knob.flag, dest=name, default="default",
+            help=f"{knob.doc} (default: {knob.env} or {knob.default})",
         )
-    return key
-
-
-_online_shard_capacity = os.environ.get(
-    "REPRO_ONLINE_SHARD_CAPACITY", DEFAULT_ONLINE_SHARD_CAPACITY
-)
-_online_journal_capacity = os.environ.get(
-    "REPRO_ONLINE_JOURNAL_CAPACITY", DEFAULT_ONLINE_JOURNAL_CAPACITY
-)
-_online_delete_cost_mode = os.environ.get(
-    "REPRO_ONLINE_DELETE_COST", DEFAULT_ONLINE_DELETE_COST_MODE
-)
-
-
-def get_online_shard_capacity() -> int:
-    """The process-wide columnar-store shard capacity (rows per shard)."""
-    return _validate_positive_knob(_online_shard_capacity, "shard capacity")
-
-
-def set_online_shard_capacity(capacity):
-    """Select the process-wide shard capacity; returns the previous one."""
-    global _online_shard_capacity
-    previous = _online_shard_capacity
-    _online_shard_capacity = _validate_positive_knob(capacity, "shard capacity")
-    return previous
-
-
-def resolve_online_shard_capacity(capacity=None) -> int:
-    """Resolve an optional per-engine shard capacity against the knob."""
-    if capacity is None or (isinstance(capacity, str) and capacity == "default"):
-        return get_online_shard_capacity()
-    return _validate_positive_knob(capacity, "shard capacity")
-
-
-def get_online_journal_capacity() -> int:
-    """The process-wide mutation-journal ring capacity (entries)."""
-    return _validate_positive_knob(_online_journal_capacity, "journal capacity")
-
-
-def set_online_journal_capacity(capacity):
-    """Select the process-wide journal capacity; returns the previous one."""
-    global _online_journal_capacity
-    previous = _online_journal_capacity
-    _online_journal_capacity = _validate_positive_knob(capacity, "journal capacity")
-    return previous
-
-
-def resolve_online_journal_capacity(capacity=None) -> int:
-    """Resolve an optional per-engine journal capacity against the knob."""
-    if capacity is None or (isinstance(capacity, str) and capacity == "default"):
-        return get_online_journal_capacity()
-    return _validate_positive_knob(capacity, "journal capacity")
-
-
-def get_online_delete_cost_mode() -> str:
-    """The process-wide delete cost mode (``"rebuild"`` or ``"decrement"``)."""
-    return _validate_delete_cost_mode(_online_delete_cost_mode)
-
-
-def set_online_delete_cost_mode(mode):
-    """Select the process-wide delete cost mode; returns the previous one."""
-    global _online_delete_cost_mode
-    previous = _online_delete_cost_mode
-    _online_delete_cost_mode = _validate_delete_cost_mode(mode)
-    return previous
-
-
-def resolve_online_delete_cost_mode(mode=None) -> str:
-    """Resolve an optional per-engine delete cost mode against the knob."""
-    if mode is None or (isinstance(mode, str) and mode == "default"):
-        return get_online_delete_cost_mode()
-    return _validate_delete_cost_mode(mode)
-
-
-# --------------------------------------------------------------------------- #
-# Reliability knobs (write-ahead log + serve loop)
-# --------------------------------------------------------------------------- #
-
-#: Recognised WAL fsync policies of :class:`repro.reliability.WriteAheadLog`:
-#: ``"always"`` fsyncs every record (survives power loss), ``"batch"``
-#: flushes to the OS once per accepted mutation batch (survives a process
-#: kill, not power loss), ``"off"`` leaves records in the Python buffer
-#: until rotation or close (fastest; a kill may lose the buffered tail,
-#: the CRC framing still recovers the valid prefix).
-WAL_SYNC_POLICIES = ("always", "batch", "off")
-
-#: WAL sync policy used when neither an argument nor the knob selects one.
-DEFAULT_WAL_SYNC = "batch"
-
-#: Longest request line (bytes) the serve loop accepts before answering a
-#: typed ``protocol`` error instead of buffering it whole (``None`` =
-#: unbounded, for in-process servers whose requests you author yourself).
-DEFAULT_MAX_REQUEST_BYTES: Optional[int] = 1_048_576
-
-#: Per-request deadline (seconds) of the serve loop (``None`` = no
-#: deadline).  An overrunning request answers ``DeadlineExceededError``
-#: while the worker finishes in the background.
-DEFAULT_REQUEST_DEADLINE: Optional[float] = None
-
-
-def _validate_wal_sync(policy) -> str:
-    key = str(policy).lower()
-    if key not in WAL_SYNC_POLICIES:
-        raise ConfigurationError(
-            f"unknown WAL sync policy {policy!r}; available policies: "
-            f"{sorted(WAL_SYNC_POLICIES)}"
-        )
-    return key
-
-
-def _validate_max_request_bytes(limit) -> Optional[int]:
-    if limit is None:
-        return None
-    if isinstance(limit, str):
-        key = limit.strip().lower()
-        if key in ("none", "unbounded", ""):
-            return None
-        try:
-            limit = int(key)
-        except ValueError:
-            raise ConfigurationError(
-                f"max request bytes must be a positive integer or 'none', "
-                f"got {limit!r}"
-            ) from None
-    if isinstance(limit, bool) or not isinstance(limit, int):
-        raise ConfigurationError(
-            f"max request bytes must be a positive integer or None, got {limit!r}"
-        )
-    if limit <= 0:
-        raise ConfigurationError(
-            f"max request bytes must be positive, got {limit}"
-        )
-    return limit
-
-
-def _validate_request_deadline(deadline) -> Optional[float]:
-    if deadline is None:
-        return None
-    if isinstance(deadline, str):
-        key = deadline.strip().lower()
-        if key in ("none", "off", ""):
-            return None
-        try:
-            deadline = float(key)
-        except ValueError:
-            raise ConfigurationError(
-                f"request deadline must be a positive number of seconds or "
-                f"'none', got {deadline!r}"
-            ) from None
-    if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
-        raise ConfigurationError(
-            f"request deadline must be a positive number of seconds or None, "
-            f"got {deadline!r}"
-        )
-    deadline = float(deadline)
-    if deadline <= 0:
-        raise ConfigurationError(
-            f"request deadline must be positive, got {deadline}"
-        )
-    return deadline
-
-
-_wal_sync = os.environ.get("REPRO_WAL_SYNC", DEFAULT_WAL_SYNC)
-_max_request_bytes = os.environ.get(
-    "REPRO_MAX_REQUEST_BYTES", DEFAULT_MAX_REQUEST_BYTES
-)
-_request_deadline = os.environ.get(
-    "REPRO_REQUEST_DEADLINE", DEFAULT_REQUEST_DEADLINE
-)
-
-
-def get_wal_sync() -> str:
-    """The process-wide WAL sync policy (``always``/``batch``/``off``)."""
-    return _validate_wal_sync(_wal_sync)
-
-
-def set_wal_sync(policy) -> str:
-    """Select the process-wide WAL sync policy; returns the previous one."""
-    global _wal_sync
-    previous = _wal_sync
-    _wal_sync = _validate_wal_sync(policy)
-    return previous
-
-
-def resolve_wal_sync(policy=None) -> str:
-    """Resolve an optional per-WAL sync policy against the knob."""
-    if policy is None or (isinstance(policy, str) and policy == "default"):
-        return get_wal_sync()
-    return _validate_wal_sync(policy)
-
-
-def get_max_request_bytes() -> Optional[int]:
-    """The process-wide request-line bound (``None`` = unbounded)."""
-    return _validate_max_request_bytes(_max_request_bytes)
-
-
-def set_max_request_bytes(limit):
-    """Select the process-wide request-line bound; returns the previous one."""
-    global _max_request_bytes
-    previous = _max_request_bytes
-    _max_request_bytes = _validate_max_request_bytes(limit)
-    return previous
-
-
-def resolve_max_request_bytes(limit=None) -> Optional[int]:
-    """Resolve an optional per-server line bound against the knob.
-
-    The sentinel ``"default"`` defers to the process-wide knob; ``None``
-    explicitly disables the bound.
-    """
-    if isinstance(limit, str) and limit == "default":
-        return get_max_request_bytes()
-    return _validate_max_request_bytes(limit)
-
-
-def get_request_deadline() -> Optional[float]:
-    """The process-wide per-request deadline in seconds (``None`` = none)."""
-    return _validate_request_deadline(_request_deadline)
-
-
-def set_request_deadline(deadline):
-    """Select the process-wide request deadline; returns the previous one."""
-    global _request_deadline
-    previous = _request_deadline
-    _request_deadline = _validate_request_deadline(deadline)
-    return previous
-
-
-def resolve_request_deadline(deadline=None) -> Optional[float]:
-    """Resolve an optional per-server deadline against the knob.
-
-    The sentinel ``"default"`` defers to the process-wide knob; ``None``
-    explicitly disables the deadline.
-    """
-    if isinstance(deadline, str) and deadline == "default":
-        return get_request_deadline()
-    return _validate_request_deadline(deadline)
-
-
-# --------------------------------------------------------------------------- #
-# Serving concurrency + admission knobs (scheduler, micro-batcher, quotas)
-# --------------------------------------------------------------------------- #
-
-#: Worker threads draining session queues in the serve loop's scheduler.
-#: Sessions are independent engines and numpy releases the GIL inside the
-#: GEMM-heavy kernels, so a handful of workers buys real cross-session
-#: parallelism; more workers than live sessions (or physical cores) only
-#: adds contention.
-DEFAULT_SERVE_WORKERS = 4
-
-#: How long (milliseconds) the micro-batcher may hold an eligible
-#: single-row ``impute`` request open waiting for coalescible followers.
-#: ``0`` coalesces opportunistically — only requests *already queued*
-#: behind one another merge, so request-response clients pay no added
-#: latency while pipelined clients still batch.
-DEFAULT_MICROBATCH_WINDOW_MS = 0.0
-
-#: Most rows one coalesced impute batch may carry.
-DEFAULT_MICROBATCH_MAX_ROWS = 64
-
-#: Most rows a single wire request (``fit``/``impute``/mutation batch) may
-#: carry before admission answers a typed ``quota`` error (``None`` =
-#: unbounded, the historical behaviour).
-DEFAULT_MAX_ROWS_PER_REQUEST: Optional[int] = None
-
-#: Most live sessions one server holds before ``create``/``restore``
-#: answers a ``quota`` error (``None`` = unbounded).
-DEFAULT_MAX_SESSIONS: Optional[int] = None
-
-#: Most requests one session's FIFO queue buffers before producers are
-#: answered a typed ``overloaded`` error instead of growing the queue.
-DEFAULT_MAX_QUEUED_REQUESTS = 256
-
-
-def _validate_optional_positive_knob(value, name: str) -> Optional[int]:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        key = value.strip().lower()
-        if key in ("none", "unbounded", ""):
-            return None
-        value = key
-    return _validate_positive_knob(value, name)
-
-
-def _validate_microbatch_window(value) -> float:
-    if isinstance(value, str):
-        try:
-            value = float(value.strip())
-        except ValueError:
-            raise ConfigurationError(
-                f"microbatch window must be a non-negative number of "
-                f"milliseconds, got {value!r}"
-            ) from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"microbatch window must be a non-negative number of "
-            f"milliseconds, got {value!r}"
-        )
-    value = float(value)
-    if value < 0.0:
-        raise ConfigurationError(
-            f"microbatch window must be non-negative, got {value}"
-        )
-    return value
-
-
-_serve_workers = os.environ.get("REPRO_SERVE_WORKERS", DEFAULT_SERVE_WORKERS)
-_microbatch_window_ms = os.environ.get(
-    "REPRO_MICROBATCH_WINDOW_MS", DEFAULT_MICROBATCH_WINDOW_MS
-)
-_microbatch_max_rows = os.environ.get(
-    "REPRO_MICROBATCH_MAX_ROWS", DEFAULT_MICROBATCH_MAX_ROWS
-)
-_max_rows_per_request = os.environ.get(
-    "REPRO_MAX_ROWS_PER_REQUEST", DEFAULT_MAX_ROWS_PER_REQUEST
-)
-_max_sessions = os.environ.get("REPRO_MAX_SESSIONS", DEFAULT_MAX_SESSIONS)
-_max_queued_requests = os.environ.get(
-    "REPRO_MAX_QUEUED_REQUESTS", DEFAULT_MAX_QUEUED_REQUESTS
-)
-
-
-def get_serve_workers() -> int:
-    """The process-wide serve worker-pool size."""
-    return _validate_positive_knob(_serve_workers, "serve workers")
-
-
-def set_serve_workers(workers):
-    """Select the process-wide worker-pool size; returns the previous one."""
-    global _serve_workers
-    previous = _serve_workers
-    _serve_workers = _validate_positive_knob(workers, "serve workers")
-    return previous
-
-
-def resolve_serve_workers(workers=None) -> int:
-    """Resolve an optional per-server worker-pool size against the knob."""
-    if workers is None or (isinstance(workers, str) and workers == "default"):
-        return get_serve_workers()
-    return _validate_positive_knob(workers, "serve workers")
-
-
-def get_microbatch_window_ms() -> float:
-    """The process-wide micro-batch coalescing window in milliseconds."""
-    return _validate_microbatch_window(_microbatch_window_ms)
-
-
-def set_microbatch_window_ms(window):
-    """Select the process-wide coalescing window; returns the previous one."""
-    global _microbatch_window_ms
-    previous = _microbatch_window_ms
-    _microbatch_window_ms = _validate_microbatch_window(window)
-    return previous
-
-
-def resolve_microbatch_window_ms(window=None) -> float:
-    """Resolve an optional per-server coalescing window against the knob."""
-    if window is None or (isinstance(window, str) and window == "default"):
-        return get_microbatch_window_ms()
-    return _validate_microbatch_window(window)
-
-
-def get_microbatch_max_rows() -> int:
-    """The process-wide bound on rows per coalesced impute batch."""
-    return _validate_positive_knob(_microbatch_max_rows, "microbatch max rows")
-
-
-def set_microbatch_max_rows(rows):
-    """Select the process-wide micro-batch row bound; returns the previous one."""
-    global _microbatch_max_rows
-    previous = _microbatch_max_rows
-    _microbatch_max_rows = _validate_positive_knob(rows, "microbatch max rows")
-    return previous
-
-
-def resolve_microbatch_max_rows(rows=None) -> int:
-    """Resolve an optional per-server micro-batch row bound against the knob."""
-    if rows is None or (isinstance(rows, str) and rows == "default"):
-        return get_microbatch_max_rows()
-    return _validate_positive_knob(rows, "microbatch max rows")
-
-
-def get_max_rows_per_request() -> Optional[int]:
-    """The process-wide per-request row quota (``None`` = unbounded)."""
-    return _validate_optional_positive_knob(
-        _max_rows_per_request, "max rows per request"
-    )
-
-
-def set_max_rows_per_request(rows):
-    """Select the process-wide per-request row quota; returns the previous one."""
-    global _max_rows_per_request
-    previous = _max_rows_per_request
-    _max_rows_per_request = _validate_optional_positive_knob(
-        rows, "max rows per request"
-    )
-    return previous
-
-
-def resolve_max_rows_per_request(rows=None) -> Optional[int]:
-    """Resolve an optional per-server row quota against the knob.
-
-    The sentinel ``"default"`` defers to the process-wide knob; ``None``
-    explicitly disables the quota.
-    """
-    if isinstance(rows, str) and rows == "default":
-        return get_max_rows_per_request()
-    return _validate_optional_positive_knob(rows, "max rows per request")
-
-
-def get_max_sessions() -> Optional[int]:
-    """The process-wide live-session quota (``None`` = unbounded)."""
-    return _validate_optional_positive_knob(_max_sessions, "max sessions")
-
-
-def set_max_sessions(limit):
-    """Select the process-wide live-session quota; returns the previous one."""
-    global _max_sessions
-    previous = _max_sessions
-    _max_sessions = _validate_optional_positive_knob(limit, "max sessions")
-    return previous
-
-
-def resolve_max_sessions(limit=None) -> Optional[int]:
-    """Resolve an optional per-server session quota against the knob.
-
-    The sentinel ``"default"`` defers to the process-wide knob; ``None``
-    explicitly disables the quota.
-    """
-    if isinstance(limit, str) and limit == "default":
-        return get_max_sessions()
-    return _validate_optional_positive_knob(limit, "max sessions")
-
-
-def get_max_queued_requests() -> int:
-    """The process-wide bound on one session's queued requests."""
-    return _validate_positive_knob(_max_queued_requests, "max queued requests")
-
-
-def set_max_queued_requests(limit):
-    """Select the process-wide queue bound; returns the previous one."""
-    global _max_queued_requests
-    previous = _max_queued_requests
-    _max_queued_requests = _validate_positive_knob(limit, "max queued requests")
-    return previous
-
-
-def resolve_max_queued_requests(limit=None) -> int:
-    """Resolve an optional per-server queue bound against the knob."""
-    if limit is None or (isinstance(limit, str) and limit == "default"):
-        return get_max_queued_requests()
-    return _validate_positive_knob(limit, "max queued requests")
-
-
-# --------------------------------------------------------------------------- #
-# Observability knobs (metrics registry + request tracing)
-# --------------------------------------------------------------------------- #
-
-#: Whether the observability layer (:mod:`repro.obs`) records anything.
-#: Disabled, every instrument and span helper returns before taking a
-#: lock, so the remaining cost at a call site is one boolean check.
-DEFAULT_OBS_ENABLED = True
-
-#: Fraction of serve-loop requests whose span tree is captured (trace IDs
-#: are always issued and every request lands in the latency histograms;
-#: sampling only gates span assembly, the trace ring and the sink).  Head
-#: sampling is the norm for production tracing — full capture costs a few
-#: percent on sub-millisecond requests — so the default records one request
-#: in ten; debugging sessions pass ``--trace-sample 1.0``.
-DEFAULT_OBS_TRACE_SAMPLE = 0.1
-
-
-def _validate_obs_enabled(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        key = value.strip().lower()
-        if key in ("1", "true", "yes", "on"):
-            return True
-        if key in ("0", "false", "no", "off", ""):
-            return False
-    raise ConfigurationError(
-        f"obs_enabled must be a boolean (or '1'/'0'/'true'/'false'/...), "
-        f"got {value!r}"
-    )
-
-
-def _validate_obs_trace_sample(value) -> float:
-    if isinstance(value, str):
-        try:
-            value = float(value.strip())
-        except ValueError:
-            raise ConfigurationError(
-                f"obs_trace_sample must be a number in [0, 1], got {value!r}"
-            ) from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"obs_trace_sample must be a number in [0, 1], got {value!r}"
-        )
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(
-            f"obs_trace_sample must be within [0, 1], got {value}"
-        )
-    return value
-
-
-_obs_enabled = os.environ.get("REPRO_OBS_ENABLED", DEFAULT_OBS_ENABLED)
-_obs_trace_sample = os.environ.get(
-    "REPRO_OBS_TRACE_SAMPLE", DEFAULT_OBS_TRACE_SAMPLE
-)
-
-
-def get_obs_enabled() -> bool:
-    """Whether the process-wide observability layer records anything.
-
-    This getter sits on every instrumented hot path (one call per metric
-    mutation), so unlike the other knobs it caches the validated value:
-    an env-supplied string is parsed on first use, after which each call
-    is one ``isinstance`` check.
-    """
-    global _obs_enabled
-    if not isinstance(_obs_enabled, bool):
-        _obs_enabled = _validate_obs_enabled(_obs_enabled)
-    return _obs_enabled
-
-
-def set_obs_enabled(value) -> bool:
-    """Enable/disable observability process-wide; returns the previous value.
-
-    Flipping the knob takes effect immediately for every already-created
-    instrument — the registry and every helper consult it per call.
-    """
-    global _obs_enabled
-    previous = _validate_obs_enabled(_obs_enabled)
-    _obs_enabled = _validate_obs_enabled(value)
-    return previous
-
-
-def resolve_obs_enabled(value=None) -> bool:
-    """Resolve an optional per-call override against the knob."""
-    if value is None or (isinstance(value, str) and value == "default"):
-        return get_obs_enabled()
-    return _validate_obs_enabled(value)
-
-
-def get_obs_trace_sample() -> float:
-    """The process-wide trace sampling rate in ``[0, 1]``.
-
-    Cached like :func:`get_obs_enabled` — consulted once per sampled
-    request, so the steady state is one ``isinstance`` check.
-    """
-    global _obs_trace_sample
-    if not isinstance(_obs_trace_sample, float):
-        _obs_trace_sample = _validate_obs_trace_sample(_obs_trace_sample)
-    return _obs_trace_sample
-
-
-def set_obs_trace_sample(value) -> float:
-    """Select the process-wide trace sampling rate; returns the previous one."""
-    global _obs_trace_sample
-    previous = _validate_obs_trace_sample(_obs_trace_sample)
-    _obs_trace_sample = _validate_obs_trace_sample(value)
-    return previous
-
-
-def resolve_obs_trace_sample(value=None) -> float:
-    """Resolve an optional per-server sampling rate against the knob.
-
-    The sentinel ``"default"`` (and ``None``) defers to the process-wide
-    knob.
-    """
-    if value is None or (isinstance(value, str) and value == "default"):
-        return get_obs_trace_sample()
-    return _validate_obs_trace_sample(value)
-
-
-# --------------------------------------------------------------------------- #
-# Query layer (repro.query)
-# --------------------------------------------------------------------------- #
-
-#: Whether query execution captures per-imputed-cell provenance (method,
-#: neighbour indices, combiner weights, confidence).  Capture costs a small
-#: Python loop over the imputed cells, so sessions serving very wide
-#: impute-heavy queries can switch it off; ``EXPLAIN`` output and the
-#: ``provenance`` wire field are empty while disabled.
-DEFAULT_QUERY_PROVENANCE = True
-
-
-def _validate_query_provenance(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        key = value.strip().lower()
-        if key in ("1", "true", "yes", "on"):
-            return True
-        if key in ("0", "false", "no", "off", ""):
-            return False
-    raise ConfigurationError(
-        f"query_provenance must be a boolean (or '1'/'0'/'true'/'false'/...), "
-        f"got {value!r}"
-    )
-
-
-_query_provenance = os.environ.get(
-    "REPRO_QUERY_PROVENANCE", DEFAULT_QUERY_PROVENANCE
-)
-
-
-def get_query_provenance() -> bool:
-    """Whether query execution records per-imputed-cell provenance."""
-    return _validate_query_provenance(_query_provenance)
-
-
-def set_query_provenance(value) -> bool:
-    """Enable/disable query provenance capture; returns the previous value."""
-    global _query_provenance
-    previous = _validate_query_provenance(_query_provenance)
-    _query_provenance = _validate_query_provenance(value)
-    return previous
-
-
-def resolve_query_provenance(value=None) -> bool:
-    """Resolve an optional per-query override against the knob."""
-    if value is None or (isinstance(value, str) and value == "default"):
-        return get_query_provenance()
-    return _validate_query_provenance(value)
-
-
-# --------------------------------------------------------------------------- #
-# Scenario replayer (repro.scenarios)
-# --------------------------------------------------------------------------- #
-#: How the scenario replayer drives a spec: ``"engine"`` calls the online
-#: session facade directly, ``"serve"`` routes every event through the
-#: in-process JSONL serve loop, ``"tcp"`` goes through a real socket, and
-#: ``"auto"`` picks the serve loop for multi-tenant scenarios (whose point
-#: is the session-multiplexed wire path) and the engine otherwise.
-SCENARIO_TRANSPORTS = ("auto", "engine", "serve", "tcp")
-
-#: Transport used when neither an argument nor :func:`set_scenario_transport`
-#: selects one.
-DEFAULT_SCENARIO_TRANSPORT = "auto"
-
-#: Whether a replay of a *registered* scenario first re-checks the generated
-#: trace against the scenario's checked-in golden digest, so accidental
-#: generator drift fails loudly before any event is driven.
-DEFAULT_SCENARIO_DIGEST_CHECK = True
-
-
-def _validate_scenario_transport(value) -> str:
-    key = str(value).lower()
-    if key not in SCENARIO_TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown scenario transport {value!r}; available transports: "
-            f"{list(SCENARIO_TRANSPORTS)}"
-        )
-    return key
-
-
-def _validate_scenario_digest_check(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        key = value.strip().lower()
-        if key in ("1", "true", "yes", "on"):
-            return True
-        if key in ("0", "false", "no", "off", ""):
-            return False
-    raise ConfigurationError(
-        f"scenario_digest_check must be a boolean (or '1'/'0'/'true'/"
-        f"'false'/...), got {value!r}"
-    )
-
-
-_scenario_transport = os.environ.get(
-    "REPRO_SCENARIO_TRANSPORT", DEFAULT_SCENARIO_TRANSPORT
-)
-_scenario_digest_check = os.environ.get(
-    "REPRO_SCENARIO_DIGEST_CHECK", DEFAULT_SCENARIO_DIGEST_CHECK
-)
-
-
-def get_scenario_transport() -> str:
-    """The process-wide scenario replay transport (validated lazily)."""
-    return _validate_scenario_transport(_scenario_transport)
-
-
-def set_scenario_transport(value) -> str:
-    """Select the scenario replay transport; returns the previous one."""
-    global _scenario_transport
-    previous = _validate_scenario_transport(_scenario_transport)
-    _scenario_transport = _validate_scenario_transport(value)
-    return previous
-
-
-def resolve_scenario_transport(value=None) -> str:
-    """Resolve an optional per-call transport against the knob."""
-    if value is None or (isinstance(value, str) and value == "default"):
-        return get_scenario_transport()
-    return _validate_scenario_transport(value)
-
-
-def get_scenario_digest_check() -> bool:
-    """Whether replays of registered scenarios verify the golden digest."""
-    return _validate_scenario_digest_check(_scenario_digest_check)
-
-
-def set_scenario_digest_check(value) -> bool:
-    """Enable/disable the golden-digest pre-check; returns the previous value."""
-    global _scenario_digest_check
-    previous = _validate_scenario_digest_check(_scenario_digest_check)
-    _scenario_digest_check = _validate_scenario_digest_check(value)
-    return previous
-
-
-def resolve_scenario_digest_check(value=None) -> bool:
-    """Resolve an optional per-call override against the knob."""
-    if value is None or (isinstance(value, str) and value == "default"):
-        return get_scenario_digest_check()
-    return _validate_scenario_digest_check(value)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .._validation import check_positive_float, check_positive_int
-from ..config import resolve_backend
+from .. import config
 from ..exceptions import ConfigurationError
 from ..neighbors import NeighborOrderCache
 from ..neighbors.brute import drop_self_rows
@@ -209,7 +209,7 @@ def adaptive_learning(
             )
         learn_cache = order_cache
 
-    backend = resolve_backend(backend)
+    backend = config.resolve("backend", backend)
     all_parameters = learn_models_for_candidates(
         features,
         target,

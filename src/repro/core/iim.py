@@ -33,7 +33,7 @@ from .._validation import (
     check_positive_int,
 )
 from ..baselines.base import BaseImputer
-from ..config import resolve_backend
+from .. import config
 from ..exceptions import ConfigurationError
 from ..neighbors import BruteForceNeighbors
 from ..regression import DEFAULT_ALPHA
@@ -127,7 +127,7 @@ class IIMImputer(BaseImputer):
         self.alpha = check_positive_float(alpha, "alpha", allow_zero=True)
         self.combination = check_in_choices(combination, "combination", tuple(COMBINERS))
         self.metric = metric
-        self.backend = None if backend is None else resolve_backend(backend)
+        self.backend = None if backend is None else config.resolve("backend", backend)
         # Per-incomplete-attribute learned models, keyed by the target column.
         self._models: Dict[int, IndividualModels] = {}
         self._adaptive_results: Dict[int, AdaptiveLearningResult] = {}

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .._validation import as_float_matrix, check_positive_int
-from ..config import resolve_backend
+from .. import config
 from ..exceptions import ConfigurationError
 from ..neighbors import BruteForceNeighbors
 from ..regression import batched_design
@@ -142,7 +142,7 @@ def impute_with_individual_models(
         )
     if searcher is None:
         searcher = BruteForceNeighbors(metric=metric).fit(features)
-    backend = resolve_backend(backend)
+    backend = config.resolve("backend", backend)
 
     if backend == "loop":
         values = np.empty(queries.shape[0])

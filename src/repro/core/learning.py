@@ -42,7 +42,7 @@ from .._validation import (
     check_positive_float,
     check_positive_int,
 )
-from ..config import resolve_backend
+from .. import config
 from ..exceptions import ConfigurationError
 from ..neighbors import NeighborOrderCache
 from ..regression import (
@@ -167,7 +167,7 @@ def learn_individual_models(
     if order_cache is None:
         order_cache = NeighborOrderCache(features, metric=metric, include_self=True, max_length=ell)
 
-    if resolve_backend(backend) == "vectorized":
+    if config.resolve("backend", backend) == "vectorized":
         parameters = _candidate_models_vectorized(
             features, target, np.array([ell]), alpha, order_cache, incremental=True
         )[0]
@@ -232,7 +232,7 @@ def learn_models_for_candidates(
             features, metric=metric, include_self=True, max_length=max_ell
         )
 
-    if resolve_backend(backend) == "vectorized":
+    if config.resolve("backend", backend) == "vectorized":
         return _candidate_models_vectorized(
             features, target, candidates, alpha, order_cache, incremental=incremental
         )

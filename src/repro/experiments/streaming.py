@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..config import resolve_online_fallback_fraction
+from .. import config
 from ..data import load_dataset
 from .settings import ScaleProfile, get_profile
 
@@ -466,7 +466,9 @@ def run_churn(
         learning=learning,
         initial_store=initial,
         query_mode=query_mode,
-        fallback_fraction=resolve_online_fallback_fraction(fallback_fraction),
+        fallback_fraction=config.resolve(
+            "incremental_fallback_fraction", fallback_fraction
+        ),
     )
     for step in report.steps:
         result.rounds.append(

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .._validation import as_float_matrix, check_positive_int
-from ..config import resolve_backend
+from .. import config
 from ..exceptions import ConfigurationError, NotFittedError
 from .distance import get_metric
 
@@ -117,7 +117,7 @@ class BruteForceNeighbors:
 
     def __init__(self, metric: str = "paper_euclidean", backend: Optional[str] = None):
         self.metric = metric
-        self.backend = None if backend is None else resolve_backend(backend)
+        self.backend = None if backend is None else config.resolve("backend", backend)
         self._metric_fn = get_metric(metric)
         self._data: Optional[np.ndarray] = None
 
@@ -145,10 +145,10 @@ class BruteForceNeighbors:
 
     def _resolve_backend(self, backend: Optional[str]) -> str:
         if backend is not None:
-            return resolve_backend(backend)
+            return config.resolve("backend", backend)
         if self.backend is not None:
             return self.backend
-        return resolve_backend(None)
+        return config.get("backend")
 
     # ------------------------------------------------------------------ #
     def kneighbors(

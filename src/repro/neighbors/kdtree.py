@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .._validation import as_float_matrix, check_positive_int
-from ..config import resolve_backend
+from .. import config
 from ..exceptions import ConfigurationError, NotFittedError
 
 __all__ = ["KDTreeNeighbors"]
@@ -81,7 +81,7 @@ class KDTreeNeighbors:
             )
         self.metric = metric
         self.leaf_size = check_positive_int(leaf_size, "leaf_size")
-        self.backend = None if backend is None else resolve_backend(backend)
+        self.backend = None if backend is None else config.resolve("backend", backend)
         self._data: Optional[np.ndarray] = None
         self._root: Optional[_Node] = None
 
@@ -186,11 +186,11 @@ class KDTreeNeighbors:
             )
 
         if backend is not None:
-            resolved = resolve_backend(backend)
+            resolved = config.resolve("backend", backend)
         elif self.backend is not None:
             resolved = self.backend
         else:
-            resolved = resolve_backend(None)
+            resolved = config.get("backend")
 
         scale = 1.0 / np.sqrt(self.n_features) if self.metric == "paper_euclidean" else 1.0
         if resolved == "vectorized" and query_array.shape[0] > 1:

@@ -47,9 +47,10 @@ import time
 from typing import Dict, Optional
 
 # Bound once at import (repro.config imports nothing from this package, so
-# there is no cycle); the function itself re-reads the knob on every call,
-# keeping set_obs_enabled() instant while the disabled path stays two calls.
-from ..config import get_obs_enabled as _enabled
+# there is no cycle); the knob is re-read on every call, so
+# config.set("obs_enabled", ...) takes effect at once while the disabled
+# path stays one call and one dict lookup.
+from ..config import get as _knob
 
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -252,7 +253,7 @@ def trace_span(name: str, **attrs):
     process-wide tracer: a context manager that is a no-op when no trace
     is active on this thread (e.g. engine used directly, not via serve).
     """
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return _NULL_CONTEXT
     return _tracer.trace_span(name, **attrs)
 
@@ -308,7 +309,7 @@ class _QueryPhaseTimer(_PhaseTimer):
 
 def engine_phase(phase: str):
     """Context manager naming one engine phase (histogram + child span)."""
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return _NULL_CONTEXT
     return _PhaseTimer(phase)
 
@@ -321,14 +322,14 @@ def query_phase(phase: str):
     touched rows), ``evaluate`` (filter/order/project/aggregate).  Spans
     nest under the serving request's root when one is active.
     """
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return _NULL_CONTEXT
     return _QueryPhaseTimer(phase)
 
 
 def count_query_rows(kind: str, n_rows: int) -> None:
     """Count rows the query layer scanned or imputed on demand."""
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     QUERY_ROWS_TOTAL._inc_fast((kind,), n_rows)
 
@@ -341,7 +342,7 @@ def observe_request(cmd: str, status: str,
     for rejections (malformed JSON, oversized lines) whose timing isn't
     meaningful.
     """
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     if seconds is None:
         REQUESTS_TOTAL._inc_fast((cmd, status))
@@ -365,68 +366,68 @@ def observe_request(cmd: str, status: str,
 
 
 def observe_imputed_cells(n_cells: int, kind: str) -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     IMPUTED_CELLS_TOTAL._inc_fast((kind,), n_cells)
 
 
 def observe_wal_sync(seconds: float, policy: str) -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     WAL_SYNC_SECONDS._observe_fast((policy,), seconds)
 
 
 def count_wal_bytes(n_bytes: int) -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     WAL_BYTES_TOTAL._inc_fast((), n_bytes)
 
 
 def count_wal_rotation() -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     WAL_ROTATIONS_TOTAL._inc_fast(())
 
 
 def observe_artifact_io(op: str, seconds: float, n_bytes: int) -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     ARTIFACT_IO_SECONDS._observe_fast((op,), seconds)
     ARTIFACT_BYTES_TOTAL._inc_fast((op,), n_bytes)
 
 
 def count_fault_activation(site: str, kind: str) -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     FAULT_ACTIVATIONS_TOTAL._inc_fast((site, kind))
 
 
 def count_store_rows(op: str, n_rows: int) -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     STORE_ROWS_TOTAL._inc_fast((op,), n_rows)
 
 
 def count_journal_spill(n: int = 1) -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     JOURNAL_SPILLS_TOTAL._inc_fast((), n)
 
 
 def set_sessions_open(n: int) -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     SESSIONS_OPEN.set(n)
 
 
 def set_serve_workers(n: int) -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     SERVE_WORKERS.set(n)
 
 
 def set_queue_depth(n: int) -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     QUEUE_DEPTH.set(n)
 
@@ -434,7 +435,7 @@ def set_queue_depth(n: int) -> None:
 def observe_microbatch(fill: int, wait_seconds: float) -> None:
     """Record one coalesced impute batch: its row count and the longest
     queue-to-execution wait among its member requests."""
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     MICROBATCHES_TOTAL._inc_fast(())
     MICROBATCH_ROWS_TOTAL._inc_fast((), fill)
@@ -443,7 +444,7 @@ def observe_microbatch(fill: int, wait_seconds: float) -> None:
 
 
 def count_admission_rejection(reason: str) -> None:
-    if not _enabled():
+    if not _knob("obs_enabled"):
         return
     ADMISSION_REJECTIONS_TOTAL._inc_fast((reason,))
 

@@ -35,7 +35,7 @@ import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import get_obs_enabled
+from .. import config
 from ..exceptions import ConfigurationError
 
 __all__ = [
@@ -299,7 +299,7 @@ class MetricsRegistry:
     def enabled(self) -> bool:
         if self._enabled is not None:
             return self._enabled
-        return get_obs_enabled()
+        return config.get("obs_enabled")
 
     # ------------------------------------------------------------------ #
     # Registration

@@ -38,11 +38,7 @@ from collections import deque
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..config import (
-    _validate_obs_trace_sample,
-    get_obs_enabled,
-    get_obs_trace_sample,
-)
+from .. import config
 from ..exceptions import ConfigurationError
 
 __all__ = ["Tracer", "Span", "JsonlTraceSink", "TRACE_SEGMENT_SUFFIX"]
@@ -217,13 +213,13 @@ class Tracer:
     def sample(self) -> float:
         if self._sample is not None:
             return self._sample
-        return get_obs_trace_sample()
+        return config.get("trace_sample")
 
     def configure(self, sample: Optional[float] = None,
                   sink: Optional["JsonlTraceSink"] = None) -> None:
         """Pin the sampling rate and/or attach a sink (serve startup)."""
         if sample is not None:
-            self._sample = _validate_obs_trace_sample(sample)
+            self._sample = config.resolve("trace_sample", sample)
         if sink is not None:
             self.sink = sink
 
@@ -243,7 +239,7 @@ class Tracer:
 
     def trace(self, name: str, trace_id: Optional[str] = None, **attrs):
         """Open a root span; decides sampling for the whole trace."""
-        if not get_obs_enabled():
+        if not config.get("obs_enabled"):
             return _NULL_SPAN
         rate = self.sample
         if rate <= 0.0 or (rate < 1.0 and self._rng.random() >= rate):

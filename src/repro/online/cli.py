@@ -69,6 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import config
 from ..data import load_dataset
 from ..data.io import _parse_cell, read_csv, write_csv
 from ..data.missing import inject_missing
@@ -122,34 +123,7 @@ def _build_parser(prog: str = "python -m repro replay") -> argparse.ArgumentPars
     parser.add_argument(
         "--combination", choices=("voting", "uniform", "distance"), default="voting",
     )
-    parser.add_argument(
-        "--cache-size", default="default",
-        help="per-attribute model cache size ('none' = unbounded)",
-    )
-    parser.add_argument(
-        "--refresh", choices=("lazy", "eager"), default=None,
-        help="refresh policy (default: the repro.config knob)",
-    )
-    parser.add_argument(
-        "--fallback-fraction", default="default",
-        help="hybrid relearn threshold in [0, 1], or 'none' to stay "
-        "always-incremental (default: the repro.config knob)",
-    )
-    parser.add_argument(
-        "--shard-capacity", default="default",
-        help="rows per shard of the columnar tuple store (default: the "
-        "repro.config knob)",
-    )
-    parser.add_argument(
-        "--journal-capacity", default="default",
-        help="mutation-journal ring capacity in entries (default: the "
-        "repro.config knob)",
-    )
-    parser.add_argument(
-        "--delete-cost", choices=("rebuild", "decrement"), default=None,
-        help="delete-path validation-cost maintenance (default: the "
-        "repro.config knob)",
-    )
+    config.add_flags(parser, config.ENGINE_KNOBS)
     parser.add_argument("--snapshot", metavar="DIR", help="save the engine at the end")
     parser.add_argument("--restore", metavar="DIR", help="start from a saved engine")
     parser.add_argument(
@@ -185,12 +159,7 @@ def _build_engine(args) -> OnlineImputationEngine:
     if args.learning == "fixed":
         iim_params["learning_neighbors"] = args.learning_neighbors
     return OnlineImputationEngine(
-        model_cache_size=args.cache_size,
-        refresh_policy=args.refresh,
-        incremental_fallback_fraction=args.fallback_fraction,
-        shard_capacity=args.shard_capacity,
-        journal_capacity=args.journal_capacity,
-        delete_cost_mode=args.delete_cost if args.delete_cost else "default",
+        **{name: getattr(args, name) for name in config.ENGINE_KNOBS},
         **iim_params,
     )
 

@@ -109,15 +109,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .._validation import as_float_matrix
-from ..config import (
-    resolve_backend,
-    resolve_online_delete_cost_mode,
-    resolve_online_fallback_fraction,
-    resolve_online_journal_capacity,
-    resolve_online_model_cache_size,
-    resolve_online_refresh_policy,
-    resolve_online_shard_capacity,
-)
+from .. import config
 from ..core.adaptive import adaptive_learning, scatter_validation_costs
 from ..core.combine import get_batch_combiner
 from ..core.iim import IIMImputer
@@ -974,14 +966,14 @@ class OnlineImputationEngine:
                 f"OnlineImputationEngine wraps an IIMImputer, got {type(imputer).__name__}"
             )
         self.imputer = imputer
-        self.model_cache_size = resolve_online_model_cache_size(model_cache_size)
-        self.refresh_policy = resolve_online_refresh_policy(refresh_policy)
-        self.incremental_fallback_fraction = resolve_online_fallback_fraction(
-            incremental_fallback_fraction
+        self.model_cache_size = config.resolve("model_cache_size", model_cache_size)
+        self.refresh_policy = config.resolve("refresh_policy", refresh_policy)
+        self.incremental_fallback_fraction = config.resolve(
+            "incremental_fallback_fraction", incremental_fallback_fraction
         )
-        self.shard_capacity = resolve_online_shard_capacity(shard_capacity)
-        self.journal_capacity = resolve_online_journal_capacity(journal_capacity)
-        self.delete_cost_mode = resolve_online_delete_cost_mode(delete_cost_mode)
+        self.shard_capacity = config.resolve("shard_capacity", shard_capacity)
+        self.journal_capacity = config.resolve("journal_capacity", journal_capacity)
+        self.delete_cost_mode = config.resolve("delete_cost_mode", delete_cost_mode)
 
         self._schema: Optional[Schema] = None
         self._store: Optional[ColumnarTupleStore] = None
@@ -1458,7 +1450,7 @@ class OnlineImputationEngine:
 
         imputer = self.imputer
         k = min(imputer.k, self._n)
-        backend = resolve_backend(imputer.backend)
+        backend = config.resolve("backend", imputer.backend)
         if collect_provenance:
             backend = "vectorized"
         for target_index in np.flatnonzero(mask.any(axis=0)):

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..config import resolve_query_provenance
+from .. import config
 from ..exceptions import (
     QueryError,
     QuotaExceededError,
@@ -217,7 +217,7 @@ def _execute_select(
 
     cells: List[Dict[str, object]] = []
     if touched.size:
-        collect = resolve_query_provenance(provenance)
+        collect = config.resolve("query_provenance", provenance)
         with query_phase("impute"):
             if collect:
                 imputed, cells = engine.impute_batch(

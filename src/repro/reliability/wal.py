@@ -26,10 +26,10 @@ Records:
   :class:`~repro.api.MutationOp` in wire form, with a strictly-increasing
   sequence number.
 
-Sync policies (``repro.config.WAL_SYNC_POLICIES``): ``always`` fsyncs per
-record, ``batch`` flushes to the OS per accepted mutation batch, ``off``
-leaves the Python buffer in charge.  Open/rotation control records are
-always fsynced — they are rare and recovery anchors on them.
+Sync policies (the ``wal_sync`` knob of :mod:`repro.config`): ``always``
+fsyncs per record, ``batch`` flushes to the OS per accepted mutation
+batch, ``off`` leaves the Python buffer in charge.  Open/rotation control
+records are always fsynced — they are rare and recovery anchors on them.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..config import resolve_wal_sync
+from .. import config as knobs
 from ..exceptions import ConfigurationError
 from ..obs import count_wal_bytes, count_wal_rotation, observe_wal_sync
 
@@ -215,7 +215,7 @@ class WriteAheadLog:
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.sync = resolve_wal_sync(sync)
+        self.sync = knobs.resolve("wal_sync", sync)
         if segment_max_records < 1:
             raise ConfigurationError(
                 f"segment_max_records must be positive, got {segment_max_records}"

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..config import resolve_scenario_digest_check, resolve_scenario_transport
+from .. import config
 from ..data.relation import Relation
 from ..exceptions import ScenarioError
 from ..metrics import rms_error
@@ -398,7 +398,7 @@ def _maybe_check_digest(spec: ScenarioSpec, trace: ScenarioTrace,
     (a caller's custom spec reusing a built-in name must not be held to
     the built-in's digest) and the ``scenario_digest_check`` knob is on.
     """
-    if not resolve_scenario_digest_check(check_digest):
+    if not config.resolve("scenario_digest_check", check_digest):
         return False
     from . import registry
 
@@ -454,7 +454,7 @@ def replay(
         so the report's phase percentiles cover exactly this replay.
     """
     spec = _resolve_spec(spec_or_name)
-    resolved = resolve_scenario_transport(transport)
+    resolved = config.resolve("scenario_transport", transport)
     if resolved == "auto":
         resolved = "serve" if spec.generator == "multi_tenant" else "engine"
 

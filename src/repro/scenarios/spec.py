@@ -11,7 +11,7 @@ versioned, JSON-serializable description of a workload.  It carries
 * ``model`` — :class:`~repro.core.iim.IIMImputer` constructor parameters,
   used for both the online engine under test and the cold-refit oracle;
 * ``engine`` — online-session knobs (a subset of
-  :data:`~repro.api.messages.ENGINE_KNOBS`), exactly the ``engine`` field
+  :data:`~repro.config.ENGINE_KNOBS`), exactly the ``engine`` field
   of a serve-loop ``create`` request;
 * ``seed`` — the single integer that, together with the generator and
   params, fully determines the trace byte for byte.
@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..config import ENGINE_KNOBS
 from ..exceptions import ScenarioError
 
 __all__ = [
@@ -345,8 +346,6 @@ def _validate_model(model: Dict[str, object]) -> Dict[str, object]:
 
 def _validate_engine(engine: Dict[str, object]) -> Dict[str, object]:
     engine = _check_scalar_dict(engine, "scenario engine knobs")
-    from ..api.messages import ENGINE_KNOBS
-
     unknown = sorted(set(engine) - set(ENGINE_KNOBS))
     if unknown:
         raise ScenarioError(

@@ -5,10 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import config
 from repro.__main__ import main as repro_main
+from repro.api import serve as serve_module
 from repro.data import load_dataset
 from repro.data.io import read_csv, write_csv
 from repro.data.missing import inject_missing
+from repro.obs import get_tracer
+from repro.online import cli as replay_cli
 
 
 @pytest.fixture
@@ -271,3 +275,78 @@ class TestBareInvocation:
     def test_no_subcommand_prints_help(self, capsys):
         assert repro_main([]) == 2
         assert "impute" in capsys.readouterr().out
+
+
+#: A non-default flag value of every generated knob flag and its parsed value.
+FLAG_VALUES = {
+    "wal_sync": ("off", "off"),
+    "deadline_seconds": ("5", 5.0),
+    "max_request_bytes": ("none", None),
+    "workers": ("2", 2),
+    "microbatch_window_ms": ("1.5", 1.5),
+    "microbatch_max_rows": ("16", 16),
+    "max_rows_per_request": ("100", 100),
+    "max_sessions": ("3", 3),
+    "max_queued_requests": ("8", 8),
+    "trace_sample": ("0.5", 0.5),
+    "model_cache_size": ("none", None),
+    "refresh_policy": ("eager", "eager"),
+    "incremental_fallback_fraction": ("0.5", 0.5),
+    "shard_capacity": ("64", 64),
+    "journal_capacity": ("32", 32),
+    "delete_cost_mode": ("decrement", "decrement"),
+}
+
+
+def _flags(names):
+    argv = []
+    for name in names:
+        assert FLAG_VALUES[name][1] != config.KNOBS[name].default, name
+        argv += [config.KNOBS[name].flag, FLAG_VALUES[name][0]]
+    return argv
+
+
+class TestKnobFlags:
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """Servers handed to the stdio transport, which is stubbed out."""
+        servers = []
+        monkeypatch.setattr(
+            serve_module, "serve_stdio",
+            lambda server: servers.append(server) or 0,
+        )
+        tracer = get_tracer()
+        pinned = tracer._sample
+        yield servers
+        tracer._sample = pinned  # --trace-sample pins the process tracer
+
+    def test_serve_flags_reach_the_server(self, served):
+        assert repro_main(["serve", *_flags(config.SERVE_KNOBS)]) == 0
+        (server,) = served
+        health = server.handle_line('{"v": 1, "cmd": "health"}')["result"]
+        for name in config.SERVE_KNOBS:
+            key = "serve_workers" if name == "workers" else name
+            assert health["config"][key] == FLAG_VALUES[name][1], name
+
+    def test_replay_flags_reach_the_engine(self, monkeypatch, capsys):
+        engines = []
+        build = replay_cli._build_engine
+        monkeypatch.setattr(
+            replay_cli, "_build_engine",
+            lambda args: engines.append(build(args)) or engines[-1],
+        )
+        code = repro_main([
+            "replay", "--demo", "30", "--dataset", "sn", "--k", "3",
+            "--learning", "fixed", "--learning-neighbors", "3",
+            *_flags(config.ENGINE_KNOBS),
+        ])
+        assert code == 0
+        (engine,) = engines
+        for name in config.ENGINE_KNOBS:
+            assert getattr(engine, name) == FLAG_VALUES[name][1], name
+
+    def test_bad_serve_knob_is_one_error_line(self, served, capsys):
+        assert repro_main(["serve", "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "workers" in err and not served

@@ -22,19 +22,19 @@ def values():
 def clean_observability():
     """Full span capture against a clean slate; knobs restored afterwards."""
     tracer = obs.get_tracer()
-    previous_enabled = config.get_obs_enabled()
-    previous_sample = config.get_obs_trace_sample()
+    previous_enabled = config.get("obs_enabled")
+    previous_sample = config.get("trace_sample")
     previous_pinned = tracer._sample
     previous_sink = tracer.sink
-    config.set_obs_enabled(True)
-    config.set_obs_trace_sample(1.0)
+    config.set("obs_enabled", True)
+    config.set("trace_sample", 1.0)
     tracer._sample = None  # defer to the knob set above
     obs.reset_observability()
     yield
     tracer._sample = previous_pinned
     tracer.sink = previous_sink
-    config.set_obs_enabled(previous_enabled)
-    config.set_obs_trace_sample(previous_sample)
+    config.set("obs_enabled", previous_enabled)
+    config.set("trace_sample", previous_sample)
     obs.reset_observability()
 
 
@@ -88,7 +88,7 @@ class TestTraceEcho:
         assert response["trace"]
 
     def test_trace_ids_issue_even_when_obs_is_disabled(self):
-        config.set_obs_enabled(False)
+        config.set("obs_enabled", False)
         server = SessionServer()
         assert ask(server, cmd="ping")["trace"]
 
@@ -124,7 +124,7 @@ class TestRequestMetrics:
         assert set(labels) == {"unknown"}
 
     def test_disabled_obs_records_nothing(self):
-        config.set_obs_enabled(False)
+        config.set("obs_enabled", False)
         server = SessionServer()
         ok(server, cmd="ping")
         assert obs.REQUESTS_TOTAL.value(cmd="ping", status="ok") == 0
@@ -183,7 +183,7 @@ class TestEngineSpans:
         )
 
     def test_unsampled_requests_still_record_metrics(self, values):
-        config.set_obs_trace_sample(0.0)
+        config.set("trace_sample", 0.0)
         server = SessionServer()
         create_online(server, values)
         impute_one(server, values)
@@ -303,7 +303,7 @@ class TestServerSelfDescription:
         server_config = stats["server"]["config"]
         assert server_config["obs_enabled"] is True
         assert server_config["trace_sample"] == 1.0
-        assert server_config["wal_sync"] == config.get_wal_sync()
+        assert server_config["wal_sync"] == config.get("wal_sync")
         assert server_config["trace_log"] is None
 
     def test_health_reports_the_same_config(self):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ERACERImputer, ILLSImputer, load_dataset
-from repro.config import use_backend
+from repro import ERACERImputer, ILLSImputer, config, load_dataset
 from repro.data.missing import inject_missing
 from repro.exceptions import ConfigurationError
 
@@ -37,10 +36,10 @@ def test_loop_vs_vectorized_equivalence(cls, fixture_name, request):
 @pytest.mark.parametrize("cls", [ILLSImputer, ERACERImputer])
 def test_global_knob_selects_backend(cls, injection):
     pinned = cls(k=6, backend="loop").fit_impute(injection.dirty).raw
-    with use_backend("loop"):
+    with config.override("backend", "loop"):
         knob = cls(k=6).fit_impute(injection.dirty).raw
     np.testing.assert_array_equal(pinned, knob)
-    with use_backend("vectorized"):
+    with config.override("backend", "vectorized"):
         vectorized = cls(k=6).fit_impute(injection.dirty).raw
     np.testing.assert_allclose(vectorized, pinned, rtol=1e-9, atol=1e-12)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import resolve_backend, use_backend
+from repro import config
 from repro.core.adaptive import adaptive_learning
 from repro.core.imputation import impute_with_individual_models
 from repro.core.learning import learn_individual_models, learn_models_for_candidates
@@ -45,19 +45,19 @@ def queries(tied_data):
 
 class TestConfigKnob:
     def test_default_backend_is_vectorized(self):
-        assert repro.get_backend() in repro.BACKENDS
+        assert repro.config.get("backend") in ("vectorized", "loop")
 
     def test_use_backend_restores_previous(self):
-        before = repro.get_backend()
-        with use_backend("loop"):
-            assert repro.get_backend() == "loop"
-        assert repro.get_backend() == before
+        before = repro.config.get("backend")
+        with config.override("backend", "loop"):
+            assert repro.config.get("backend") == "loop"
+        assert repro.config.get("backend") == before
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
-            repro.set_backend("gpu")
+            repro.config.set("backend", "gpu")
         with pytest.raises(ConfigurationError):
-            resolve_backend("nope")
+            config.resolve("backend", "nope")
 
 
 class TestLearningEquivalence:
@@ -96,9 +96,9 @@ class TestLearningEquivalence:
 
     def test_global_knob_selects_backend(self, tied_data):
         features, target = tied_data
-        with use_backend("loop"):
+        with config.override("backend", "loop"):
             loop = learn_models_for_candidates(features, target, [1, 8])
-        with use_backend("vectorized"):
+        with config.override("backend", "vectorized"):
             fast = learn_models_for_candidates(features, target, [1, 8])
         np.testing.assert_allclose(fast, loop, rtol=RTOL, atol=ATOL)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import use_backend
+from repro import config
 from repro.neighbors import BruteForceNeighbors, KDTreeNeighbors, NeighborIndex
 
 RNG = np.random.default_rng(11)
@@ -42,10 +42,10 @@ def test_constructor_backend_and_global_knob():
     queries = RNG.normal(size=(12, 3))
     reference = KDTreeNeighbors(leaf_size=8).fit(data).kneighbors(queries, 5)
     pinned = KDTreeNeighbors(leaf_size=8, backend="loop").fit(data)
-    with use_backend("vectorized"):
+    with config.override("backend", "vectorized"):
         dist, idx = pinned.kneighbors(queries, 5)
     np.testing.assert_array_equal(idx, reference[1])
-    with use_backend("loop"):
+    with config.override("backend", "loop"):
         dist, idx = KDTreeNeighbors(leaf_size=8).fit(data).kneighbors(queries, 5)
     np.testing.assert_array_equal(idx, reference[1])
 

@@ -13,15 +13,15 @@ from repro.obs import get_tracer, reset_observability
 @pytest.fixture(autouse=True)
 def clean_observability():
     tracer = get_tracer()
-    previous_enabled = config.get_obs_enabled()
-    previous_sample = config.get_obs_trace_sample()
+    previous_enabled = config.get("obs_enabled")
+    previous_sample = config.get("trace_sample")
     previous_pinned = tracer._sample
     previous_sink = tracer.sink
-    config.set_obs_enabled(True)
+    config.set("obs_enabled", True)
     reset_observability()
     yield
     tracer._sample = previous_pinned
     tracer.sink = previous_sink
-    config.set_obs_enabled(previous_enabled)
-    config.set_obs_trace_sample(previous_sample)
+    config.set("obs_enabled", previous_enabled)
+    config.set("trace_sample", previous_sample)
     reset_observability()

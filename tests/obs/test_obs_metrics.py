@@ -191,10 +191,10 @@ class TestDisabled:
 
         registry = MetricsRegistry()  # enabled=None: defer to the knob
         counter = registry.counter("repro_events_total")
-        config.set_obs_enabled(False)
+        config.set("obs_enabled", False)
         counter.inc()
         assert counter.value() == 0.0
-        config.set_obs_enabled(True)
+        config.set("obs_enabled", True)
         counter.inc()
         assert counter.value() == 1.0
 

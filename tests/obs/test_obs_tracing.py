@@ -126,18 +126,18 @@ class TestSampling:
 
     def test_unpinned_tracer_follows_the_config_knob(self):
         tracer = Tracer()
-        config.set_obs_trace_sample(0.0)
+        config.set("trace_sample", 0.0)
         with tracer.trace("unsampled"):
             pass
         assert tracer.recent() == []
-        config.set_obs_trace_sample(1.0)
+        config.set("trace_sample", 1.0)
         assert tracer.sample == 1.0
         with tracer.trace("sampled"):
             pass
         assert [t["root"] for t in tracer.recent()] == ["sampled"]
 
     def test_disabled_obs_short_circuits_tracing(self, tracer):
-        config.set_obs_enabled(False)
+        config.set("obs_enabled", False)
         with tracer.trace("root"):
             pass
         assert tracer.recent() == []

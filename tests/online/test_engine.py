@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import IIMImputer, load_dataset
-from repro.config import (
-    set_online_model_cache_size,
-    set_online_refresh_policy,
-)
+from repro import IIMImputer, config, load_dataset
 from repro.data.relation import Relation, Schema
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.online import OnlineImputationEngine
@@ -223,21 +219,21 @@ def test_complete_queries_pass_through(stream_values):
 
 
 def test_online_config_knobs_roundtrip():
-    previous = set_online_model_cache_size(3)
+    previous = config.set("model_cache_size", 3)
     try:
         engine = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=3)
         assert engine.model_cache_size == 3
-        assert set_online_model_cache_size("none") == 3
+        assert config.set("model_cache_size", "none") == 3
         assert OnlineImputationEngine(
             k=3, learning="fixed", learning_neighbors=3
         ).model_cache_size is None
     finally:
-        set_online_model_cache_size(previous)
-    previous = set_online_refresh_policy("eager")
+        config.set("model_cache_size", previous)
+    previous = config.set("refresh_policy", "eager")
     try:
         engine = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=3)
         assert engine.refresh_policy == "eager"
     finally:
-        set_online_refresh_policy(previous)
+        config.set("refresh_policy", previous)
     with pytest.raises(ConfigurationError):
-        set_online_refresh_policy("never")
+        config.set("refresh_policy", "never")

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import IIMImputer, load_dataset
-from repro.config import set_online_fallback_fraction
+from repro import IIMImputer, config, load_dataset
 from repro.data.relation import Relation
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.online import OnlineImputationEngine
@@ -161,18 +160,18 @@ def test_hybrid_fallback_counter_fires_on_heavy_append(stream_values):
 
 
 def test_fallback_fraction_knob_roundtrip():
-    previous = set_online_fallback_fraction(0.3)
+    previous = config.set("incremental_fallback_fraction", 0.3)
     try:
         engine = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=3)
         assert engine.incremental_fallback_fraction == 0.3
-        assert set_online_fallback_fraction("none") == 0.3
+        assert config.set("incremental_fallback_fraction", "none") == 0.3
         assert OnlineImputationEngine(
             k=3, learning="fixed", learning_neighbors=3
         ).incremental_fallback_fraction is None
     finally:
-        set_online_fallback_fraction(previous)
+        config.set("incremental_fallback_fraction", previous)
     with pytest.raises(ConfigurationError):
-        set_online_fallback_fraction(1.5)
+        config.set("incremental_fallback_fraction", 1.5)
     with pytest.raises(ConfigurationError):
         OnlineImputationEngine(
             incremental_fallback_fraction=-0.2, k=3, learning="fixed",

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import config
 from repro.api import MutationOp, OnlineSession
-from repro.config import set_wal_sync
 from repro.data import load_dataset
 from repro.exceptions import ConfigurationError
 from repro.reliability import WriteAheadLog, read_wal
@@ -68,11 +68,11 @@ class TestFraming:
     def test_sync_policy_validated_and_default_resolves(self, tmp_path):
         with pytest.raises(ConfigurationError, match="sync policy"):
             WriteAheadLog(tmp_path / "wal", sync="sometimes")
-        set_wal_sync("always")
+        config.set("wal_sync", "always")
         try:
             assert WriteAheadLog(tmp_path / "wal2", config=CONFIG).sync == "always"
         finally:
-            set_wal_sync("batch")
+            config.set("wal_sync", "batch")
 
 
 class TestTornTails:

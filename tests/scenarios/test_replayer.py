@@ -10,7 +10,7 @@ every transport and pin the failure modes (divergence, digest drift).
 import numpy as np
 import pytest
 
-from repro.config import set_scenario_transport
+from repro import config
 from repro.exceptions import ScenarioError
 from repro.scenarios import ScenarioSpec, generate_trace, get, replay
 from repro.scenarios import replayer as replayer_module
@@ -79,11 +79,11 @@ class TestTransports:
         assert set(report.session_stats) == sessions
 
     def test_transport_knob_sets_the_default(self):
-        previous = set_scenario_transport("tcp")
+        previous = config.set("scenario_transport", "tcp")
         try:
             assert replay(SMALL, run_cold=False).transport == "tcp"
         finally:
-            set_scenario_transport(previous)
+            config.set("scenario_transport", previous)
 
     def test_unknown_transport_is_rejected(self):
         with pytest.raises(Exception, match="transport"):
