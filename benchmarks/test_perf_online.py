@@ -189,53 +189,18 @@ def test_online_churn_hybrid(profile, record_result):
         "heavy churn never triggered the hybrid fallback"
     )
 
-    # Delete cost decrement vs the exact rebuild on a decrement-friendly
-    # shape: a small candidate grid leaves most owners of a deleted
-    # validator model-clean, so the subtract-retired-pairs path actually
-    # engages (with ℓ-caps near the store size every owner is model-dirty
-    # and both modes coincide).
-    dec_kwargs = dict(scenarios[0][1])
-    dec_kwargs["max_learning_neighbors"] = min(8, cap)
-    dec_kwargs["deletes_per_round"] = 8
-    rebuild_ref = run_churn(
-        profile=profile, random_state=0, fallback_fraction="default",
-        delete_cost_mode="rebuild", run_cold=False, **dec_kwargs,
-    )
-    decrement = run_churn(
-        profile=profile, random_state=0, fallback_fraction="default",
-        delete_cost_mode="decrement", **dec_kwargs,
-    )
-    assert decrement.max_rms_gap <= 1e-9 * max(
-        1e-30, max(r.rms_cold for r in decrement.rounds)
-    ), "decrement mode diverged from the cold refit"
-    entry = decrement.as_dict()
-    entry["vs_rebuild"] = decrement.online_seconds / rebuild_ref.online_seconds
-    churn_report["sn_churn_decrement"] = entry
-    assert entry["engine_stats"]["delete_cost_decrements"] > 0, (
-        "the decrement scenario never exercised the decrement path"
-    )
-
     _merge_report(churn_scenarios=churn_report)
 
     def _line(name, entry):
-        if "always_incremental_seconds" in entry:
-            return (
-                f"{name}: hybrid {entry['online_seconds']:.4f}s "
-                f"(vs always-incremental "
-                f"{entry['always_incremental_seconds']:.4f}s, "
-                f"x{entry['hybrid_vs_always']:.2f}; "
-                f"{entry['engine_stats']['hybrid_full_rebuilds']} fallbacks), "
-                f"cold {entry['cold_seconds']:.4f}s, "
-                f"speedup {entry['speedup']:.2f}x, "
-                f"query_mode={entry['query_mode']}"
-            )
         return (
-            f"{name}: {entry['online_seconds']:.4f}s "
-            f"(x{entry['vs_rebuild']:.2f} vs the rebuild delete path; "
-            f"{entry['engine_stats']['delete_cost_decrements']} rows "
-            f"decremented, {entry['engine_stats']['delete_cost_guard_rebuilds']} "
-            f"guard rebuilds), cold {entry['cold_seconds']:.4f}s, "
-            f"speedup {entry['speedup']:.2f}x"
+            f"{name}: hybrid {entry['online_seconds']:.4f}s "
+            f"(vs always-incremental "
+            f"{entry['always_incremental_seconds']:.4f}s, "
+            f"x{entry['hybrid_vs_always']:.2f}; "
+            f"{entry['engine_stats']['hybrid_full_rebuilds']} fallbacks), "
+            f"cold {entry['cold_seconds']:.4f}s, "
+            f"speedup {entry['speedup']:.2f}x, "
+            f"query_mode={entry['query_mode']}"
         )
 
     record_result(

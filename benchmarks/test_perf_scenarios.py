@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from repro import config
-from repro.scenarios import registry, replay
+from repro.scenarios import GENERATORS, registry, replay
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_online.json"
 
@@ -85,12 +85,10 @@ def test_scenario_matrix(record_result):
         ),
     )
 
-    # The registry's acceptance floor: at least 8 built-ins, all three
-    # generators exercised, every phase summary well-formed.
+    # The registry's acceptance floor: at least 8 built-ins, every
+    # registered generator exercised, every phase summary well-formed.
     assert len(matrix) >= 8
-    assert {e["generator"] for e in matrix.values()} == {
-        "streaming", "churn", "multi_tenant"
-    }
+    assert {e["generator"] for e in matrix.values()} == set(GENERATORS)
     for name, entry in matrix.items():
         for phase in ("scenario.fit", "scenario.mutate", "scenario.impute",
                       "scenario.cold_refit"):

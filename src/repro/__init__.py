@@ -58,7 +58,7 @@ to a cold ``IIMImputer`` refit over the same tuples.
 >>> engine.snapshot("artifacts/engine")                      # doctest: +SKIP
 
 Engine knobs (model cache size, refresh policy, hybrid fallback, store
-shards, journal, delete-cost upkeep) are rows of the same
+shards, journal) are rows of the same
 :data:`repro.config.KNOBS` table as the backend, the WAL, serve, obs,
 query and scenario knobs; each has a ``REPRO_*`` environment variable and
 is read with ``config.get(name)``.  Fitted state —

@@ -5,9 +5,8 @@ service layer:
 
 * ``impute`` — one-shot batch imputation of a CSV file with any registry
   method (``python -m repro impute dirty.csv --method IIM --output clean.csv``);
-* ``replay`` — the streaming/lifecycle CSV-trace replay against the online
-  engine (subsumes the deprecated ``python -m repro.online`` entry point;
-  same arguments);
+* ``replay`` — the streaming CSV-trace or lifecycle statement-trace replay
+  against the online engine (``python -m repro replay churn.sql``);
 * ``serve`` — the JSONL serve loop over stdio or a TCP socket
   (``python -m repro serve --stdio``, ``python -m repro serve --port 7007``),
   with crash-safe durability via ``--wal-dir`` and request hardening via
@@ -92,10 +91,10 @@ def _cmd_impute(args) -> int:
     return 0
 
 
-def _cmd_replay(args, extras) -> int:
-    from .online.cli import main as replay_main
+def _cmd_replay(args) -> int:
+    from .online.cli import run
 
-    return replay_main(extras, prog=f"{PROG} replay")
+    return run(args)
 
 
 def _cmd_serve(args) -> int:
@@ -366,12 +365,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     impute.add_argument("--output", metavar="CSV", help="write the imputed relation")
 
-    commands.add_parser(
+    from .online.cli import add_arguments as add_replay_arguments
+
+    replay = commands.add_parser(
         "replay",
-        help="replay a CSV trace against the online engine "
-        "(see 'replay --help' for its arguments)",
-        add_help=False,
+        help="replay a CSV or statement trace against the online engine",
+        description="Replay a CSV relation as a streaming append/impute "
+        "trace, or a statement trace as a lifecycle trace.",
     )
+    add_replay_arguments(replay)
 
     serve = commands.add_parser("serve", help="run the JSONL session server")
     transport = serve.add_mutually_exclusive_group()
@@ -547,13 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    # `replay` forwards everything after the subcommand to the trace-replay
-    # parser unchanged, so the deprecated entry point and the consolidated
-    # CLI accept identical arguments.
-    if argv and argv[0] == "replay":
-        return _cmd_replay(None, argv[1:])
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
@@ -569,6 +565,7 @@ def main(argv=None) -> int:
         )
     command = {
         "impute": _cmd_impute,
+        "replay": _cmd_replay,
         "serve": _cmd_serve,
         "repl": _cmd_repl,
         "recover": _cmd_recover,

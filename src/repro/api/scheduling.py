@@ -103,7 +103,9 @@ class RequestScheduler:
     ``server`` is the :class:`~repro.api.serve.SessionServer` whose
     :meth:`handle_request` executes each dispatch unit; the scheduler
     owns ordering, parallelism, backpressure and coalescing, the server
-    owns semantics (locking, quarantine, deadlines, WAL).
+    owns semantics (locking, quarantine, deadlines, WAL).  The server's
+    line envelope admits (authenticates) every request before it is
+    queued, so a coalesced batch carries no credentials of its own.
 
     Worker threads are daemonic and started lazily on the first
     :meth:`submit`, so in-process servers that only ever call
@@ -292,11 +294,6 @@ class RequestScheduler:
             "session": key,
             "rows": rows,
         }
-        # Every member already passed admission (auth included) when it was
-        # enqueued; the merged request must pass the handler's re-check too.
-        token = unit[0].request.get("token")
-        if token is not None:
-            batch_request["token"] = token
         waited = time.monotonic() - min(p.enqueued_at for p in unit)
         response = self.server.handle_request(batch_request)
         with self._lock:

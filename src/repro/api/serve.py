@@ -268,33 +268,14 @@ class SessionServer:
     # Envelope
     # ------------------------------------------------------------------ #
     def handle_line(self, line: str) -> Optional[Dict[str, object]]:
-        """Answer one raw request line (``None`` for blank lines)."""
-        line = line.strip()
-        if not line:
-            return None
-        request_id = None
-        try:
-            if (
-                self.max_request_bytes is not None
-                and len(line.encode("utf-8", errors="surrogateescape"))
-                > self.max_request_bytes
-            ):
-                raise ProtocolError(
-                    f"request line exceeds max_request_bytes="
-                    f"{self.max_request_bytes}; split the request into "
-                    f"smaller batches"
-                )
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProtocolError(f"malformed JSON request: {exc}") from exc
-            if not isinstance(request, dict):
-                raise ProtocolError("a request must be a JSON object")
-            request_id = request.get("id")
-            return self.handle_request(request)
-        except Exception as exc:  # noqa: BLE001 - the loop must survive bad input
-            observe_request("unknown", error_code(exc))
-            return self._error(request_id, exc, self.tracer.new_trace_id())
+        """Answer one raw request line (``None`` for blank lines).
+
+        The synchronous entry point, for in-process use and tests: every
+        admitted request executes on the calling thread.
+        """
+        answered: List[Dict[str, object]] = []
+        self._envelope(line, answered.append, queue=False)
+        return answered[0] if answered else None
 
     def submit_line(self, line: str,
                     respond: Callable[[Dict[str, object]], None]) -> bool:
@@ -310,49 +291,59 @@ class SessionServer:
         ``shutdown`` first drains the scheduler so every pipelined request
         ahead of it is answered, then stops the server.
         """
+        return self._envelope(line, respond, queue=True)
+
+    def _envelope(self, line: str,
+                  respond: Callable[[Dict[str, object]], None],
+                  queue: bool) -> bool:
+        """Bound, decode and authenticate one line, then answer or queue it.
+
+        Both entry points share this one admission path, so a line earns
+        the same answer through either.  With ``queue`` session commands
+        go to the scheduler; otherwise every request executes inline.
+        """
         line = line.strip()
         if not line:
             return False
-        request_id = None
-        cmd_label = "unknown"
+        if (
+            self.max_request_bytes is not None
+            and len(line.encode("utf-8", errors="surrogateescape"))
+            > self.max_request_bytes
+        ):
+            respond(self.oversized_response())
+            return True
+        request = None
         try:
-            if (
-                self.max_request_bytes is not None
-                and len(line.encode("utf-8", errors="surrogateescape"))
-                > self.max_request_bytes
-            ):
-                raise ProtocolError(
-                    f"request line exceeds max_request_bytes="
-                    f"{self.max_request_bytes}; split the request into "
-                    f"smaller batches"
-                )
             try:
-                request = json.loads(line)
+                decoded = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ProtocolError(f"malformed JSON request: {exc}") from exc
-            if not isinstance(request, dict):
+            if not isinstance(decoded, dict):
                 raise ProtocolError("a request must be a JSON object")
-            request_id = request.get("id")
-            cmd = request.get("cmd")
-            if isinstance(cmd, str) and cmd in self._COMMANDS:
-                cmd_label = cmd
-            # Reject unauthenticated lines before they consume queue
-            # capacity; handle_request re-checks for the synchronous path.
+            request = decoded
+            # Unauthenticated lines are rejected before they consume queue
+            # capacity; the scheduler holds admitted requests only.
             self._check_auth(request)
-            if cmd_label in self._SESSION_COMMANDS:
+            cmd_label = self._label(request)
+            if queue and cmd_label in self._SESSION_COMMANDS:
                 self.scheduler.submit(request, respond)
                 return True
-            if cmd_label == "shutdown":
+            if queue and cmd_label == "shutdown":
                 self.scheduler.drain()
-            respond(self.handle_request(request))
-            return True
-        except Exception as exc:  # noqa: BLE001 - typed error response instead
-            code = error_code(exc)
-            if code == "overloaded":
-                count_admission_rejection(code)
-            observe_request(cmd_label, code)
-            respond(self._error(request_id, exc, self.tracer.new_trace_id()))
-            return True
+            response = self.handle_request(request)
+        except Exception as exc:  # noqa: BLE001 - the loop must survive bad input
+            response = self._reject(request, exc)
+        respond(response)
+        return True
+
+    def _label(self, request: Optional[Dict[str, object]]) -> str:
+        """The request's command as a metric label.
+
+        ``cmd`` may be any JSON value; only known commands become labels,
+        so a hostile client cannot explode label cardinality.
+        """
+        cmd = None if request is None else request.get("cmd")
+        return cmd if isinstance(cmd, str) and cmd in self._COMMANDS else "unknown"
 
     def _check_auth(self, request: Dict[str, object]) -> None:
         if self.auth_token is None:
@@ -372,13 +363,13 @@ class SessionServer:
 
         Every request — valid or not — is issued a trace ID (echoed as
         ``"trace"`` on the response and inside error payloads) and counted
-        into the per-command latency/status histograms.
+        into the per-command latency/status histograms.  Only admitted
+        requests arrive here (from the line envelope or the scheduler), so
+        auth is already checked.
         """
         request_id = request.get("id")
         cmd = request.get("cmd")
-        # `cmd` may be any JSON value; only known commands become metric
-        # labels, so a hostile client cannot explode label cardinality.
-        cmd_label = cmd if isinstance(cmd, str) and cmd in self._COMMANDS else "unknown"
+        cmd_label = self._label(request)
         trace_id = self.tracer.new_trace_id()
         started = time.perf_counter()
         status = "ok"
@@ -389,7 +380,6 @@ class SessionServer:
                     f"unsupported protocol version {version!r}; this server "
                     f"speaks version {PROTOCOL_VERSION}"
                 )
-            self._check_auth(request)
             # `cmd` may be any JSON value, including unhashable ones.
             handler = (
                 self._COMMANDS.get(cmd) if isinstance(cmd, str) else None
@@ -572,15 +562,23 @@ class SessionServer:
             response["trace"] = trace_id
         return response
 
-    def oversized_response(self, request_id=None) -> Dict[str, object]:
-        """The typed error a transport answers for an over-long line."""
-        exc = ProtocolError(
+    def _reject(self, request: Optional[Dict[str, object]],
+                exc: BaseException) -> Dict[str, object]:
+        """The typed error answering a line turned away before dispatch."""
+        code = error_code(exc)
+        if code == "overloaded":
+            count_admission_rejection(code)
+        observe_request(self._label(request), code)
+        request_id = None if request is None else request.get("id")
+        return self._error(request_id, exc, self.tracer.new_trace_id())
+
+    def oversized_response(self) -> Dict[str, object]:
+        """The typed error answering an over-long request line."""
+        return self._reject(None, ProtocolError(
             f"request line exceeds max_request_bytes="
             f"{self.max_request_bytes}; split the request into smaller "
             f"batches"
-        )
-        observe_request("unknown", error_code(exc))
-        return self._error(request_id, exc, self.tracer.new_trace_id())
+        ))
 
     # ------------------------------------------------------------------ #
     # Command implementations (called with their session's lock held for

@@ -34,6 +34,7 @@ from ..baselines.registry import (
     make_imputer,
     method_spec,
 )
+from ..config import ENGINE_KNOBS
 from ..data.relation import Relation
 from ..exceptions import (
     ConfigurationError,
@@ -230,15 +231,8 @@ class BatchSession(ImputationSession):
 
     @property
     def counters(self) -> Dict[str, int]:
-        """Lifetime counters, read from the imputer's ``observe()`` hook.
-
-        ``impute_requests`` is kept as an alias of the uniform
-        ``impute_batches`` name for wire compatibility with earlier
-        protocol consumers.
-        """
-        observed = self.imputer.observe()
-        observed["impute_requests"] = observed.get("impute_batches", 0)
-        return observed
+        """Lifetime counters, read from the imputer's ``observe()`` hook."""
+        return self.imputer.observe()
 
     def stats(self) -> Dict[str, object]:
         fitted = self.imputer.is_fitted()
@@ -265,9 +259,9 @@ class OnlineSession(ImputationSession):
     kwargs:
         Otherwise, engine knobs (``model_cache_size``, ``refresh_policy``,
         ``incremental_fallback_fraction``, ``shard_capacity``,
-        ``journal_capacity``, ``delete_cost_mode``) and
-        :class:`~repro.core.iim.IIMImputer` constructor arguments, exactly
-        as the engine constructor takes them.
+        ``journal_capacity``) and :class:`~repro.core.iim.IIMImputer`
+        constructor arguments, exactly as the engine constructor takes
+        them.
 
     Notes
     -----
@@ -412,7 +406,6 @@ class OnlineSession(ImputationSession):
                 ),
                 "shard_capacity": engine.shard_capacity,
                 "journal_capacity": engine.journal_capacity,
-                "delete_cost_mode": engine.delete_cost_mode,
             },
         }
 
@@ -564,7 +557,17 @@ def recover_session(
                 f"cannot recover from the WAL at {wal_dir}: no checkpoint "
                 f"was given and the log records no session config"
             )
-        built = create_session(SessionConfig.from_wire(state.config))
+        wire = dict(state.config)
+        engine = wire.get("engine")
+        if isinstance(engine, dict):
+            # A log written by an earlier build may name an engine knob
+            # removed since (its one surviving behaviour is the engine's
+            # only one); recovery keeps the knobs this build still has.
+            wire["engine"] = {
+                name: value for name, value in engine.items()
+                if name in ENGINE_KNOBS
+            }
+        built = create_session(SessionConfig.from_wire(wire))
         if not isinstance(built, OnlineSession):
             raise ConfigurationError(
                 "WAL recovery rebuilds online sessions only; the recorded "

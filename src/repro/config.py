@@ -4,10 +4,10 @@ Every knob of the library is one :class:`Knob` row of :data:`KNOBS` —
 its name, environment variable, default, parser, one-line doc, and whether
 ``None`` is one of its values (an unbounded cache, no deadline).  The rows
 cover the IIM kernel backend, the online engine (model cache, refresh
-policy, hybrid fallback, store shards, mutation journal, delete-cost
-upkeep), the write-ahead log, the serve loop (deadline, request bounds,
-worker pool, micro-batching, admission quotas), observability, query
-provenance and scenario replay.
+policy, hybrid fallback, store shards, mutation journal), the write-ahead
+log, the serve loop (deadline, request bounds, worker pool,
+micro-batching, admission quotas), observability, query provenance and
+scenario replay.
 
 A knob's value resolves, in decreasing priority, from
 
@@ -159,11 +159,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "mutation-journal ring capacity in entries; overflow spills and "
          "laggard states rebuild",
          flag="--journal-capacity"),
-    Knob("delete_cost_mode", "REPRO_ONLINE_DELETE_COST", "rebuild",
-         _choice("rebuild", "decrement"),
-         "delete-path validation-cost upkeep: rebuild (exact scatter) or "
-         "decrement (guarded subtraction)",
-         flag="--delete-cost"),
     Knob("wal_sync", "REPRO_WAL_SYNC", "batch",
          _choice("always", "batch", "off"),
          "WAL sync policy: always fsyncs every record, batch flushes once "
@@ -236,7 +231,6 @@ ENGINE_KNOBS = (
     "incremental_fallback_fraction",
     "shard_capacity",
     "journal_capacity",
-    "delete_cost_mode",
 )
 
 #: Knobs a :class:`~repro.api.serve.SessionServer` keyword of the same name

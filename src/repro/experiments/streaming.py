@@ -385,7 +385,6 @@ def run_churn(
     fallback_fraction="default",
     shard_capacity="default",
     journal_capacity="default",
-    delete_cost_mode="default",
     random_state: int = 0,
     run_cold: bool = True,
     **iim_overrides,
@@ -452,7 +451,6 @@ def run_churn(
             "incremental_fallback_fraction": fallback_fraction,
             "shard_capacity": shard_capacity,
             "journal_capacity": journal_capacity,
-            "delete_cost_mode": delete_cost_mode,
         },
         seed=random_state,
     )

@@ -5,8 +5,8 @@ An *artifact* is a directory holding exactly two files:
 * ``manifest.json`` — the artifact format/version, the kind of object stored
   (``"imputer"`` or ``"engine"``), the constructor parameters needed to
   rebuild it, and the list of array keys it expects;
-* ``arrays.npz`` — every numpy array of the fitted state, saved without
-  pickling so artifacts are portable across Python versions.
+* ``arrays-<token>.npz`` — every numpy array of the fitted state, saved
+  without pickling so artifacts are portable across Python versions.
 
 :func:`write_artifact` / :func:`read_artifact` are the generic primitives;
 :func:`save_imputer` / :func:`load_imputer` build the imputer-level layer on
@@ -24,9 +24,8 @@ raises :class:`~repro.exceptions.ConfigurationError` with a clear message.
 Writes are *atomic*: both files are staged into a sibling temp directory,
 fsynced, and renamed into place with the manifest rename last — the
 commit point.  The arrays land under a unique name recorded in the
-manifest's ``arrays_file`` field (legacy artifacts without the field fall
-back to ``arrays.npz``), so a crash at any byte leaves either the old
-artifact or the new one, never a torn mix of the two.
+manifest's ``arrays_file`` field, so a crash at any byte leaves either the
+old artifact or the new one, never a torn mix of the two.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from ..obs import observe_artifact_io
 __all__ = [
     "ARTIFACT_FORMAT",
     "ARTIFACT_VERSION",
-    "SUPPORTED_ARTIFACT_VERSIONS",
     "write_artifact",
     "read_artifact",
     "save_imputer",
@@ -58,21 +56,12 @@ __all__ = [
 #: Identifier written into (and required of) every manifest.
 ARTIFACT_FORMAT = "repro-artifact"
 
-#: Current artifact schema version; bumped on incompatible layout changes.
-#: Version 2 added the engine's tuple-lifecycle state (per-state target
-#: columns, lifecycle counters, the engine mutation version).  Version 3
-#: added the sharded columnar store metadata (shard capacity, journal
-#: ring knobs, delete cost mode); version-2 artifacts remain readable and
-#: are migrated on load.
+#: The artifact schema version, the only one :func:`read_artifact` reads;
+#: bumped on incompatible layout changes.  Version 3 added the sharded
+#: columnar store metadata (shard capacity, journal ring knobs).
 ARTIFACT_VERSION = 3
 
-#: Versions :func:`read_artifact` accepts; older versions in this set are
-#: migrated by the object-level loaders.
-SUPPORTED_ARTIFACT_VERSIONS = (2, 3)
-
 MANIFEST_FILENAME = "manifest.json"
-#: Legacy array-file name, still read when a manifest lacks ``arrays_file``.
-ARRAYS_FILENAME = "arrays.npz"
 
 _PAYLOAD_PREFIX = "payload_"
 
@@ -174,8 +163,7 @@ def write_artifact(
         _fsync_dir(path)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    # Committed: drop arrays files of overwritten versions or torn writes
-    # (including the legacy fixed-name file).
+    # Committed: drop arrays files of overwritten versions or torn writes.
     for stale in path.glob("arrays*.npz"):
         if stale.name != arrays_name:
             try:
@@ -222,17 +210,11 @@ def read_artifact(
             f"{manifest_path} is not a {ARTIFACT_FORMAT} manifest "
             f"(format={manifest.get('format')!r})"
         )
-    if manifest.get("version") not in SUPPORTED_ARTIFACT_VERSIONS:
-        hint = ""
-        if manifest.get("version") == 1:
-            hint = (
-                "; version-1 snapshots predate tuple-lifecycle support "
-                "(delete/update) — re-create the snapshot with this version"
-            )
+    if manifest.get("version") != ARTIFACT_VERSION:
         raise ConfigurationError(
             f"artifact version mismatch in {manifest_path}: found "
-            f"{manifest.get('version')!r}, this library reads versions "
-            f"{SUPPORTED_ARTIFACT_VERSIONS}{hint}"
+            f"{manifest.get('version')!r}, this library reads version "
+            f"{ARTIFACT_VERSION} only; re-create the snapshot"
         )
     if expected_kind is not None and manifest.get("kind") != expected_kind:
         raise ConfigurationError(
@@ -240,7 +222,7 @@ def read_artifact(
             f"expected a {expected_kind!r}"
         )
 
-    arrays_name = manifest.get("arrays_file", ARRAYS_FILENAME)
+    arrays_name = manifest.get("arrays_file")
     if not isinstance(arrays_name, str) or Path(arrays_name).name != arrays_name:
         raise ConfigurationError(
             f"corrupted artifact manifest {manifest_path}: invalid "

@@ -8,8 +8,8 @@ counters, store size) are printed.
 
 Trace files written in the :mod:`repro.query` statement language are
 detected automatically (the first meaningful token is a statement
-keyword) and replayed through the query executor — the preferred
-lifecycle-trace format::
+keyword) and replayed through the query executor — the lifecycle-trace
+format, with deletes and updates::
 
     -- churn.sql
     APPEND VALUES (1.0, 2.0, 3.0), (1.5, ?, 2.9);
@@ -21,20 +21,6 @@ lifecycle-trace format::
 (``?`` marks a missing cell; incomplete appends park in the pending
 side-store until ``IMPUTE`` promotes them; ``SELECT`` imputes referenced
 missing cells on demand without mutating the store.)
-
-With ``--ops`` the CSV is the **deprecated** lifecycle format instead:
-each row names an operation plus its operands::
-
-    op,index,a,b,c
-    append,,1.0,2.0,3.0
-    impute,,1.5,,2.9
-    update,0,1.1,2.0,3.0
-    delete,0;2,,,
-
-(``index`` is empty for append/impute, a store index for update, and one or
-more ``;``-separated store indices for delete; ``delete`` rows may leave
-the value fields empty.)  Replaying one emits a single
-:class:`DeprecationWarning` pointing at the statement-trace format.
 
 Examples
 --------
@@ -48,50 +34,38 @@ Restore the snapshot and keep streaming::
 
 Replay a lifecycle trace with delete/update operations::
 
-    python -m repro replay churn.csv --ops --learning adaptive
+    python -m repro replay churn.sql --learning adaptive
 
 No file at hand? Generate a synthetic trace from a paper dataset::
 
     python -m repro replay --demo 600 --dataset sn --missing-fraction 0.1
-
-(The old ``python -m repro.online`` entry point still works as a
-deprecation shim forwarding here.)
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .. import config
 from ..data import load_dataset
-from ..data.io import _parse_cell, read_csv, write_csv
+from ..data.io import read_csv, write_csv
 from ..data.missing import inject_missing
 from ..data.relation import Relation
-from ..exceptions import DataError, ReproError
+from ..exceptions import ReproError
 from .engine import OnlineImputationEngine
 
 
-def _build_parser(prog: str = "python -m repro replay") -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=prog,
-        description="Replay a CSV relation as a streaming append/impute trace.",
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Give ``parser`` (the ``replay`` subcommand) the replay arguments."""
+    parser.add_argument(
+        "csv", nargs="?", help="CSV or statement trace to replay (see --demo)"
     )
-    parser.add_argument("csv", nargs="?", help="CSV trace to replay (see --demo)")
     parser.add_argument(
         "--no-header", action="store_true", help="the CSV file has no header row"
-    )
-    parser.add_argument(
-        "--ops", action="store_true",
-        help="(deprecated) the CSV is a lifecycle trace: op,index,values… "
-        "rows replayed as append/impute/update/delete operations; write "
-        "statement traces (APPEND/SELECT/UPDATE/DELETE/IMPUTE) instead",
     )
     parser.add_argument(
         "--demo", type=int, metavar="N",
@@ -129,7 +103,6 @@ def _build_parser(prog: str = "python -m repro replay") -> argparse.ArgumentPars
     parser.add_argument(
         "--output", metavar="CSV", help="write the imputed trace rows to a CSV file"
     )
-    return parser
 
 
 def _load_trace(args) -> Relation:
@@ -164,20 +137,12 @@ def _build_engine(args) -> OnlineImputationEngine:
     )
 
 
-OPS_DEPRECATION_MESSAGE = (
-    "the CSV --ops lifecycle format is deprecated; write the trace in the "
-    "query statement language instead (APPEND VALUES …; UPDATE i SET …; "
-    "DELETE …; IMPUTE; — 'python -m repro replay trace.sql' detects it "
-    "automatically)"
-)
-
-
 def _is_statement_trace(path: str) -> bool:
     """True when the file's first meaningful token is a statement keyword.
 
     Statement traces are plain text (``--`` comments allowed), so sniffing
     the first token cleanly separates them from CSV traces — a CSV header
-    or ``op,index,…`` row never starts with a bare statement keyword.
+    never starts with a bare statement keyword.
     """
     from ..query import STATEMENT_KEYWORDS
 
@@ -194,24 +159,15 @@ def _is_statement_trace(path: str) -> bool:
     return False
 
 
-def _main_statements(args) -> int:
+def _run_statements(args) -> int:
     """Replay a statement-language trace through the query executor."""
     from ..query import QueryResult, execute_script
 
-    try:
-        if args.ops:
-            raise ReproError(
-                "--ops expects the deprecated CSV lifecycle format; this "
-                "file is a statement trace — drop --ops"
-            )
-        text = Path(args.csv).read_text()
-        engine = _build_engine(args)
-        begin = time.perf_counter()
-        results = execute_script(engine, text)
-        total_seconds = time.perf_counter() - begin
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    text = Path(args.csv).read_text()
+    engine = _build_engine(args)
+    begin = time.perf_counter()
+    results = execute_script(engine, text)
+    total_seconds = time.perf_counter() - begin
 
     counts: dict = {}
     for position, result in enumerate(results, start=1):
@@ -253,167 +209,12 @@ def _main_statements(args) -> int:
     return 0
 
 
-_OPS = ("append", "impute", "update", "delete")
-
-
-def _parse_indices(field: str, lineno: int):
-    try:
-        return [int(token) for token in field.split(";") if token.strip()]
-    except ValueError:
-        raise DataError(
-            f"line {lineno}: store indices must be ;-separated integers, "
-            f"got {field!r}"
-        ) from None
-
-
-def _read_ops_trace(path: str, has_header: bool):
-    """Parse a lifecycle trace CSV into ``(op, indices, values)`` triples."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"CSV file not found: {path}")
-    with path.open("r", newline="") as handle:
-        rows = [
-            (lineno, row)
-            for lineno, row in enumerate(csv.reader(handle), start=1)
-            if row and any(cell.strip() for cell in row)
-        ]
-    if has_header:
-        rows = rows[1:]
-    if not rows:
-        raise DataError(f"lifecycle trace {path} has no operation rows")
-    operations = []
-    for lineno, row in rows:
-        op = row[0].strip().lower()
-        if op not in _OPS:
-            raise DataError(
-                f"line {lineno}: unknown operation {row[0]!r} "
-                f"(expected one of {_OPS})"
-            )
-        index_field = row[1].strip() if len(row) > 1 else ""
-        if op == "delete":
-            indices = _parse_indices(index_field, lineno) if index_field else []
-            if not indices:
-                raise DataError(f"line {lineno}: delete needs ;-separated indices")
-            operations.append((op, indices, None))
-            continue
-        try:
-            values = np.array([_parse_cell(cell) for cell in row[2:]], dtype=float)
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        if op == "update":
-            indices = _parse_indices(index_field, lineno) if index_field else []
-            if len(indices) != 1:
-                raise DataError(f"line {lineno}: update needs exactly one store index")
-            operations.append((op, indices, values))
-        else:
-            operations.append((op, None, values))
-    return operations
-
-
-def _replay_ops(engine: OnlineImputationEngine, operations, batch_size: int):
-    """Drive the engine through a lifecycle trace; returns imputed rows.
-
-    Adjacent appends (and adjacent imputes) are batched up to
-    ``batch_size`` so the replay exercises the same batched entry points a
-    deployment would.
-    """
-    counts = {op: 0 for op in _OPS}
-    imputed = []
-    total_seconds = 0.0
-    pending_op = None
-    pending_rows = []
-
-    def flush():
-        nonlocal pending_op, total_seconds
-        if not pending_rows:
-            return
-        block = np.vstack(pending_rows)
-        begin = time.perf_counter()
-        if pending_op == "append":
-            engine.append(block)
-        else:
-            imputed.extend(engine.impute_batch(block))
-        total_seconds += time.perf_counter() - begin
-        pending_rows.clear()
-        pending_op = None
-
-    for op, indices, values in operations:
-        counts[op] += 1
-        if op in ("append", "impute"):
-            if pending_op != op or len(pending_rows) >= batch_size:
-                flush()
-            pending_op = op
-            pending_rows.append(values)
-            continue
-        flush()
-        begin = time.perf_counter()
-        if op == "delete":
-            engine.delete(indices)
-        else:
-            engine.update(indices[0], values)
-        total_seconds += time.perf_counter() - begin
-    flush()
-    return counts, imputed, total_seconds
-
-
-def _main_ops(args) -> int:
-    try:
-        if not args.csv:
-            raise ReproError("--ops requires a CSV trace path")
-        operations = _read_ops_trace(args.csv, has_header=not args.no_header)
-        engine = _build_engine(args)
-        counts, imputed, total_seconds = _replay_ops(
-            engine, operations, args.batch_size
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    stats = engine.stats
-    print(
-        f"replayed {sum(counts.values())} operations "
-        f"({counts['append']} append, {counts['update']} update, "
-        f"{counts['delete']} delete, {counts['impute']} impute) "
-        f"in {total_seconds:.3f}s"
-    )
-    print(
-        f"store holds {engine.n_tuples} tuples; {stats['imputed_cells']} cells "
-        f"imputed; refreshes: {stats['incremental_refreshes']} incremental / "
-        f"{stats['full_refreshes']} full / {stats['hybrid_full_rebuilds']} hybrid "
-        f"rebuilds ({stats['rows_refreshed']} tuple models relearned)"
-    )
-    memory = engine.memory_stats()
-    print(
-        f"columnar store: {memory['n_shards']} shards × "
-        f"{memory['shard_capacity']} rows, {memory['store_bytes']} payload "
-        f"bytes; journal {memory['journal_entries']}/"
-        f"{memory['journal_capacity']} entries ({memory['journal_bytes']} "
-        f"bytes); {memory['recycled_slots']} slots recycled"
-    )
-    if args.output and imputed:
-        write_csv(
-            Relation(np.vstack(imputed), engine.schema), args.output
-        )
-        print(f"imputed rows written to {args.output}")
-    if args.snapshot:
-        path = engine.snapshot(args.snapshot)
-        print(f"engine snapshot written to {path}")
-    return 0
-
-
-def main(argv=None, prog: str = "python -m repro replay") -> int:
-    args = _build_parser(prog).parse_args(argv)
+def run(args) -> int:
+    """Replay the trace ``args`` names (``python -m repro replay``)."""
     if args.csv and args.demo is None and _is_statement_trace(args.csv):
-        return _main_statements(args)
-    if args.ops:
-        warnings.warn(OPS_DEPRECATION_MESSAGE, DeprecationWarning, stacklevel=2)
-        return _main_ops(args)
-    try:
-        trace = _load_trace(args)
-        engine = _build_engine(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _run_statements(args)
+    trace = _load_trace(args)
+    engine = _build_engine(args)
 
     values = trace.raw
     n_rows = values.shape[0]
@@ -464,7 +265,3 @@ def main(argv=None, prog: str = "python -m repro replay") -> int:
         path = engine.snapshot(args.snapshot)
         print(f"engine snapshot written to {path}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

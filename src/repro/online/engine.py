@@ -131,13 +131,6 @@ from .store import ColumnarTupleStore, MutationJournal, ShardedNeighbors
 
 __all__ = ["OnlineImputationEngine"]
 
-#: Cancellation guard of the delete cost-decrement path: when subtracting
-#: the retired pairs would leave a cost entry below this fraction of its
-#: previous value, rounding could be amplified past the engine's 1e-9
-#: equivalence bar, so the row falls back to the exact rebuild instead.
-DECREMENT_CANCELLATION_GUARD = 1e-6
-
-
 class _AttributeState:
     """Models + incremental maintenance state for one incomplete attribute.
 
@@ -176,12 +169,6 @@ class _AttributeState:
         # Fixed-learning state.
         self.parameters: Optional[np.ndarray] = None  # (n, p)
 
-        # Retired validation pairs accumulated during one replay for the
-        # delete cost-decrement path (reset at every sync).
-        self._retired_owners: List[np.ndarray] = []
-        self._retired_designs: List[np.ndarray] = []
-        self._retired_targets: List[np.ndarray] = []
-
     # ------------------------------------------------------------------ #
     @property
     def _imputer(self) -> IIMImputer:
@@ -190,14 +177,6 @@ class _AttributeState:
     def target_column(self) -> np.ndarray:
         """The state's target column, gathered from the store by slot."""
         return self.engine._store.column(self.target_index, self.cache.slots)
-
-    @property
-    def _decrement_active(self) -> bool:
-        return (
-            self.engine.delete_cost_mode == "decrement"
-            and self._adaptive
-            and self._k_val() > 0
-        )
 
     @property
     def _adaptive(self) -> bool:
@@ -252,9 +231,6 @@ class _AttributeState:
             raise NotFittedError("cannot sync a model state over an empty store")
         signature = self._signature(n)
         pending = engine._pending_ops(self.version)
-        self._retired_owners = []
-        self._retired_designs = []
-        self._retired_targets = []
         if pending is None or self.cache is None or not self._can_replay(
             pending, signature
         ):
@@ -276,9 +252,8 @@ class _AttributeState:
                             payload, dirty_models, dirty_costs
                         )
                     elif op == "delete":
-                        indices, retired_slots = payload
                         dirty_models, dirty_costs = self._track_delete(
-                            indices, retired_slots, dirty_models, dirty_costs
+                            payload, dirty_models, dirty_costs
                         )
                     else:
                         index, _, new_slot = payload
@@ -314,28 +289,31 @@ class _AttributeState:
         """Merge each run of adjacent appends, and each run of adjacent
         deletes, into one op.
 
-        A delete run becomes one delete in the index space before the run:
-        every later delete's indices are mapped back past the tuples the
-        run already removed, and the merged indices are kept sorted with
-        their retired slots aligned.  Update runs stay one op at a time.
+        A delete run becomes one delete, of sorted indices, in the index
+        space before the run: every later delete's indices are mapped back
+        past the tuples the run already removed.  A delete's retired slots
+        stay in its journal entry, which releases them.  Update runs stay
+        one op at a time.
         """
         out: List[Tuple[str, object]] = []
         for op, payload in pending:
             if out and op == out[-1][0] == "append":
                 out[-1] = ("append", np.concatenate([out[-1][1], payload]))
-            elif out and op == out[-1][0] == "delete":
-                removed, removed_slots = out[-1][1]
-                indices, slots = payload
-                # The i-th removed index (sorted) has removed[i] - i
-                # survivors below it; an index j of the later delete skips
-                # every removed tuple with at most j survivors below it.
-                indices = indices + np.searchsorted(
-                    removed - np.arange(removed.shape[0]), indices, side="right"
-                )
-                merged = np.concatenate([removed, indices])
-                order = np.argsort(merged, kind="stable")
-                slots = np.concatenate([removed_slots, slots])
-                out[-1] = ("delete", (merged[order], slots[order]))
+            elif op == "delete":
+                indices = payload[0]
+                if out and out[-1][0] == "delete":
+                    removed = out[-1][1]
+                    # The i-th removed index (sorted) has removed[i] - i
+                    # survivors below it; an index j of the later delete
+                    # skips every removed tuple with at most j survivors
+                    # below it.
+                    indices = indices + np.searchsorted(
+                        removed - np.arange(removed.shape[0]), indices,
+                        side="right",
+                    )
+                    out[-1] = ("delete", np.sort(np.concatenate([removed, indices])))
+                else:
+                    out.append(("delete", indices))
             else:
                 out.append((op, payload))
         return out
@@ -539,23 +517,11 @@ class _AttributeState:
     def _track_delete(
         self,
         indices: np.ndarray,
-        retired_slots: np.ndarray,
         dirty_models: np.ndarray,
         dirty_costs: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fold deleted tuples out of the cache/owner/dirty state."""
         old_owners = self.owners
-        decrement = self._decrement_active
-        if decrement:
-            # The retired validators' payloads (still readable by slot —
-            # the store retains them until the journal lets go) feed the
-            # cost decrement in phase 2.
-            deleted_designs = batched_design(
-                self.engine._store.rows(retired_slots, attrs=self.feature_indices)
-            )
-            deleted_targets = self.engine._store.column(
-                self.target_index, retired_slots
-            )
         result = self.cache.remove(indices)
         kept = result.kept_rows()
         index_map = result.index_map
@@ -584,20 +550,7 @@ class _AttributeState:
                 # ...and owners that lost a deleted validator's contribution.
                 removed_old = np.flatnonzero(index_map < 0)
                 lost = index_map[old_owners[removed_old]]
-                if decrement:
-                    # Earlier recorded pairs live in the pre-delete index
-                    # space; remap them (owners that died drop out).
-                    self._remap_retired_pairs(index_map)
-                    valid = lost.ravel() >= 0
-                    self._retired_owners.append(lost.ravel()[valid])
-                    self._retired_designs.append(
-                        np.repeat(deleted_designs, k_val, axis=0)[valid]
-                    )
-                    self._retired_targets.append(
-                        np.repeat(deleted_targets, k_val)[valid]
-                    )
-                else:
-                    shrunk_costs[lost[lost >= 0]] = True
+                shrunk_costs[lost[lost >= 0]] = True
                 self.owners = owners_new
             else:
                 self.owners = np.empty((n, 0), dtype=int)
@@ -697,11 +650,7 @@ class _AttributeState:
                 )
 
         with engine_phase("cost_rebuild"):
-            dirty_mask = dirty_costs | dirty_models
-            guard_rows = self._apply_cost_decrements(dirty_mask, n)
-            if guard_rows.size:
-                dirty_mask[guard_rows] = True
-            dirty_rows = np.flatnonzero(dirty_mask)
+            dirty_rows = np.flatnonzero(dirty_costs | dirty_models)
             designs = batched_design(features)
             self._rebuild_dirty_costs(
                 dirty_rows, self.owners, designs, target, k_val
@@ -710,77 +659,6 @@ class _AttributeState:
                 self.owners, designs, target, k_val, global_active, n
             )
         return int(model_rows.shape[0])
-
-    def _remap_retired_pairs(self, index_map: np.ndarray) -> None:
-        """Renumber recorded decrement pairs through a delete's index map."""
-        for position, owners in enumerate(self._retired_owners):
-            remapped = index_map[owners]
-            alive = remapped >= 0
-            self._retired_owners[position] = remapped[alive]
-            self._retired_designs[position] = self._retired_designs[position][alive]
-            self._retired_targets[position] = self._retired_targets[position][alive]
-
-    def _apply_cost_decrements(self, dirty_mask: np.ndarray, n: int) -> np.ndarray:
-        """Subtract retired validation pairs from pure-loss cost rows.
-
-        A row is *pure-loss* when the replay only removed validators from
-        it: its candidate models are unchanged (so the recorded residuals
-        are bit-identical to what the scatter kernel once added) and no
-        validator was gained, moved, or revalued (those rows carry
-        ``dirty_mask`` and take the exact rebuild).  Rows whose validator
-        count reaches zero are set to exactly ``0.0`` — every contribution
-        was retired, so the rebuild would produce the same bits.  Rows
-        where the subtraction would cancel catastrophically (result under
-        ``DECREMENT_CANCELLATION_GUARD`` of the previous value, or
-        negative) are returned for the rebuild fallback instead.
-        """
-        if not self._retired_owners:
-            return np.empty(0, dtype=int)
-        owners = np.concatenate(self._retired_owners)
-        designs = np.vstack(self._retired_designs)
-        targets = np.concatenate(self._retired_targets)
-        self._retired_owners = []
-        self._retired_designs = []
-        self._retired_targets = []
-        if owners.size == 0:
-            return np.empty(0, dtype=int)
-        eligible = ~dirty_mask[owners]
-        owners, designs, targets = (
-            owners[eligible], designs[eligible], targets[eligible]
-        )
-        if owners.size == 0:
-            return np.empty(0, dtype=int)
-
-        # The same einsum the scatter kernel used to add these pairs, so
-        # the subtracted residuals carry identical bits.
-        predictions = np.einsum(
-            "pc,lpc->pl", designs, self.all_parameters[:, owners, :]
-        )
-        errors = (targets[:, None] - predictions) ** 2
-        rows = np.unique(owners)
-        n_candidates = self.costs.shape[1]
-        decrements = np.empty((rows.shape[0], n_candidates))
-        for position in range(n_candidates):
-            decrements[:, position] = np.bincount(
-                owners, weights=errors[:, position], minlength=n
-            )[rows]
-        old_costs = self.costs[rows]
-        new_costs = old_costs - decrements
-
-        # Rows that lost every validator rebuild to exactly zero.
-        counts_new = np.bincount(self.owners.ravel(), minlength=n)[rows]
-        new_costs[counts_new == 0] = 0.0
-
-        unsafe = (new_costs < 0.0).any(axis=1) | (
-            (decrements > 0.0)
-            & (new_costs < DECREMENT_CANCELLATION_GUARD * old_costs)
-            & (counts_new[:, None] > 0)
-        ).any(axis=1)
-        safe = ~unsafe
-        self.costs[rows[safe]] = new_costs[safe]
-        self.engine.stats["delete_cost_decrements"] += int(safe.sum())
-        self.engine.stats["delete_cost_guard_rebuilds"] += int(unsafe.sum())
-        return rows[unsafe]
 
     def _select(self, n: int) -> None:
         """Re-run the per-tuple argmin of Algorithm 3 over the cost matrix."""
@@ -926,12 +804,6 @@ class OnlineImputationEngine:
         knob).  Entries hold store slot references only; overflowing
         entries spill, bounding journal memory, and states older than the
         spill floor full-rebuild instead of replaying.
-    delete_cost_mode:
-        ``"rebuild"`` (default knob) refreshes validation-cost rows
-        touched by a delete with the exact scatter rebuild;
-        ``"decrement"`` subtracts the retired validator pairs from rows
-        that only lost validators, guarded by a cancellation check that
-        falls back to the rebuild.
 
     Examples
     --------
@@ -952,7 +824,6 @@ class OnlineImputationEngine:
         incremental_fallback_fraction="default",
         shard_capacity="default",
         journal_capacity="default",
-        delete_cost_mode="default",
         **iim_params,
     ):
         if imputer is None:
@@ -973,7 +844,6 @@ class OnlineImputationEngine:
         )
         self.shard_capacity = config.resolve("shard_capacity", shard_capacity)
         self.journal_capacity = config.resolve("journal_capacity", journal_capacity)
-        self.delete_cost_mode = config.resolve("delete_cost_mode", delete_cost_mode)
 
         self._schema: Optional[Schema] = None
         self._store: Optional[ColumnarTupleStore] = None
@@ -1001,8 +871,6 @@ class OnlineImputationEngine:
             "cache_evictions": 0,
             "journal_spills": 0,
             "shards_touched": 0,
-            "delete_cost_decrements": 0,
-            "delete_cost_guard_rebuilds": 0,
             "read_cache_hits": 0,
             "read_cache_misses": 0,
         }
@@ -1088,8 +956,7 @@ class OnlineImputationEngine:
         cls, relation: Relation, *, model_cache_size="default",
         refresh_policy: Optional[str] = None,
         incremental_fallback_fraction="default",
-        shard_capacity="default", journal_capacity="default",
-        delete_cost_mode="default", **iim_params,
+        shard_capacity="default", journal_capacity="default", **iim_params,
     ) -> "OnlineImputationEngine":
         """Build an engine seeded with the complete part of ``relation``."""
         engine = cls(
@@ -1098,7 +965,6 @@ class OnlineImputationEngine:
             incremental_fallback_fraction=incremental_fallback_fraction,
             shard_capacity=shard_capacity,
             journal_capacity=journal_capacity,
-            delete_cost_mode=delete_cost_mode,
             **iim_params,
         )
         engine.append(relation.complete_part())
@@ -1588,7 +1454,6 @@ class OnlineImputationEngine:
                 "incremental_fallback_fraction": self.incremental_fallback_fraction,
                 "shard_capacity": self.shard_capacity,
                 "journal_capacity": self.journal_capacity,
-                "delete_cost_mode": self.delete_cost_mode,
             },
             "store": {
                 "shard_capacity": self.shard_capacity,
@@ -1625,10 +1490,9 @@ class OnlineImputationEngine:
     def load(cls, path: Union[str, Path]) -> "OnlineImputationEngine":
         """Restore an engine saved with :meth:`snapshot`.
 
-        Reads manifest version 3 natively and migrates version-2 engine
-        artifacts (which predate the sharded columnar store) by adopting
-        the process-default shard/journal knobs; corrupt shard metadata in
-        a version-3 manifest is rejected with a re-create hint.
+        Reads manifest version 3 (older versions are rejected by
+        :func:`~repro.online.artifacts.read_artifact`); corrupt shard
+        metadata is rejected with a re-create hint.
         """
         manifest, arrays = read_artifact(path, expected_kind="engine")
         imputer_info = manifest.get("imputer") or {}
@@ -1638,34 +1502,28 @@ class OnlineImputationEngine:
                 f"expected {IIMImputer.__name__!r}"
             )
         engine_info = manifest.get("engine") or {}
-        manifest_version = int(manifest.get("version", 0))
-        if manifest_version >= 3:
-            store_info = manifest.get("store")
-            if not isinstance(store_info, dict):
-                raise ConfigurationError(
-                    f"engine artifact at {path} is missing its store section "
-                    f"(corrupt shard metadata); re-create the snapshot"
-                )
-            shard_capacity = store_info.get("shard_capacity")
-            if (
-                isinstance(shard_capacity, bool)
-                or not isinstance(shard_capacity, int)
-                or shard_capacity <= 0
-            ):
-                raise ConfigurationError(
-                    f"engine artifact at {path} carries corrupt shard metadata "
-                    f"(shard_capacity={shard_capacity!r}); re-create the snapshot"
-                )
-            if int(store_info.get("n_rows", -1)) != int(manifest.get("n_rows", 0)):
-                raise ConfigurationError(
-                    f"engine artifact at {path} carries corrupt shard metadata "
-                    f"(store rows disagree with the manifest); re-create the "
-                    f"snapshot"
-                )
-        else:
-            # v2 migration: pre-sharding snapshots carry no store section;
-            # adopt the process-default knobs for the rebuilt store.
-            shard_capacity = engine_info.get("shard_capacity", "default")
+        store_info = manifest.get("store")
+        if not isinstance(store_info, dict):
+            raise ConfigurationError(
+                f"engine artifact at {path} is missing its store section "
+                f"(corrupt shard metadata); re-create the snapshot"
+            )
+        shard_capacity = store_info.get("shard_capacity")
+        if (
+            isinstance(shard_capacity, bool)
+            or not isinstance(shard_capacity, int)
+            or shard_capacity <= 0
+        ):
+            raise ConfigurationError(
+                f"engine artifact at {path} carries corrupt shard metadata "
+                f"(shard_capacity={shard_capacity!r}); re-create the snapshot"
+            )
+        if int(store_info.get("n_rows", -1)) != int(manifest.get("n_rows", 0)):
+            raise ConfigurationError(
+                f"engine artifact at {path} carries corrupt shard metadata "
+                f"(store rows disagree with the manifest); re-create the "
+                f"snapshot"
+            )
         engine = cls(
             IIMImputer(**(imputer_info.get("params") or {})),
             model_cache_size=engine_info.get("model_cache_size"),
@@ -1675,7 +1533,6 @@ class OnlineImputationEngine:
             ),
             shard_capacity=shard_capacity,
             journal_capacity=engine_info.get("journal_capacity", "default"),
-            delete_cost_mode=engine_info.get("delete_cost_mode", "default"),
         )
         schema = manifest.get("schema") or []
         store = arrays["store"]

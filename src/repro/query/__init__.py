@@ -11,12 +11,12 @@ provenance (method, neighbours, per-neighbour ℓ, combiner weights,
 confidence, trace id) surfaced by ``EXPLAIN`` and the serve loop's
 ``provenance`` wire field.
 
-The same statement grammar doubles as the trace format replacing the
-legacy CSV ``--ops`` lifecycle files: ``APPEND`` (rows may carry ``?``
-missing markers), ``UPDATE``, ``DELETE`` and ``IMPUTE`` (promote the
-pending incomplete tuples into the store) ride alongside queries in one
-script, driven by :func:`execute_script`, the replay CLI, the scenario
-replayer, and the interactive REPL (``python -m repro repl``).
+The same statement grammar doubles as the lifecycle trace format:
+``APPEND`` (rows may carry ``?`` missing markers), ``UPDATE``, ``DELETE``
+and ``IMPUTE`` (promote the pending incomplete tuples into the store)
+ride alongside queries in one script, driven by :func:`execute_script`,
+the replay CLI, the scenario replayer, and the interactive REPL
+(``python -m repro repl``).
 """
 
 from __future__ import annotations

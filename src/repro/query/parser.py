@@ -59,7 +59,7 @@ __all__ = ["parse_statement", "parse_script", "COMPARATORS", "STATEMENT_KEYWORDS
 COMPARATORS = ("=", "!=", "<>", "<", "<=", ">", ">=")
 
 #: Keywords that may open a statement — the trace-format sniffer of the
-#: replay CLI uses this set to tell a statement trace from legacy CSV.
+#: replay CLI uses this set to tell a statement trace from a CSV trace.
 STATEMENT_KEYWORDS = frozenset(
     {"SELECT", "EXPLAIN", "APPEND", "UPDATE", "DELETE", "IMPUTE"}
 )

@@ -180,7 +180,8 @@ class TestTokenAuth:
         server.close_sessions()
 
     def test_coalesced_imputes_carry_the_members_token(self, values):
-        """The synthetic micro-batch must pass the handler's auth re-check."""
+        """Coalesced imputes under auth answer: every member was admitted
+        when it was enqueued, so the synthetic micro-batch needs no token."""
         server = SessionServer(auth_token="sesame", workers=1,
                                microbatch_max_rows=8)
         ok(server, cmd="create", session="s", config=IIM_CONFIG,
@@ -202,6 +203,24 @@ class TestTokenAuth:
             assert server.submit_line(line, respond)
         assert arrived.wait(timeout=10)
         assert all(r["ok"] for r in responses), responses
+        server.close_sessions()
+
+    def test_both_entry_points_authenticate_before_the_version_check(self):
+        """A line earns the same answer through handle_line and submit_line:
+        the shared envelope checks the token before anything else."""
+        server = SessionServer(auth_token="sesame")
+
+        def submitted(line):
+            answered = []
+            assert server.submit_line(line, answered.append)
+            return answered[0]
+
+        for entry in (server.handle_line, submitted):
+            error = entry('{"v": 2, "cmd": "ping"}')["error"]
+            assert error["code"] == "auth", entry
+            error = entry('{"v": 2, "cmd": "ping", "token": "sesame"}')["error"]
+            assert error["code"] == "protocol", entry
+            assert "version 2" in error["message"], entry
         server.close_sessions()
 
     def test_submit_line_rejects_before_enqueueing(self):

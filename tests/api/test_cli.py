@@ -1,8 +1,7 @@
-"""Tests for the consolidated CLI and the deprecated entry-point shim."""
+"""Tests for the consolidated CLI (``python -m repro``)."""
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro import config
@@ -135,90 +134,6 @@ class TestStatementTraceReplay:
             if issubclass(entry.category, DeprecationWarning)
         ]
 
-    def test_ops_flag_rejects_a_statement_trace(self, tmp_path, capsys):
-        trace = tmp_path / "trace.sql"
-        trace.write_text("IMPUTE;\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            code = repro_main(["replay", str(trace), "--ops"] + MODEL_ARGS)
-        assert code == 2
-        assert "statement" in capsys.readouterr().err
-
-
-class TestDeprecatedOpsFormat:
-    @pytest.fixture
-    def ops_csv(self, tmp_path):
-        path = tmp_path / "ops.csv"
-        path.write_text(
-            "op,index,a,b\n"
-            "append,,1.0,2.0\n"
-            "append,,1.1,2.1\n"
-            "append,,0.9,1.9\n"
-            "append,,1.2,2.2\n"
-            "impute,,1.5,\n"
-            "update,0,1.01,2.0\n"
-            "delete,1,,\n"
-        )
-        return path
-
-    def test_ops_replay_warns_exactly_once_and_still_works(
-        self, ops_csv, capsys
-    ):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = repro_main(["replay", str(ops_csv), "--ops"] + MODEL_ARGS)
-        assert code == 0
-        assert "store holds" in capsys.readouterr().out
-        deprecations = [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "deprecated" in message
-        assert "query statement language" in message
-
-
-class TestDeprecatedOnlineEntryPoint:
-    def test_shim_warns_exactly_once_and_still_works(self, capsys):
-        from repro.online.__main__ import main as deprecated_main
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = deprecated_main([
-                "--demo", "40", "--dataset", "sn", "--k", "3",
-                "--learning", "fixed", "--learning-neighbors", "3",
-            ])
-        assert code == 0
-        assert "store holds" in capsys.readouterr().out
-        deprecations = [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "python -m repro replay" in str(deprecations[0].message)
-
-    def test_shim_produces_identical_results(self, tmp_path, capsys):
-        """The shim and the new subcommand replay a trace identically."""
-        from repro.online.__main__ import main as deprecated_main
-
-        relation = load_dataset("sn", size=60)
-        injection = inject_missing(relation, fraction=0.1, random_state=3)
-        trace = tmp_path / "trace.csv"
-        write_csv(injection.dirty, trace)
-        args = [
-            str(trace), "--k", "3", "--learning", "fixed",
-            "--learning-neighbors", "3",
-        ]
-        old_out = tmp_path / "old.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert deprecated_main(args + ["--output", str(old_out)]) == 0
-        new_out = tmp_path / "new.csv"
-        assert repro_main(["replay"] + args + ["--output", str(new_out)]) == 0
-        capsys.readouterr()
-        np.testing.assert_array_equal(read_csv(old_out).raw, read_csv(new_out).raw)
-
 
 class TestRecoverSubcommand:
     @pytest.fixture
@@ -294,7 +209,6 @@ FLAG_VALUES = {
     "incremental_fallback_fraction": ("0.5", 0.5),
     "shard_capacity": ("64", 64),
     "journal_capacity": ("32", 32),
-    "delete_cost_mode": ("decrement", "decrement"),
 }
 
 

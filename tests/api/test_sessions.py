@@ -89,7 +89,7 @@ class TestBatchSessionEquivalence:
         stats = session.stats()
         assert stats["kind"] == "batch"
         assert stats["counters"]["fits"] == 1
-        assert stats["counters"]["impute_requests"] == 1
+        assert stats["counters"]["impute_batches"] == 1
         assert stats["counters"]["imputed_cells"] == injection.dirty.n_missing_cells
 
     def test_rejects_unknown_method_and_override(self):

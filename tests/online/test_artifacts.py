@@ -152,39 +152,6 @@ def test_manifest_v3_carries_store_metadata(tmp_path):
     assert restored.store.n_shards == engine.store.n_shards
 
 
-def test_version2_snapshot_migrates_to_sharded_store(tmp_path):
-    """Pre-sharding (v2) engine artifacts load by adopting default knobs."""
-    values = load_dataset("ccpp", size=160).raw
-    engine = OnlineImputationEngine(
-        k=4, learning="adaptive", stepping=3, max_learning_neighbors=15
-    )
-    engine.append(values[:120])
-    queries = values[120:130].copy()
-    queries[:, 1] = np.nan
-    warm = engine.impute_batch(queries)
-    path = engine.snapshot(tmp_path / "engine")
-
-    # Rewrite the manifest the way a v2 snapshot looked: version 2, no
-    # store section, no sharding knobs in the engine section.
-    manifest = json.loads((path / MANIFEST_FILENAME).read_text())
-    manifest["version"] = 2
-    del manifest["store"]
-    for key in ("shard_capacity", "journal_capacity", "delete_cost_mode"):
-        del manifest["engine"][key]
-    (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
-
-    restored = OnlineImputationEngine.load(path)
-    np.testing.assert_array_equal(warm, restored.impute_batch(queries))
-    # The migrated engine keeps streaming through the full lifecycle.
-    engine.delete([3, 40])
-    restored.delete([3, 40])
-    engine.append(values[130:140])
-    restored.append(values[130:140])
-    np.testing.assert_array_equal(
-        engine.impute_batch(queries), restored.impute_batch(queries)
-    )
-
-
 @pytest.mark.parametrize(
     "corruption",
     [
@@ -209,16 +176,20 @@ def test_corrupt_shard_metadata_rejected_with_recreate_hint(tmp_path, corruption
 
 
 def test_version1_snapshot_rejected_with_hint(tmp_path):
-    """Pre-lifecycle snapshots fail loudly instead of restoring garbage."""
+    """Older snapshots (pre-lifecycle v1, pre-sharding v2) fail loudly
+    instead of restoring garbage."""
     values = load_dataset("ccpp", size=120).raw
     engine = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=4)
     engine.append(values[:80])
     path = engine.snapshot(tmp_path / "engine")
     manifest = json.loads((path / MANIFEST_FILENAME).read_text())
-    manifest["version"] = 1
-    (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
-    with pytest.raises(ConfigurationError, match="tuple-lifecycle"):
-        OnlineImputationEngine.load(path)
+    for version in (1, 2):
+        manifest["version"] = version
+        (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
+        with pytest.raises(
+            ConfigurationError, match=f"found {version}.*re-create the snapshot"
+        ):
+            OnlineImputationEngine.load(path)
 
 
 def test_corrupted_manifest_raises(tmp_path):
@@ -262,17 +233,6 @@ def test_missing_files_raise(tmp_path):
     _arrays_path(path).unlink()
     with pytest.raises(ConfigurationError, match="array file not found"):
         read_artifact(path)
-
-
-def test_legacy_fixed_arrays_name_still_reads(tmp_path):
-    """Artifacts written before unique array names keep loading."""
-    path = write_artifact(tmp_path / "a", "imputer", {}, {"x": np.arange(3.0)})
-    manifest = json.loads((path / MANIFEST_FILENAME).read_text())
-    _arrays_path(path).rename(path / "arrays.npz")
-    del manifest["arrays_file"]
-    (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
-    _, arrays = read_artifact(path)
-    np.testing.assert_array_equal(arrays["x"], np.arange(3.0))
 
 
 def test_torn_arrays_file_rejected_with_recreate_hint(tmp_path):

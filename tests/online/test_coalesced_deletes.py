@@ -4,10 +4,9 @@ A lazy engine replays each run of adjacent deletes as a single delete in
 the index space before the run, so every resident attribute state repairs
 its neighbour orderings once per run instead of once per delete.  Later
 deletes in a run name indices in the store as it stood *after* the earlier
-ones; the merge must map them back to the same survivors, keep the merged
-indices sorted and keep their retired slots aligned — and the imputations
-must still equal a cold refit over the surviving tuples, under both
-delete cost modes.
+ones; the merge must map them back to the same survivors and keep the
+merged indices sorted — and the imputations must still equal a cold refit
+over the surviving tuples.
 """
 
 import numpy as np
@@ -66,18 +65,16 @@ def _delete_update_delete(pool):
     ]
 
 
-@pytest.mark.parametrize("mode", ["rebuild", "decrement"])
 @pytest.mark.parametrize(
     "build_ops, repairs_per_state",
     [(_delete_run, 1), (_delete_update_delete, 2)],
     ids=["delete_run", "delete_update_delete"],
 )
 def test_delete_runs_match_cold_refit(
-    pool, monkeypatch, mode, build_ops, repairs_per_state
+    pool, monkeypatch, build_ops, repairs_per_state
 ):
     session = OnlineSession(
-        refresh_policy="lazy", delete_cost_mode=mode, model_cache_size=None,
-        **PARAMS,
+        refresh_policy="lazy", model_cache_size=None, **PARAMS,
     )
     session.mutate([MutationOp.append(pool[:N])])
     queries = _queries(pool)
@@ -118,10 +115,9 @@ def _journal_entries(n, deletes):
 
 def test_coalesced_run_removes_the_same_survivors():
     entries, survivors = _journal_entries(N, [[5], [5], [0], [N - 4]])
-    (op, (indices, slots)), = _AttributeState._coalesced(entries)
+    (op, indices), = _AttributeState._coalesced(entries)
     assert op == "delete"
     np.testing.assert_array_equal(indices, [0, 5, 6, N - 1])
-    np.testing.assert_array_equal(slots, indices)
     np.testing.assert_array_equal(np.delete(np.arange(N), indices), survivors)
 
 
@@ -137,9 +133,8 @@ def test_coalesced_random_runs_match_one_at_a_time():
             deletes.append(indices)
             remaining -= indices.size
         entries, survivors = _journal_entries(n, deletes)
-        (op, (indices, slots)), = _AttributeState._coalesced(entries)
+        (op, indices), = _AttributeState._coalesced(entries)
         assert op == "delete" and (np.diff(indices) > 0).all()
-        np.testing.assert_array_equal(slots, indices)  # aligned, sorted
         np.testing.assert_array_equal(np.delete(np.arange(n), indices), survivors)
 
 

@@ -299,52 +299,40 @@ def test_duplicate_delete_indices_collapse(stream_values):
     assert engine.stats["deleted_rows"] == 2
 
 
-def test_ops_trace_cli_roundtrip(tmp_path, stream_values):
-    """The --ops CSV replay drives the full lifecycle end to end."""
-    import csv
-
-    from repro.online.cli import main
+def test_statement_trace_cli_roundtrip(tmp_path, stream_values):
+    """A statement-trace replay drives the full lifecycle end to end."""
+    from repro.__main__ import main
 
     values = stream_values
-    width = values.shape[1]
-    trace = tmp_path / "churn.csv"
-    with trace.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["op", "index"] + [f"a{i}" for i in range(width)])
-        for row in values[:40]:
-            writer.writerow(["append", ""] + [f"{v:.8f}" for v in row])
-        writer.writerow(["update", "3"] + [f"{v:.8f}" for v in values[50]])
-        writer.writerow(["delete", "0;5"] + [""] * width)
-        query = [f"{v:.8f}" for v in values[60]]
-        query[1] = ""
-        writer.writerow(["impute", ""] + query)
-    out = tmp_path / "imputed.csv"
+
+    def cells(row):
+        return ", ".join(repr(float(v)) for v in row)
+
+    assignments = ", ".join(
+        f"A{j + 1} = {float(v)!r}" for j, v in enumerate(values[50])
+    )
+    trace = tmp_path / "churn.sql"
+    trace.write_text(
+        "".join(f"APPEND VALUES ({cells(row)});\n" for row in values[:40])
+        + f"UPDATE 3 SET {assignments};\n"
+        + "DELETE 0, 5;\n"
+    )
     snap = tmp_path / "snap"
     code = main([
-        str(trace), "--ops", "--learning", "fixed", "--learning-neighbors", "4",
-        "--k", "3", "--output", str(out), "--snapshot", str(snap),
+        "replay", str(trace), "--learning", "fixed",
+        "--learning-neighbors", "4", "--k", "3", "--snapshot", str(snap),
     ])
     assert code == 0
-    assert out.exists() and snap.exists()
-    # The CLI's imputed value equals a cold refit over the surviving store.
+    engine = OnlineImputationEngine.load(snap)
     store = np.delete(values[:40].copy(), [0, 5], axis=0)
     store[2] = values[50]  # index 3 updated, then rows 0 and 5 removed
+    np.testing.assert_array_equal(engine.store_relation().raw, store)
+    # The replayed engine imputes what a cold refit over the survivors does.
     query_row = values[60].copy()
     query_row[1] = np.nan
     cold = _cold_impute(
         store, query_row[None, :], k=3, learning="fixed", learning_neighbors=4
     )
-    from repro.data.io import read_csv
-
-    written = read_csv(out)
-    np.testing.assert_allclose(written.raw, cold, rtol=1e-9, atol=1e-12)
-
-
-def test_ops_trace_cli_rejects_bad_traces(tmp_path):
-    from repro.online.cli import main
-
-    trace = tmp_path / "bad.csv"
-    trace.write_text("op,index,a,b\nfrobnicate,,1.0,2.0\n")
-    assert main([str(trace), "--ops", "--k", "3"]) == 2
-    trace.write_text("op,index,a,b\ndelete,,1.0,2.0\n")
-    assert main([str(trace), "--ops", "--k", "3"]) == 2
+    np.testing.assert_allclose(
+        engine.impute_batch(query_row[None, :]), cold, rtol=1e-9, atol=1e-12
+    )

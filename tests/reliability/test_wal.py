@@ -278,3 +278,57 @@ class TestDurableSessions:
         recovered.mutate([MutationOp.append(values[40:42])])
         recovered.close()
         assert read_wal(tmp_path / "wal").last_seq == 2
+
+    def test_log_naming_a_removed_engine_knob_still_recovers(self, tmp_path):
+        """A log whose open record carries an engine knob this build no
+        longer has (``delete_cost_mode``, in the config shape sessions
+        logged before its removal) recovers without a checkpoint to a cold
+        refit over the surviving rows; a ``create`` naming that knob is
+        still refused."""
+        import json
+
+        from repro import IIMImputer
+        from repro.api import SessionServer, recover_session
+        from repro.data.relation import Relation
+
+        values = load_dataset("sn", size=80).raw
+        session = OnlineSession(
+            k=3, learning="adaptive", stepping=2, max_learning_neighbors=8
+        )
+        logged = session.config_wire()
+        logged["engine"]["delete_cost_mode"] = "decrement"
+        wal = WriteAheadLog(tmp_path / "wal", config=logged)
+        wal.log_op(MutationOp.append(values[:40]).to_wire())
+        wal.log_op(MutationOp.update(3, values[50]).to_wire())
+        wal.log_op(MutationOp.delete([0, 5]).to_wire())
+        wal.commit()
+        wal.close()
+
+        recovered, report = recover_session(tmp_path / "wal", reattach=False)
+        assert report["replayed_ops"] == 3 and report["checkpoint"] is None
+        survivors = values[:40].copy()
+        survivors[3] = values[50]
+        survivors = np.delete(survivors, [0, 5], axis=0)
+        np.testing.assert_array_equal(
+            recovered.engine.store_relation().raw, survivors
+        )
+        queries = values[60:70].copy()
+        queries[np.arange(10), np.arange(10) % values.shape[1]] = np.nan
+        cold = IIMImputer(**logged["params"]).fit(Relation(survivors))
+        np.testing.assert_allclose(
+            recovered.impute(queries),
+            cold.impute(Relation(queries)).raw,
+            rtol=1e-9, atol=0,
+        )
+
+        server = SessionServer()
+        response = server.handle_line(json.dumps({
+            "v": 1, "cmd": "create", "session": "s",
+            "config": {"method": "IIM", "mode": "online",
+                       "engine": {"delete_cost_mode": "rebuild"}},
+        }))
+        assert response["error"]["code"] == "configuration"
+        assert "unknown engine knobs ['delete_cost_mode']" in (
+            response["error"]["message"]
+        )
+        server.close_sessions()

@@ -82,8 +82,7 @@ def legacy_churn(values, seed, updates=2, deletes=3, noise=0.05):
     column_stds = values.std(axis=0)
     column_stds[column_stds == 0] = 1.0
     session = OnlineSession(
-        **ENGINE, incremental_fallback_fraction="default",
-        delete_cost_mode="default", **IIM,
+        **ENGINE, incremental_fallback_fraction="default", **IIM,
     )
     store = values[:initial].copy()
     session.fit(store)

@@ -23,7 +23,6 @@ SPELLINGS = {
     "incremental_fallback_fraction": ("none", None),
     "shard_capacity": ("64", 64),
     "journal_capacity": ("32", 32),
-    "delete_cost_mode": ("DECREMENT", "decrement"),
     "wal_sync": ("off", "off"),
     "max_request_bytes": ("unbounded", None),
     "deadline_seconds": ("2.5", 2.5),
