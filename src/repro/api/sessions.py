@@ -258,10 +258,9 @@ class OnlineSession(ImputationSession):
         Wrap an existing :class:`~repro.online.OnlineImputationEngine`.
     kwargs:
         Otherwise, engine knobs (``model_cache_size``, ``refresh_policy``,
-        ``incremental_fallback_fraction``, ``shard_capacity``,
-        ``journal_capacity``) and :class:`~repro.core.iim.IIMImputer`
-        constructor arguments, exactly as the engine constructor takes
-        them.
+        ``shard_capacity``, ``journal_capacity``) and
+        :class:`~repro.core.iim.IIMImputer` constructor arguments, exactly
+        as the engine constructor takes them.
 
     Notes
     -----
@@ -401,9 +400,6 @@ class OnlineSession(ImputationSession):
             "engine": {
                 "model_cache_size": engine.model_cache_size,
                 "refresh_policy": engine.refresh_policy,
-                "incremental_fallback_fraction": (
-                    engine.incremental_fallback_fraction
-                ),
                 "shard_capacity": engine.shard_capacity,
                 "journal_capacity": engine.journal_capacity,
             },

@@ -4,10 +4,9 @@ Every knob of the library is one :class:`Knob` row of :data:`KNOBS` —
 its name, environment variable, default, parser, one-line doc, and whether
 ``None`` is one of its values (an unbounded cache, no deadline).  The rows
 cover the IIM kernel backend, the online engine (model cache, refresh
-policy, hybrid fallback, store shards, mutation journal), the write-ahead
-log, the serve loop (deadline, request bounds, worker pool,
-micro-batching, admission quotas), observability, query provenance and
-scenario replay.
+policy, store shards, mutation journal), the write-ahead log, the serve
+loop (deadline, request bounds, worker pool, micro-batching, admission
+quotas), observability, query provenance and scenario replay.
 
 A knob's value resolves, in decreasing priority, from
 
@@ -144,14 +143,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "engine refresh policy: lazy folds mutations into a model state at "
          "its next impute, eager at every mutation",
          flag="--refresh"),
-    # Below the threshold the batched subset relearn still skips enough rows
-    # to win; above it one vectorized rebuild caps the per-sync bookkeeping
-    # at the cold-relearn cost.
-    Knob("incremental_fallback_fraction", "REPRO_ONLINE_FALLBACK_FRACTION", 0.9,
-         _fraction,
-         "fraction of a state's tuples one mutation batch may dirty before "
-         "the engine rebuilds the state whole (none = always incremental)",
-         nullable=True, flag="--fallback-fraction"),
     Knob("shard_capacity", "REPRO_ONLINE_SHARD_CAPACITY", 4096, _count,
          "rows per shard of the engine's columnar tuple store",
          flag="--shard-capacity"),
@@ -228,7 +219,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
 ENGINE_KNOBS = (
     "model_cache_size",
     "refresh_policy",
-    "incremental_fallback_fraction",
     "shard_capacity",
     "journal_capacity",
 )

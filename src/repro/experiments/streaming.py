@@ -9,8 +9,7 @@ engine the way a production deployment would see data:
 * :func:`run_churn` — the full tuple lifecycle: every round interleaves
   appends, in-place corrections (:meth:`~repro.online.OnlineImputationEngine.update`)
   and retractions (:meth:`~repro.online.OnlineImputationEngine.delete`)
-  before the imputation queries, the workload the hybrid relearn policy is
-  designed for.
+  before the imputation queries.
 
 Each round is measured twice:
 
@@ -44,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .. import config
 from ..data import load_dataset
 from .settings import ScaleProfile, get_profile
 
@@ -309,7 +307,6 @@ class ChurnResult:
     learning: str
     initial_store: int
     query_mode: str
-    fallback_fraction: Optional[float]
     rounds: List[ChurnRound] = field(default_factory=list)
     engine_stats: Dict[str, int] = field(default_factory=dict)
     engine_memory: Dict[str, int] = field(default_factory=dict)
@@ -341,7 +338,6 @@ class ChurnResult:
             "learning": self.learning,
             "initial_store": self.initial_store,
             "query_mode": self.query_mode,
-            "fallback_fraction": self.fallback_fraction,
             "online_seconds": self.online_seconds,
             "cold_seconds": self.cold_seconds,
             "speedup": self.speedup,
@@ -382,7 +378,6 @@ def run_churn(
     update_noise: float = 0.05,
     refresh_policy: str = "lazy",
     model_cache_size: Optional[int] = None,
-    fallback_fraction="default",
     shard_capacity="default",
     journal_capacity="default",
     random_state: int = 0,
@@ -396,12 +391,10 @@ def run_churn(
     ``update_noise`` column standard deviations — a late-arriving fix),
     retracts ``deletes_per_round`` random tuples, then imputes
     ``queries_per_round`` incomplete tuples.  The online side replays the
-    mutations through :class:`~repro.online.OnlineImputationEngine`
-    (``fallback_fraction`` selects the hybrid relearn threshold; ``None``
-    keeps it always-incremental), the cold side refits a fresh
-    :class:`IIMImputer` over the surviving store each round.  Identical
-    random state ⇒ identical traces, so two churn runs with different
-    engine knobs are directly comparable.
+    mutations through :class:`~repro.online.OnlineImputationEngine`, the
+    cold side refits a fresh :class:`IIMImputer` over the surviving store
+    each round.  Identical random state ⇒ identical traces, so two churn
+    runs with different engine knobs are directly comparable.
     """
     profile = profile or get_profile()
     resolved_size = size or profile.dataset_sizes.get(dataset)
@@ -448,7 +441,6 @@ def run_churn(
         engine={
             "refresh_policy": refresh_policy,
             "model_cache_size": model_cache_size,
-            "incremental_fallback_fraction": fallback_fraction,
             "shard_capacity": shard_capacity,
             "journal_capacity": journal_capacity,
         },
@@ -464,9 +456,6 @@ def run_churn(
         learning=learning,
         initial_store=initial,
         query_mode=query_mode,
-        fallback_fraction=config.resolve(
-            "incremental_fallback_fraction", fallback_fraction
-        ),
     )
     for step in report.steps:
         result.rounds.append(

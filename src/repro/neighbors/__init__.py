@@ -1,4 +1,5 @@
-"""Nearest-neighbour search substrate (Formula 1 distance, brute force, KD-tree)."""
+"""Nearest-neighbour search substrate (Formula 1 distance, brute force,
+cached neighbour orderings)."""
 
 from .brute import BruteForceNeighbors
 from .distance import (
@@ -11,18 +12,14 @@ from .distance import (
     pairwise_distances,
 )
 from .index import (
-    NeighborIndex,
     NeighborOrderCache,
     OrderAppendResult,
     OrderRemoveResult,
     OrderReplaceResult,
 )
-from .kdtree import KDTreeNeighbors
 
 __all__ = [
     "BruteForceNeighbors",
-    "KDTreeNeighbors",
-    "NeighborIndex",
     "NeighborOrderCache",
     "OrderAppendResult",
     "OrderRemoveResult",

@@ -1,9 +1,8 @@
 """Brute-force k-nearest-neighbour search.
 
 This is the reference implementation of ``NN(t, F, k)`` from the paper: an
-exhaustive scan under the configured metric.  It is exact, supports every
-metric, and is the backend the more elaborate KD-tree index is validated
-against in the test suite.
+exhaustive scan under the configured metric.  It is exact and supports
+every metric.
 
 Two kernel implementations are provided (see :mod:`repro.config`):
 

@@ -1,8 +1,4 @@
-"""Facade over the neighbour-search backends plus a cached neighbour ordering.
-
-:class:`NeighborIndex` gives the rest of the library a single entry point:
-pick a backend (``"brute"`` or ``"kdtree"``), fit it on the complete
-relation's ``F`` columns, and query ``NN(t, F, k)``.
+"""Cached neighbour orderings with exact incremental repair.
 
 :class:`NeighborOrderCache` materialises, for each indexed tuple on demand,
 the ordering of the other tuples by distance.  Adaptive learning
@@ -17,23 +13,22 @@ orderings at once as a dense ``(n, max_length)`` matrix, computed block-wise
 from pairwise-distance chunks with one stable selection per row — the
 entry point the vectorized learning kernels build on.
 
-The lifecycle methods :meth:`~NeighborOrderCache.append`,
-:meth:`~NeighborOrderCache.remove` and :meth:`~NeighborOrderCache.replace`
-repair the cached orderings *incrementally* (see the last paragraph) and
-report, per tuple, the first ordering position that changed — the signal
-the online engine uses to invalidate only the affected per-tuple models.
-The repaired orderings are exactly those a cold rebuild over the mutated
-data would produce (same distance values, same index tie-breaks).
-
-:class:`NeighborOrderCache` can be backed either by a private data matrix
-(the standalone/batch mode) or — for the online engine — by a *store
-feature view* (:class:`repro.online.store.StoreFeatureView`): an object
-carrying slot references into the shared columnar tuple store instead of a
-``(n, m)`` float copy.  In store-backed mode the lifecycle methods take
-slot references (``append(slots=...)`` / ``replace(index, slot=...)``),
-and pairwise distances are computed per shard over rows the view gathers
-from the store once and keeps — bit-identical to the matrix mode, with the
-store the only owner of tuple payloads.
+A cache is backed either by a data matrix or by a *store feature view*
+(:class:`repro.online.store.StoreFeatureView`): slot references into the
+shared columnar tuple store instead of a ``(n, m)`` float copy, with
+pairwise distances computed per shard over rows the view gathers from the
+store once and keeps — bit-identical to the matrix, with the store the
+only owner of tuple payloads.  A matrix-backed cache is read-only: it is
+what the cold :class:`~repro.core.iim.IIMImputer` builds and reads.  Only
+a store-backed cache — the online engine's — is mutable.  Its lifecycle
+methods take store positions and slots (:meth:`~NeighborOrderCache.append`
+``(slots)``, :meth:`~NeighborOrderCache.remove` ``(indices)``,
+:meth:`~NeighborOrderCache.replace` ``(index, slot)``), repair the cached
+orderings *incrementally* and report, per tuple, the first ordering
+position that changed — the signal the online engine uses to invalidate
+only the affected per-tuple models.  The repaired orderings are exactly
+those a cold rebuild over the mutated store would produce (same distance
+values, same index tie-breaks).
 
 Each repair sorts, merges and re-fills only the rows whose ordering the
 mutation can change; every other row costs one vectorised scan or gather
@@ -60,78 +55,22 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .._validation import as_float_matrix, check_positive_int
-from ..exceptions import ConfigurationError, DataError, NotFittedError
-from .brute import BruteForceNeighbors, drop_self_rows, stable_order, topk_batch
+from ..exceptions import ConfigurationError
+from .brute import drop_self_rows, stable_order, topk_batch
 from .distance import get_metric
-from .kdtree import KDTreeNeighbors
 
 __all__ = [
-    "NeighborIndex",
     "NeighborOrderCache",
     "OrderAppendResult",
     "OrderRemoveResult",
     "OrderReplaceResult",
 ]
 
-_BACKENDS = ("brute", "kdtree")
-
 
 def _first_difference(new: np.ndarray, old: np.ndarray, length: int) -> np.ndarray:
     """Per row, the first column where ``new`` and ``old`` differ (else ``length``)."""
     differs = new != old
     return np.where(differs.any(axis=1), differs.argmax(axis=1), length)
-
-
-class NeighborIndex:
-    """Unified k-nearest-neighbour index.
-
-    Parameters
-    ----------
-    metric:
-        Distance metric name (see :mod:`repro.neighbors.distance`).
-    backend:
-        ``"brute"`` (default, supports every metric) or ``"kdtree"``
-        (Euclidean family only, faster for large ``n``).
-    leaf_size:
-        KD-tree leaf size; ignored by the brute-force backend.
-    """
-
-    def __init__(self, metric: str = "paper_euclidean", backend: str = "brute", leaf_size: int = 32):
-        if backend not in _BACKENDS:
-            raise ConfigurationError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        self.metric = metric
-        self.backend = backend
-        self.leaf_size = leaf_size
-        if backend == "kdtree":
-            self._impl = KDTreeNeighbors(metric=metric, leaf_size=leaf_size)
-        else:
-            self._impl = BruteForceNeighbors(metric=metric)
-        self._fitted = False
-
-    def fit(self, data) -> "NeighborIndex":
-        """Index the rows of ``data``."""
-        self._impl.fit(as_float_matrix(data, name="data"))
-        self._fitted = True
-        return self
-
-    @property
-    def n_points(self) -> int:
-        """Number of indexed points."""
-        self._check_fitted()
-        return self._impl.n_points
-
-    def _check_fitted(self) -> None:
-        if not self._fitted:
-            raise NotFittedError("NeighborIndex must be fitted before querying")
-
-    def kneighbors(self, query, k: int, exclude_self: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-        """``NN(query, F, k)`` — distances and indices of the k nearest points."""
-        self._check_fitted()
-        return self._impl.kneighbors(query, k, exclude_self=exclude_self)
-
-    def kneighbors_indices(self, query, k: int, exclude_self: bool = False) -> np.ndarray:
-        """Indices only, for callers that do not need the distances."""
-        return self.kneighbors(query, k, exclude_self=exclude_self)[1]
 
 
 @dataclass
@@ -233,7 +172,9 @@ class NeighborOrderCache:
     ----------
     data:
         Matrix of shape ``(n, m)`` — typically the complete relation
-        restricted to the complete attributes ``F``.
+        restricted to the complete attributes ``F`` — or a store feature
+        view over those attributes.  Only a view-backed cache accepts
+        :meth:`append`, :meth:`remove` and :meth:`replace`.
     metric:
         Distance metric name.
     include_self:
@@ -429,41 +370,17 @@ class NeighborOrderCache:
         return order[:length]
 
     # ------------------------------------------------------------------ #
-    # Incremental maintenance
+    # Incremental maintenance (store-backed caches only)
     # ------------------------------------------------------------------ #
-    def _normalize_rows(self, rows, name: str) -> np.ndarray:
-        """Coerce ``rows`` to a validated ``(b, m)`` float block.
-
-        A single 1-D tuple becomes one row; an empty batch still has its
-        attribute count checked (a ``(0, m+3)`` block is a shape error, not
-        a silent no-op).  Width mismatches violate the index contract and
-        raise :class:`ConfigurationError`; malformed contents (conversion
-        failures, NaN/inf cells) are data problems and raise
-        :class:`DataError`, matching :func:`~repro._validation.as_float_matrix`.
-        """
-        width = self._data.shape[1]
-        try:
-            rows = np.asarray(rows, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DataError(
-                f"{name} could not be converted to a float array: {exc}"
-            ) from exc
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1) if rows.size else rows.reshape(0, width)
-        if rows.ndim != 2:
-            raise DataError(
-                f"{name} must be 2-dimensional, got shape {rows.shape}"
-            )
-        if rows.shape[1] != width:
+    def _check_mutable(self) -> None:
+        if not self._store_backed:
             raise ConfigurationError(
-                f"{name} have {rows.shape[1]} attributes, index has {width}"
+                "a matrix-backed NeighborOrderCache is read-only; build it "
+                "over a store feature view to append, remove or replace"
             )
-        if not np.all(np.isfinite(rows)):
-            raise DataError(f"{name} contain NaN or infinite values")
-        return np.ascontiguousarray(rows)
 
-    def append(self, rows=None, *, slots=None) -> OrderAppendResult:
-        """Add tuples to the indexed data and update every cached ordering.
+    def append(self, slots) -> OrderAppendResult:
+        """Add the tuples at store ``slots`` and update every cached ordering.
 
         A pre-existing tuple's ordering is merged with the new candidate
         distances by one stable row-wise sort over ``L + b`` entries — but
@@ -481,31 +398,22 @@ class NeighborOrderCache:
         merged, so a tuple whose cached ordering held *all* points keeps a
         complete ordering.
 
-        In store-backed mode pass ``slots`` (the columnar-store slots the
-        engine appended) instead of ``rows``; the values are gathered from
-        the store.
+        ``slots`` are the columnar-store slots the engine appended; their
+        values are gathered from the store.
 
         Returns an :class:`OrderAppendResult` reporting, per pre-existing
         tuple, the first ordering position that changed.
         """
+        self._check_mutable()
         n_before = self.n_points
-        if self._store_backed:
-            if slots is None:
-                raise ConfigurationError(
-                    "a store-backed cache grows by slots; pass append(slots=...)"
-                )
-            slots = np.asarray(slots, dtype=np.int64)
-            rows = self._data.store.rows(slots, attrs=self._data.attrs)
-        else:
-            if rows is None:
-                raise ConfigurationError("append requires rows (or a store view)")
-            rows = self._normalize_rows(rows, "appended rows")
-        if rows.shape[0] == 0:
+        slots = np.asarray(slots, dtype=np.int64)
+        n_appended = slots.shape[0]
+        if n_appended == 0:
             length = self.effective_length()
             return OrderAppendResult(
                 n_before, 0, np.full(n_before, length, dtype=int)
             )
-        n_appended = rows.shape[0]
+        rows = self._data.store.rows(slots, attrs=self._data.attrs)
 
         # Materialise the current orderings (and distances) before growing.
         self.keep_distances = True
@@ -519,10 +427,7 @@ class NeighborOrderCache:
         # Distances of the appended rows against the full grown store; the
         # transpose of its left block is, by metric symmetry, bit-identical
         # to what a cold rebuild computes for the pre-existing rows.
-        if self._store_backed:
-            self._data = self._data.extended(slots)
-        else:
-            self._data = np.vstack([self._data, rows])
+        self._data = self._data.extended(slots)
         appended_distances = self._pairwise(rows)
 
         if self._requested_length is not None:
@@ -592,6 +497,7 @@ class NeighborOrderCache:
         first-changed positions (new index space) and the old→new
         ``index_map``.
         """
+        self._check_mutable()
         n_before = self.n_points
         indices = np.unique(np.atleast_1d(np.asarray(indices, dtype=int)))
         if indices.size == 0:
@@ -615,10 +521,7 @@ class NeighborOrderCache:
         n_after = kept.size
 
         if n_after == 0:
-            if self._store_backed:
-                self._data = self._data.selected(np.empty(0, dtype=np.int64))
-            else:
-                self._data = self._data[:0].copy()
+            self._data = self._data.selected(kept)
             self.max_length = None if self._requested_length is None else 0
             self._matrix = np.empty((0, 0), dtype=int)
             self._dists = np.empty((0, 0)) if self.keep_distances else None
@@ -632,10 +535,7 @@ class NeighborOrderCache:
         old_orders = self.order_matrix()
         old_dists = self._ensure_distances()
 
-        if self._store_backed:
-            self._data = self._data.selected(kept)
-        else:
-            self._data = self._data[kept]
+        self._data = self._data.selected(kept)
         if self._requested_length is not None:
             self.max_length = min(self._requested_length, self.max_neighbors())
         new_length = self.effective_length()
@@ -677,8 +577,9 @@ class NeighborOrderCache:
         self._cache.clear()
         return OrderRemoveResult(n_before, indices.size, first_changed, index_map)
 
-    def replace(self, index: int, row=None, *, slot=None) -> OrderReplaceResult:
-        """Replace one indexed tuple's values and repair every ordering.
+    def replace(self, index: int, slot) -> OrderReplaceResult:
+        """Point one indexed tuple at a revised store ``slot`` and repair
+        every ordering.
 
         Removal + merge over the kept distances, on the touched rows only:
         those holding ``index`` and those the revised tuple enters (its
@@ -691,38 +592,20 @@ class NeighborOrderCache:
         tuple's own ordering comes from its candidate distance row.  Every
         other row is unchanged.
 
-        In store-backed mode pass ``slot`` (the fresh columnar-store slot
-        holding the revised tuple) instead of ``row``.
+        ``slot`` is the fresh columnar-store slot holding the revised tuple.
         """
+        self._check_mutable()
         n = self.n_points
         index = int(index)
         if not 0 <= index < n:
             raise ConfigurationError(f"tuple index {index} out of range")
-        if self._store_backed:
-            if slot is None:
-                raise ConfigurationError(
-                    "a store-backed cache revises by slot; pass replace(index, slot=...)"
-                )
-        else:
-            if row is None:
-                raise ConfigurationError("replace requires a row (or a store view)")
-            row = self._normalize_rows(row, "replacement row")
-            if row.shape[0] != 1:
-                raise ConfigurationError(
-                    f"replace expects exactly one row, got {row.shape[0]}"
-                )
 
         self.keep_distances = True
         old_orders = self.order_matrix()
         old_dists = self._ensure_distances()
         length = old_orders.shape[1]
 
-        if self._store_backed:
-            self._data = self._data.replaced(index, slot)
-        else:
-            data = self._data.copy()
-            data[index] = row[0]
-            self._data = data
+        self._data = self._data.replaced(index, slot)
         # Distances of the revised tuple against the updated store (its own
         # entry included); by metric symmetry this column doubles as every
         # other tuple's candidate distance.

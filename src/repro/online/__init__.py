@@ -8,10 +8,8 @@ This package turns the batch reproduction into a long-lived service:
   Mutations update the complete-tuple store and the per-attribute neighbour
   index incrementally and invalidate only the affected cached per-tuple
   models (Proposition 3's incremental statistics through the batched
-  kernels), falling back to one vectorized full rebuild when a mutation
-  batch dirties more than the hybrid-relearn threshold; imputation
-  requests are served in batches from an LRU cache of per-attribute model
-  states.
+  kernels); imputation requests are served in batches from an LRU cache
+  of per-attribute model states.
 * :mod:`repro.online.artifacts` — fitted state as ``.npz`` arrays plus a
   JSON manifest.  Every :class:`~repro.baselines.base.BaseImputer` gains
   ``save`` / ``load`` through this layer; restoration is bit-for-bit.

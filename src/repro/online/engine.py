@@ -86,18 +86,6 @@ scan, because a revised tuple can change a model's *values* without moving
 in any ordering — and rebuilds exactly those rows with the same scatter-add
 kernel the cold path uses, so untouched rows keep values a cold run would
 reproduce.
-
-The hybrid relearn policy
--------------------------
-When one mutation batch dirties more than ``incremental_fallback_fraction``
-of a state's tuples (a huge append, a delete sweep), the per-row merge
-bookkeeping buys nothing: the engine then relearns that state with one
-vectorized full rebuild *over the already-maintained neighbour orderings*
-— the cache merge is kept (it is exact), only the model/cost refresh is
-done wholesale.  ``stats["hybrid_full_rebuilds"]`` counts these;
-``stats["incremental_refreshes"]`` / ``stats["full_refreshes"]`` keep
-counting which sync path ran.  Set the fraction to ``None`` for an
-always-incremental engine (the pre-hybrid behaviour).
 """
 
 from __future__ import annotations
@@ -330,19 +318,11 @@ class _AttributeState:
             max_length=self._requested_cache_length(),
             keep_distances=True,
         )
-        self._rebuild_from_cache(signature)
+        with engine_phase("full_rebuild"):
+            self._rebuild_from_cache(signature)
 
     def _rebuild_from_cache(self, signature) -> None:
-        """Relearn every model/cost wholesale over the maintained orderings.
-
-        Shared by the cold path (after building a fresh cache) and the
-        hybrid fallback (which keeps the incrementally-merged cache — it is
-        exact — and only redoes the learning vectorized).
-        """
-        with engine_phase("full_rebuild"):
-            self._rebuild_from_cache_timed(signature)
-
-    def _rebuild_from_cache_timed(self, signature) -> None:
+        """Learn every model and validation cost over the fresh orderings."""
         imputer = self._imputer
         features = np.asarray(self.cache.data)
         target = self.target_column()
@@ -394,17 +374,6 @@ class _AttributeState:
         else:
             self.owners = np.empty((n, 0), dtype=int)
         self.models = result.models
-
-    def _maybe_fallback(self, n_dirty: int, n: int) -> bool:
-        """Hybrid policy: rebuild wholesale when a mutation dirties too much."""
-        fraction = self.engine.incremental_fallback_fraction
-        if fraction is None or n <= 0:
-            return False
-        if n_dirty <= fraction * n:
-            return False
-        self._rebuild_from_cache(self.signature)
-        self.engine.stats["hybrid_full_rebuilds"] += 1
-        return True
 
     def _owners_from(self, orders: np.ndarray, k_val: int, n: int) -> np.ndarray:
         if k_val > 0:
@@ -606,8 +575,6 @@ class _AttributeState:
         imputer = self._imputer
         n = self.cache.n_points
         model_rows = np.flatnonzero(dirty_models)
-        if self._maybe_fallback(model_rows.shape[0], n):
-            return n
         features = np.asarray(self.cache.data)
         target = self.target_column()
         orders = self.cache.order_matrix()
@@ -788,12 +755,6 @@ class OnlineImputationEngine:
         state on the next imputation touching its attribute, so bursts of
         appends/deletes/updates amortise into one refresh; ``"eager"``
         refreshes every cached state inside each mutating call.
-    incremental_fallback_fraction:
-        Hybrid relearn threshold: when one mutation batch dirties more than
-        this fraction of a state's tuples the state is relearned with one
-        vectorized full rebuild over the maintained orderings instead of
-        the per-row incremental path.  Defaults to the process-wide knob of
-        :mod:`repro.config`; ``None`` disables the fallback.
     shard_capacity:
         Rows per shard of the shared columnar tuple store (defaults to the
         process-wide knob).  Appends allocate whole shards and never move
@@ -821,7 +782,6 @@ class OnlineImputationEngine:
         *,
         model_cache_size="default",
         refresh_policy: Optional[str] = None,
-        incremental_fallback_fraction="default",
         shard_capacity="default",
         journal_capacity="default",
         **iim_params,
@@ -839,9 +799,6 @@ class OnlineImputationEngine:
         self.imputer = imputer
         self.model_cache_size = config.resolve("model_cache_size", model_cache_size)
         self.refresh_policy = config.resolve("refresh_policy", refresh_policy)
-        self.incremental_fallback_fraction = config.resolve(
-            "incremental_fallback_fraction", incremental_fallback_fraction
-        )
         self.shard_capacity = config.resolve("shard_capacity", shard_capacity)
         self.journal_capacity = config.resolve("journal_capacity", journal_capacity)
 
@@ -864,6 +821,7 @@ class OnlineImputationEngine:
             "imputed_cells": 0,
             "full_refreshes": 0,
             "incremental_refreshes": 0,
+            # Always 0; perfbench reads it as engine.hybrid_full_rebuilds.
             "hybrid_full_rebuilds": 0,
             "rows_refreshed": 0,
             "cache_hits": 0,
@@ -955,14 +913,12 @@ class OnlineImputationEngine:
     def from_relation(
         cls, relation: Relation, *, model_cache_size="default",
         refresh_policy: Optional[str] = None,
-        incremental_fallback_fraction="default",
         shard_capacity="default", journal_capacity="default", **iim_params,
     ) -> "OnlineImputationEngine":
         """Build an engine seeded with the complete part of ``relation``."""
         engine = cls(
             model_cache_size=model_cache_size,
             refresh_policy=refresh_policy,
-            incremental_fallback_fraction=incremental_fallback_fraction,
             shard_capacity=shard_capacity,
             journal_capacity=journal_capacity,
             **iim_params,
@@ -1069,9 +1025,9 @@ class OnlineImputationEngine:
         store; duplicates are tolerated.  Surviving tuples are compacted in
         order, so index ``j > i`` becomes ``j - |removed ≤ j|``.  Cached
         model states repair their neighbour orderings, models and
-        validation costs incrementally (or fall back per the hybrid
-        policy).  Deleting every tuple empties the store (the schema is
-        kept; streaming can resume with fresh appends).
+        validation costs incrementally.  Deleting every tuple empties the
+        store (the schema is kept; streaming can resume with fresh
+        appends).
         """
         if self._n == 0:
             raise NotFittedError(
@@ -1451,7 +1407,6 @@ class OnlineImputationEngine:
             "engine": {
                 "model_cache_size": self.model_cache_size,
                 "refresh_policy": self.refresh_policy,
-                "incremental_fallback_fraction": self.incremental_fallback_fraction,
                 "shard_capacity": self.shard_capacity,
                 "journal_capacity": self.journal_capacity,
             },
@@ -1528,9 +1483,6 @@ class OnlineImputationEngine:
             IIMImputer(**(imputer_info.get("params") or {})),
             model_cache_size=engine_info.get("model_cache_size"),
             refresh_policy=engine_info.get("refresh_policy"),
-            incremental_fallback_fraction=engine_info.get(
-                "incremental_fallback_fraction"
-            ),
             shard_capacity=shard_capacity,
             journal_capacity=engine_info.get("journal_capacity", "default"),
         )

@@ -134,6 +134,11 @@ class TestSessionConfig:
     def test_unknown_engine_knob_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown engine knobs"):
             SessionConfig(method="IIM", engine={"sharding": 4})
+        # A removed knob is unknown too.
+        with pytest.raises(ConfigurationError, match="unknown engine knobs"):
+            SessionConfig(
+                method="IIM", engine={"incremental_fallback_fraction": 0.9}
+            )
 
     def test_wire_round_trip(self):
         config = SessionConfig(

@@ -126,6 +126,7 @@ class TestQuarantine:
         assert "OSError" in error["message"]
         # Containment: the sibling durable session still accepts mutations.
         ok(server, cmd="append", session="other", rows=encode_rows(values[64:66]))
+        server.close_sessions()
 
 
 class TestDeadline:
@@ -315,6 +316,7 @@ class TestWireRecovery:
             artifact_root=tmp_path / "artifacts", wal_root=wal_root
         )
         result = ok(server, cmd="restore", session="s", path="ckpt")
+        crashed.close_sessions()  # its handles only had to outlive recovery
         assert result["durable"] is True
         assert result["recovered"]["replayed_ops"] == 2
         assert result["recovered"]["torn_tail"] is None
@@ -343,3 +345,4 @@ class TestWireRecovery:
         recovered, report = recover_session(wal_root / "s", reattach=False)
         assert report["replayed_ops"] == 1
         assert recovered.engine.store_relation().raw.shape[0] == 30
+        crashed.close_sessions()

@@ -1,101 +1,125 @@
-"""NeighborOrderCache.remove/replace: exact repair, change reporting."""
+"""NeighborOrderCache.remove/replace: exact repair, change reporting.
+
+The caches read through a columnar store's feature view (every attribute
+but a zero target column), as the online engine's do, over shards small
+enough that the mutations cross shard edges.  A matrix-backed cache is
+read-only.
+"""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.neighbors import NeighborOrderCache
+from repro.online import ColumnarTupleStore
 
 RNG = np.random.default_rng(13)
+SHARD = 16
 
 
-def _cold(data, include_self, cap):
+def _tuples(rows):
+    """Feature ``rows`` as store tuples: a zero target attribute appended."""
+    rows = np.atleast_2d(rows)
+    return np.hstack([rows, np.zeros((rows.shape[0], 1))])
+
+
+def _store(data):
+    store = ColumnarTupleStore(data.shape[1] + 1, shard_capacity=SHARD)
+    store.append(_tuples(data))
+    return store
+
+
+def _cache(store, cap=None, include_self=True, keep_distances=False):
     return NeighborOrderCache(
-        data, include_self=include_self, max_length=cap, keep_distances=True
+        store.feature_view(exclude=store.width - 1),
+        include_self=include_self,
+        max_length=cap,
+        keep_distances=keep_distances,
     )
+
+
+def _assert_cold(cache, store, cap=None):
+    """``cache`` equals a cold cache over the store's live tuples."""
+    cold = _cache(store, cap, cache.include_self, keep_distances=True)
+    np.testing.assert_array_equal(cache.order_matrix(), cold.order_matrix())
+    np.testing.assert_array_equal(cache.order_distances, cold.order_distances)
+
+
+def _remove(store, cache, indices):
+    store.delete(np.unique(np.asarray(indices, dtype=int)))
+    return cache.remove(indices)
+
+
+def _replace(store, cache, index, row):
+    _, slot = store.update(index, _tuples(row)[0])
+    return cache.replace(index, slot)
 
 
 @pytest.mark.parametrize("include_self", [True, False])
 @pytest.mark.parametrize("cap", [None, 5, 23, 100])
 def test_remove_equals_cold_rebuild(include_self, cap):
     data = RNG.normal(size=(40, 4))
-    cache = NeighborOrderCache(data, include_self=include_self, max_length=cap)
-    removed = np.array([3, 17, 0, 39, 21])
-    cache.remove(removed)
-    keep = np.ones(40, dtype=bool)
-    keep[removed] = False
-    cold = _cold(data[keep], include_self, cap)
-    np.testing.assert_array_equal(cache.order_matrix(), cold.order_matrix())
-    np.testing.assert_array_equal(cache.order_distances, cold.order_distances)
+    store = _store(data)
+    cache = _cache(store, cap, include_self)
+    _remove(store, cache, np.array([3, 17, 0, 39, 21]))
+    _assert_cold(cache, store, cap)
 
 
 @pytest.mark.parametrize("include_self", [True, False])
 @pytest.mark.parametrize("cap", [None, 5, 23, 100])
 def test_replace_equals_cold_rebuild(include_self, cap):
     data = RNG.normal(size=(40, 4))
-    cache = NeighborOrderCache(data, include_self=include_self, max_length=cap)
-    revised = data.copy()
+    store = _store(data)
+    cache = _cache(store, cap, include_self)
     for index in (0, 19, 39):
-        row = RNG.normal(size=4)
-        cache.replace(index, row)
-        revised[index] = row
-    cold = _cold(revised, include_self, cap)
-    np.testing.assert_array_equal(cache.order_matrix(), cold.order_matrix())
-    np.testing.assert_array_equal(cache.order_distances, cold.order_distances)
+        _replace(store, cache, index, RNG.normal(size=4))
+    _assert_cold(cache, store, cap)
 
 
 def test_replace_with_duplicate_rows_breaks_ties_by_index():
     data = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
-    cache = NeighborOrderCache(data, include_self=True)
-    cache.replace(2, np.array([1.0, 1.0]))  # now three identical tuples
-    revised = data.copy()
-    revised[2] = [1.0, 1.0]
-    cold = NeighborOrderCache(revised, include_self=True)
-    np.testing.assert_array_equal(cache.order_matrix(), cold.order_matrix())
+    store = _store(data)
+    cache = _cache(store)
+    _replace(store, cache, 2, np.array([1.0, 1.0]))  # three identical tuples
+    _assert_cold(cache, store)
 
 
 def test_remove_with_duplicate_rows_keeps_tie_order():
     data = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-    cache = NeighborOrderCache(data, include_self=True)
-    cache.remove([2])
-    cold = NeighborOrderCache(np.delete(data, 2, axis=0), include_self=True)
-    np.testing.assert_array_equal(cache.order_matrix(), cold.order_matrix())
+    store = _store(data)
+    cache = _cache(store)
+    _remove(store, cache, [2])
+    _assert_cold(cache, store)
 
 
 @pytest.mark.parametrize("cap", [None, 4, 9])
 def test_interleaved_lifecycle_equals_cold(cap):
     """Randomized append/remove/replace sequences stay exact throughout."""
     rng = np.random.default_rng(99)
-    live = rng.normal(size=(25, 3))
-    cache = NeighborOrderCache(live, include_self=True, max_length=cap)
+    store = _store(rng.normal(size=(25, 3)))
+    cache = _cache(store, cap)
     for _ in range(30):
         op = rng.choice(["append", "remove", "replace"])
-        if op == "append" or live.shape[0] < 5:
+        if op == "append" or cache.n_points < 5:
             rows = rng.normal(size=(int(rng.integers(1, 5)), 3))
-            cache.append(rows)
-            live = np.vstack([live, rows])
+            cache.append(store.append(_tuples(rows)))
         elif op == "remove":
             idx = rng.choice(
-                live.shape[0], size=int(rng.integers(1, 4)), replace=False
+                cache.n_points, size=int(rng.integers(1, 4)), replace=False
             )
-            cache.remove(idx)
-            live = np.delete(live, idx, axis=0)
+            _remove(store, cache, idx)
         else:
-            index = int(rng.integers(live.shape[0]))
-            row = rng.normal(size=3)
-            cache.replace(index, row)
-            live = live.copy()
-            live[index] = row
-        cold = _cold(live, True, cap)
-        np.testing.assert_array_equal(cache.order_matrix(), cold.order_matrix())
-        np.testing.assert_array_equal(cache.order_distances, cold.order_distances)
+            index = int(rng.integers(cache.n_points))
+            _replace(store, cache, index, rng.normal(size=3))
+        _assert_cold(cache, store, cap)
 
 
 def test_remove_reports_first_changed_and_index_map():
     data = RNG.normal(size=(30, 3))
-    cache = NeighborOrderCache(data, include_self=True, max_length=8)
+    store = _store(data)
+    cache = _cache(store, 8)
     before = cache.order_matrix().copy()
-    result = cache.remove([2, 11, 29])
+    result = _remove(store, cache, [2, 11, 29])
     after = cache.order_matrix()
     assert result.n_before == 30 and result.n_removed == 3
     kept = result.kept_rows()
@@ -118,9 +142,10 @@ def test_remove_reports_first_changed_and_index_map():
 
 def test_replace_reports_first_changed():
     data = RNG.normal(size=(30, 3))
-    cache = NeighborOrderCache(data, include_self=True, max_length=10)
+    store = _store(data)
+    cache = _cache(store, 10)
     before = cache.order_matrix().copy()
-    result = cache.replace(7, RNG.normal(size=3))
+    result = _replace(store, cache, 7, RNG.normal(size=3))
     after = cache.order_matrix()
     assert result.index == 7
     for i in range(30):
@@ -132,51 +157,44 @@ def test_replace_reports_first_changed():
 
 def test_remove_all_and_empty_remove():
     data = RNG.normal(size=(10, 3))
-    cache = NeighborOrderCache(data, include_self=True)
-    noop = cache.remove([])
+    store = _store(data)
+    cache = _cache(store)
+    noop = _remove(store, cache, [])
     assert noop.n_removed == 0 and cache.n_points == 10
-    result = cache.remove(np.arange(10))
+    result = _remove(store, cache, np.arange(10))
     assert result.n_removed == 10 and cache.n_points == 0
     assert (result.index_map == -1).all()
 
 
 def test_remove_duplicate_indices_collapse():
     data = RNG.normal(size=(12, 3))
-    cache = NeighborOrderCache(data, include_self=True)
-    result = cache.remove([4, 4, 7])
+    store = _store(data)
+    cache = _cache(store)
+    result = _remove(store, cache, [4, 4, 7])
     assert result.n_removed == 2 and cache.n_points == 10
 
 
 def test_lifecycle_errors():
-    cache = NeighborOrderCache(RNG.normal(size=(10, 3)))
+    cache = _cache(_store(RNG.normal(size=(10, 3))))
     with pytest.raises(ConfigurationError):
         cache.remove([10])
     with pytest.raises(ConfigurationError):
         cache.remove([-1])
     with pytest.raises(ConfigurationError):
-        cache.replace(10, np.zeros(3))
-    with pytest.raises(ConfigurationError):
-        cache.replace(0, np.zeros(4))  # width mismatch
-    with pytest.raises(ConfigurationError):
-        cache.replace(0, np.zeros((2, 3)))  # more than one row
+        cache.replace(10, cache.slots[0])
 
 
-def test_append_validates_width_of_empty_batches():
-    """Satellite regression: a (0, m+3) block is a shape error, not a no-op."""
-    cache = NeighborOrderCache(RNG.normal(size=(8, 3)))
-    with pytest.raises(ConfigurationError):
-        cache.append(np.empty((0, 6)))
-    # A correctly-shaped empty batch still is a no-op.
-    result = cache.append(np.empty((0, 3)))
-    assert result.n_appended == 0 and cache.n_points == 8
-
-
-def test_append_accepts_single_1d_tuple():
-    """Satellite regression: both entry points normalise 1-D rows."""
-    data = RNG.normal(size=(8, 3))
-    cache = NeighborOrderCache(data, include_self=True)
-    row = RNG.normal(size=3)
-    result = cache.append(row)
-    assert result.n_appended == 1 and cache.n_points == 9
-    cold = NeighborOrderCache(np.vstack([data, row]), include_self=True)
-    np.testing.assert_array_equal(cache.order_matrix(), cold.order_matrix())
+def test_matrix_backed_cache_is_read_only():
+    """The cold path's matrix-backed cache reads, but never mutates."""
+    cache = NeighborOrderCache(RNG.normal(size=(10, 3)), max_length=4)
+    orders = cache.order_matrix().copy()
+    for mutate in (
+        lambda: cache.append([0]),
+        lambda: cache.remove([0]),
+        lambda: cache.replace(0, 0),
+    ):
+        with pytest.raises(ConfigurationError, match="read-only"):
+            mutate()
+    assert cache.n_points == 10
+    np.testing.assert_array_equal(cache.order_matrix(), orders)
+    np.testing.assert_array_equal(cache.prefix(3, 2), orders[3, :2])

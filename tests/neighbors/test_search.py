@@ -1,15 +1,10 @@
-"""Tests for brute-force search, the KD-tree and the order cache."""
+"""Tests for brute-force search and the order cache."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.neighbors import (
-    BruteForceNeighbors,
-    KDTreeNeighbors,
-    NeighborIndex,
-    NeighborOrderCache,
-)
+from repro.neighbors import BruteForceNeighbors, NeighborOrderCache
 
 
 @pytest.fixture
@@ -63,66 +58,6 @@ class TestBruteForce:
         searcher = BruteForceNeighbors().fit(data)
         _, idx = searcher.kneighbors(np.array([1.0]), 2)
         np.testing.assert_array_equal(idx, [1, 2])
-
-
-class TestKDTree:
-    @pytest.mark.parametrize("k", [1, 3, 10, 25])
-    def test_agrees_with_brute_force(self, points, k):
-        brute = BruteForceNeighbors().fit(points)
-        tree = KDTreeNeighbors(leaf_size=8).fit(points)
-        rng = np.random.default_rng(1)
-        queries = rng.normal(size=(10, 3))
-        bd, bi = brute.kneighbors(queries, k)
-        td, ti = tree.kneighbors(queries, k)
-        np.testing.assert_array_equal(bi, ti)
-        np.testing.assert_allclose(bd, td)
-
-    def test_exclude_self_agrees_with_brute_force(self, points):
-        brute = BruteForceNeighbors().fit(points)
-        tree = KDTreeNeighbors(leaf_size=4).fit(points)
-        bd, bi = brute.kneighbors(points[13], 7, exclude_self=True)
-        td, ti = tree.kneighbors(points[13], 7, exclude_self=True)
-        np.testing.assert_array_equal(bi, ti)
-        np.testing.assert_allclose(bd, td)
-
-    def test_duplicate_points_handled(self):
-        data = np.vstack([np.zeros((20, 2)), np.ones((20, 2))])
-        tree = KDTreeNeighbors(leaf_size=4).fit(data)
-        dist, idx = tree.kneighbors(np.zeros(2), 5)
-        assert (dist == 0).all()
-        assert set(idx).issubset(set(range(20)))
-
-    def test_depth_grows_with_data(self):
-        rng = np.random.default_rng(2)
-        tree = KDTreeNeighbors(leaf_size=4).fit(rng.normal(size=(200, 2)))
-        assert tree.depth() > 2
-
-    def test_unsupported_metric_rejected(self):
-        with pytest.raises(ConfigurationError):
-            KDTreeNeighbors(metric="manhattan")
-
-    def test_unfitted_raises(self):
-        with pytest.raises(NotFittedError):
-            KDTreeNeighbors().kneighbors(np.zeros(2), 1)
-
-
-class TestNeighborIndex:
-    @pytest.mark.parametrize("backend", ["brute", "kdtree"])
-    def test_backends_agree(self, points, backend):
-        index = NeighborIndex(backend=backend).fit(points)
-        dist, idx = index.kneighbors(points[3], 4)
-        reference = BruteForceNeighbors().fit(points).kneighbors(points[3], 4)
-        np.testing.assert_array_equal(idx, reference[1])
-        np.testing.assert_allclose(dist, reference[0])
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NeighborIndex(backend="annoy")
-
-    def test_indices_only_helper(self, points):
-        index = NeighborIndex().fit(points)
-        idx = index.kneighbors_indices(points[0], 3)
-        assert idx.shape == (3,)
 
 
 class TestNeighborOrderCache:

@@ -152,6 +152,31 @@ def test_manifest_v3_carries_store_metadata(tmp_path):
     assert restored.store.n_shards == engine.store.n_shards
 
 
+def test_manifest_naming_a_removed_engine_knob_still_loads(tmp_path):
+    """A snapshot whose engine block names a knob this build no longer has
+    loads, and answers bit-identically to the engine that wrote it."""
+    values = load_dataset("ccpp", size=220).raw
+    engine = OnlineImputationEngine(
+        k=4, learning="adaptive", stepping=3, max_learning_neighbors=20
+    )
+    engine.append(values[:150])
+    queries = values[150:170].copy()
+    queries[np.arange(20), np.arange(20) % queries.shape[1]] = np.nan
+    warm = engine.impute_batch(queries)
+    path = engine.snapshot(tmp_path / "engine")
+    manifest = json.loads((path / MANIFEST_FILENAME).read_text())
+    manifest["engine"]["incremental_fallback_fraction"] = 0.9
+    (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
+
+    restored = OnlineImputationEngine.load(path)
+    np.testing.assert_array_equal(restored.impute_batch(queries), warm)
+    for served in (engine, restored):
+        served.append(values[170:200])
+    np.testing.assert_array_equal(
+        restored.impute_batch(queries), engine.impute_batch(queries)
+    )
+
+
 @pytest.mark.parametrize(
     "corruption",
     [

@@ -1,9 +1,9 @@
-"""Tuple lifecycle: delete/update equivalence, hybrid policy, CLI trace."""
+"""Tuple lifecycle: delete/update equivalence, heavy churn, CLI trace."""
 
 import numpy as np
 import pytest
 
-from repro import IIMImputer, config, load_dataset
+from repro import IIMImputer, load_dataset
 from repro.data.relation import Relation
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.online import OnlineImputationEngine
@@ -118,18 +118,17 @@ def test_randomized_churn_trace_matches_cold(stream_values):
             np.testing.assert_allclose(online, cold, rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("fraction", [0.0, 0.5, None])
-def test_hybrid_policy_stays_exact(stream_values, fraction):
-    """Any fallback threshold (always/sometimes/never) gives cold answers."""
+def test_heavy_churn_stays_exact(stream_values):
+    """A batch that dirties most prefixes still refreshes incrementally to
+    the cold answers."""
     values = stream_values
     params = dict(k=4, learning="adaptive", stepping=5, max_learning_neighbors=25)
     rng = np.random.default_rng(8)
-    engine = OnlineImputationEngine(
-        incremental_fallback_fraction=fraction, **params
-    )
+    engine = OnlineImputationEngine(**params)
     engine.append(values[:80])
     queries = _make_queries(values, np.arange(300, 308), rng)
     engine.impute_batch(queries)
+    full_refreshes = engine.stats["full_refreshes"]
     engine.append(values[80:220])  # large batch: dirties most prefixes
     engine.update(5, values[250])
     engine.delete([0, 1, 2])
@@ -137,46 +136,24 @@ def test_hybrid_policy_stays_exact(stream_values, fraction):
     online = engine.impute_batch(queries)
     cold = _cold_impute(store, queries, **params)
     np.testing.assert_allclose(online, cold, rtol=1e-9, atol=1e-12)
-    if fraction == 0.0:
-        assert engine.stats["hybrid_full_rebuilds"] > 0
-    if fraction is None:
-        assert engine.stats["hybrid_full_rebuilds"] == 0
+    assert engine.stats["full_refreshes"] == full_refreshes
+    assert engine.stats["hybrid_full_rebuilds"] == 0
 
 
-def test_hybrid_fallback_counter_fires_on_heavy_append(stream_values):
+def test_heavy_append_refreshes_incrementally(stream_values):
     values = stream_values
-    engine = OnlineImputationEngine(
-        incremental_fallback_fraction=0.5, k=4, learning="adaptive",
-        stepping=5, max_learning_neighbors=25,
-    )
+    params = dict(k=4, learning="adaptive", stepping=5, max_learning_neighbors=25)
+    engine = OnlineImputationEngine(**params)
     engine.append(values[:60])
     queries = values[300:304].copy()
     queries[:, 0] = np.nan
     engine.impute_batch(queries)
-    engine.append(values[60:300])  # store quintuples: way past the threshold
-    engine.impute_batch(queries)
-    assert engine.stats["hybrid_full_rebuilds"] >= 1
+    engine.append(values[60:300])  # the store quintuples
+    online = engine.impute_batch(queries)
+    cold = _cold_impute(values[:300], queries, **params)
+    np.testing.assert_allclose(online, cold, rtol=1e-9, atol=1e-12)
+    assert engine.stats["hybrid_full_rebuilds"] == 0
     assert engine.stats["incremental_refreshes"] >= 1
-
-
-def test_fallback_fraction_knob_roundtrip():
-    previous = config.set("incremental_fallback_fraction", 0.3)
-    try:
-        engine = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=3)
-        assert engine.incremental_fallback_fraction == 0.3
-        assert config.set("incremental_fallback_fraction", "none") == 0.3
-        assert OnlineImputationEngine(
-            k=3, learning="fixed", learning_neighbors=3
-        ).incremental_fallback_fraction is None
-    finally:
-        config.set("incremental_fallback_fraction", previous)
-    with pytest.raises(ConfigurationError):
-        config.set("incremental_fallback_fraction", 1.5)
-    with pytest.raises(ConfigurationError):
-        OnlineImputationEngine(
-            incremental_fallback_fraction=-0.2, k=3, learning="fixed",
-            learning_neighbors=3,
-        )
 
 
 def test_delete_to_empty_store_and_resume(stream_values):

@@ -10,7 +10,7 @@ from repro.core import candidate_vote_weights, combine_uniform, combine_voting
 from repro.core.learning import learn_individual_models
 from repro.data import Relation, inject_missing
 from repro.metrics import purity_score, r_squared, rms_error
-from repro.neighbors import BruteForceNeighbors, KDTreeNeighbors, paper_euclidean
+from repro.neighbors import BruteForceNeighbors, paper_euclidean
 from repro.regression import IncrementalRidge, RidgeRegression
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -33,18 +33,6 @@ class TestDistanceProperties:
         distances = paper_euclidean(data[0], data)
         assert (distances >= 0).all()
         assert distances[0] == pytest.approx(0.0, abs=1e-9)
-
-    @given(matrices(min_rows=3, max_rows=20, min_cols=1, max_cols=3), st.integers(1, 5))
-    @settings(max_examples=30, deadline=None)
-    def test_kdtree_matches_brute_force(self, data, k):
-        assume(k <= data.shape[0])
-        query = data[0] + 0.5
-        brute = BruteForceNeighbors().fit(data)
-        tree = KDTreeNeighbors(leaf_size=4).fit(data)
-        bd, bi = brute.kneighbors(query, k)
-        td, ti = tree.kneighbors(query, k)
-        np.testing.assert_allclose(np.sort(bd), np.sort(td), atol=1e-9)
-        np.testing.assert_allclose(bd, td, atol=1e-9)
 
     @given(matrices(min_rows=4, max_rows=20, min_cols=1, max_cols=3))
     @settings(max_examples=30, deadline=None)

@@ -70,7 +70,8 @@ class TestFraming:
             WriteAheadLog(tmp_path / "wal", sync="sometimes")
         config.set("wal_sync", "always")
         try:
-            assert WriteAheadLog(tmp_path / "wal2", config=CONFIG).sync == "always"
+            with WriteAheadLog(tmp_path / "wal2", config=CONFIG) as wal:
+                assert wal.sync == "always"
         finally:
             config.set("wal_sync", "batch")
 
@@ -279,12 +280,20 @@ class TestDurableSessions:
         recovered.close()
         assert read_wal(tmp_path / "wal").last_seq == 2
 
-    def test_log_naming_a_removed_engine_knob_still_recovers(self, tmp_path):
+    @pytest.mark.parametrize("knob, value", [
+        pytest.param("delete_cost_mode", "decrement", id="delete_cost_mode"),
+        pytest.param(
+            "incremental_fallback_fraction", 0.9,
+            id="incremental_fallback_fraction",
+        ),
+    ])
+    def test_log_naming_a_removed_engine_knob_still_recovers(
+        self, tmp_path, knob, value
+    ):
         """A log whose open record carries an engine knob this build no
-        longer has (``delete_cost_mode``, in the config shape sessions
-        logged before its removal) recovers without a checkpoint to a cold
-        refit over the surviving rows; a ``create`` naming that knob is
-        still refused."""
+        longer has (in the config shape sessions logged before its
+        removal) recovers without a checkpoint to a cold refit over the
+        surviving rows; a ``create`` naming that knob is still refused."""
         import json
 
         from repro import IIMImputer
@@ -296,7 +305,7 @@ class TestDurableSessions:
             k=3, learning="adaptive", stepping=2, max_learning_neighbors=8
         )
         logged = session.config_wire()
-        logged["engine"]["delete_cost_mode"] = "decrement"
+        logged["engine"][knob] = value
         wal = WriteAheadLog(tmp_path / "wal", config=logged)
         wal.log_op(MutationOp.append(values[:40]).to_wire())
         wal.log_op(MutationOp.update(3, values[50]).to_wire())
@@ -325,10 +334,8 @@ class TestDurableSessions:
         response = server.handle_line(json.dumps({
             "v": 1, "cmd": "create", "session": "s",
             "config": {"method": "IIM", "mode": "online",
-                       "engine": {"delete_cost_mode": "rebuild"}},
+                       "engine": {knob: value}},
         }))
         assert response["error"]["code"] == "configuration"
-        assert "unknown engine knobs ['delete_cost_mode']" in (
-            response["error"]["message"]
-        )
+        assert f"unknown engine knobs [{knob!r}]" in response["error"]["message"]
         server.close_sessions()

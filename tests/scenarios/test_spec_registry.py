@@ -93,6 +93,8 @@ class TestSpecValidation:
     def test_engine_knobs_checked_against_the_serve_contract(self):
         with pytest.raises(ScenarioError, match="unknown engine knob"):
             make_spec(engine={"threads": 4})
+        with pytest.raises(ScenarioError, match="unknown engine knob"):
+            make_spec(engine={"incremental_fallback_fraction": 0.9})
         spec = make_spec(engine={"refresh_policy": "lazy"})
         assert spec.engine == {"refresh_policy": "lazy"}
 

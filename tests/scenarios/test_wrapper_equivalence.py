@@ -81,9 +81,7 @@ def legacy_churn(values, seed, updates=2, deletes=3, noise=0.05):
     batch = remaining // N_ROUNDS
     column_stds = values.std(axis=0)
     column_stds[column_stds == 0] = 1.0
-    session = OnlineSession(
-        **ENGINE, incremental_fallback_fraction="default", **IIM,
-    )
+    session = OnlineSession(**ENGINE, **IIM)
     store = values[:initial].copy()
     session.fit(store)
     rng = np.random.default_rng(seed)

@@ -20,7 +20,6 @@ SPELLINGS = {
     "backend": ("LOOP", "loop"),
     "model_cache_size": (" 3 ", 3),
     "refresh_policy": ("Eager", "eager"),
-    "incremental_fallback_fraction": ("none", None),
     "shard_capacity": ("64", 64),
     "journal_capacity": ("32", 32),
     "wal_sync": ("off", "off"),
@@ -105,12 +104,12 @@ def test_set_returns_the_parsed_previous_value():
         "from repro import config\n"
         "print(json.dumps([\n"
         "    config.set('model_cache_size', 3),\n"
-        "    config.set('incremental_fallback_fraction', 0.5),\n"
+        "    config.set('max_request_bytes', 4096),\n"
         "    config.set('backend', 'vectorized'),\n"
         "]))\n",
         {
             "REPRO_ONLINE_CACHE_SIZE": "4",
-            "REPRO_ONLINE_FALLBACK_FRACTION": "none",
+            "REPRO_MAX_REQUEST_BYTES": "none",
             "REPRO_BACKEND": "LOOP",
         },
     )
