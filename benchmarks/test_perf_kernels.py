@@ -1,8 +1,8 @@
 """Kernel benchmark: vectorized batch kernels vs. the reference loops.
 
 Times the IIM hot-path kernels under both backends of :mod:`repro.config`
-and writes the per-kernel wall-clock numbers to ``BENCH_kernels.json`` at
-the repository root, so the performance trajectory is tracked across PRs.
+and records the per-kernel wall-clock numbers in
+``benchmarks/results/kernels.json``.
 
 The headline series is the Figure 12 benchmark — adaptive learning
 (Algorithm 3) over the profile's scalability grid on the SN and CA datasets,
@@ -14,9 +14,7 @@ asserted here as well (``rtol = 1e-9``); the exhaustive equivalence matrix
 lives in ``tests/core/test_backend_equivalence.py``.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +23,6 @@ from repro.core.imputation import impute_with_individual_models
 from repro.core.learning import candidate_ell_values, learn_models_for_candidates
 from repro.neighbors import BruteForceNeighbors
 
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
 BACKENDS = ("loop", "vectorized")
 REPS = 2  # best-of repetitions per timed cell
 
@@ -39,13 +36,9 @@ def _best_of(fn, reps=REPS):
     return best, result
 
 
-def test_kernel_speedups(profile, record_result):
+def test_kernel_speedups(profile, record_result, write_report):
     rng = np.random.default_rng(0)
-    report = {
-        "profile": profile.name,
-        "unit": "seconds (best of %d)" % REPS,
-        "kernels": {},
-    }
+    kernels = {}  # seconds, best of REPS
 
     # ------------------------------------------------------------------ #
     # Figure 12 benchmark: adaptive learning across the scalability grid.
@@ -93,7 +86,7 @@ def test_kernel_speedups(profile, record_result):
                 cell["speedup"] = cell["loop"] / cell["vectorized"]
                 grid_cells.append(cell)
     adaptive_speedup = grid_seconds["loop"] / grid_seconds["vectorized"]
-    report["kernels"]["adaptive_learning_figure12"] = {
+    kernels["adaptive_learning_figure12"] = {
         "description": "Figure 12 benchmark: Algorithm 3 over the scalability grid "
         "(SN + CA, straightforward + incremental)",
         "loop_seconds": grid_seconds["loop"],
@@ -119,7 +112,7 @@ def test_kernel_speedups(profile, record_result):
         np.testing.assert_allclose(
             outputs["vectorized"], outputs["loop"], rtol=1e-9, atol=1e-12
         )
-        report["kernels"][name] = {
+        kernels[name] = {
             "description": description,
             "loop_seconds": timings["loop"],
             "vectorized_seconds": timings["vectorized"],
@@ -153,18 +146,18 @@ def test_kernel_speedups(profile, record_result):
         ),
     )
 
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    write_report("kernels", **kernels)
     record_result(
         "kernels",
         "\n".join(
             f"{name}: loop {entry['loop_seconds']:.4f}s, "
             f"vectorized {entry['vectorized_seconds']:.4f}s, "
             f"speedup {entry['speedup']:.1f}x"
-            for name, entry in report["kernels"].items()
+            for name, entry in kernels.items()
         ),
     )
 
-    for entry in report["kernels"].values():
+    for entry in kernels.values():
         assert entry["vectorized_seconds"] < entry["loop_seconds"], entry["description"]
     if profile.name == "bench":
         # The tentpole acceptance bar: ≥10× on the Figure 12 benchmark.

@@ -1,180 +1,139 @@
 """Online engine benchmarks: lifecycle traces vs. cold refits.
 
-Replays the SN and CA datasets as streaming traces (see
-:mod:`repro.experiments.streaming`) and writes the per-round latencies and
-aggregate speedups to ``BENCH_online.json`` at the repository root so the
-online performance trajectory is tracked across PRs:
+Replays the SN and CA datasets as ``streaming`` and ``churn`` scenarios
+(:func:`repro.scenarios.replay` over the direct engine transport) and
+records the per-round latencies and aggregate speedups in
+``benchmarks/results/online.json``:
 
 * **append-only** scenarios (adaptive and fixed learning): incremental
-  append+serve must beat a cold refit every round;
+  append+serve must beat a cold refit over the whole trace;
 * **churn** scenarios (interleaved append/update/delete/impute, in- and
   out-of-distribution query traces, and a heavy sweep whose every
   mutation batch dirties most of the store): recorded against cold
   refits.
 
-Every scenario also asserts the online and cold sides report (numerically)
-identical RMS errors — the engine is an optimisation, not an
-approximation.  Tests merge their sections into the report file, so each
-can run (and be re-run) independently.
+Every round's answers are verified against the cold refit at rtol 1e-9
+(``replay`` raises on divergence), and every scenario also asserts the
+online and cold sides report the same RMS error: the engine is an
+optimisation, not an approximation.  Tests merge their sections into the
+record, so each can run (and be re-run) independently.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.streaming import run_churn, run_streaming
-
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_online.json"
+from repro.scenarios import ScenarioSpec, replay
 
 
-def _merge_report(**sections) -> None:
-    """Read-modify-write the report so independent tests compose."""
-    report = {}
-    if RESULT_PATH.exists():
-        try:
-            report = json.loads(RESULT_PATH.read_text())
-        except json.JSONDecodeError:
-            report = {}
-    report.update(sections)
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+def _replay(profile, name, generator, learning="adaptive", **params):
+    """Replay one scenario with the profile's IIM parameters, verified.
 
-
-def test_online_engine_speedup(profile, record_result):
-    scenarios_report = {}
-
-    # Streaming traces replay more tuples than the static experiments: the
-    # incremental win scales with the store-to-neighbourhood ratio, so the
-    # candidate grid is capped at a paper-typical ℓ* range (≤ 25) and the
-    # profile's dataset sizes are stretched 2–2.5×.
-    common = dict(
-        n_rounds=12,
-        initial_fraction=0.5,
+    Each round queries ``min(asf_incomplete, initial store // 2)`` tuples;
+    the learning-neighbour grid is capped at a paper-typical 25.
+    """
+    model = dict(
+        k=profile.default_k,
+        learning=learning,
+        stepping=profile.iim_stepping,
         max_learning_neighbors=min(25, profile.iim_max_learning_neighbors),
     )
-    scenarios = (
-        (
-            "sn_adaptive",
-            dict(dataset="sn", learning="adaptive",
-                 size=int(2.5 * profile.dataset_sizes["sn"]), **common),
-        ),
-        (
-            "ca_adaptive",
-            dict(dataset="ca", learning="adaptive",
-                 size=2 * profile.dataset_sizes["ca"], **common),
-        ),
-        (
-            "sn_fixed",
-            dict(dataset="sn", learning="fixed",
-                 learning_neighbors=profile.default_k,
-                 size=2 * profile.dataset_sizes["sn"], **common),
-        ),
+    if learning == "fixed":
+        model["learning_neighbors"] = profile.default_k
+    initial = int(params["size"] * params["initial_fraction"])
+    spec = ScenarioSpec(
+        name=name,
+        generator=generator,
+        params={"dataset": "sn", "queries_per_round": max(
+            1, min(profile.asf_incomplete, initial // 2)), **params},
+        model=model,
+        # An LRU smaller than the schema would evict-and-rebuild each round
+        # and measure cache churn instead of incremental maintenance.
+        engine={"model_cache_size": None},
+        seed=0,
     )
-    for name, kwargs in scenarios:
-        start = time.perf_counter()
-        result = run_streaming(profile=profile, random_state=0, **kwargs)
-        elapsed = time.perf_counter() - start
-        entry = result.as_dict()
-        entry["trace_wall_seconds"] = elapsed
-        scenarios_report[name] = entry
-
-        # Equivalence: the engine must score exactly like the cold refits.
-        assert result.max_rms_gap <= 1e-9 * max(
-            r.rms_cold for r in result.rounds
-        ), f"{name}: online RMS diverged from cold refit"
-
-    _merge_report(
-        profile=profile.name,
-        unit="seconds per trace (appends + queries)",
-        scenarios=scenarios_report,
+    start = time.perf_counter()
+    report = replay(spec, transport="engine", check_digest=False)
+    entry = report.as_dict()
+    entry["spec"] = spec.to_dict()
+    entry["trace_wall_seconds"] = time.perf_counter() - start
+    # Equivalence: the engine must score exactly like the cold refits.
+    cold_rms = max(step.rms_cold for step in report.steps)
+    assert report.max_rms_gap <= 1e-9 * max(1e-30, cold_rms), (
+        f"{name}: online RMS diverged from cold refit"
     )
+    return entry
+
+
+def _line(name, entry):
+    counters = entry["session_stats"][name]["counters"]
+    return (
+        f"{name}: online {entry['online_seconds']:.4f}s, "
+        f"cold {entry['cold_seconds']:.4f}s, "
+        f"speedup {entry['speedup']:.2f}x "
+        f"({counters['incremental_refreshes']} incremental / "
+        f"{counters['full_refreshes']} full refreshes)"
+    )
+
+
+def test_online_engine_speedup(profile, record_result, write_report):
+    # Streaming traces replay more tuples than the static experiments: the
+    # incremental win scales with the store-to-neighbourhood ratio, so the
+    # profile's dataset sizes are stretched 2–2.5×.
+    sizes = profile.dataset_sizes
+    common = dict(generator="streaming", n_rounds=12, initial_fraction=0.5)
+    scenarios = {
+        "sn_adaptive": _replay(profile, "sn_adaptive",
+                               size=int(2.5 * sizes["sn"]), **common),
+        "ca_adaptive": _replay(profile, "ca_adaptive", dataset="ca",
+                               size=2 * sizes["ca"], **common),
+        "sn_fixed": _replay(profile, "sn_fixed", learning="fixed",
+                            size=2 * sizes["sn"], **common),
+    }
+    write_report("online", **scenarios)
     record_result(
-        "online",
-        "\n".join(
-            f"{name}: online {entry['online_seconds']:.4f}s, "
-            f"cold {entry['cold_seconds']:.4f}s, "
-            f"speedup {entry['speedup']:.1f}x "
-            f"({entry['engine_stats']['incremental_refreshes']} incremental / "
-            f"{entry['engine_stats']['full_refreshes']} full refreshes)"
-            for name, entry in scenarios_report.items()
-        ),
+        "online", "\n".join(_line(n, e) for n, e in scenarios.items())
     )
 
     # The acceptance bar: incremental maintenance beats cold refits on every
     # scenario of the trace (per-round jitter is tolerated; the aggregate
     # must win).
-    for name, entry in scenarios_report.items():
+    for name, entry in scenarios.items():
         assert entry["speedup"] > 1.0, (
             f"{name}: online trace ({entry['online_seconds']:.4f}s) not faster "
             f"than cold refits ({entry['cold_seconds']:.4f}s)"
         )
 
 
-def test_online_churn(profile, record_result):
+def test_online_churn(profile, record_result, write_report):
     """Full-lifecycle churn: the online engine vs. cold refits."""
-    churn_report = {}
-
-    cap = min(25, profile.iim_max_learning_neighbors)
-    scenarios = (
-        # Moderate churn over a large warm store — the production shape:
-        # corrections and retractions are rarer than inserts.
-        (
-            "sn_churn",
-            dict(dataset="sn", learning="adaptive",
-                 size=int(2.5 * profile.dataset_sizes["sn"]),
-                 n_rounds=10, initial_fraction=0.7,
-                 updates_per_round=3, deletes_per_round=4,
-                 max_learning_neighbors=cap),
+    size = int(2.5 * profile.dataset_sizes["sn"])
+    # Moderate churn over a large warm store (the production shape:
+    # corrections and retractions are rarer than inserts), with store and
+    # out-of-distribution query traces.
+    moderate = dict(generator="churn", size=size, n_rounds=10,
+                    initial_fraction=0.7, updates_per_round=3,
+                    deletes_per_round=4)
+    scenarios = {
+        "sn_churn": _replay(profile, "sn_churn", **moderate),
+        "sn_churn_ood": _replay(profile, "sn_churn_ood", query_mode="ood",
+                                **moderate),
+        # Heavy churn: a tiny initial store swamped by append/delete sweeps;
+        # every mutation batch dirties most prefixes.
+        "sn_churn_heavy": _replay(
+            profile, "sn_churn_heavy", generator="churn",
+            size=int(1.2 * profile.dataset_sizes["sn"]), n_rounds=4,
+            initial_fraction=0.1, updates_per_round=10, deletes_per_round=15,
         ),
-        # Out-of-distribution query trace over the same churn shape.
-        (
-            "sn_churn_ood",
-            dict(dataset="sn", learning="adaptive", query_mode="ood",
-                 size=int(2.5 * profile.dataset_sizes["sn"]),
-                 n_rounds=10, initial_fraction=0.7,
-                 updates_per_round=3, deletes_per_round=4,
-                 max_learning_neighbors=cap),
-        ),
-        # Heavy churn: a tiny initial store swamped by append/delete sweeps
-        # — every mutation batch dirties most prefixes.
-        (
-            "sn_churn_heavy",
-            dict(dataset="sn", learning="adaptive",
-                 size=int(1.2 * profile.dataset_sizes["sn"]),
-                 n_rounds=4, initial_fraction=0.1,
-                 updates_per_round=10, deletes_per_round=15,
-                 max_learning_neighbors=cap),
-        ),
-    )
-    for name, kwargs in scenarios:
-        result = run_churn(profile=profile, random_state=0, **kwargs)
-        # Equivalence: the engine must score exactly like the cold refits.
-        assert result.max_rms_gap <= 1e-9 * max(
-            1e-30, max(r.rms_cold for r in result.rounds)
-        ), f"{name}: online RMS diverged from cold refit"
-        churn_report[name] = result.as_dict()
-
-    _merge_report(churn_scenarios=churn_report)
-
-    def _line(name, entry):
-        return (
-            f"{name}: online {entry['online_seconds']:.4f}s, "
-            f"cold {entry['cold_seconds']:.4f}s, "
-            f"speedup {entry['speedup']:.2f}x "
-            f"({entry['engine_stats']['incremental_refreshes']} incremental / "
-            f"{entry['engine_stats']['full_refreshes']} full refreshes), "
-            f"query_mode={entry['query_mode']}"
-        )
-
+    }
+    write_report("online", **scenarios)
     record_result(
-        "online_churn",
-        "\n".join(_line(name, entry) for name, entry in churn_report.items()),
+        "online_churn", "\n".join(_line(n, e) for n, e in scenarios.items())
     )
 
 
-def test_online_large_store(profile, record_result):
+def test_online_large_store(record_result, write_report):
     """Sharded columnar store at ≥200k tuples: mutation + query throughput.
 
     Per-tuple model maintenance is inherently O(n²) in the paper's
@@ -245,7 +204,7 @@ def test_online_large_store(profile, record_result):
         "state_slot_bytes": int(n * 8),
         "state_block_bytes": block_bytes,
     }
-    _merge_report(large_store=section)
+    write_report("online", large_store=section)
     record_result(
         "online_large_store",
         f"{n} live rows × {width} attrs in {store.n_shards} shards "

@@ -3,35 +3,19 @@
 Enumerates the scenario registry (see :mod:`repro.scenarios.registry`),
 replays each spec through its auto-selected transport (the full serve
 loop for multi-tenant mixes, the direct engine otherwise) with the
-cold-refit oracle enabled, and merges a ``scenario_matrix`` section into
-``BENCH_online.json``: per-scenario, per-phase p50/p95/p99 latencies,
-verification outcome, speedup and the golden trace digest — the coverage
-surface the CI ``scenario-matrix`` job smoke-replays on every PR.
+cold-refit oracle enabled, and records one section per scenario in
+``benchmarks/results/scenarios.json``: its spec, per-phase p50/p95/p99
+latencies, verification outcome, speedup and the golden trace digest — the
+coverage surface the CI ``scenario-matrix`` job smoke-replays on every PR.
 """
 
-import json
 import time
-from pathlib import Path
 
 from repro import config
 from repro.scenarios import GENERATORS, registry, replay
 
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_online.json"
 
-
-def _merge_report(**sections) -> None:
-    """Read-modify-write the report so independent tests compose."""
-    report = {}
-    if RESULT_PATH.exists():
-        try:
-            report = json.loads(RESULT_PATH.read_text())
-        except json.JSONDecodeError:
-            report = {}
-    report.update(sections)
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-
-def test_scenario_matrix(record_result):
+def test_scenario_matrix(record_result, write_report):
     previous = config.set("obs_enabled", True)
     matrix = {}
     try:
@@ -47,6 +31,7 @@ def test_scenario_matrix(record_result):
                 f"pin missing from golden_digests.json?"
             )
             matrix[name] = {
+                "spec": registry.get(name).to_dict(),
                 "generator": report.generator,
                 "transport": report.transport,
                 "verified": report.verified,
@@ -71,7 +56,7 @@ def test_scenario_matrix(record_result):
     finally:
         config.set("obs_enabled", previous)
 
-    _merge_report(scenario_matrix=matrix)
+    write_report("scenarios", **matrix)
     record_result(
         "scenario_matrix",
         "\n".join(

@@ -37,7 +37,7 @@ executable reference backend, selected by the ``backend`` knob of
 The ``REPRO_BACKEND`` environment variable sets the initial default.  The
 test suite asserts both backends agree to ``rtol = 1e-9``;
 ``benchmarks/test_perf_kernels.py`` tracks their relative wall-clock in
-``BENCH_kernels.json``.
+``benchmarks/results/kernels.json``.
 
 Online imputation
 -----------------
@@ -66,8 +66,9 @@ engines via ``snapshot``/``load``, every imputer via ``save``/``load`` on
 :class:`~repro.baselines.base.BaseImputer` — persists as ``.npz`` arrays
 plus a JSON manifest (:mod:`repro.online.artifacts`) and restores
 bit-for-bit.  ``python -m repro replay`` replays a CSV trace against the
-engine; ``benchmarks/test_perf_online.py`` tracks the incremental-vs-cold
-speedup in ``BENCH_online.json``.
+engine; ``benchmarks/test_perf_online.py`` replays ``streaming`` and
+``churn`` scenarios (:mod:`repro.scenarios`) and tracks the
+incremental-vs-cold speedup in ``benchmarks/results/online.json``.
 
 The service layer
 -----------------
@@ -80,7 +81,8 @@ messages (:class:`~repro.api.ImputeRequest`,
 :class:`~repro.api.MutationOp`, :class:`~repro.api.SessionConfig`), a
 stable error taxonomy, and a stdlib-only JSONL serve loop.  The
 consolidated CLI lives behind ``python -m repro`` (subcommands ``impute``,
-``replay``, ``serve``, ``bench``).
+``replay``, ``repl``, ``serve``, ``recover``, ``metrics-dump``,
+``scenario``).
 
 >>> from repro.api import create_session, MutationOp        # doctest: +SKIP
 >>> session = create_session(method="IIM", mode="online")   # doctest: +SKIP

@@ -1,7 +1,7 @@
 """The consolidated command-line interface: ``python -m repro``.
 
-Four subcommands front the whole library through the :mod:`repro.api`
-service layer:
+Seven subcommands front the whole library through the :mod:`repro.api`
+service layer (benchmarks live in ``benchmarks/``, not here):
 
 * ``impute`` — one-shot batch imputation of a CSV file with any registry
   method (``python -m repro impute dirty.csv --method IIM --output clean.csv``);
@@ -11,12 +11,11 @@ service layer:
   (``python -m repro serve --stdio``, ``python -m repro serve --port 7007``),
   with crash-safe durability via ``--wal-dir`` and request hardening via
   ``--deadline`` / ``--max-request-bytes``;
+* ``repl`` — an interactive query shell, in process or against a running
+  server (``python -m repro repl --connect HOST:PORT``);
 * ``recover`` — rebuild an online session from a write-ahead log (plus the
   last checkpoint, when one exists) after a crash, and optionally write a
   fresh checkpoint (``python -m repro recover wal/s --output ckpt``);
-* ``bench`` — the service-layer benchmark (facade overhead + serve-loop
-  throughput + concurrency sweep + observability overhead + query
-  impute-on-demand cost), written to ``BENCH_api.json``;
 * ``metrics-dump`` — print the standard metric catalogue of the
   observability layer (``python -m repro metrics-dump --format
   prometheus``), zero-valued in a fresh process — the reference for what a
@@ -165,59 +164,6 @@ def _cmd_recover(args) -> int:
             f"fresh checkpoint written to {report['output']} "
             f"(the WAL was truncated; old segments are gone)"
         )
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from .api.bench import run_api_benchmark
-    from .experiments.settings import get_profile
-
-    profile = get_profile(args.profile) if args.profile else None
-    report = run_api_benchmark(profile=profile)
-    path = Path(args.output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    overhead = report["facade_overhead"]
-    throughput = report["serve_throughput"]
-    print(
-        f"facade overhead: session {overhead['session_seconds']:.4f}s vs "
-        f"direct {overhead['direct_seconds']:.4f}s "
-        f"(x{overhead['overhead_ratio']:.3f}, bit-identical)"
-    )
-    print(
-        f"serve throughput: {throughput['single_requests_per_second']:,.0f} "
-        f"single-row req/s; {throughput['batched_requests_per_second']:,.0f} "
-        f"batched req/s ({throughput['batched_rows_per_second']:,.0f} rows/s "
-        f"at batch {throughput['batch_size']})"
-    )
-    concurrency = report["serve_concurrency"]
-    at4 = {
-        mode: entry["by_clients"]["4"]["aggregate_requests_per_second"]
-        for mode, entry in concurrency["modes"].items()
-    }
-    print(
-        f"serve concurrency (4 clients): "
-        f"baseline {at4['baseline_single_lock']:,.0f} req/s; "
-        f"concurrent {at4['concurrent']:,.0f} req/s; "
-        f"coalesced {at4['coalesced']:,.0f} req/s "
-        f"(best x{concurrency['best_speedup_at_4_clients']:.2f} vs "
-        f"single lock)"
-    )
-    obs = report["obs_overhead"]
-    print(
-        f"obs overhead: facade disabled x{obs['facade_disabled_ratio']:.3f} / "
-        f"enabled x{obs['facade_enabled_ratio']:.3f} vs no-op; serve single "
-        f"enabled x{obs['serve_single_enabled_ratio']:.3f} vs disabled"
-    )
-    query = report["query_ondemand"]
-    print(
-        f"query on-demand ({query['touched_rows']} of "
-        f"{query['pending_rows']} pending rows touched): "
-        f"{query['ondemand_seconds'] * 1e3:.2f}ms vs touched-only "
-        f"pre-impute x{query['ondemand_vs_touched_ratio']:.3f}; "
-        f"full materialize would cost "
-        f"x{query['full_vs_ondemand_speedup']:.2f} more"
-    )
-    print(f"report written to {path}")
     return 0
 
 
@@ -453,17 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the recovery report as JSON"
     )
 
-    bench = commands.add_parser(
-        "bench", help="measure facade overhead and serve-loop throughput"
-    )
-    bench.add_argument(
-        "--profile", default=None, help="scale profile (smoke|bench|paper)"
-    )
-    bench.add_argument(
-        "--output", default="BENCH_api.json",
-        help="report path (default: BENCH_api.json)",
-    )
-
     scenario = commands.add_parser(
         "scenario",
         help="list, describe, trace, and replay parametric workload "
@@ -569,7 +504,6 @@ def main(argv=None) -> int:
         "serve": _cmd_serve,
         "repl": _cmd_repl,
         "recover": _cmd_recover,
-        "bench": _cmd_bench,
         "metrics-dump": _cmd_metrics_dump,
         "scenario": _cmd_scenario,
     }[args.command]

@@ -1,4 +1,10 @@
-"""Experiment harness reproducing every table and figure of the paper's evaluation."""
+"""Experiment harness reproducing every table and figure of the paper's evaluation.
+
+Streaming and churn traces of the online engine are scenarios, not
+experiments: build a :class:`~repro.scenarios.ScenarioSpec` with
+``generator="streaming"`` or ``"churn"`` and replay it with
+:func:`repro.scenarios.replay`.
+"""
 
 from .figures import (
     FigureResult,
@@ -22,14 +28,6 @@ from .harness import (
 )
 from .reporting import format_matrix, format_series, format_table
 from .settings import PROFILES, ScaleProfile, get_profile
-from .streaming import (
-    ChurnResult,
-    ChurnRound,
-    StreamingResult,
-    StreamingRound,
-    run_churn,
-    run_streaming,
-)
 from .tables import (
     TABLE5_DATASETS,
     TABLE6_ATTRIBUTES,
@@ -72,10 +70,4 @@ __all__ = [
     "format_table",
     "format_matrix",
     "format_series",
-    "StreamingRound",
-    "StreamingResult",
-    "run_streaming",
-    "run_churn",
-    "ChurnResult",
-    "ChurnRound",
 ]

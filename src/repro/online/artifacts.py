@@ -232,7 +232,11 @@ def read_artifact(
     if not arrays_path.exists():
         raise ConfigurationError(f"artifact array file not found: {arrays_path}")
     try:
-        with np.load(arrays_path, allow_pickle=False) as stored:
+        # Own the handle: on a torn file np.load raises after opening it,
+        # and nothing else would close it.
+        with open(arrays_path, "rb") as handle, np.load(
+            handle, allow_pickle=False
+        ) as stored:
             arrays = {key: stored[key] for key in stored.files}
     except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
         raise ConfigurationError(

@@ -9,12 +9,13 @@ and :meth:`ScenarioTrace.to_bytes` is a canonical serialization, so the
 same spec yields byte-identical traces on every machine (golden digests in
 ``golden_digests.json`` pin this down per built-in scenario).
 
-The ``steady`` arrival + ``mcar`` missingness paths consume the rng in
-*exactly* the order of the legacy ``repro.experiments.streaming`` harness
-(query-row choice, then blanked-cell draw; churn adds update-target choice,
-update-noise normals and delete-target choice in between).  That is what
-lets :func:`repro.experiments.run_streaming` / ``run_churn`` become thin
-wrappers over scenario specs without changing a single historical number.
+The ``streaming`` and ``churn`` generators are the streaming and churn
+harness of the online benchmarks.  Their ``steady`` arrival + ``mcar``
+missingness paths consume the rng in *exactly* the order of the legacy
+hand-written harnesses (query-row choice, then blanked-cell draw; churn
+adds update-target choice, update-noise normals and delete-target choice
+in between), so replaying their specs changes no historical number
+(pinned in ``tests/scenarios/test_wrapper_equivalence.py``).
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ ARRIVALS = ("steady", "bursty", "diurnal", "adversarial")
 #: Missingness regimes governing which query cell goes missing.
 MISSINGNESS_REGIMES = ("mcar", "mar", "mnar")
 
-#: Query sampling modes (mirrors ``repro.experiments.streaming``).
+#: Query sampling modes: seen tuples, or tuples shifted off-support.
 QUERY_MODES = ("store", "ood")
 
 _REQUIRED = object()

@@ -3,75 +3,58 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ExperimentError
-from repro.experiments import get_profile, run_streaming
+from repro.experiments import get_profile
+from repro.scenarios import ScenarioSpec, replay
+
+
+def _replay(params, seed=0, learning="adaptive", run_cold=True, **model):
+    """Replay a ``streaming`` spec with the smoke profile's IIM parameters."""
+    profile = get_profile("smoke")
+    model = {"k": profile.default_k, "learning": learning,
+             "stepping": profile.iim_stepping,
+             "max_learning_neighbors": profile.iim_max_learning_neighbors,
+             **model}
+    spec = ScenarioSpec(
+        name="smoke_stream", generator="streaming",
+        params={"dataset": "sn", **params}, model=model,
+        engine={"model_cache_size": None}, seed=seed,
+    )
+    return replay(spec, transport="engine", run_cold=run_cold,
+                  check_digest=False)
 
 
 @pytest.fixture(scope="module")
 def smoke_result():
-    return run_streaming(
-        dataset="sn",
-        profile=get_profile("smoke"),
-        size=240,
-        n_rounds=4,
-        queries_per_round=10,
-        max_learning_neighbors=15,
-        random_state=0,
-    )
+    return _replay({"size": 240, "n_rounds": 4, "queries_per_round": 10},
+                   max_learning_neighbors=15)
 
 
 def test_streaming_replays_every_round(smoke_result):
-    assert len(smoke_result.rounds) == 4
-    assert smoke_result.rounds[-1].n_store == 240
-    appended = sum(r.n_appended for r in smoke_result.rounds)
-    assert appended == 240 - smoke_result.initial_store
-    assert all(r.n_queries == 10 for r in smoke_result.rounds)
-    assert smoke_result.engine_stats["appended_rows"] == 240
+    steps = smoke_result.steps
+    assert len(steps) == 4
+    assert steps[-1].n_store == 240
+    assert sum(step.n_appended for step in steps) == 240 - int(240 * 0.4)
+    assert all(step.n_queries == 10 for step in steps)
+    stats = smoke_result.session_stats["smoke_stream"]
+    assert stats["counters"]["appended_rows"] == 240
 
 
 def test_streaming_online_matches_cold(smoke_result):
     """The engine is an optimisation, not an approximation."""
-    for round_result in smoke_result.rounds:
-        np.testing.assert_allclose(
-            round_result.rms_online, round_result.rms_cold, rtol=1e-9
-        )
+    assert smoke_result.verified is True
+    for step in smoke_result.steps:
+        np.testing.assert_allclose(step.rms_online, step.rms_cold, rtol=1e-9)
     assert smoke_result.max_rms_gap <= 1e-9 * max(
-        r.rms_cold for r in smoke_result.rounds
+        step.rms_cold for step in smoke_result.steps
     )
-
-
-def test_streaming_as_dict_is_json_shaped(smoke_result):
-    report = smoke_result.as_dict()
-    assert report["dataset"] == "sn"
-    assert len(report["rounds"]) == 4
-    for entry in report["rounds"]:
-        assert set(entry) >= {
-            "round", "n_store", "n_appended", "n_queries",
-            "online_seconds", "cold_seconds", "speedup",
-            "rms_online", "rms_cold",
-        }
-    assert report["speedup"] == smoke_result.speedup
 
 
 def test_streaming_fixed_learning_runs():
-    result = run_streaming(
-        dataset="sn",
-        profile=get_profile("smoke"),
-        size=200,
-        n_rounds=3,
-        learning="fixed",
-        queries_per_round=8,
-        random_state=1,
-        run_cold=False,
-    )
-    assert len(result.rounds) == 3
-    assert all(np.isnan(r.rms_cold) for r in result.rounds)
-    assert all(np.isfinite(r.rms_online) for r in result.rounds)
-
-
-def test_streaming_rejects_degenerate_configs():
     profile = get_profile("smoke")
-    with pytest.raises(ExperimentError):
-        run_streaming(dataset="sn", profile=profile, size=100, initial_fraction=0.999)
-    with pytest.raises(ExperimentError):
-        run_streaming(dataset="sn", profile=profile, size=100, n_rounds=1000)
+    result = _replay(
+        {"size": 200, "n_rounds": 3, "queries_per_round": 8}, seed=1,
+        learning="fixed", learning_neighbors=profile.default_k, run_cold=False,
+    )
+    assert len(result.steps) == 3
+    assert all(np.isnan(step.rms_cold) for step in result.steps)
+    assert all(np.isfinite(step.rms_online) for step in result.steps)

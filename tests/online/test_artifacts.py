@@ -1,6 +1,8 @@
 """Artifact persistence: save→load round-trips and manifest validation."""
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -261,13 +263,18 @@ def test_missing_files_raise(tmp_path):
 
 
 def test_torn_arrays_file_rejected_with_recreate_hint(tmp_path):
-    """A half-written .npz is detected, not deserialized into garbage."""
+    """A half-written .npz is detected, not deserialized into garbage, and
+    rejecting it leaks no file handle."""
     path = write_artifact(tmp_path / "a", "imputer", {}, {"x": np.arange(8.0)})
     arrays_path = _arrays_path(path)
     data = arrays_path.read_bytes()
     arrays_path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(ConfigurationError, match="re-create the snapshot"):
-        read_artifact(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigurationError, match="re-create the snapshot"):
+            read_artifact(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
-"""The legacy experiment entry points are thin wrappers over scenarios.
+"""The streaming and churn generators reproduce the legacy harnesses.
 
-``run_streaming`` / ``run_churn`` now build a :class:`ScenarioSpec` and
-replay it — but their numbers are historical (recorded in
-``BENCH_online.json`` across PRs), so the port must not change a single
-one.  These tests re-derive the legacy harness inline — the exact rng
-consumption order of the pre-port implementation — and assert the
-wrappers still produce the same rounds and the same RMS errors at fixed
-seeds.
+The online benchmark's historical numbers came from two hand-written
+harnesses (an initial store, then rounds of appends, or of appends,
+updates and deletes, followed by queries).  Their traces are now the
+``streaming`` and ``churn`` scenario generators, so replaying those specs
+must not change a single number.  These tests re-derive the legacy
+harnesses inline (their exact rng consumption order) and assert that
+:func:`~repro.scenarios.replay` produces the same rounds and the same RMS
+errors at fixed seeds.
 """
 
 import numpy as np
@@ -17,8 +18,8 @@ from repro.core.iim import IIMImputer
 from repro.data import load_dataset
 from repro.data.relation import Relation
 from repro.exceptions import ExperimentError
-from repro.experiments.streaming import run_churn, run_streaming
 from repro.metrics import rms_error
+from repro.scenarios import ScenarioSpec, replay
 
 SIZE = 160
 N_ROUNDS = 3
@@ -136,19 +137,29 @@ def legacy_churn(values, seed, updates=2, deletes=3, noise=0.05):
     return rounds
 
 
+def _replay(generator, seed=0, run_cold=True, **params):
+    spec = ScenarioSpec(
+        name=f"legacy_{generator}",
+        generator=generator,
+        params={"dataset": "sn", "size": SIZE, "n_rounds": N_ROUNDS,
+                "queries_per_round": QUERIES, **params},
+        model=IIM,
+        engine=ENGINE,
+        seed=seed,
+    )
+    return replay(spec, transport="engine", verify=False, run_cold=run_cold,
+                  check_digest=False)
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_run_streaming_matches_the_legacy_harness(values, seed):
     expected = legacy_streaming(values, seed)
-    result = run_streaming(
-        dataset="sn", size=SIZE, n_rounds=N_ROUNDS,
-        queries_per_round=QUERIES, random_state=seed, **IIM,
-    )
-    assert result.initial_store == int(SIZE * 0.4)
-    assert len(result.rounds) == N_ROUNDS
-    for got, want in zip(result.rounds, expected):
+    steps = _replay("streaming", seed).steps
+    assert len(steps) == N_ROUNDS
+    for got, want in zip(steps, expected):
         assert got.n_store == want["n_store"]
         assert got.n_appended == want["n_appended"]
-        # Bit-for-bit: the port must not change a single historical number.
+        # Bit-for-bit: the generator must not change a single historical number.
         assert got.rms_online == want["rms_online"]
         assert got.rms_cold == want["rms_cold"]
 
@@ -156,13 +167,10 @@ def test_run_streaming_matches_the_legacy_harness(values, seed):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_run_churn_matches_the_legacy_harness(values, seed):
     expected = legacy_churn(values, seed)
-    result = run_churn(
-        dataset="sn", size=SIZE, n_rounds=N_ROUNDS,
-        queries_per_round=QUERIES, updates_per_round=2, deletes_per_round=3,
-        random_state=seed, **IIM,
-    )
-    assert len(result.rounds) == N_ROUNDS
-    for got, want in zip(result.rounds, expected):
+    steps = _replay("churn", seed, updates_per_round=2,
+                    deletes_per_round=3).steps
+    assert len(steps) == N_ROUNDS
+    for got, want in zip(steps, expected):
         assert got.n_store == want["n_store"]
         assert got.n_appended == want["n_appended"]
         assert got.n_updated == want["n_updated"]
@@ -172,19 +180,17 @@ def test_run_churn_matches_the_legacy_harness(values, seed):
 
 
 def test_wrappers_reject_degenerate_configs_with_the_legacy_error():
-    """The scenario port keeps the legacy error contract: degenerate shapes
-    raise ExperimentError (ScenarioError subclasses it)."""
+    """Degenerate shapes keep the legacy error contract: they raise
+    ExperimentError (ScenarioError subclasses it)."""
     with pytest.raises(ExperimentError):
-        run_streaming(dataset="sn", size=100, initial_fraction=0.999)
+        _replay("streaming", size=100, initial_fraction=0.999)
     with pytest.raises(ExperimentError):
-        run_streaming(dataset="sn", size=100, n_rounds=1000)
+        _replay("streaming", size=100, n_rounds=1000)
 
 
-def test_wrapper_engine_stats_flow_through(values):
-    result = run_streaming(
-        dataset="sn", size=SIZE, n_rounds=N_ROUNDS,
-        queries_per_round=QUERIES, random_state=0, run_cold=False, **IIM,
-    )
-    assert result.engine_stats["appended_rows"] == SIZE
-    assert result.engine_stats["impute_batches"] == N_ROUNDS
-    assert "resident_bytes" in result.engine_memory or result.engine_memory
+def test_wrapper_engine_stats_flow_through():
+    report = _replay("streaming", run_cold=False)
+    stats = report.session_stats["legacy_streaming"]
+    assert stats["counters"]["appended_rows"] == SIZE
+    assert stats["counters"]["impute_batches"] == N_ROUNDS
+    assert stats["memory"]
