@@ -11,7 +11,8 @@ memory cost stays ``O(n · max_length)`` rather than ``O(n²)``.
 :meth:`NeighborOrderCache.order_matrix` additionally materialises *all*
 orderings at once as a dense ``(n, max_length)`` matrix, computed block-wise
 from pairwise-distance chunks with one stable selection per row — the
-entry point the vectorized learning kernels build on.
+entry point the vectorized learning kernels build on.  Orderings are stored
+as ``int32``: store indices stay below ``2**31``.
 
 A cache is backed either by a data matrix or by a *store feature view*
 (:class:`repro.online.store.StoreFeatureView`): slot references into the
@@ -23,34 +24,49 @@ what the cold :class:`~repro.core.iim.IIMImputer` builds and reads.  Only
 a store-backed cache — the online engine's — is mutable.  Its lifecycle
 methods take store positions and slots (:meth:`~NeighborOrderCache.append`
 ``(slots)``, :meth:`~NeighborOrderCache.remove` ``(indices)``,
-:meth:`~NeighborOrderCache.replace` ``(index, slot)``), repair the cached
-orderings *incrementally* and report, per tuple, the first ordering
-position that changed — the signal the online engine uses to invalidate
-only the affected per-tuple models.  The repaired orderings are exactly
-those a cold rebuild over the mutated store would produce (same distance
-values, same index tie-breaks).
+:meth:`~NeighborOrderCache.replace` ``(index, slot)``, where ``index`` and
+``slot`` may also be parallel arrays), repair the cached orderings
+*incrementally* and report, per tuple, the first ordering position that
+changed — the signal the online engine uses to invalidate only the
+affected per-tuple models.  The repaired orderings are exactly those a cold
+rebuild over the mutated store would produce (same distance values, same
+index tie-breaks).
+
+Slack and the valid length
+--------------------------
+A store-backed cache with cap ``L`` keeps ``W = min(L + s, max_neighbors())``
+entries per row, ``s = ⌈L/4⌉`` of them *slack*, and a per-row valid length
+``V``: entries ``[0, V)`` are exactly the row's top ``V`` tuples by
+``(distance, index)``, the rest of the row is blank (index ``-1``, distance
+``+inf``), and ``V ≥ L`` after every mutation.  Readers only ever see the
+first ``L`` columns (:meth:`~NeighborOrderCache.order_matrix`,
+:meth:`~NeighborOrderCache.order_of`, :meth:`~NeighborOrderCache.prefix`,
+:attr:`~NeighborOrderCache.order_distances`).  A row that loses an entry
+compacts into its slack; appends refill the slack.  Every mutation applies
+one re-fill rule: a row is re-filled from a fresh distance row, to ``W``
+entries, only when its valid length dropped below ``L``
+(:attr:`~NeighborOrderCache.refilled_rows` counts them).  Matrix-backed and
+uncapped caches keep no slack (``s = 0``).
 
 Each repair sorts, merges and re-fills only the rows whose ordering the
 mutation can change; every other row costs one vectorised scan or gather
 and is reported unchanged:
 
-* :meth:`NeighborOrderCache.append` merges the appended tuples only into
-  the rows whose nearest candidate is closer than the row's last cached
-  distance;
+* :meth:`NeighborOrderCache.append` merges into a row only the appended
+  tuples closer than its last valid entry (a row holding every tuple takes
+  them all), packed per row in index order;
 * :meth:`NeighborOrderCache.remove` renumbers every row with one index-map
-  gather, then compacts — or, when a capped row went short, re-fills from
-  fresh distance rows in bounded blocks — only the rows that held a
-  removed tuple;
-* :meth:`NeighborOrderCache.replace` re-sorts only the rows that held the
-  revised tuple or that it now enters, re-fills the capped rows it fell
-  out of, and takes the revised tuple's own ordering from the distance row
-  it already computed.
+  gather, then compacts the rows that held a removed tuple;
+* :meth:`NeighborOrderCache.replace` retires the stale entries of the
+  revised tuples, merges back those that sort before a row's old last
+  valid entry, and takes each revised tuple's own ordering from its
+  distance row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,11 +82,32 @@ __all__ = [
     "OrderReplaceResult",
 ]
 
+#: Index of a blank (past the valid length) ordering entry.
+_BLANK = -1
+
 
 def _first_difference(new: np.ndarray, old: np.ndarray, length: int) -> np.ndarray:
     """Per row, the first column where ``new`` and ``old`` differ (else ``length``)."""
     differs = new != old
     return np.where(differs.any(axis=1), differs.argmax(axis=1), length)
+
+
+def _packed(mask: np.ndarray, values: np.ndarray, labels: np.ndarray):
+    """Per row, the ``values``/``labels`` where ``mask`` holds, packed to the
+    front in column order and padded with blanks to the widest row.
+
+    Returns ``(labels, values, counts)``: ``(r, e)`` int32 labels, ``(r, e)``
+    values (``+inf`` padding) and the per-row entry counts.
+    """
+    rows, cols = np.nonzero(mask)
+    counts = np.bincount(rows, minlength=mask.shape[0])
+    width = int(counts.max()) if counts.size else 0
+    position = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    out_labels = np.full((mask.shape[0], width), _BLANK, dtype=np.int32)
+    out_values = np.full((mask.shape[0], width), np.inf)
+    out_labels[rows, position] = labels[cols]
+    out_values[rows, position] = values[rows, cols]
+    return out_labels, out_values, counts
 
 
 @dataclass
@@ -146,17 +183,20 @@ class OrderReplaceResult:
     Attributes
     ----------
     index:
-        The replaced tuple's index (unchanged by the operation).
+        The replaced tuple's index (unchanged by the operation); the sorted
+        distinct indices when :meth:`~NeighborOrderCache.replace` was given
+        an array.
     first_changed:
         Array of shape ``(n,)``: per tuple, the first ordering position
         whose neighbour identity changed (``length`` when unchanged).  Note
         this tracks ordering changes only — a tuple whose prefix still
-        *contains* ``index`` at the same position has an unchanged ordering
-        even though that neighbour's values changed; callers that learn
-        models over the prefix values must treat those rows as dirty too.
+        *contains* a replaced tuple at the same position has an unchanged
+        ordering even though that neighbour's values changed; callers that
+        learn models over the prefix values must treat those rows as dirty
+        too.
     """
 
-    index: int
+    index: Union[int, np.ndarray]
     first_changed: np.ndarray
 
     def changed_rows(self, prefix_length: int) -> np.ndarray:
@@ -182,12 +222,15 @@ class NeighborOrderCache:
         learning phase includes the tuple itself in ``NN(t_i, F, ℓ)``;
         the validation step of Algorithm 3 excludes it).
     max_length:
-        Optional cap on the ordering length kept per tuple; ``None`` keeps
-        the full ordering.  Capping bounds memory at ``O(n · max_length)``.
+        Optional cap ``L`` on the ordering length exposed per tuple;
+        ``None`` keeps the full ordering.  Capping bounds memory at
+        ``O(n · max_length)``; a store-backed cache keeps ``⌈L/4⌉`` slack
+        entries per row beyond the cap (see the module docstring).
     keep_distances:
-        Also materialise the distances aligned with the cached orderings
-        (needed by :meth:`append`, which enables it automatically).  Off by
-        default so batch-learning callers pay for the index matrix only.
+        Also materialise the distances aligned with the cached orderings of
+        a matrix-backed cache.  Off by default so batch-learning callers pay
+        for the index matrix only; a store-backed cache always keeps them,
+        because every mutation needs them.
     """
 
     def __init__(
@@ -215,10 +258,17 @@ class NeighborOrderCache:
         # smaller than the cap.
         self._requested_length = max_length
         self.max_length = None if max_length is None else min(max_length, self.max_neighbors())
-        self.keep_distances = bool(keep_distances)
+        self._slack = (
+            -(-max_length // 4) if self._store_backed and max_length is not None else 0
+        )
+        self.keep_distances = bool(keep_distances) or self._store_backed
+        #: Rows re-filled from a fresh distance row by the lifecycle methods.
+        self.refilled_rows = 0
         self._cache: Dict[int, np.ndarray] = {}
+        # (n, W) orderings and distances, and the per-row valid lengths.
         self._matrix: Optional[np.ndarray] = None
         self._dists: Optional[np.ndarray] = None
+        self._valid: Optional[np.ndarray] = None
 
     @property
     def n_points(self) -> int:
@@ -255,8 +305,18 @@ class NeighborOrderCache:
         return self.n_points if self.include_self else self.n_points - 1
 
     def effective_length(self) -> int:
-        """The ordering length currently kept per tuple."""
+        """The ordering length currently exposed per tuple."""
         return self.max_neighbors() if self.max_length is None else self.max_length
+
+    def _width(self) -> int:
+        """Entries kept per row: the exposed length plus slack, at most every
+        other tuple."""
+        return max(0, min(self.effective_length() + self._slack, self.max_neighbors()))
+
+    def _resize(self) -> None:
+        """Re-derive the effective cap after the indexed data grew or shrank."""
+        if self._requested_length is not None:
+            self.max_length = min(self._requested_length, self.max_neighbors())
 
     def _compute_order(self, index: int) -> np.ndarray:
         distances = self._pairwise(self._data[index])
@@ -274,7 +334,7 @@ class NeighborOrderCache:
         if not 0 <= index < self.n_points:
             raise ConfigurationError(f"tuple index {index} out of range")
         if self._matrix is not None:
-            return self._matrix[index]
+            return self._matrix[index, : self.effective_length()]
         cached = self._cache.get(index)
         if cached is None:
             cached = self._compute_order(index)
@@ -288,25 +348,26 @@ class NeighborOrderCache:
         n = self.n_points
         return max(32, min(n, 100_000 // max(1, n)))
 
-    def _select_rows(self, distances: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    def _select_rows(
+        self, distances: np.ndarray, owners: np.ndarray, width: int
+    ) -> np.ndarray:
         """Cold orderings of the tuples ``owners`` from their distance rows.
 
         One stable selection per row (ties broken by index, exactly like the
         per-row ``np.lexsort`` of :meth:`order_of`), minus the self entry
-        without ``include_self``, truncated to the effective length.
+        without ``include_self``, truncated to ``width`` entries.
         """
         n = distances.shape[1]
-        length = self.effective_length()
         # Without include_self the self entry must be dropped from the kept
         # prefix, so one extra ordered position is selected per row.
-        select = min(n, length + (0 if self.include_self else 1))
+        select = min(n, width + (0 if self.include_self else 1))
         if select < n:
             _, order = topk_batch(distances, select)
         else:
             order = stable_order(distances)
         if not self.include_self:
             order = drop_self_rows(order, owners)
-        return order[:, :length]
+        return order[:, :width]
 
     def _cold_rows(
         self,
@@ -314,7 +375,8 @@ class NeighborOrderCache:
         chunk_size: Optional[int] = None,
         with_distances: bool = True,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Cold orderings (and distances) of ``rows`` over the current data.
+        """Cold orderings (and distances) of ``rows`` over the current data,
+        :meth:`_width` entries each.
 
         Computed block-wise, one pairwise-distance chunk of
         :meth:`_chunk_rows` query rows at a time, so refilling many rows
@@ -322,14 +384,14 @@ class NeighborOrderCache:
         """
         if chunk_size is None:
             chunk_size = self._chunk_rows()
-        length = self.effective_length()
-        orders = np.empty((rows.shape[0], length), dtype=int)
-        dists = np.empty((rows.shape[0], length)) if with_distances else None
+        width = self._width()
+        orders = np.empty((rows.shape[0], width), dtype=np.int32)
+        dists = np.empty((rows.shape[0], width)) if with_distances else None
         for start in range(0, rows.shape[0], chunk_size):
             block = rows[start : start + chunk_size]
             stop = start + block.shape[0]
             distances = self._pairwise(self._data[block])
-            order = self._select_rows(distances, block)
+            order = self._select_rows(distances, block, width)
             orders[start:stop] = order
             if dists is not None:
                 dists[start:stop] = np.take_along_axis(distances, order, axis=1)
@@ -343,7 +405,8 @@ class NeighborOrderCache:
         like the per-row ``np.lexsort`` of :meth:`order_of`), and — without
         ``include_self`` — one removal of the self entry.  The result is
         cached, after which :meth:`order_of` and :meth:`prefix` become O(1)
-        row views.
+        row views.  A store-backed cache builds its slack columns too and
+        returns a view of the first ``L``.
 
         Parameters
         ----------
@@ -351,13 +414,13 @@ class NeighborOrderCache:
             Number of query rows per distance block; defaults to
             :meth:`_chunk_rows`.
         """
-        if self._matrix is not None:
-            return self._matrix
-        self._matrix, self._dists = self._cold_rows(
-            np.arange(self.n_points), chunk_size, self.keep_distances
-        )
-        self._cache.clear()
-        return self._matrix
+        if self._matrix is None:
+            self._matrix, self._dists = self._cold_rows(
+                np.arange(self.n_points), chunk_size, self.keep_distances
+            )
+            self._valid = np.full(self.n_points, self._matrix.shape[1], dtype=np.int32)
+            self._cache.clear()
+        return self._matrix[:, : self.effective_length()]
 
     def prefix(self, index: int, length: int) -> np.ndarray:
         """``NN(t_index, F, length)`` as a prefix of the cached ordering."""
@@ -379,24 +442,51 @@ class NeighborOrderCache:
                 "over a store feature view to append, remove or replace"
             )
 
+    def _install(
+        self, orders: np.ndarray, dists: np.ndarray, valid: np.ndarray, rows
+    ) -> None:
+        """Apply the re-fill rule to ``rows``, then make the arrays current.
+
+        A row whose valid length fell below the exposed length is re-filled
+        from a fresh distance row, to the full width.
+        """
+        short = rows[valid[rows] < self.effective_length()]
+        if short.size:
+            orders[short], dists[short] = self._cold_rows(short)
+            valid[short] = orders.shape[1]
+            self.refilled_rows += int(short.size)
+        self._matrix = orders
+        self._dists = dists
+        self._valid = valid
+        self._cache.clear()
+
+    def _last_valid(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row, the index and distance of the last valid entry."""
+        n, width = self._matrix.shape
+        if not width:
+            return np.full(n, _BLANK), np.full(n, np.inf)
+        flat = np.arange(0, n * width, width) + np.maximum(self._valid - 1, 0)
+        return self._matrix.ravel()[flat], self._dists.ravel()[flat]
+
     def append(self, slots) -> OrderAppendResult:
         """Add the tuples at store ``slots`` and update every cached ordering.
 
-        A pre-existing tuple's ordering is merged with the new candidate
-        distances by one stable row-wise sort over ``L + b`` entries — but
-        only when its nearest candidate is strictly closer than its last
-        cached distance (a tie cannot enter: appended indices exceed every
-        old one); the new tuples' orderings are computed against the grown
-        store.  Both are *exactly* the orderings a cold rebuild would
-        produce: the per-pair distance values are identical and ties still
-        break by index (the old cached ordering and the new candidate block
-        are each already in index order, so a stable sort on distance
-        preserves the lexicographic order).
+        An appended tuple enters a pre-existing row only when its distance
+        is strictly below the row's last valid distance (a tie cannot enter:
+        appended indices exceed every old one), or when the row holds every
+        tuple.  Only those entering candidates are merged, packed per row in
+        index order, by one stable row-wise sort over ``W + e`` entries
+        (``e`` the most candidates entering any one row); the valid length
+        rises by the number that entered, up to ``W``.  The new tuples'
+        orderings are computed against the grown store.  Both are *exactly*
+        the orderings a cold rebuild would produce: the per-pair distance
+        values are identical and ties still break by index (the old cached
+        ordering and the packed candidates are each already in index order,
+        so a stable sort on distance preserves the lexicographic order).
 
         The effective ordering length grows back towards the requested
-        ``max_length`` cap as the store grows; while it grows every row is
-        merged, so a tuple whose cached ordering held *all* points keeps a
-        complete ordering.
+        ``max_length`` cap as the store grows; while it grows every row
+        holds every tuple, so every row takes every candidate.
 
         ``slots`` are the columnar-store slots the engine appended; their
         values are gathered from the store.
@@ -416,10 +506,10 @@ class NeighborOrderCache:
         rows = self._data.store.rows(slots, attrs=self._data.attrs)
 
         # Materialise the current orderings (and distances) before growing.
-        self.keep_distances = True
-        old_orders = self.order_matrix()
-        old_dists = self._ensure_distances()
-        old_length = old_orders.shape[1]
+        old_length = self.order_matrix().shape[1]
+        old_orders, old_dists, old_valid = self._matrix, self._dists, self._valid
+        _, last_dists = self._last_valid()
+        complete = old_valid == self.max_neighbors()
 
         n_after = n_before + n_appended
         new_indices = np.arange(n_before, n_after)
@@ -429,56 +519,62 @@ class NeighborOrderCache:
         # to what a cold rebuild computes for the pre-existing rows.
         self._data = self._data.extended(slots)
         appended_distances = self._pairwise(rows)
-
-        if self._requested_length is not None:
-            self.max_length = min(self._requested_length, self.max_neighbors())
+        self._resize()
         new_length = self.effective_length()
+        width = self._width()
 
-        orders = np.empty((n_after, new_length), dtype=int)
-        dists = np.empty((n_after, new_length))
+        orders = np.empty((n_after, width), dtype=np.int32)
+        dists = np.empty((n_after, width))
+        valid = np.empty(n_after, dtype=np.int32)
         # --- Orderings of the appended tuples (cold path over the full
         # store, truncated selection exactly like order_matrix()).
-        orders[n_before:] = self._select_rows(appended_distances, new_indices)
+        orders[n_before:] = self._select_rows(appended_distances, new_indices, width)
         dists[n_before:] = np.take_along_axis(
             appended_distances, orders[n_before:], axis=1
         )
+        valid[n_before:] = width
+        old_width = old_orders.shape[1]
+        orders[:n_before, :old_width] = old_orders
+        orders[:n_before, old_width:] = _BLANK
+        dists[:n_before, :old_width] = old_dists
+        dists[:n_before, old_width:] = np.inf
+        valid[:n_before] = old_valid
 
-        # --- Merge the new candidates into the pre-existing orderings they
-        # reach.  Once the capped length stops growing, a row changes only
-        # when its nearest candidate is strictly closer than its last entry:
-        # appended indices exceed every old one, so a tie cannot enter.
+        # --- Merge the entering candidates into the rows they reach.
         candidate_dists = appended_distances[:, :n_before]  # (b, n_before)
-        if new_length > old_length:
-            touched = np.arange(n_before)
-        else:
-            orders[:n_before] = old_orders
-            dists[:n_before] = old_dists
-            touched = np.flatnonzero(
-                candidate_dists.min(axis=0) < old_dists[:, -1]
-            )
-        concat_dists = np.hstack([old_dists[touched], candidate_dists[:, touched].T])
-        concat_orders = np.hstack(
-            [
-                old_orders[touched],
-                np.broadcast_to(new_indices, (touched.shape[0], n_appended)),
-            ]
+        touched = np.flatnonzero(
+            (candidate_dists.min(axis=0) < last_dists) | complete
         )
-        merge = np.argsort(concat_dists, axis=1, kind="stable")[:, :new_length]
-        orders[touched] = np.take_along_axis(concat_orders, merge, axis=1)
-        dists[touched] = np.take_along_axis(concat_dists, merge, axis=1)
-
-        # First changed position per pre-existing tuple (old_length when the
-        # ordering only grew at the tail, new_length when fully unchanged).
-        padded = np.full((touched.shape[0], new_length), -1, dtype=int)
-        padded[:, :old_length] = old_orders[touched]
         first_changed = np.full(n_before, new_length, dtype=int)
-        first_changed[touched] = _first_difference(
-            orders[touched], padded, new_length
-        )
+        if touched.size:
+            candidate_dists = candidate_dists[:, touched].T  # (t, b)
+            enters = (candidate_dists < last_dists[touched, None]) | complete[
+                touched, None
+            ]
+            packed_orders, packed_dists, entered = _packed(
+                enters, candidate_dists, new_indices
+            )
+            concat_dists = np.hstack([old_dists[touched], packed_dists])
+            concat_orders = np.hstack([old_orders[touched], packed_orders])
+            merge = np.argsort(concat_dists, axis=1, kind="stable")[:, :width]
+            # Entries past the new valid length are blanks (+inf sorts last).
+            orders[touched, : merge.shape[1]] = np.take_along_axis(
+                concat_orders, merge, axis=1
+            )
+            dists[touched, : merge.shape[1]] = np.take_along_axis(
+                concat_dists, merge, axis=1
+            )
+            valid[touched] = np.minimum(old_valid[touched] + entered, width)
 
-        self._matrix = orders
-        self._dists = dists
-        self._cache.clear()
+            # First changed position per touched tuple (old_length when the
+            # ordering only grew at the tail).
+            padded = np.full((touched.shape[0], new_length), _BLANK, dtype=np.int32)
+            padded[:, :old_length] = old_orders[touched, :old_length]
+            first_changed[touched] = _first_difference(
+                orders[touched, :new_length], padded, new_length
+            )
+
+        self._install(orders, dists, valid, touched)
         return OrderAppendResult(n_before, n_appended, first_changed)
 
     def remove(self, indices) -> OrderRemoveResult:
@@ -488,10 +584,10 @@ class NeighborOrderCache:
         space (old index tie-breaks map monotonically onto the new ones),
         which leaves the rows that held no removed tuple exact.  The rows
         that did are *compacted*: the removed entries are deleted in place,
-        an order-preserving operation.  Rows whose capped ordering loses
-        more entries than the new effective length allows are instead
-        re-filled from fresh distance rows, a bounded block at a time (the
-        dropped tail was never cached); uncapped caches never need this.
+        an order-preserving operation, and the valid length drops by the
+        number of entries lost inside it.  Only a row whose valid length
+        fell below the new effective length is re-filled from a fresh
+        distance row; uncapped caches never need this.
 
         Returns an :class:`OrderRemoveResult` carrying the per-survivor
         first-changed positions (new index space) and the old→new
@@ -516,203 +612,207 @@ class NeighborOrderCache:
         removed_mask = np.zeros(n_before, dtype=bool)
         removed_mask[indices] = True
         kept = np.flatnonzero(~removed_mask)
-        index_map = np.full(n_before, -1, dtype=int)
-        index_map[kept] = np.arange(kept.size)
+        # One extra trailing entry maps blank (-1) entries to blanks too.
+        renumber = np.full(n_before + 1, _BLANK, dtype=np.int32)
+        renumber[kept] = np.arange(kept.size)
+        index_map = renumber[:n_before]
         n_after = kept.size
 
         if n_after == 0:
             self._data = self._data.selected(kept)
             self.max_length = None if self._requested_length is None else 0
-            self._matrix = np.empty((0, 0), dtype=int)
-            self._dists = np.empty((0, 0)) if self.keep_distances else None
+            self._matrix = np.empty((0, 0), dtype=np.int32)
+            self._dists = np.empty((0, 0))
+            self._valid = np.empty(0, dtype=np.int32)
             self._cache.clear()
             return OrderRemoveResult(
                 n_before, n_before, np.empty(0, dtype=int), index_map
             )
 
         # Materialise the current orderings (and distances) before shrinking.
-        self.keep_distances = True
-        old_orders = self.order_matrix()
-        old_dists = self._ensure_distances()
+        self.order_matrix()
+        old_orders, old_dists, old_valid = self._matrix, self._dists, self._valid
+        old_width = old_orders.shape[1]
 
         self._data = self._data.selected(kept)
-        if self._requested_length is not None:
-            self.max_length = min(self._requested_length, self.max_neighbors())
+        self._resize()
         new_length = self.effective_length()
+        width = self._width()
 
         # --- Renumber every survivor's ordering (removed entries map to -1);
         # rows that held no removed tuple are then already exact.
-        renumbered = index_map[old_orders[kept]]
-        lost = (renumbered < 0).sum(axis=1)
-        new_orders = renumbered[:, :new_length].copy()
-        new_dists = old_dists[kept, :new_length]
+        renumbered = renumber[old_orders[kept]]
+        gone = renumbered < 0
+        old_valid = old_valid[kept]
+        lost = gone.sum(axis=1) - (old_width - old_valid)
+        valid = np.minimum(old_valid - lost, width).astype(np.int32)
+        new_orders = renumbered[:, :width].copy()
+        new_dists = old_dists[kept, :width]
 
         # --- Compact the rows that held a removed tuple: stable-partition
         # the kept entries to the front (order preserved), then truncate.
-        # A capped row left shorter than the new length lost prefix entries
-        # the cache never held beyond the cap; refill it cold instead.
         held = np.flatnonzero(lost)
-        short = renumbered.shape[1] - lost[held] < new_length
-        compact = held[~short]
-        if compact.size:
-            cols = np.argsort(renumbered[compact] < 0, axis=1, kind="stable")
-            cols = cols[:, :new_length]
-            new_orders[compact] = np.take_along_axis(renumbered[compact], cols, axis=1)
-            new_dists[compact] = np.take_along_axis(
-                old_dists[kept[compact]], cols, axis=1
-            )
-        refill = held[short]
-        if refill.size:
-            new_orders[refill], new_dists[refill] = self._cold_rows(refill)
+        if held.size:
+            cols = np.argsort(gone[held], axis=1, kind="stable")[:, :width]
+            new_orders[held] = np.take_along_axis(renumbered[held], cols, axis=1)
+            held_dists = np.take_along_axis(old_dists[kept[held]], cols, axis=1)
+            held_dists[np.arange(width) >= valid[held, None]] = np.inf
+            new_dists[held] = held_dists
 
+        self._install(new_orders, new_dists, valid, held)
         # First changed position per survivor: compare neighbour identities
         # against the old prefix (removed entries map to -1, never equal).
         first_changed = np.full(n_after, new_length, dtype=int)
         first_changed[held] = _first_difference(
-            new_orders[held], renumbered[held, :new_length], new_length
+            new_orders[held, :new_length], renumbered[held, :new_length], new_length
         )
-
-        self._matrix = new_orders
-        self._dists = new_dists
-        self._cache.clear()
         return OrderRemoveResult(n_before, indices.size, first_changed, index_map)
 
-    def replace(self, index: int, slot) -> OrderReplaceResult:
-        """Point one indexed tuple at a revised store ``slot`` and repair
-        every ordering.
+    def replace(self, index, slot) -> OrderReplaceResult:
+        """Point indexed tuples at revised store slots and repair every
+        ordering.
+
+        ``index`` and ``slot`` are one tuple index and the fresh
+        columnar-store slot holding its revised values, or parallel arrays
+        of them (a run of updates); an index given twice keeps its last
+        slot.
 
         Removal + merge over the kept distances, on the touched rows only:
-        those holding ``index`` and those the revised tuple enters (its
-        ``(distance, index)`` sorts before the row's last entry).  There
-        the stale entry is dropped (its cached distance is retired) and
-        the revised tuple is merged back in by one row-wise
-        ``(distance, index)`` lexsort, so ties still break exactly like a
-        cold rebuild.  Rows where the revised tuple fell out of a capped
-        prefix are re-filled from a fresh distance row; the replaced
-        tuple's own ordering comes from its candidate distance row.  Every
-        other row is unchanged.
-
-        ``slot`` is the fresh columnar-store slot holding the revised tuple.
+        those holding a revised tuple and those a revised tuple enters (its
+        new ``(distance, index)`` sorts before the row's old last valid
+        entry; a row holding every tuple takes them all).  There the stale
+        entries are retired and the entering tuples merged back by one
+        row-wise ``(distance, index)`` lexsort, so ties still break exactly
+        like a cold rebuild; the valid length becomes ``V - held +
+        entered``, up to ``W``.  Each revised tuple's own ordering comes
+        from its distance row.  Every other row is unchanged.
         """
         self._check_mutable()
         n = self.n_points
-        index = int(index)
-        if not 0 <= index < n:
-            raise ConfigurationError(f"tuple index {index} out of range")
-
-        self.keep_distances = True
-        old_orders = self.order_matrix()
-        old_dists = self._ensure_distances()
-        length = old_orders.shape[1]
-
-        self._data = self._data.replaced(index, slot)
-        # Distances of the revised tuple against the updated store (its own
-        # entry included); by metric symmetry this column doubles as every
-        # other tuple's candidate distance.
-        cand_dists = self._pairwise(self._data[index])
-
-        # --- Touched rows: those holding ``index``, and those the revised
-        # tuple enters, where (d, index) sorts before the row's last
-        # (distance, index).  Every other ordering is unchanged.
-        stale = old_orders == index
-        touched = stale.any(axis=1)
-        if length:
-            last_dists = old_dists[:, -1]
-            touched |= (cand_dists < last_dists) | (
-                (cand_dists == last_dists) & (index < old_orders[:, -1])
+        scalar = np.ndim(index) == 0
+        indices = np.atleast_1d(np.asarray(index, dtype=np.int64))
+        slots = np.atleast_1d(np.asarray(slot, dtype=np.int64))
+        if indices.shape != slots.shape or indices.ndim != 1:
+            raise ConfigurationError(
+                "replace takes one index and slot, or parallel 1-D arrays of them"
             )
-        touched[index] = False
-        touched = np.flatnonzero(touched)
-        held = stale[touched]
+        out_of_range = indices[(indices < 0) | (indices >= n)]
+        if out_of_range.size:
+            raise ConfigurationError(f"tuple index {out_of_range[0]} out of range")
+        # A repeated index keeps its last slot.
+        indices, last = np.unique(indices[::-1], return_index=True)
+        slots = slots[::-1][last]
 
-        # Retire the stale entry by pushing it past every finite distance,
-        # then merge the revised candidate in by one (distance, index) sort.
-        row_dists = old_dists[touched]
-        row_dists[held] = np.inf
-        concat_orders = np.hstack(
-            [old_orders[touched], np.full((touched.shape[0], 1), index)]
+        self.order_matrix()
+        old_orders, old_dists, old_valid = self._matrix, self._dists, self._valid
+        length = self.effective_length()
+        width = old_orders.shape[1]
+        last_orders, last_dists = self._last_valid()
+        complete = old_valid == self.max_neighbors()
+
+        self._data = self._data.replaced(indices, slots)
+        # Distances of the revised tuples against the updated store (their
+        # own entries included); by metric symmetry these rows double as
+        # every other tuple's candidate distances.
+        cand_dists = self._pairwise(self._data[indices])  # (k, n)
+
+        # --- Touched rows: those holding a revised tuple, and those a
+        # revised tuple enters, where (d, index) sorts before the row's old
+        # last valid (distance, index).  The revised rows are rebuilt whole.
+        # One membership gather; the extra trailing entry keeps blanks out.
+        member = np.zeros(n + 1, dtype=bool)
+        member[indices] = True
+        stale = member[old_orders]
+        candidates = cand_dists.T  # (n, k)
+        enters = (
+            (candidates < last_dists[:, None])
+            | ((candidates == last_dists[:, None]) & (indices < last_orders[:, None]))
+            | complete[:, None]
         )
-        concat_dists = np.hstack([row_dists, cand_dists[touched, None]])
-        merge = np.lexsort((concat_orders, concat_dists), axis=1)[:, :length]
-        rows = np.take_along_axis(concat_orders, merge, axis=1)
-        row_dists = np.take_along_axis(concat_dists, merge, axis=1)
+        touched = stale.any(axis=1) | enters.any(axis=1)
+        touched[indices] = False
+        touched = np.flatnonzero(touched)
 
-        # --- Re-fill rows that cannot be repaired from cached state: a row
-        # whose capped ordering held ``index`` only knows length - 1 other
-        # entries, so when the revised candidate lands on the final position
-        # the true occupant may be an uncached tuple.
-        if length < self.max_neighbors():
-            refill = held.any(axis=1) & (rows[:, -1] == index)
-            if refill.any():
-                rows[refill], row_dists[refill] = self._cold_rows(touched[refill])
+        # Retire the stale entries as blanks, then merge the entering
+        # candidates in by one (distance, index) sort; blanks sort last.
+        row_orders = old_orders[touched]
+        row_dists = old_dists[touched]
+        retired = stale[touched]
+        row_orders[retired] = _BLANK
+        row_dists[retired] = np.inf
+        packed_orders, packed_dists, entered = _packed(
+            enters[touched], candidates[touched], indices
+        )
+        concat_orders = np.hstack([row_orders, packed_orders])
+        concat_dists = np.hstack([row_dists, packed_dists])
+        merge = np.lexsort((concat_orders, concat_dists), axis=1)[:, :width]
 
         new_orders = old_orders.copy()
         new_dists = old_dists.copy()
-        new_orders[touched] = rows
-        new_dists[touched] = row_dists
-        # The revised tuple's own ordering comes from its distance row.
-        own = self._select_rows(cand_dists[None, :], np.array([index]))[0]
-        new_orders[index] = own
-        new_dists[index] = cand_dists[own]
+        valid = old_valid.copy()
+        new_orders[touched] = np.take_along_axis(concat_orders, merge, axis=1)
+        new_dists[touched] = np.take_along_axis(concat_dists, merge, axis=1)
+        valid[touched] = np.minimum(
+            old_valid[touched] - retired.sum(axis=1) + entered, width
+        )
+        # The revised tuples' own orderings come from their distance rows.
+        own = self._select_rows(cand_dists, indices, width)
+        new_orders[indices] = own
+        new_dists[indices] = np.take_along_axis(cand_dists, own, axis=1)
+        valid[indices] = width
 
-        changed = np.append(touched, index)
+        self._install(new_orders, new_dists, valid, touched)
+        changed = np.concatenate([touched, indices])
         first_changed = np.full(n, length, dtype=int)
         first_changed[changed] = _first_difference(
-            new_orders[changed], old_orders[changed], length
+            new_orders[changed, :length], old_orders[changed, :length], length
         )
-
-        self._matrix = new_orders
-        self._dists = new_dists
-        self._cache.clear()
-        return OrderReplaceResult(index, first_changed)
-
-    def _ensure_distances(self, chunk_size: Optional[int] = None) -> np.ndarray:
-        """Backfill the distance matrix for already-materialised orderings."""
-        if self._dists is not None:
-            return self._dists
-        matrix = self.order_matrix()
-        if self._dists is not None:  # order_matrix built both just now
-            return self._dists
-        n = self.n_points
-        if chunk_size is None:
-            chunk_size = self._chunk_rows()
-        dists = np.empty(matrix.shape)
-        for start in range(0, n, chunk_size):
-            stop = min(start + chunk_size, n)
-            distances = self._pairwise(self._data[start:stop])
-            dists[start:stop] = np.take_along_axis(
-                distances, matrix[start:stop], axis=1
-            )
-        self._dists = dists
-        return dists
+        return OrderReplaceResult(int(indices[0]) if scalar else indices, first_changed)
 
     def restore_matrix(self, orders: np.ndarray, dists: np.ndarray) -> None:
         """Install previously materialised orderings (artifact restore path).
 
-        ``orders``/``dists`` must be the arrays a prior :meth:`order_matrix`
-        (possibly followed by :meth:`append` calls) produced for exactly the
-        data this cache was constructed over.
+        ``orders``/``dists`` must be the exposed ``(n, L)`` arrays a prior
+        :meth:`order_matrix` (possibly followed by lifecycle calls) produced
+        for exactly the data this cache was constructed over.  The restored
+        rows start with valid length ``L`` and blank slack.
         """
         orders = np.asarray(orders, dtype=int)
         dists = np.asarray(dists, dtype=float)
-        expected = (self.n_points, self.effective_length())
-        if orders.shape != expected or dists.shape != expected:
+        n, length = self.n_points, self.effective_length()
+        if orders.shape != (n, length) or dists.shape != (n, length):
             raise ConfigurationError(
-                f"restored ordering matrices must have shape {expected}, got "
+                f"restored ordering matrices must have shape {(n, length)}, got "
                 f"{orders.shape} and {dists.shape}"
             )
-        self.keep_distances = True
-        self._matrix = orders.copy()
-        self._dists = dists.copy()
+        width = self._width()
+        self._matrix = np.full((n, width), _BLANK, dtype=np.int32)
+        self._matrix[:, :length] = orders
+        self._dists = np.full((n, width), np.inf)
+        self._dists[:, :length] = dists
+        self._valid = np.full(n, length, dtype=np.int32)
         self._cache.clear()
 
     @property
     def order_distances(self) -> Optional[np.ndarray]:
         """The distances aligned with :meth:`order_matrix` (``None`` until built)."""
-        return self._dists
+        if self._dists is None:
+            return None
+        return self._dists[:, : self.effective_length()]
+
+    @property
+    def order_nbytes(self) -> int:
+        """Bytes of the backing orderings, distances and valid lengths
+        (slack included; 0 until built)."""
+        return sum(
+            int(array.nbytes)
+            for array in (self._matrix, self._dists, self._valid)
+            if array is not None
+        )
 
     def clear(self) -> None:
         """Drop all cached orderings (frees memory)."""
         self._cache.clear()
         self._matrix = None
         self._dists = None
+        self._valid = None

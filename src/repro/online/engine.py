@@ -61,14 +61,14 @@ is replayed in two phases — each op maintains the neighbour cache, the
 owner matrix and the dirty sets only, then ONE batched relearn + cost
 rebuild + selection runs over the dirty union — so a burst of mutations
 costs one refresh, not one per op.  A run of adjacent appends replays as
-one batched merge and a run of adjacent deletes as one repair, so the
-neighbour cache is repaired once per run rather than once per op; updates
-replay one at a time.  When any step of the pending
-sequence would change the state's *structure* (the candidate ℓ grid still
-growing towards ``max_learning_neighbors``, the validation ``k`` clamped by
-a small ``n``, the global candidate toggling), the state falls back to one
-full relearn over the final store instead — structure changes reshape every
-array anyway.  The journal is pruned as states catch up.
+one batched merge, a run of adjacent deletes as one repair and a run of
+adjacent updates as one ``replace`` of many indices, so the neighbour
+cache is repaired once per run rather than once per op.  When any step of
+the pending sequence would change the state's *structure* (the candidate ℓ
+grid still growing towards ``max_learning_neighbors``, the validation ``k``
+clamped by a small ``n``, the global candidate toggling), the state falls
+back to one full relearn over the final store instead — structure changes
+reshape every array anyway.  The journal is pruned as states catch up.
 
 Exactness of the incremental maintenance
 ----------------------------------------
@@ -233,6 +233,7 @@ class _AttributeState:
             # the final store, and rows no op dirtied kept cold values.
             dirty_models = np.zeros(self.cache.n_points, dtype=bool)
             dirty_costs = np.zeros(self.cache.n_points, dtype=bool)
+            refilled = self.cache.refilled_rows
             with engine_phase("order_maintenance"):
                 for op, payload in self._coalesced(pending):
                     if op == "append":
@@ -244,10 +245,11 @@ class _AttributeState:
                             payload, dirty_models, dirty_costs
                         )
                     else:
-                        index, _, new_slot = payload
+                        indices, slots = payload
                         dirty_models, dirty_costs = self._track_update(
-                            index, new_slot, dirty_models, dirty_costs
+                            indices, slots, dirty_models, dirty_costs
                         )
+            engine.stats["order_refill_rows"] += self.cache.refilled_rows - refilled
             refreshed = self._finalize_refresh(dirty_models, dirty_costs)
             engine.stats["incremental_refreshes"] += 1
             engine.stats["rows_refreshed"] += refreshed
@@ -274,19 +276,27 @@ class _AttributeState:
 
     @staticmethod
     def _coalesced(pending) -> List[Tuple[str, object]]:
-        """Merge each run of adjacent appends, and each run of adjacent
-        deletes, into one op.
+        """Merge each run of adjacent appends, of adjacent deletes and of
+        adjacent updates into one op.
 
         A delete run becomes one delete, of sorted indices, in the index
         space before the run: every later delete's indices are mapped back
         past the tuples the run already removed.  A delete's retired slots
-        stay in its journal entry, which releases them.  Update runs stay
-        one op at a time.
+        stay in its journal entry, which releases them.  An update run
+        becomes one update carrying parallel ``(indices, slots)`` arrays;
+        an index revised twice in the run keeps its last slot.  Updates
+        never move indices, so only an append or a delete ends an update
+        run (and an update ends a delete run).
         """
         out: List[Tuple[str, object]] = []
         for op, payload in pending:
             if out and op == out[-1][0] == "append":
                 out[-1] = ("append", np.concatenate([out[-1][1], payload]))
+            elif op == "update":
+                index, _, slot = payload
+                if not (out and out[-1][0] == "update"):
+                    out.append(("update", {}))
+                out[-1][1][int(index)] = int(slot)
             elif op == "delete":
                 indices = payload[0]
                 if out and out[-1][0] == "delete":
@@ -304,6 +314,12 @@ class _AttributeState:
                     out.append(("delete", indices))
             else:
                 out.append((op, payload))
+        for position, (op, payload) in enumerate(out):
+            if op == "update":  # {index: last slot} -> parallel arrays
+                out[position] = (op, (
+                    np.array(list(payload), dtype=np.int64),
+                    np.array(list(payload.values()), dtype=np.int64),
+                ))
         return out
 
     # ------------------------------------------------------------------ #
@@ -316,7 +332,6 @@ class _AttributeState:
             metric=self._imputer.metric,
             include_self=True,
             max_length=self._requested_cache_length(),
-            keep_distances=True,
         )
         with engine_phase("full_rebuild"):
             self._rebuild_from_cache(signature)
@@ -529,23 +544,25 @@ class _AttributeState:
 
     def _track_update(
         self,
-        index: int,
-        new_slot: int,
+        indices: np.ndarray,
+        slots: np.ndarray,
         dirty_models: np.ndarray,
         dirty_costs: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold one revised tuple into the cache/owner/dirty state."""
+        """Fold a run of revised tuples into the cache/owner/dirty state."""
         old_owners = self.owners
-        result = self.cache.replace(index, slot=new_slot)
+        result = self.cache.replace(indices, slot=slots)
         n = self.cache.n_points
         orders = self.cache.order_matrix()
         limit = self._dirty_limit()
 
         # Changed orderings are not enough: a model whose prefix still
-        # contains the revised tuple at the same rank changed *values*.
+        # contains a revised tuple at the same rank changed *values*.
         dirty_models[result.changed_rows(limit)] = True
-        dirty_models |= (orders[:, :limit] == index).any(axis=1)
-        dirty_models[index] = True
+        revised = np.zeros(n, dtype=bool)
+        revised[indices] = True
+        dirty_models |= revised[orders[:, :limit]].any(axis=1)
+        dirty_models[indices] = True
 
         if self._adaptive:
             k_val = self._k_val()
@@ -558,10 +575,10 @@ class _AttributeState:
                     moved = old_rows != new_rows
                     dirty_costs[old_rows[moved]] = True
                     dirty_costs[new_rows[moved]] = True
-                # Every owner the revised tuple validates sees a revalued
+                # Every owner a revised tuple validates sees a revalued
                 # squared error, even where the neighbour sets did not move.
-                dirty_costs[old_owners[index]] = True
-                dirty_costs[owners_new[index]] = True
+                dirty_costs[old_owners[indices]] = True
+                dirty_costs[owners_new[indices]] = True
                 self.owners = owners_new
         return dirty_models, dirty_costs
 
@@ -717,7 +734,6 @@ class _AttributeState:
             metric=engine.imputer.metric,
             include_self=True,
             max_length=state._requested_cache_length(),
-            keep_distances=True,
         )
         state.cache.restore_matrix(arrays["orders"], arrays["order_dists"])
         state.models = IndividualModels(
@@ -824,6 +840,8 @@ class OnlineImputationEngine:
             # Always 0; perfbench reads it as engine.hybrid_full_rebuilds.
             "hybrid_full_rebuilds": 0,
             "rows_refreshed": 0,
+            # Ordering rows re-filled from a fresh distance row, all states.
+            "order_refill_rows": 0,
             "cache_hits": 0,
             "cache_misses": 0,
             "cache_evictions": 0,
@@ -1164,6 +1182,8 @@ class OnlineImputationEngine:
         views; ``state_block_bytes`` is the rows those views have gathered
         and keep for reads (their per-shard feature blocks and positions),
         zero for a view no read or repair has touched yet.
+        ``state_order_bytes`` is the neighbour caches' backing orderings,
+        distances and valid lengths, slack columns included.
         """
         store = self._store
         state_slot_bytes = 0
@@ -1175,11 +1195,7 @@ class OnlineImputationEngine:
                 continue
             state_slot_bytes += int(state.cache.slots.nbytes)
             state_block_bytes += state.cache.data.gathered_bytes
-            orders = state.cache.order_matrix()
-            state_order_bytes += int(orders.nbytes)
-            dists = state.cache.order_distances
-            if dists is not None:
-                state_order_bytes += int(dists.nbytes)
+            state_order_bytes += state.cache.order_nbytes
             for array in (
                 state.parameters, state.all_parameters, state.costs,
                 state.global_costs, state.owners, state.counts,

@@ -372,11 +372,14 @@ class StoreFeatureView:
             self.exclude,
         )
 
-    def replaced(self, position: int, slot: int) -> "StoreFeatureView":
-        """The view with one logical position pointed at a fresh slot."""
-        slots = self.slots.copy()
-        slots[int(position)] = int(slot)
-        return StoreFeatureView(self.store, slots, self.exclude)
+    def replaced(self, positions, slots) -> "StoreFeatureView":
+        """The view with logical ``positions`` pointed at fresh ``slots``
+        (one of each, or parallel arrays of distinct positions)."""
+        revised = self.slots.copy()
+        revised[np.asarray(positions, dtype=np.int64)] = np.asarray(
+            slots, dtype=np.int64
+        )
+        return StoreFeatureView(self.store, revised, self.exclude)
 
     # -- per-shard distance kernel --------------------------------------- #
     def shard_groups(self) -> List[Tuple[int, np.ndarray]]:

@@ -103,17 +103,6 @@ def test_effective_length_grows_back_to_requested_cap():
     _assert_cold(cache, store, 10)
 
 
-def test_append_backfills_distances_lazily():
-    """A cache built without keep_distances can still be appended to."""
-    data = RNG.normal(size=(25, 3))
-    store = _store(data)
-    cache = _cache(store, 10)
-    cache.order_matrix()
-    assert cache.order_distances is None  # batch callers pay for orders only
-    cache.append(store.append(_tuples(RNG.normal(size=(5, 3)))))
-    _assert_cold(cache, store, 10)
-
-
 def test_empty_append_is_a_noop():
     data = RNG.normal(size=(10, 3))
     store = _store(data)

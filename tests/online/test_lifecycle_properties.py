@@ -2,8 +2,10 @@
 
 Each test drives the online engine through a *generated* trace of
 append / delete / update / impute / snapshot / restore operations — empty
-batches, duplicate delete indices, exact-duplicate rows (distance ties) and
-all-rows-deleted states included — while holding a plain-array reference
+batches, duplicate delete indices, exact-duplicate rows (distance ties),
+runs of 2–6 adjacent updates (which a lazy engine replays as one repair;
+the first run of each trace revises one index twice) and all-rows-deleted
+states included — while holding a plain-array reference
 store.  After every imputation the engine must match a cold
 :class:`~repro.core.iim.IIMImputer` refit over the surviving tuples at
 ``rtol = 1e-9``; after every operation the mutation journal must respect
@@ -86,10 +88,11 @@ def _run_trace(engine, pool, rng, params, n_ops, tmp_path=None):
     engine.append(ref)
     floor_seen = 0
     n_snapshots = 0
+    n_runs = 0
     for step in range(n_ops):
         op = rng.choice(
-            ["append", "delete", "update", "impute", "snapshot"],
-            p=[0.3, 0.2, 0.2, 0.25, 0.05],
+            ["append", "delete", "update", "update_run", "impute", "snapshot"],
+            p=[0.3, 0.2, 0.1, 0.1, 0.25, 0.05],
         )
         if op == "append":
             batch = rng.integers(0, 4)  # 0 = the empty-batch no-op
@@ -123,6 +126,17 @@ def _run_trace(engine, pool, rng, params, n_ops, tmp_path=None):
             row = _draw_row(pool, ref, rng)
             engine.update(index, row)
             ref[index] = row
+        elif op == "update_run":
+            if ref.shape[0] == 0:
+                continue
+            indices = rng.integers(0, ref.shape[0], size=rng.integers(2, 7))
+            if n_runs == 0 or rng.random() < 0.5:
+                indices[-1] = indices[0]  # a repeated index: its last row wins
+            n_runs += 1
+            for index in indices:
+                row = _draw_row(pool, ref, rng)
+                engine.update(int(index), row)
+                ref[index] = row
         elif op == "impute":
             if ref.shape[0] < 8:
                 continue
