@@ -134,25 +134,24 @@ def test_online_churn(profile, record_result, write_report):
 
 
 def test_online_large_store(record_result, write_report):
-    """Sharded columnar store at ≥200k tuples: mutation + query throughput.
+    """The tuple store at ≥200k tuples: mutation + query throughput.
 
     Per-tuple model maintenance is inherently O(n²) in the paper's
-    algorithms, so this scenario benchmarks the layer the sharding refactor
-    actually targets at this scale: the store's mutation path (append
-    bursts, delete sweeps, update bursts with slot recycling), the bounded
-    journal, and neighbour-query serving through the per-shard top-K merge
-    — verified bit-identical to the unsharded brute-force reference at full
-    scale.  Memory records what one attribute state's view keeps resident:
-    its slot references and the feature block it gathers once for reads.
+    algorithms, so this scenario benchmarks the store layer alone at this
+    scale: the mutation path (append bursts that grow the array, delete
+    sweeps, update bursts with slot recycling) and neighbour-query serving
+    through one top-K over the view's gathered block — verified
+    bit-identical to the brute-force reference at full scale.  Memory
+    records what one attribute state's view keeps resident: its slot
+    references and the feature block it gathers once for reads.
     """
     from repro.neighbors import BruteForceNeighbors
     from repro.online import ColumnarTupleStore, ShardedNeighbors
 
     n_rows = int(os.environ.get("REPRO_LARGE_STORE_ROWS", "220000"))
     width = 6
-    shard_capacity = 4096
     rng = np.random.default_rng(0)
-    store = ColumnarTupleStore(width, shard_capacity=shard_capacity)
+    store = ColumnarTupleStore(width)
 
     start = time.perf_counter()
     batch = 20_000
@@ -175,8 +174,8 @@ def test_online_large_store(record_result, write_report):
     update_seconds = time.perf_counter() - start
     assert store.recycled_slots > 0, "update bursts must recycle released slots"
 
-    # Query serving through the per-shard top-K merge, checked bit-identical
-    # to the monolithic brute-force reference at full scale.
+    # Query serving through one top-K over the view's block, checked
+    # bit-identical to the brute-force reference at full scale.
     view = store.feature_view(exclude=width - 1)
     searcher = ShardedNeighbors(view)
     queries = rng.normal(size=(64, width - 1))
@@ -192,8 +191,6 @@ def test_online_large_store(record_result, write_report):
     section = {
         "n_rows": n,
         "width": width,
-        "shard_capacity": shard_capacity,
-        "n_shards": store.n_shards,
         "append_seconds": append_seconds,
         "append_rows_per_second": n_rows / append_seconds,
         "delete_seconds": delete_seconds,
@@ -207,20 +204,19 @@ def test_online_large_store(record_result, write_report):
     write_report("online", large_store=section)
     record_result(
         "online_large_store",
-        f"{n} live rows × {width} attrs in {store.n_shards} shards "
-        f"({store.nbytes / 1e6:.1f} MB columnar)\n"
+        f"{n} live rows × {width} attrs "
+        f"({store.nbytes / 1e6:.1f} MB store array)\n"
         f"append {append_seconds:.3f}s ({n_rows / append_seconds:,.0f} rows/s), "
         f"delete sweep {delete_seconds:.3f}s, "
         f"{n_updates} updates {update_seconds:.3f}s\n"
-        f"64-query k=10 sharded top-K merge {query_seconds * 1000:.1f} ms "
+        f"64-query k=10 top-K {query_seconds * 1000:.1f} ms "
         f"(== brute force bit-for-bit)\n"
         f"per-state resident: {n * 8 / 1e6:.1f} MB slots + "
         f"{block_bytes / 1e6:.1f} MB gathered block",
     )
 
-    # The view gathered every row once, shard by shard: one (n, width-1)
-    # float block plus one int64 position per row.
-    assert block_bytes == n * (width - 1) * 8 + n * 8
+    # The view gathered every row once: one (n, width-1) float block.
+    assert block_bytes == n * (width - 1) * 8
 
 
 def test_online_snapshot_roundtrip_cost(profile, record_result, tmp_path):

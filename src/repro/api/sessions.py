@@ -258,7 +258,7 @@ class OnlineSession(ImputationSession):
         Wrap an existing :class:`~repro.online.OnlineImputationEngine`.
     kwargs:
         Otherwise, engine knobs (``model_cache_size``, ``refresh_policy``,
-        ``shard_capacity``, ``journal_capacity``) and
+        ``journal_capacity``) and
         :class:`~repro.core.iim.IIMImputer` constructor arguments, exactly
         as the engine constructor takes them.
 
@@ -400,7 +400,6 @@ class OnlineSession(ImputationSession):
             "engine": {
                 "model_cache_size": engine.model_cache_size,
                 "refresh_policy": engine.refresh_policy,
-                "shard_capacity": engine.shard_capacity,
                 "journal_capacity": engine.journal_capacity,
             },
         }

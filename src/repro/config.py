@@ -4,14 +4,14 @@ Every knob of the library is one :class:`Knob` row of :data:`KNOBS` —
 its name, environment variable, default, parser, one-line doc, and whether
 ``None`` is one of its values (an unbounded cache, no deadline).  The rows
 cover the IIM kernel backend, the online engine (model cache, refresh
-policy, store shards, mutation journal), the write-ahead log, the serve
+policy, mutation journal), the write-ahead log, the serve
 loop (deadline, request bounds, worker pool, micro-batching, admission
 quotas), observability, query provenance and scenario replay.
 
 A knob's value resolves, in decreasing priority, from
 
 1. a per-call argument (``backend=...``, ``OnlineImputationEngine(
-   shard_capacity=...)``, ``SessionServer(workers=...)``) passed through
+   journal_capacity=...)``, ``SessionServer(workers=...)``) passed through
    :func:`resolve`;
 2. the process-wide value chosen by :func:`set` or :func:`override`;
 3. the knob's environment variable;
@@ -143,9 +143,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "engine refresh policy: lazy folds mutations into a model state at "
          "its next impute, eager at every mutation",
          flag="--refresh"),
-    Knob("shard_capacity", "REPRO_ONLINE_SHARD_CAPACITY", 4096, _count,
-         "rows per shard of the engine's columnar tuple store",
-         flag="--shard-capacity"),
     Knob("journal_capacity", "REPRO_ONLINE_JOURNAL_CAPACITY", 512, _count,
          "mutation-journal ring capacity in entries; overflow spills and "
          "laggard states rebuild",
@@ -219,7 +216,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
 ENGINE_KNOBS = (
     "model_cache_size",
     "refresh_policy",
-    "shard_capacity",
     "journal_capacity",
 )
 

@@ -17,7 +17,7 @@ as ``int32``: store indices stay below ``2**31``.
 A cache is backed either by a data matrix or by a *store feature view*
 (:class:`repro.online.store.StoreFeatureView`): slot references into the
 shared columnar tuple store instead of a ``(n, m)`` float copy, with
-pairwise distances computed per shard over rows the view gathers from the
+pairwise distances computed over one block the view gathers from the
 store once and keeps — bit-identical to the matrix, with the store the
 only owner of tuple payloads.  A matrix-backed cache is read-only: it is
 what the cold :class:`~repro.core.iim.IIMImputer` builds and reads.  Only
@@ -241,8 +241,8 @@ class NeighborOrderCache:
         max_length: Optional[int] = None,
         keep_distances: bool = False,
     ):
-        # A store feature view (duck-typed: it computes its own per-shard
-        # pairwise distances) is kept as-is; anything else is a matrix.
+        # A store feature view (duck-typed: it computes its own pairwise
+        # distances) is kept as-is; anything else is a matrix.
         self._store_backed = hasattr(data, "pairwise") and hasattr(data, "slots")
         if self._store_backed:
             self._data = data

@@ -36,7 +36,6 @@ from .store import (
     MutationJournal,
     ShardedNeighbors,
     StoreFeatureView,
-    sharded_topk,
 )
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "StoreFeatureView",
     "ShardedNeighbors",
     "MutationJournal",
-    "sharded_topk",
     "ARTIFACT_FORMAT",
     "ARTIFACT_VERSION",
     "write_artifact",

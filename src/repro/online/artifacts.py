@@ -57,8 +57,8 @@ __all__ = [
 ARTIFACT_FORMAT = "repro-artifact"
 
 #: The artifact schema version, the only one :func:`read_artifact` reads;
-#: bumped on incompatible layout changes.  Version 3 added the sharded
-#: columnar store metadata (shard capacity, journal ring knobs).
+#: bumped on incompatible layout changes.  Version 3 added the store
+#: section (row and pending counts) and the journal ring knob.
 ARTIFACT_VERSION = 3
 
 MANIFEST_FILENAME = "manifest.json"

@@ -27,22 +27,22 @@ scratch on every ``fit``; this module keeps a *long-lived* engine instead:
   ``.npz`` + JSON-manifest artifact; :meth:`OnlineImputationEngine.load`
   restores an engine whose subsequent imputations are bit-identical.
 
-The shared columnar store
--------------------------
+The shared tuple store
+----------------------
 Tuple payloads live in exactly one place: a
-:class:`~repro.online.store.ColumnarTupleStore` — one array per attribute,
-partitioned into fixed-capacity row shards, with free-list slot recycling.
-Every cached attribute state reads *through* the store: its neighbour cache
+:class:`~repro.online.store.ColumnarTupleStore` — one ``(capacity, m)``
+array that grows geometrically, with free-list slot recycling.  Every
+cached attribute state reads *through* the store: its neighbour cache
 holds a :class:`~repro.online.store.StoreFeatureView` (slot references) and
 its target column is gathered from the store on demand (no target-column
 copy).  A view never changes once built — a mutation gives each state a new
-one — so it gathers its ``(n, m-1)`` feature rows once, per shard, and keeps
-them read-only for every later read; the column means that pre-fill query
+one — so it gathers its ``(n, m-1)`` feature rows into one block once and
+keeps it read-only for every later read: the neighbour repairs, the
+relearn and the served neighbour queries (one metric call plus one exact
+top-K selection) all use that block.  The column means that pre-fill query
 features are likewise computed once per store version.  Resident per-state
 memory is the orderings/models/costs, ``O(n)`` slot integers and that one
-gathered block.  Distance kernels and neighbour queries run per shard with
-an exact cross-shard ``(distance, index)`` merge, and a mutation's store
-writes touch only the shards its slots land in.
+gathered block.
 
 Deferred maintenance: the mutation journal
 ------------------------------------------
@@ -90,6 +90,7 @@ reproduce.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -101,7 +102,6 @@ from .. import config
 from ..core.adaptive import adaptive_learning, scatter_validation_costs
 from ..core.combine import get_batch_combiner
 from ..core.iim import IIMImputer
-from ..core.imputation import impute_with_individual_models
 from ..core.learning import (
     IndividualModels,
     candidate_ell_values,
@@ -110,7 +110,7 @@ from ..core.learning import (
 )
 from ..data.relation import Relation, Schema
 from ..exceptions import ConfigurationError, DataError, NotFittedError
-from ..neighbors import BruteForceNeighbors, NeighborOrderCache
+from ..neighbors import NeighborOrderCache
 from ..neighbors.brute import drop_self_rows
 from ..obs import engine_phase, observe_imputed_cells
 from ..regression import RidgeRegression, batched_design
@@ -133,7 +133,10 @@ class _AttributeState:
     """
 
     def __init__(self, engine: "OnlineImputationEngine", target_index: int):
-        self.engine = engine
+        # Weak: the engine owns its states, so a strong reference would
+        # keep a dropped engine's store, orderings and models alive until
+        # the cyclic garbage collector happens to run.
+        self.engine = weakref.proxy(engine)
         self.target_index = int(target_index)
         width = engine.n_attributes
         self.feature_indices = [i for i in range(width) if i != self.target_index]
@@ -339,7 +342,7 @@ class _AttributeState:
     def _rebuild_from_cache(self, signature) -> None:
         """Learn every model and validation cost over the fresh orderings."""
         imputer = self._imputer
-        features = np.asarray(self.cache.data)
+        features = self.cache.data.block()
         target = self.target_column()
         n = features.shape[0]
         if not self._adaptive:
@@ -592,7 +595,7 @@ class _AttributeState:
         imputer = self._imputer
         n = self.cache.n_points
         model_rows = np.flatnonzero(dirty_models)
-        features = np.asarray(self.cache.data)
+        features = self.cache.data.block()
         target = self.target_column()
         orders = self.cache.order_matrix()
 
@@ -771,11 +774,6 @@ class OnlineImputationEngine:
         state on the next imputation touching its attribute, so bursts of
         appends/deletes/updates amortise into one refresh; ``"eager"``
         refreshes every cached state inside each mutating call.
-    shard_capacity:
-        Rows per shard of the shared columnar tuple store (defaults to the
-        process-wide knob).  Appends allocate whole shards and never move
-        existing rows; mutation bookkeeping touches only the shards a
-        batch's slots land in.
     journal_capacity:
         Mutation-journal ring capacity (defaults to the process-wide
         knob).  Entries hold store slot references only; overflowing
@@ -798,7 +796,6 @@ class OnlineImputationEngine:
         *,
         model_cache_size="default",
         refresh_policy: Optional[str] = None,
-        shard_capacity="default",
         journal_capacity="default",
         **iim_params,
     ):
@@ -815,7 +812,6 @@ class OnlineImputationEngine:
         self.imputer = imputer
         self.model_cache_size = config.resolve("model_cache_size", model_cache_size)
         self.refresh_policy = config.resolve("refresh_policy", refresh_policy)
-        self.shard_capacity = config.resolve("shard_capacity", shard_capacity)
         self.journal_capacity = config.resolve("journal_capacity", journal_capacity)
 
         self._schema: Optional[Schema] = None
@@ -846,7 +842,6 @@ class OnlineImputationEngine:
             "cache_misses": 0,
             "cache_evictions": 0,
             "journal_spills": 0,
-            "shards_touched": 0,
             "read_cache_hits": 0,
             "read_cache_misses": 0,
         }
@@ -931,13 +926,12 @@ class OnlineImputationEngine:
     def from_relation(
         cls, relation: Relation, *, model_cache_size="default",
         refresh_policy: Optional[str] = None,
-        shard_capacity="default", journal_capacity="default", **iim_params,
+        journal_capacity="default", **iim_params,
     ) -> "OnlineImputationEngine":
         """Build an engine seeded with the complete part of ``relation``."""
         engine = cls(
             model_cache_size=model_cache_size,
             refresh_policy=refresh_policy,
-            shard_capacity=shard_capacity,
             journal_capacity=journal_capacity,
             **iim_params,
         )
@@ -1008,15 +1002,10 @@ class OnlineImputationEngine:
             return self
         with engine_phase("append"):
             if self._store is None:
-                self._store = ColumnarTupleStore(
-                    self._schema.width, shard_capacity=self.shard_capacity
-                )
+                self._store = ColumnarTupleStore(self._schema.width)
             slots = self._store.append(np.asarray(values, dtype=float))
             self.stats["appends"] += 1
             self.stats["appended_rows"] += b
-            self.stats["shards_touched"] += int(
-                self._store.shards_of(slots).shape[0]
-            )
             self._record("append", slots)
         return self
 
@@ -1062,7 +1051,6 @@ class OnlineImputationEngine:
         retired = self._store.delete(indices)
         self.stats["deletes"] += 1
         self.stats["deleted_rows"] += int(indices.size)
-        self.stats["shards_touched"] += int(self._store.shards_of(retired).shape[0])
         if self._n == 0:
             # No state can outlive an empty store; the next append restarts.
             self._version += 1
@@ -1097,9 +1085,6 @@ class OnlineImputationEngine:
             )
         old_slot, new_slot = self._store.update(index, row)
         self.stats["updates"] += 1
-        self.stats["shards_touched"] += int(
-            self._store.shards_of(np.asarray([old_slot, new_slot])).shape[0]
-        )
         self._record(
             "update", (index, old_slot, new_slot), owned_slots=[old_slot]
         )
@@ -1180,8 +1165,8 @@ class OnlineImputationEngine:
 
         ``state_slot_bytes`` is the slot references of the states' store
         views; ``state_block_bytes`` is the rows those views have gathered
-        and keep for reads (their per-shard feature blocks and positions),
-        zero for a view no read or repair has touched yet.
+        and keep for reads (one ``(n, m-1)`` feature block each), zero for
+        a view no read or repair has touched yet.
         ``state_order_bytes`` is the neighbour caches' backing orderings,
         distances and valid lengths, slack columns included.
         """
@@ -1206,8 +1191,6 @@ class OnlineImputationEngine:
                 state_model_bytes += int(state.models.parameters.nbytes)
         return {
             "store_bytes": 0 if store is None else store.nbytes,
-            "n_shards": 0 if store is None else store.n_shards,
-            "shard_capacity": self.shard_capacity,
             "pending_slots": 0 if store is None else store.n_pending,
             "free_slots": 0 if store is None else store.n_free,
             "recycled_slots": 0 if store is None else store.recycled_slots,
@@ -1244,9 +1227,10 @@ class OnlineImputationEngine:
         method and combiner, the neighbour store indices with their
         distances, per-neighbour learning sizes ℓ, the combiner weights,
         and a ``confidence`` score (the largest normalised weight).
-        Provenance capture always runs the vectorized kernels — the loop
-        backend produces values equal at rtol 1e-9, so the numbers are
-        unchanged; only the weight capture needs the batched combiner.
+
+        The engine always runs the vectorized kernels; the cold
+        ``IIMImputer(backend="loop")`` is the reference they are checked
+        against.
         """
         if self._n == 0:
             raise NotFittedError(
@@ -1288,9 +1272,6 @@ class OnlineImputationEngine:
 
         imputer = self.imputer
         k = min(imputer.k, self._n)
-        backend = config.resolve("backend", imputer.backend)
-        if collect_provenance:
-            backend = "vectorized"
         for target_index in np.flatnonzero(mask.any(axis=0)):
             # A state's view keeps its gathered rows until a mutation gives
             # the state a new view (see StoreFeatureView): the read reuses
@@ -1307,83 +1288,53 @@ class OnlineImputationEngine:
             rows = np.flatnonzero(mask[:, target_index])
             query_block = filled[np.ix_(rows, state.feature_indices)]
             with engine_phase("impute_kernel"):
-                if backend == "loop":
-                    # The reference path materialises the feature matrix and
-                    # drives the per-row loop kernel unchanged.
-                    features = np.asarray(state.cache.data)
-                    searcher = BruteForceNeighbors(
-                        metric=imputer.metric, backend=backend
-                    ).fit(features)
-                    values[rows, target_index] = impute_with_individual_models(
-                        query_block,
-                        state.models,
-                        features,
-                        state.target_column(),
-                        k,
-                        combination=imputer.combination,
-                        searcher=searcher,
-                        backend=backend,
-                    )
-                else:
-                    # Columnar serve: per-shard candidate selection over the
-                    # view's kept blocks + exact cross-shard merge, candidates
-                    # straight off the model stack.
-                    searcher = ShardedNeighbors(
-                        state.cache.data, metric=imputer.metric
-                    )
-                    distances, neighbor_indices = searcher.kneighbors(
-                        query_block, k
-                    )
-                    designs = batched_design(query_block)
-                    candidates = np.einsum(
-                        "qp,qkp->qk",
-                        designs,
-                        state.models.parameters[neighbor_indices],
-                    )
-                    combined, weights = get_batch_combiner(
-                        imputer.combination
-                    )(candidates, distances)
-                    values[rows, target_index] = combined
-                    if collect_provenance:
-                        learning = np.asarray(
-                            state.models.learning_neighbors
-                        )[neighbor_indices]
-                        attribute = self._schema.attributes[int(target_index)]
-                        for position, row in enumerate(rows):
-                            cell_weights = np.asarray(
-                                weights[position], dtype=float
-                            )
-                            total = float(cell_weights.sum())
-                            confidence = (
-                                float(cell_weights.max() / total)
-                                if total > 0
-                                else 1.0 / max(int(k), 1)
-                            )
-                            provenance.append(
-                                {
-                                    "row": int(row),
-                                    "attribute": attribute,
-                                    "attribute_index": int(target_index),
-                                    "value": float(combined[position]),
-                                    "method": imputer.name,
-                                    "combination": imputer.combination,
-                                    "k": int(k),
-                                    "neighbors": [
-                                        int(n)
-                                        for n in neighbor_indices[position]
-                                    ],
-                                    "distances": [
-                                        float(d) for d in distances[position]
-                                    ],
-                                    "weights": [
-                                        float(w) for w in cell_weights
-                                    ],
-                                    "learning_neighbors": [
-                                        int(l) for l in learning[position]
-                                    ],
-                                    "confidence": confidence,
-                                }
-                            )
+                # One exact top-K over the view's kept block, candidates
+                # straight off the model stack.
+                searcher = ShardedNeighbors(state.cache.data, metric=imputer.metric)
+                distances, neighbor_indices = searcher.kneighbors(query_block, k)
+                designs = batched_design(query_block)
+                candidates = np.einsum(
+                    "qp,qkp->qk", designs, state.models.parameters[neighbor_indices]
+                )
+                combined, weights = get_batch_combiner(imputer.combination)(
+                    candidates, distances
+                )
+                values[rows, target_index] = combined
+                if collect_provenance:
+                    learning = np.asarray(
+                        state.models.learning_neighbors
+                    )[neighbor_indices]
+                    attribute = self._schema.attributes[int(target_index)]
+                    for position, row in enumerate(rows):
+                        cell_weights = np.asarray(weights[position], dtype=float)
+                        total = float(cell_weights.sum())
+                        confidence = (
+                            float(cell_weights.max() / total)
+                            if total > 0
+                            else 1.0 / max(int(k), 1)
+                        )
+                        provenance.append(
+                            {
+                                "row": int(row),
+                                "attribute": attribute,
+                                "attribute_index": int(target_index),
+                                "value": float(combined[position]),
+                                "method": imputer.name,
+                                "combination": imputer.combination,
+                                "k": int(k),
+                                "neighbors": [
+                                    int(n) for n in neighbor_indices[position]
+                                ],
+                                "distances": [
+                                    float(d) for d in distances[position]
+                                ],
+                                "weights": [float(w) for w in cell_weights],
+                                "learning_neighbors": [
+                                    int(l) for l in learning[position]
+                                ],
+                                "confidence": confidence,
+                            }
+                        )
             self.stats["imputed_cells"] += int(rows.shape[0])
             observe_imputed_cells(int(rows.shape[0]), kind="online")
         return (values, provenance) if collect_provenance else values
@@ -1423,15 +1374,9 @@ class OnlineImputationEngine:
             "engine": {
                 "model_cache_size": self.model_cache_size,
                 "refresh_policy": self.refresh_policy,
-                "shard_capacity": self.shard_capacity,
                 "journal_capacity": self.journal_capacity,
             },
-            "store": {
-                "shard_capacity": self.shard_capacity,
-                "n_rows": self._n,
-                "n_shards": 0 if self._store is None else self._store.n_shards,
-                "n_pending": self.n_pending,
-            },
+            "store": {"n_rows": self._n, "n_pending": self.n_pending},
             "lifecycle": {"version": self._version},
             "imputer": {
                 "class": type(self.imputer).__name__,
@@ -1462,8 +1407,9 @@ class OnlineImputationEngine:
         """Restore an engine saved with :meth:`snapshot`.
 
         Reads manifest version 3 (older versions are rejected by
-        :func:`~repro.online.artifacts.read_artifact`); corrupt shard
-        metadata is rejected with a re-create hint.
+        :func:`~repro.online.artifacts.read_artifact`); a missing store
+        section or a store row count that disagrees with the manifest is
+        rejected with a re-create hint.
         """
         manifest, arrays = read_artifact(path, expected_kind="engine")
         imputer_info = manifest.get("imputer") or {}
@@ -1477,21 +1423,11 @@ class OnlineImputationEngine:
         if not isinstance(store_info, dict):
             raise ConfigurationError(
                 f"engine artifact at {path} is missing its store section "
-                f"(corrupt shard metadata); re-create the snapshot"
-            )
-        shard_capacity = store_info.get("shard_capacity")
-        if (
-            isinstance(shard_capacity, bool)
-            or not isinstance(shard_capacity, int)
-            or shard_capacity <= 0
-        ):
-            raise ConfigurationError(
-                f"engine artifact at {path} carries corrupt shard metadata "
-                f"(shard_capacity={shard_capacity!r}); re-create the snapshot"
+                f"(corrupt store metadata); re-create the snapshot"
             )
         if int(store_info.get("n_rows", -1)) != int(manifest.get("n_rows", 0)):
             raise ConfigurationError(
-                f"engine artifact at {path} carries corrupt shard metadata "
+                f"engine artifact at {path} carries corrupt store metadata "
                 f"(store rows disagree with the manifest); re-create the "
                 f"snapshot"
             )
@@ -1499,7 +1435,6 @@ class OnlineImputationEngine:
             IIMImputer(**(imputer_info.get("params") or {})),
             model_cache_size=engine_info.get("model_cache_size"),
             refresh_policy=engine_info.get("refresh_policy"),
-            shard_capacity=shard_capacity,
             journal_capacity=engine_info.get("journal_capacity", "default"),
         )
         schema = manifest.get("schema") or []
@@ -1514,9 +1449,7 @@ class OnlineImputationEngine:
         if n_rows or (pending is not None and pending.shape[0]):
             engine._schema = Schema([str(a) for a in schema])
         if n_rows:
-            engine._store = ColumnarTupleStore(
-                engine._schema.width, shard_capacity=engine.shard_capacity
-            )
+            engine._store = ColumnarTupleStore(engine._schema.width)
             engine._store.append(np.array(store, dtype=float))
         if pending is not None and pending.shape[0]:
             engine._pending = np.array(pending, dtype=float)

@@ -1,31 +1,27 @@
-"""Sharded columnar tuple store shared by every online model state.
+"""Columnar tuple store shared by every online model state.
 
 Before this module each :class:`~repro.neighbors.NeighborOrderCache` owned a
 private ``(n, |F|)`` feature-submatrix copy and every engine attribute state
 a private target-column copy, each rewritten by every mutation.  The
-classes here give every tuple payload **one** owner, a columnar store, which
+classes here give every tuple payload **one** owner, a tuple store, which
 model states read through slot references:
 
-* :class:`ColumnarTupleStore` — the single owner of every tuple payload.
-  One array per attribute, partitioned into **fixed-capacity row shards**:
-  appends only ever allocate new shards (existing rows are never copied or
-  reallocated), deletes recycle rows through a free list, and updates write
-  the revised tuple into a *fresh* slot so the old version stays readable.
-  Retired slots are kept on a pending list until :meth:`release` — the MVCC
-  discipline that lets a lazily-synced model state replay a mutation
-  journal against the exact intermediate values each operation saw.
+* :class:`ColumnarTupleStore` — the single owner of every tuple payload:
+  one ``(capacity, m)`` float array whose rows are slots.  The array grows
+  geometrically (never below :data:`FLOOR` rows), deletes recycle rows
+  through a free list, and updates write the revised tuple into a *fresh*
+  slot so the old version stays readable.  Retired slots are kept on a
+  pending list until :meth:`release` — the MVCC discipline that lets a
+  lazily-synced model state replay a mutation journal against the exact
+  intermediate values each operation saw.
 * :class:`StoreFeatureView` — an immutable ``(n, m-1)`` *view* of the
   store: an array of slot references plus an excluded (target) attribute.
-  The rows it reads never change, so it gathers them once, per shard, on
-  first use and keeps those blocks for its lifetime; pairwise distances
-  are computed **per shard** (one bounded ``(q, shard)`` block at a time)
-  and are bit-identical to a monolithic metric call over a materialised
-  matrix.
-* :func:`sharded_topk` / :class:`ShardedNeighbors` — neighbour queries as a
-  per-shard top-K selection followed by one exact cross-shard merge; the
-  merged result reproduces the global ``(distance, index)`` lexsort order
-  *including ties* (asserted against the unsharded reference in the test
-  suite).
+  The rows it reads never change, so it gathers them into one block on
+  first use and keeps that block for its lifetime; pairwise distances are
+  one metric call over the block.
+* :class:`ShardedNeighbors` — neighbour queries as one metric call plus one
+  exact top-K selection over the view's block, reproducing the global
+  ``(distance, index)`` lexsort order *including ties*.
 * :class:`MutationJournal` — the engine's mutation log as a **bounded ring
   buffer**.  Entries hold store slot references only (the payloads are
   durable in the store the moment the mutation lands), so journal memory is
@@ -45,7 +41,7 @@ import numpy as np
 from ..exceptions import ConfigurationError, DataError, NotFittedError
 from ..obs import count_journal_spill, count_store_rows
 from .._validation import check_positive_int
-from ..neighbors.brute import stable_order, topk_batch
+from ..neighbors.brute import topk_batch
 from ..neighbors.distance import get_metric
 
 __all__ = [
@@ -53,42 +49,42 @@ __all__ = [
     "StoreFeatureView",
     "ShardedNeighbors",
     "MutationJournal",
-    "sharded_topk",
 ]
+
+#: Rows of the store's first allocation; growth never allocates fewer.  A
+#: store sized by its first append would double at the next one.
+FLOOR = 4096
 
 
 class ColumnarTupleStore:
-    """A mutable store of complete tuples: sharded, columnar, slot-addressed.
+    """A mutable store of complete tuples: one array, slot-addressed.
 
     Parameters
     ----------
     width:
         Number of attributes ``m`` per tuple.
-    shard_capacity:
-        Rows per shard.  Each attribute of each shard is one contiguous
-        ``(shard_capacity,)`` float array; growing the store appends shards
-        and never moves existing rows.
 
     Addressing
     ----------
-    A **slot** is a stable physical row id: ``shard = slot // capacity``,
-    ``offset = slot % capacity``.  The **logical** store order (what the
-    engine exposes as tuple indices) is the ``live_slots`` array: logical
-    index ``i`` lives in slot ``live_slots[i]``.  Deletes compact the
-    logical order but leave slots in place; updates allocate a fresh slot
-    for the new version.  Retired slots move to a *pending* list and stay
-    readable until :meth:`release` hands them back to the free list.
+    A **slot** is a stable physical row id: row ``slot`` of one
+    ``(capacity, m)`` float array.  When the array is full it is
+    reallocated to ``max(needed, 2 × capacity, FLOOR)`` rows and every
+    allocated slot, pending ones included, is copied over.  The
+    **logical** store order (what the engine exposes as tuple indices) is
+    the ``live_slots`` array: logical index ``i`` lives in slot
+    ``live_slots[i]``.  Deletes compact the logical order but leave slots
+    in place; updates allocate a fresh slot for the new version.  Retired
+    slots move to a *pending* list and stay readable until :meth:`release`
+    hands them back to the free list.
     """
 
-    def __init__(self, width: int, shard_capacity: int = 4096):
+    def __init__(self, width: int):
         self.width = check_positive_int(width, "width")
-        self.shard_capacity = check_positive_int(shard_capacity, "shard_capacity")
-        # columns[attr][shard] -> (shard_capacity,) float array
-        self._columns: List[List[np.ndarray]] = [[] for _ in range(self.width)]
+        self._data = np.empty((0, self.width))
         self._live = np.empty(0, dtype=np.int64)
         self._free: List[int] = []
         self._pending: set = set()
-        self._n_allocated = 0  # high-water slot mark (shards * capacity used)
+        self._n_allocated = 0  # high-water slot mark
         self.recycled_slots = 0  # free-list reuses (observability)
 
     # ------------------------------------------------------------------ #
@@ -98,16 +94,6 @@ class ColumnarTupleStore:
     def n_live(self) -> int:
         """Number of live (logically visible) tuples."""
         return int(self._live.shape[0])
-
-    @property
-    def n_shards(self) -> int:
-        """Number of allocated shards."""
-        return len(self._columns[0])
-
-    @property
-    def n_slots(self) -> int:
-        """Total allocated slot capacity across shards."""
-        return self.n_shards * self.shard_capacity
 
     @property
     def n_pending(self) -> int:
@@ -128,26 +114,8 @@ class ColumnarTupleStore:
 
     @property
     def nbytes(self) -> int:
-        """Resident payload bytes (columns + logical order)."""
-        column_bytes = sum(
-            shard.nbytes for column in self._columns for shard in column
-        )
-        return int(column_bytes + self._live.nbytes)
-
-    def shards_of(self, slots: np.ndarray) -> np.ndarray:
-        """Shard ids intersected by ``slots`` (the per-mutation dirty set)."""
-        slots = np.asarray(slots, dtype=np.int64)
-        return np.unique(slots // self.shard_capacity)
-
-    def live_rows_per_shard(self) -> np.ndarray:
-        """Live-row count per shard (a shard can shrink to zero and refill)."""
-        counts = np.zeros(max(self.n_shards, 1), dtype=int)
-        if self._live.size:
-            shard_ids, shard_counts = np.unique(
-                self._live // self.shard_capacity, return_counts=True
-            )
-            counts[shard_ids] = shard_counts
-        return counts[: self.n_shards]
+        """Resident payload bytes (the allocated rows + logical order)."""
+        return int(self._data.nbytes + self._live.nbytes)
 
     # ------------------------------------------------------------------ #
     # Slot allocation
@@ -159,22 +127,17 @@ class ColumnarTupleStore:
             while self._free and len(slots) < count:
                 slots.append(self._free.pop())
             self.recycled_slots += len(slots)
-        while len(slots) < count:
-            if self._n_allocated == self.n_slots:
-                for column in self._columns:
-                    column.append(np.empty(self.shard_capacity))
-            slots.append(self._n_allocated)
-            self._n_allocated += 1
+        needed = self._n_allocated + count - len(slots)
+        capacity = self._data.shape[0]
+        if needed > capacity:
+            grown = np.empty((max(needed, 2 * capacity, FLOOR), self.width))
+            # Pending slots too: a lagging state reads the versions its
+            # journal entries name.
+            grown[: self._n_allocated] = self._data[: self._n_allocated]
+            self._data = grown
+        slots.extend(range(self._n_allocated, needed))
+        self._n_allocated = needed
         return np.asarray(slots, dtype=np.int64)
-
-    def _write(self, slots: np.ndarray, values: np.ndarray) -> None:
-        shard_ids = slots // self.shard_capacity
-        offsets = slots - shard_ids * self.shard_capacity
-        for shard in np.unique(shard_ids):
-            mask = shard_ids == shard
-            block_offsets = offsets[mask]
-            for attr in range(self.width):
-                self._columns[attr][shard][block_offsets] = values[mask, attr]
 
     # ------------------------------------------------------------------ #
     # Mutations
@@ -190,7 +153,7 @@ class ColumnarTupleStore:
         if values.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
         slots = self._allocate(values.shape[0])
-        self._write(slots, values)
+        self._data[slots] = values
         self._live = np.concatenate([self._live, slots])
         count_store_rows("append", values.shape[0])
         return slots
@@ -223,7 +186,7 @@ class ColumnarTupleStore:
             )
         old_slot = int(self._live[index])
         new_slot = int(self._allocate(1)[0])
-        self._write(np.asarray([new_slot], dtype=np.int64), row)
+        self._data[new_slot] = row[0]
         self._live[index] = new_slot
         self._pending.add(old_slot)
         count_store_rows("update", 1)
@@ -237,10 +200,6 @@ class ColumnarTupleStore:
                 self._pending.discard(slot)
                 self._free.append(slot)
 
-    def clear_live(self) -> np.ndarray:
-        """Retire every live tuple (the all-rows-deleted state)."""
-        return self.delete(np.arange(self.n_live))
-
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
@@ -248,33 +207,16 @@ class ColumnarTupleStore:
         """One attribute's values, gathered by slot (default: live order)."""
         if slots is None:
             slots = self._live
-        return self.rows(slots, attrs=(attr,))[:, 0]
+        return self._data[np.asarray(slots, dtype=np.int64), attr]
 
     def rows(
         self, slots: np.ndarray, attrs: Optional[Sequence[int]] = None
     ) -> np.ndarray:
-        """Materialise the tuples at ``slots`` (optionally a column subset).
-
-        The slots are grouped by shard once for every column; when they
-        all sit in one shard each column is one direct gather.
-        """
+        """Materialise the tuples at ``slots`` (optionally a column subset)."""
         slots = np.asarray(slots, dtype=np.int64)
-        attrs = tuple(range(self.width)) if attrs is None else tuple(attrs)
-        out = np.empty((slots.shape[0], len(attrs)))
-        shard_ids = slots // self.shard_capacity
-        offsets = slots - shard_ids * self.shard_capacity
-        if slots.size and shard_ids.min() == shard_ids.max():
-            groups = [(int(shard_ids[0]), slice(None), offsets)]
-        else:
-            groups = []
-            for shard in np.unique(shard_ids):
-                positions = np.flatnonzero(shard_ids == shard)
-                groups.append((int(shard), positions, offsets[positions]))
-        for position, attr in enumerate(attrs):
-            column = self._columns[attr]
-            for shard, positions, shard_offsets in groups:
-                out[positions, position] = column[shard][shard_offsets]
-        return out
+        if attrs is None:
+            return self._data[slots]
+        return self._data[np.ix_(slots, attrs)]
 
     def matrix(self) -> np.ndarray:
         """The live store as a dense ``(n, m)`` matrix (materialised copy)."""
@@ -295,8 +237,8 @@ class ColumnarTupleStore:
 class StoreFeatureView:
     """A ``(n, m-1)`` feature view: slot references into a columnar store.
 
-    A view is immutable once built, and the cache of gathered rows below
-    rests on that:
+    A view is immutable once built, and the gathered block below rests on
+    that:
 
     * it owns its read-only ``slots`` array (logical order), and the view
       mutators (:meth:`extended`, :meth:`selected`, :meth:`replaced`)
@@ -307,12 +249,10 @@ class StoreFeatureView:
       references: updates write the revised tuple into a fresh slot, and
       retired slots stay pending until the mutation journal releases them.
 
-    So the rows a view reads never change.  :meth:`blocks` gathers them
-    once, per shard, on first use and keeps the read-only
-    ``(positions, block)`` pairs for the view's lifetime: resident memory
-    is one ``(n, m-1)`` float block plus ``n`` positions, and
-    :meth:`pairwise` / :func:`sharded_topk` allocate only the ``(q,
-    shard)`` distance blocks and their output.  :meth:`materialize`,
+    So the rows a view reads never change.  :meth:`block` gathers them
+    once, on first use, and keeps the read-only ``(n, m-1)`` array for the
+    view's lifetime: :meth:`pairwise` and :class:`ShardedNeighbors`
+    allocate only the ``(q, n)`` distances.  :meth:`materialize`,
     ``__getitem__`` and ``__array__`` still return fresh arrays.
     """
 
@@ -333,7 +273,7 @@ class StoreFeatureView:
         self.attrs = tuple(
             a for a in range(store.width) if a != self.exclude
         )
-        self._blocks: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+        self._block: Optional[np.ndarray] = None
 
     # -- ndarray-ish protocol ------------------------------------------- #
     @property
@@ -343,10 +283,9 @@ class StoreFeatureView:
     def __len__(self) -> int:
         return int(self.slots.shape[0])
 
-    def materialize(self, positions: Optional[np.ndarray] = None) -> np.ndarray:
-        """Gather rows (all, or the given logical positions) as a matrix."""
-        slots = self.slots if positions is None else self.slots[positions]
-        return self.store.rows(slots, attrs=self.attrs)
+    def materialize(self) -> np.ndarray:
+        """Gather every viewed row as a fresh matrix."""
+        return self.store.rows(self.slots, attrs=self.attrs)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         block = self.materialize()
@@ -381,111 +320,43 @@ class StoreFeatureView:
         )
         return StoreFeatureView(self.store, revised, self.exclude)
 
-    # -- per-shard distance kernel --------------------------------------- #
-    def shard_groups(self) -> List[Tuple[int, np.ndarray]]:
-        """Logical positions grouped by the shard holding their slot."""
-        shard_ids = self.slots // self.store.shard_capacity
-        if shard_ids.size and shard_ids.min() == shard_ids.max():
-            return [(int(shard_ids[0]), np.arange(shard_ids.size))]
-        return [
-            (int(shard), np.flatnonzero(shard_ids == shard))
-            for shard in np.unique(shard_ids)
-        ]
-
-    def blocks(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """The viewed rows as read-only per-shard ``(positions, block)`` pairs.
+    # -- the gathered block ---------------------------------------------- #
+    def block(self) -> np.ndarray:
+        """The viewed rows as one read-only ``(n, m-1)`` array.
 
         Gathered on the first call and kept for the view's lifetime (see
-        the class docstring for why they cannot go stale).
+        the class docstring for why it cannot go stale).
         """
-        if self._blocks is None:
-            blocks = []
-            for _, positions in self.shard_groups():
-                block = self.materialize(positions)
-                positions.setflags(write=False)
-                block.setflags(write=False)
-                blocks.append((positions, block))
-            self._blocks = blocks
-        return self._blocks
+        if self._block is None:
+            block = self.materialize()
+            block.setflags(write=False)
+            self._block = block
+        return self._block
 
     @property
     def gathered(self) -> bool:
-        """Whether :meth:`blocks` has gathered the viewed rows yet."""
-        return self._blocks is not None
+        """Whether :meth:`block` has gathered the viewed rows yet."""
+        return self._block is not None
 
     @property
     def gathered_bytes(self) -> int:
-        """Bytes held by the gathered blocks and their positions (0 before)."""
-        if self._blocks is None:
-            return 0
-        return int(sum(p.nbytes + b.nbytes for p, b in self._blocks))
+        """Bytes held by the gathered block (0 before the first gather)."""
+        return 0 if self._block is None else int(self._block.nbytes)
 
     def pairwise(self, query, metric_fn) -> np.ndarray:
-        """Distances of ``query`` against every viewed row, shard by shard.
-
-        Row-wise metrics compute each pair independently, so assembling the
-        ``(q, n)`` result from per-shard blocks is bit-identical to one
-        monolithic ``metric_fn(query, materialised_matrix)`` call — only
-        shards actually referenced by the view are ever touched.
-        """
-        query = np.asarray(query, dtype=float)
-        single = query.ndim == 1
-        query_block = query.reshape(1, -1) if single else query
-        n = self.shape[0]
-        out = np.empty((query_block.shape[0], n))
-        for positions, block in self.blocks():
-            out[:, positions] = metric_fn(query_block, block)
-        return out[0] if single else out
-
-
-def sharded_topk(
-    view: StoreFeatureView, query, metric_fn, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-``k`` nearest viewed rows per query, merged across shards.
-
-    Each shard contributes its ``k`` best candidates by ``(distance,
-    logical index)`` (ties broken by index exactly like the unsharded
-    kernel, because positions within a shard group ascend); one final
-    lexsort over the pooled candidates then reproduces the global
-    ``np.lexsort((index, distance))`` prefix **exactly**, distance ties
-    across shard boundaries included.
-
-    Returns ``(distances, indices)`` of shape ``(q, k)`` in logical view
-    index space.
-    """
-    query = np.asarray(query, dtype=float)
-    single = query.ndim == 1
-    query_block = query.reshape(1, -1) if single else query
-    n = view.shape[0]
-    k = check_positive_int(k, "k")
-    if k > n:
-        raise ConfigurationError(f"requested k={k} neighbours but only {n} exist")
-
-    candidate_dists: List[np.ndarray] = []
-    candidate_positions: List[np.ndarray] = []
-    for positions, block in view.blocks():
-        distances = metric_fn(query_block, block)
-        take = min(k, positions.shape[0])
-        block_dists, block_order = topk_batch(distances, take)
-        candidate_dists.append(block_dists)
-        candidate_positions.append(positions[block_order])
-    pool_dists = np.hstack(candidate_dists)
-    pool_positions = np.hstack(candidate_positions)
-    merge = np.lexsort((pool_positions, pool_dists), axis=1)[:, :k]
-    dists = np.take_along_axis(pool_dists, merge, axis=1)
-    positions = np.take_along_axis(pool_positions, merge, axis=1)
-    if single:
-        return dists[0], positions[0]
-    return dists, positions
+        """Distances of ``query`` against every viewed row: one metric call
+        over the kept block."""
+        return metric_fn(query, self.block())
 
 
 class ShardedNeighbors:
     """Drop-in neighbour searcher serving queries straight off a store view.
 
     Mirrors :class:`~repro.neighbors.BruteForceNeighbors.kneighbors` —
-    identical distances, identical tie-breaks — without assembling one
-    ``(n, m-1)`` feature matrix: candidates are selected per shard over the
-    view's kept blocks and merged exactly (:func:`sharded_topk`).
+    identical distances, identical tie-breaks — with one metric call and
+    one :func:`~repro.neighbors.brute.topk_batch` over the view's kept
+    block.  The name predates the one-array store; traced benchmark runs
+    wrap ``ShardedNeighbors.kneighbors`` by that name.
     """
 
     def __init__(self, view: StoreFeatureView, metric: str = "paper_euclidean"):
@@ -500,6 +371,7 @@ class ShardedNeighbors:
     def kneighbors(self, query, k: int) -> Tuple[np.ndarray, np.ndarray]:
         if self.n_points == 0:
             raise NotFittedError("the store view is empty; append tuples first")
+        k = check_positive_int(k, "k")
         if k > self.n_points:
             raise ConfigurationError(
                 f"requested k={k} neighbours but only {self.n_points} are "
@@ -508,7 +380,7 @@ class ShardedNeighbors:
         query = np.asarray(query, dtype=float)
         single = query.ndim == 1
         query_block = query.reshape(1, -1) if single else query
-        dist, idx = sharded_topk(self.view, query_block, self._metric_fn, k)
+        dist, idx = topk_batch(self.view.pairwise(query_block, self._metric_fn), k)
         if single:
             return dist[0], idx[0]
         return dist, idx

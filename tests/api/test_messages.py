@@ -135,10 +135,9 @@ class TestSessionConfig:
         with pytest.raises(ConfigurationError, match="unknown engine knobs"):
             SessionConfig(method="IIM", engine={"sharding": 4})
         # A removed knob is unknown too.
-        with pytest.raises(ConfigurationError, match="unknown engine knobs"):
-            SessionConfig(
-                method="IIM", engine={"incremental_fallback_fraction": 0.9}
-            )
+        for removed in ("incremental_fallback_fraction", "shard_capacity"):
+            with pytest.raises(ConfigurationError, match="unknown engine knobs"):
+                SessionConfig(method="IIM", engine={removed: 1})
 
     def test_wire_round_trip(self):
         config = SessionConfig(

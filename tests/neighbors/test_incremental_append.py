@@ -1,8 +1,8 @@
 """NeighborOrderCache.append: exact merge, change reporting, restore.
 
 The caches read through a columnar store's feature view (every attribute
-but a zero target column), as the online engine's do, over shards small
-enough that the batches cross shard edges.
+but a zero target column), as the online engine's do, over a store whose
+first allocation is small enough that the batches reallocate it.
 """
 
 import numpy as np
@@ -11,9 +11,15 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.neighbors import NeighborOrderCache
 from repro.online import ColumnarTupleStore
+from repro.online import store as store_module
 
 RNG = np.random.default_rng(7)
-SHARD = 16
+
+
+@pytest.fixture(autouse=True)
+def small_floor(monkeypatch):
+    """A 16-row first store allocation, so the appends reallocate it."""
+    monkeypatch.setattr(store_module, "FLOOR", 16)
 
 
 def _tuples(rows):
@@ -22,7 +28,7 @@ def _tuples(rows):
 
 
 def _store(data):
-    store = ColumnarTupleStore(data.shape[1] + 1, shard_capacity=SHARD)
+    store = ColumnarTupleStore(data.shape[1] + 1)
     store.append(_tuples(data))
     return store
 

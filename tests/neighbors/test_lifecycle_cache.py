@@ -1,9 +1,9 @@
 """NeighborOrderCache.remove/replace: exact repair, change reporting.
 
 The caches read through a columnar store's feature view (every attribute
-but a zero target column), as the online engine's do, over shards small
-enough that the mutations cross shard edges.  A matrix-backed cache is
-read-only.
+but a zero target column), as the online engine's do, over a store whose
+first allocation is small enough that the mutations reallocate it.  A
+matrix-backed cache is read-only.
 """
 
 import numpy as np
@@ -12,9 +12,15 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.neighbors import NeighborOrderCache
 from repro.online import ColumnarTupleStore
+from repro.online import store as store_module
 
 RNG = np.random.default_rng(13)
-SHARD = 16
+
+
+@pytest.fixture(autouse=True)
+def small_floor(monkeypatch):
+    """A 16-row first store allocation, so the appends reallocate it."""
+    monkeypatch.setattr(store_module, "FLOOR", 16)
 
 
 def _tuples(rows):
@@ -24,7 +30,7 @@ def _tuples(rows):
 
 
 def _store(data):
-    store = ColumnarTupleStore(data.shape[1] + 1, shard_capacity=SHARD)
+    store = ColumnarTupleStore(data.shape[1] + 1)
     store.append(_tuples(data))
     return store
 

@@ -2,9 +2,9 @@
 
 ``append``, ``remove`` and ``replace`` rewrite just the rows whose capped
 ordering a mutation can reach and leave every other row as it was.  These
-tests drive store-backed caches over several shards, with recycled slots,
-through seeded mutation sequences where most rows stay untouched, and
-check every step against a cold rebuild over the same store:
+tests drive store-backed caches, with recycled slots, through seeded
+mutation sequences where most rows stay untouched, and check every step
+against a cold rebuild over the same store:
 
 * orderings and distances are bit-identical (``assert_array_equal``);
 * ``first_changed`` keeps its contract: the prefix before the reported
@@ -71,7 +71,7 @@ def _to_width(before, width):
 @pytest.mark.parametrize("cap", [8, 25])
 def test_seeded_lifecycle_matches_cold_rebuild(cap, grid, include_self):
     rng = np.random.default_rng(cap * 10 + grid)
-    store = ColumnarTupleStore(WIDTH, shard_capacity=64)
+    store = ColumnarTupleStore(WIDTH)
     store.append(_rows(rng, 400, grid))
     cache = _cache(store, cap, include_self)
     cache.order_matrix()
@@ -103,7 +103,7 @@ def test_seeded_lifecycle_matches_cold_rebuild(cap, grid, include_self):
             _assert_first_changed(before, cache.order_matrix(), result.first_changed)
         untouched += int((result.first_changed == cache.effective_length()).sum())
         _assert_cold(cache, store, cap)
-    assert store.recycled_slots > 0 and store.n_shards >= 2
+    assert store.recycled_slots > 0
     assert untouched > 0
 
 
@@ -111,7 +111,7 @@ def test_seeded_lifecycle_matches_cold_rebuild(cap, grid, include_self):
 def grid_cache():
     """An integer-grid store (exact arithmetic) and its cap-8 cache."""
     rng = np.random.default_rng(5)
-    store = ColumnarTupleStore(WIDTH, shard_capacity=64)
+    store = ColumnarTupleStore(WIDTH)
     store.append(_rows(rng, 400, grid=True))
     cache = _cache(store, 8)
     cache.order_matrix()
@@ -212,7 +212,7 @@ def _update_run(rng, store, indices, grid):
 @pytest.mark.parametrize("grid", [False, True])
 def test_replace_of_an_update_run_matches_cold_rebuild(grid, include_self):
     rng = np.random.default_rng(40 + grid)
-    store = ColumnarTupleStore(WIDTH, shard_capacity=64)
+    store = ColumnarTupleStore(WIDTH)
     store.append(_rows(rng, 300, grid))
     cache = _cache(store, 8, include_self)
     cache.order_matrix()
@@ -261,7 +261,7 @@ def test_delete_storm_drains_the_slack_and_refills(include_self):
     """Cap 8 keeps 2 slack entries per row; storms of deletes with no
     appends drain rows below the cap, which re-fill from fresh distances."""
     rng = np.random.default_rng(8)
-    store = ColumnarTupleStore(WIDTH, shard_capacity=64)
+    store = ColumnarTupleStore(WIDTH)
     store.append(_rows(rng, 300, grid=False))
     cache = _cache(store, 8, include_self)
     cache.order_matrix()
@@ -286,7 +286,7 @@ def test_lifecycle_with_update_runs_keeps_the_slack_exact(cap, grid):
     """Appends refill the slack that deletes and update runs drain; after
     every step the whole backing row, slack included, is exact."""
     rng = np.random.default_rng(cap + 3 * grid)
-    store = ColumnarTupleStore(WIDTH, shard_capacity=64)
+    store = ColumnarTupleStore(WIDTH)
     store.append(_rows(rng, 200, grid))
     cache = _cache(store, cap, include_self=bool(rng.integers(2)))
     cache.order_matrix()
@@ -311,7 +311,7 @@ def test_rows_holding_every_tuple_take_every_candidate(cap):
     tuple: appends and update runs merge all their candidates and never
     re-fill a row."""
     rng = np.random.default_rng(21)
-    store = ColumnarTupleStore(WIDTH, shard_capacity=64)
+    store = ColumnarTupleStore(WIDTH)
     store.append(_rows(rng, 30, grid=False))
     cache = _cache(store, cap)
     cache.order_matrix()

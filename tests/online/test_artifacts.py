@@ -139,24 +139,25 @@ def test_engine_snapshot_after_churn_roundtrip(tmp_path):
 
 def test_manifest_v3_carries_store_metadata(tmp_path):
     values = load_dataset("ccpp", size=120).raw
-    engine = OnlineImputationEngine(
-        k=3, learning="fixed", learning_neighbors=4, shard_capacity=32
-    )
+    engine = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=4)
     engine.append(values[:80])
     path = engine.snapshot(tmp_path / "engine")
     manifest = json.loads((path / MANIFEST_FILENAME).read_text())
     assert manifest["version"] == ARTIFACT_VERSION == 3
-    assert manifest["store"]["shard_capacity"] == 32
-    assert manifest["store"]["n_rows"] == 80
-    assert manifest["engine"]["journal_capacity"] == engine.journal_capacity
+    assert manifest["store"] == {"n_rows": 80, "n_pending": 0}
+    assert manifest["engine"] == {
+        "model_cache_size": engine.model_cache_size,
+        "refresh_policy": engine.refresh_policy,
+        "journal_capacity": engine.journal_capacity,
+    }
     restored = OnlineImputationEngine.load(path)
-    assert restored.shard_capacity == 32
-    assert restored.store.n_shards == engine.store.n_shards
+    np.testing.assert_array_equal(restored.store.matrix(), engine.store.matrix())
 
 
 def test_manifest_naming_a_removed_engine_knob_still_loads(tmp_path):
-    """A snapshot whose engine block names a knob this build no longer has
-    loads, and answers bit-identically to the engine that wrote it."""
+    """A snapshot whose engine and store sections name knobs and fields
+    this build no longer has loads, and answers bit-identically to the
+    engine that wrote it."""
     values = load_dataset("ccpp", size=220).raw
     engine = OnlineImputationEngine(
         k=4, learning="adaptive", stepping=3, max_learning_neighbors=20
@@ -168,6 +169,9 @@ def test_manifest_naming_a_removed_engine_knob_still_loads(tmp_path):
     path = engine.snapshot(tmp_path / "engine")
     manifest = json.loads((path / MANIFEST_FILENAME).read_text())
     manifest["engine"]["incremental_fallback_fraction"] = 0.9
+    # The row-shard fields snapshots of the sharded store carried.
+    manifest["engine"]["shard_capacity"] = 4096
+    manifest["store"].update(shard_capacity=4096, n_shards=1)
     (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
 
     restored = OnlineImputationEngine.load(path)
@@ -183,12 +187,9 @@ def test_manifest_naming_a_removed_engine_knob_still_loads(tmp_path):
     "corruption",
     [
         lambda m: m.pop("store"),
-        lambda m: m["store"].update(shard_capacity=-5),
-        lambda m: m["store"].update(shard_capacity="many"),
         lambda m: m["store"].update(n_rows=999),
     ],
-    ids=["missing-section", "negative-capacity", "non-integer-capacity",
-         "row-mismatch"],
+    ids=["missing-section", "row-mismatch"],
 )
 def test_corrupt_shard_metadata_rejected_with_recreate_hint(tmp_path, corruption):
     values = load_dataset("ccpp", size=100).raw

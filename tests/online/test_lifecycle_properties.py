@@ -13,9 +13,9 @@ its ring bound and, once every state has synced, the store must have
 recycled every retired slot.  Traces are seeded, so a failure reproduces
 from its parametrisation alone.
 
-Engines run with deliberately tiny shard and journal capacities so shard
-boundaries are crossed and the ring spills constantly — the regimes the
-sharded store refactor has to get right.
+Engines run with a deliberately tiny first store allocation and journal
+capacity, so the store array reallocates under retained versions and the
+ring spills constantly — the regimes the store has to get right.
 """
 
 import os
@@ -27,11 +27,18 @@ from repro import IIMImputer, load_dataset
 from repro.data.relation import Relation
 from repro.exceptions import NotFittedError
 from repro.online import OnlineImputationEngine
+from repro.online import store as store_module
 
 #: Long-trace smoke knob for CI (see .github/workflows/ci.yml).
 N_OPS = int(os.environ.get("REPRO_PROPERTY_OPS", "48"))
 
-STRESS_KNOBS = dict(shard_capacity=7, journal_capacity=6, model_cache_size=None)
+STRESS_KNOBS = dict(journal_capacity=6, model_cache_size=None)
+
+
+@pytest.fixture(autouse=True)
+def small_floor(monkeypatch):
+    """A 7-row first store allocation, so the traces reallocate it."""
+    monkeypatch.setattr(store_module, "FLOOR", 7)
 
 PARAM_GRID = [
     dict(k=4, learning="fixed", learning_neighbors=5),
@@ -185,7 +192,7 @@ def test_long_lazy_burst_respects_ring_bound(pool):
     laggard state falls back to one full rebuild (still exact)."""
     params = dict(k=4, learning="adaptive", stepping=4, max_learning_neighbors=12)
     engine = OnlineImputationEngine(
-        shard_capacity=16, journal_capacity=8, model_cache_size=None, **params
+        journal_capacity=8, model_cache_size=None, **params
     )
     ref = pool[:40].copy()
     engine.append(ref)
@@ -218,7 +225,7 @@ def test_long_lazy_burst_respects_ring_bound(pool):
 def test_interleaved_restore_keeps_streaming_identically(pool, tmp_path):
     """Restore mid-trace, then drive both engines through the same tail."""
     params = dict(k=4, learning="adaptive", stepping=4, max_learning_neighbors=10)
-    engine = OnlineImputationEngine(shard_capacity=9, **params)
+    engine = OnlineImputationEngine(**params)
     ref = pool[:40].copy()
     engine.append(ref)
     queries = pool[300:306].copy()

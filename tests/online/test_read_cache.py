@@ -7,7 +7,9 @@ a cold ``IIMImputer`` refit (rtol 1e-9), per-column means and brute-force
 neighbours (both bit for bit).
 """
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from repro.online import (
     ColumnarTupleStore,
     OnlineImputationEngine,
     ShardedNeighbors,
-    sharded_topk,
 )
 
 PARAMS = dict(k=5, learning="adaptive", stepping=5, max_learning_neighbors=30)
@@ -212,8 +213,26 @@ def test_memory_stats_report_the_gathered_blocks(values):
     engine.impute_batch(_single(values, 290, attr=0))
     engine.impute_batch(_single(values, 290, attr=4))
     n, m = engine.n_tuples, engine.n_attributes
-    # Two states, each one (n, m-1) float block plus n int64 positions.
-    assert engine.memory_stats()["state_block_bytes"] == 2 * (n * (m - 1) * 8 + n * 8)
+    # Two states, each one (n, m-1) float block.
+    assert engine.memory_stats()["state_block_bytes"] == 2 * n * (m - 1) * 8
+
+
+def test_a_dropped_engine_is_freed_without_the_cycle_collector(values):
+    """Resident states do not keep their engine alive: dropping the last
+    reference frees the store, orderings and models at once."""
+    gc.disable()
+    try:
+        engine = OnlineImputationEngine(**PARAMS)
+        engine.append(values[:150])
+        engine.impute_batch(_queries(values, [290, 291], seed=1))
+        engine.update(2, values[300])
+        engine.impute_batch(_queries(values, [292], seed=2))
+        assert len(engine.cached_attributes()) > 1
+        dropped = weakref.ref(engine)
+        del engine
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 # --------------------------------------------------------------------------- #
@@ -233,24 +252,24 @@ def count_rows(monkeypatch):
     return calls
 
 
-def _sharded_store(n=90, width=4, shard_capacity=16, seed=0):
-    store = ColumnarTupleStore(width, shard_capacity=shard_capacity)
+def _holed_store(n=90, width=4, seed=0):
+    store = ColumnarTupleStore(width)
     store.append(np.random.default_rng(seed).normal(size=(n, width)))
     store.delete([2, 17, 40])  # slot holes, so positions differ from slots
     return store
 
 
 def test_a_view_gathers_once_across_calls(count_rows):
-    store = _sharded_store()
+    store = _holed_store()
     view = store.feature_view(exclude=1)
     queries = np.random.default_rng(1).normal(size=(4, 3))
     assert not view.gathered
     first = view.pairwise(queries, METRIC)
     gathers = len(count_rows)
-    assert gathers == store.n_shards  # one per shard the view touches
+    assert gathers == 1
     for _ in range(3):
         np.testing.assert_array_equal(view.pairwise(queries, METRIC), first)
-        sharded_topk(view, queries, METRIC, 7)
+        ShardedNeighbors(view).kneighbors(queries, 7)
         ShardedNeighbors(view).kneighbors(queries[0], 5)
     assert len(count_rows) == gathers
     reference = store.matrix()[:, [0, 2, 3]]
@@ -258,13 +277,12 @@ def test_a_view_gathers_once_across_calls(count_rows):
 
 
 def test_kept_blocks_and_slots_are_read_only():
-    store = _sharded_store()
+    store = _holed_store()
     view = store.feature_view(exclude=0)
-    for positions, block in view.blocks():
-        assert not block.flags.writeable
-        assert not positions.flags.writeable
-        with pytest.raises(ValueError):
-            block[0, 0] = 1.0
+    block = view.block()
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
     assert not view.slots.flags.writeable
     # The ndarray protocol still hands out fresh, writable arrays.
     for fresh in (view.materialize(), view[:5], np.asarray(view)):
@@ -275,7 +293,7 @@ def test_kept_blocks_and_slots_are_read_only():
 
 
 def test_feature_view_owns_a_copy_of_the_slots():
-    store = _sharded_store()
+    store = _holed_store()
     slots = store.live_slots.copy()
     view = store.feature_view(exclude=3, slots=slots)
     expected = view.materialize()
@@ -284,7 +302,7 @@ def test_feature_view_owns_a_copy_of_the_slots():
 
 
 def test_derived_views_gather_their_own(count_rows):
-    store = _sharded_store()
+    store = _holed_store()
     view = store.feature_view(exclude=2)
     query = np.random.default_rng(2).normal(size=3)
     view.pairwise(query, METRIC)
@@ -302,23 +320,23 @@ def test_derived_views_gather_their_own(count_rows):
         np.testing.assert_array_equal(
             got, METRIC(query, child.materialize()), err_msg=name
         )
-    assert view.gathered  # the parent keeps its own blocks
+    assert view.gathered  # the parent keeps its own block
 
 
 def test_an_old_view_answers_from_its_own_slots_after_update():
-    store = _sharded_store()
+    store = _holed_store()
     query = np.random.default_rng(4).normal(size=(3, 3))
     for gathered_first in (False, True):
         view = store.feature_view(exclude=0)
         before = view.materialize()
         if gathered_first:
-            view.blocks()
+            view.block()
         old_slot, new_slot = store.update(6, np.full(4, 99.0))
         assert old_slot != new_slot and view.slots[6] == old_slot
         np.testing.assert_array_equal(
             view.pairwise(query, METRIC), METRIC(query, before)
         )
-        assert sharded_topk(view, query, METRIC, 5)[1].tolist() == (
+        assert ShardedNeighbors(view).kneighbors(query, 5)[1].tolist() == (
             BruteForceNeighbors().fit(before).kneighbors(query, 5)[1].tolist()
         )
         fresh = store.feature_view(exclude=0)
@@ -327,7 +345,7 @@ def test_an_old_view_answers_from_its_own_slots_after_update():
 
 def test_kneighbors_across_mutations_match_brute_force_with_recycled_slots():
     rng = np.random.default_rng(5)
-    store = ColumnarTupleStore(5, shard_capacity=64)
+    store = ColumnarTupleStore(5)
     store.append(rng.normal(size=(300, 5)))
     queries = rng.normal(size=(9, 4))
     for step in range(6):
@@ -335,7 +353,7 @@ def test_kneighbors_across_mutations_match_brute_force_with_recycled_slots():
         index = int(rng.integers(store.n_live))
         old_slot, _ = store.update(index, rng.normal(size=5))
         store.release(np.append(retired, old_slot))
-        # Recycled slots refill holes across the shards.
+        # Recycled slots refill the holes.
         store.append(rng.normal(size=(25, 5)))
         assert store.recycled_slots > 0
         view = store.feature_view(exclude=step % 5)
@@ -352,7 +370,7 @@ def test_kneighbors_across_mutations_match_brute_force_with_recycled_slots():
 def test_maintained_views_match_brute_force_with_recycled_slots(values):
     """The views an engine state gets from its repairs (extended, selected,
     replaced) answer like brute force over the live store, read after read."""
-    engine = OnlineImputationEngine(shard_capacity=64, **PARAMS)
+    engine = OnlineImputationEngine(**PARAMS)
     engine.append(values[:200])
     rng = np.random.default_rng(6)
     target = 2

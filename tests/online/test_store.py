@@ -1,24 +1,28 @@
-"""Columnar store unit tests + shard-boundary regressions.
+"""Tuple store unit tests + growth regressions.
 
-The sharded store must be invisible to every consumer: mutation batches
-that straddle shard edges, shards that shrink to zero live rows, and
-distance ties that span shard boundaries must all produce results
-bit-identical to the unsharded reference (a plain matrix and one global
-``(distance, index)`` lexsort).
+The store's one array must be invisible to every consumer: appends that
+reallocate it, freed slots that refill, and exact distance ties must all
+produce results bit-identical to the reference (a plain matrix and one
+global ``(distance, index)`` lexsort).  Tests parametrised by ``floor``
+shrink the store's first allocation to that many rows and append in
+floor-sized batches, so the array reallocates several times on small data.
 """
 
 import numpy as np
 import pytest
 
+from repro import IIMImputer
+from repro.data.relation import Relation
 from repro.exceptions import ConfigurationError, DataError
 from repro.neighbors import BruteForceNeighbors, NeighborOrderCache
 from repro.neighbors.distance import get_metric
 from repro.online import (
     ColumnarTupleStore,
     MutationJournal,
+    OnlineImputationEngine,
     ShardedNeighbors,
-    sharded_topk,
 )
+from repro.online import store as store_module
 
 RNG = np.random.default_rng(42)
 METRIC = get_metric("paper_euclidean")
@@ -33,25 +37,35 @@ def _reference_topk(queries, data, k):
     return np.take_along_axis(distances, order, axis=1), order
 
 
+def _grown_store(monkeypatch, floor, values):
+    """A store of ``values`` whose array starts at ``floor`` rows and grows
+    as the rows arrive in floor-sized appends."""
+    monkeypatch.setattr(store_module, "FLOOR", floor)
+    store = ColumnarTupleStore(values.shape[1])
+    for start in range(0, values.shape[0], floor):
+        store.append(values[start : start + floor])
+    return store
+
+
 # --------------------------------------------------------------------------- #
 # ColumnarTupleStore basics
 # --------------------------------------------------------------------------- #
-def test_append_straddling_shard_edges_round_trips():
-    store = ColumnarTupleStore(3, shard_capacity=8)
+def test_append_straddling_shard_edges_round_trips(monkeypatch):
+    monkeypatch.setattr(store_module, "FLOOR", 8)
+    store = ColumnarTupleStore(3)
     first = RNG.normal(size=(5, 3))
-    second = RNG.normal(size=(11, 3))  # crosses the first shard edge
+    second = RNG.normal(size=(11, 3))  # overflows the first allocation
     store.append(first)
     store.append(second)
-    assert store.n_shards == 2
     np.testing.assert_array_equal(store.matrix(), np.vstack([first, second]))
-    # Column views gather across the shard boundary transparently.
+    # Column views gather across the reallocation transparently.
     np.testing.assert_array_equal(
         store.column(1), np.vstack([first, second])[:, 1]
     )
 
 
 def test_delete_compacts_and_retains_until_release():
-    store = ColumnarTupleStore(2, shard_capacity=4)
+    store = ColumnarTupleStore(2)
     values = RNG.normal(size=(10, 2))
     store.append(values)
     retired = store.delete([2, 5, 9])
@@ -70,7 +84,7 @@ def test_delete_compacts_and_retains_until_release():
 
 
 def test_update_writes_fresh_slot_and_keeps_old_version():
-    store = ColumnarTupleStore(2, shard_capacity=4)
+    store = ColumnarTupleStore(2)
     values = RNG.normal(size=(3, 2))
     store.append(values)
     revised = RNG.normal(size=2)
@@ -81,27 +95,25 @@ def test_update_writes_fresh_slot_and_keeps_old_version():
 
 
 def test_shard_shrinks_to_zero_live_rows_and_refills():
-    store = ColumnarTupleStore(2, shard_capacity=4)
+    store = ColumnarTupleStore(2)
     values = RNG.normal(size=(12, 2))
     store.append(values)
-    # Empty the middle shard (logical rows 4..7 hold slots 4..7 initially).
+    # Empty a run of slots (logical rows 4..7 hold slots 4..7 initially).
     retired = store.delete([4, 5, 6, 7])
-    assert store.live_rows_per_shard().tolist() == [4, 0, 4]
     np.testing.assert_array_equal(
         store.matrix(), np.delete(values, [4, 5, 6, 7], axis=0)
     )
     store.release(retired)
-    # The emptied shard refills through the free list before a new shard
-    # is allocated.
+    # The emptied slots refill through the free list before a new slot is
+    # taken.
     fresh = RNG.normal(size=(4, 2))
-    store.append(fresh)
-    assert store.n_shards == 3
-    assert store.live_rows_per_shard().tolist() == [4, 4, 4]
+    assert store.append(fresh).tolist() == [4, 5, 6, 7]
+    assert store.recycled_slots == 4
     np.testing.assert_array_equal(store.matrix()[-4:], fresh)
 
 
 def test_store_validates_shapes():
-    store = ColumnarTupleStore(3, shard_capacity=4)
+    store = ColumnarTupleStore(3)
     with pytest.raises(DataError):
         store.append(RNG.normal(size=(2, 4)))
     store.append(RNG.normal(size=(2, 3)))
@@ -110,9 +122,9 @@ def test_store_validates_shapes():
 
 
 def test_all_rows_deleted_store_stays_usable():
-    store = ColumnarTupleStore(2, shard_capacity=4)
+    store = ColumnarTupleStore(2)
     store.append(RNG.normal(size=(6, 2)))
-    retired = store.clear_live()
+    retired = store.delete(np.arange(store.n_live))
     assert store.n_live == 0 and retired.shape[0] == 6
     store.release(retired)
     fresh = RNG.normal(size=(3, 2))
@@ -120,12 +132,11 @@ def test_all_rows_deleted_store_stays_usable():
     np.testing.assert_array_equal(store.matrix(), fresh)
 
 
-@pytest.mark.parametrize("shard_capacity", [4, 64])
-def test_gathers_match_the_dense_matrix(shard_capacity):
-    """rows()/column() with one shard or several, holes included."""
-    store = ColumnarTupleStore(3, shard_capacity=shard_capacity)
+@pytest.mark.parametrize("floor", [4, 64])
+def test_gathers_match_the_dense_matrix(monkeypatch, floor):
+    """rows()/column() after one allocation or several, holes included."""
     values = RNG.normal(size=(20, 3))
-    store.append(values)
+    store = _grown_store(monkeypatch, floor, values)
     store.delete([3, 11])
     live = np.delete(values, [3, 11], axis=0)
     slots = store.live_slots
@@ -142,7 +153,7 @@ def test_gathers_match_the_dense_matrix(shard_capacity):
 # --------------------------------------------------------------------------- #
 @pytest.fixture
 def view_and_matrix():
-    store = ColumnarTupleStore(4, shard_capacity=5)
+    store = ColumnarTupleStore(4)
     store.append(RNG.normal(size=(13, 4)))
     store.delete([2, 7])  # slot holes: positions != slots
     view = store.feature_view(exclude=1)
@@ -193,13 +204,12 @@ def test_view_boolean_masks_select_rows(view_and_matrix):
 
 
 # --------------------------------------------------------------------------- #
-# Per-shard distance kernels and the cross-shard top-K merge
+# Distances and the top-K over a view's one block
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("shard_capacity", [3, 7, 64])
-def test_view_pairwise_matches_monolithic_metric(shard_capacity):
-    store = ColumnarTupleStore(4, shard_capacity=shard_capacity)
+@pytest.mark.parametrize("floor", [3, 7, 64])
+def test_view_pairwise_matches_monolithic_metric(monkeypatch, floor):
     values = RNG.normal(size=(23, 4))
-    store.append(values)
+    store = _grown_store(monkeypatch, floor, values)
     store.delete([1, 8, 15])  # leave slot holes so positions != slots
     view = store.feature_view(exclude=2)
     reference = store.matrix()[:, [0, 1, 3]]
@@ -212,40 +222,38 @@ def test_view_pairwise_matches_monolithic_metric(shard_capacity):
     )
 
 
-@pytest.mark.parametrize("shard_capacity", [2, 5, 16])
-def test_sharded_topk_matches_global_lexsort(shard_capacity):
-    store = ColumnarTupleStore(3, shard_capacity=shard_capacity)
+@pytest.mark.parametrize("floor", [2, 5, 16])
+def test_sharded_topk_matches_global_lexsort(monkeypatch, floor):
     values = RNG.normal(size=(30, 3))
-    store.append(values)
+    store = _grown_store(monkeypatch, floor, values)
     view = store.feature_view(exclude=None)
     queries = RNG.normal(size=(6, 3))
     for k in (1, 4, 11, 30):
-        dist, idx = sharded_topk(view, queries, METRIC, k)
+        dist, idx = ShardedNeighbors(view).kneighbors(queries, k)
         ref_dist, ref_idx = _reference_topk(queries, values, k)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(dist, ref_dist)
 
 
 def test_sharded_topk_exact_ties_across_shards():
-    """Duplicate rows land in different shards: the merge must break the
-    resulting exact distance ties by logical index, like the global sort."""
+    """Duplicate rows give exact distance ties: the top-K over the view's
+    one block must break them by logical index, like the global sort."""
     base = RNG.normal(size=(4, 3))
-    # 16 rows = 4 copies of each duplicate, interleaved so every shard of
-    # capacity 3 holds copies of different rows.
+    # 16 rows = 4 copies of each duplicate, interleaved.
     values = np.vstack([base[i % 4] for i in range(16)])
-    store = ColumnarTupleStore(3, shard_capacity=3)
+    store = ColumnarTupleStore(3)
     store.append(values)
     view = store.feature_view(exclude=None)
     queries = np.vstack([base[0], base[2], RNG.normal(size=3)])
     for k in (1, 3, 7, 16):
-        dist, idx = sharded_topk(view, queries, METRIC, k)
+        dist, idx = ShardedNeighbors(view).kneighbors(queries, k)
         ref_dist, ref_idx = _reference_topk(queries, values, k)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(dist, ref_dist)
 
 
 def test_sharded_neighbors_matches_brute_force():
-    store = ColumnarTupleStore(5, shard_capacity=6)
+    store = ColumnarTupleStore(5)
     values = RNG.normal(size=(40, 5))
     store.append(values)
     store.delete([0, 13, 26])
@@ -263,13 +271,14 @@ def test_sharded_neighbors_matches_brute_force():
         sharded.kneighbors(queries, 1000)
 
 
-def test_store_backed_cache_matches_matrix_cache_through_lifecycle():
-    """The unsharded reference ordering: after every mutation of a
-    store-backed cache (shard edges crossed throughout), a matrix-backed
-    cache built cold over the surviving feature rows has identical
-    orderings and distances."""
+def test_store_backed_cache_matches_matrix_cache_through_lifecycle(monkeypatch):
+    """The reference ordering: after every mutation of a store-backed cache
+    (the store array reallocating throughout, retired versions pending), a
+    matrix-backed cache built cold over the surviving feature rows has
+    identical orderings and distances."""
     width = 4
-    store = ColumnarTupleStore(width, shard_capacity=5)
+    monkeypatch.setattr(store_module, "FLOOR", 5)
+    store = ColumnarTupleStore(width)
     values = RNG.normal(size=(18, width))
     store.append(values)
     feature_cols = [0, 1, 3]
@@ -306,6 +315,46 @@ def test_store_backed_cache_matches_matrix_cache_through_lifecycle():
         np.testing.assert_array_equal(
             view_cache.order_distances, matrix_cache.order_distances
         )
+
+
+def test_growth_keeps_the_versions_a_lagging_state_replays():
+    """Growing past the floor copies every allocated slot, pending ones
+    included: a lazy state whose journal names retired versions replays
+    them after the reallocation and still equals a cold refit."""
+    floor = store_module.FLOOR
+    width = 4
+    values = np.random.default_rng(11).normal(size=(floor + 200, width))
+    params = dict(k=4, learning="adaptive", stepping=4, max_learning_neighbors=12)
+    engine = OnlineImputationEngine(refresh_policy="lazy", **params)
+    engine.append(values[:120])
+    queries = values[-12:].copy()
+    queries[np.arange(12), 2 * (np.arange(12) % 2)] = np.nan
+    engine.impute_batch(queries)  # two resident states, synced here
+
+    # The states lag from here: an append their replay extends the old
+    # view with, then an update and a delete that leave three retired
+    # versions pending.
+    engine.append(values[120:128])
+    retired = engine.store.live_slots[[6, 3, 40]].copy()
+    versions = engine.store.rows(retired)
+    engine.update(6, values[-20])
+    engine.delete([3, 40])
+    assert engine.store.n_pending == 3
+    reference = values[:128].copy()
+    reference[6] = values[-20]
+    reference = np.delete(reference, [3, 40], axis=0)
+
+    resident = engine.store.nbytes
+    engine.append(values[128 : 128 + floor])  # past the floor: reallocates
+    reference = np.vstack([reference, values[128 : 128 + floor]])
+    assert engine.store.nbytes > resident + floor * width * 8
+    np.testing.assert_array_equal(engine.store.rows(retired), versions)
+    np.testing.assert_array_equal(engine.store.matrix(), reference)
+
+    online = engine.impute_batch(queries)
+    assert engine.stats["incremental_refreshes"] == 2
+    cold = IIMImputer(**params).fit(Relation(reference)).impute(Relation(queries))
+    np.testing.assert_allclose(online, cold.raw, rtol=1e-9, atol=1e-12)
 
 
 # --------------------------------------------------------------------------- #

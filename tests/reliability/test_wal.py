@@ -286,6 +286,7 @@ class TestDurableSessions:
             "incremental_fallback_fraction", 0.9,
             id="incremental_fallback_fraction",
         ),
+        pytest.param("shard_capacity", 4096, id="shard_capacity"),
     ])
     def test_log_naming_a_removed_engine_knob_still_recovers(
         self, tmp_path, knob, value

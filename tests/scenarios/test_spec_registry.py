@@ -95,6 +95,8 @@ class TestSpecValidation:
             make_spec(engine={"threads": 4})
         with pytest.raises(ScenarioError, match="unknown engine knob"):
             make_spec(engine={"incremental_fallback_fraction": 0.9})
+        with pytest.raises(ScenarioError, match="unknown engine knob"):
+            make_spec(engine={"shard_capacity": 4096})
         spec = make_spec(engine={"refresh_policy": "lazy"})
         assert spec.engine == {"refresh_policy": "lazy"}
 

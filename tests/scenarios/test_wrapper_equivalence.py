@@ -27,7 +27,7 @@ QUERIES = 6
 IIM = {"k": 4, "learning": "fixed", "learning_neighbors": 4,
        "stepping": 5, "max_learning_neighbors": 12}
 ENGINE = {"refresh_policy": "lazy", "model_cache_size": None,
-          "shard_capacity": "default", "journal_capacity": "default"}
+          "journal_capacity": "default"}
 
 
 @pytest.fixture(scope="module")
