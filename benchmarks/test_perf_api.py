@@ -299,7 +299,6 @@ def test_observability_overhead(
         (engine_module, "engine_phase", lambda phase: noop_span),
         (engine_module, "observe_imputed_cells", lambda *a, **k: None),
         (store_module, "count_store_rows", lambda *a, **k: None),
-        (store_module, "count_journal_spill", lambda *a, **k: None),
     ]
 
     def drive_noop():

@@ -57,8 +57,7 @@ to a cold ``IIMImputer`` refit over the same tuples.
 >>> filled = engine.impute_batch(rows_with_nans)             # doctest: +SKIP
 >>> engine.snapshot("artifacts/engine")                      # doctest: +SKIP
 
-Engine knobs (model cache size, refresh policy, mutation journal)
-are rows of the same
+Engine knobs (model cache size, refresh policy) are rows of the same
 :data:`repro.config.KNOBS` table as the backend, the WAL, serve, obs,
 query and scenario knobs; each has a ``REPRO_*`` environment variable and
 is read with ``config.get(name)``.  Fitted state —

@@ -257,10 +257,9 @@ class OnlineSession(ImputationSession):
     engine:
         Wrap an existing :class:`~repro.online.OnlineImputationEngine`.
     kwargs:
-        Otherwise, engine knobs (``model_cache_size``, ``refresh_policy``,
-        ``journal_capacity``) and
-        :class:`~repro.core.iim.IIMImputer` constructor arguments, exactly
-        as the engine constructor takes them.
+        Otherwise, engine knobs (``model_cache_size``, ``refresh_policy``)
+        and :class:`~repro.core.iim.IIMImputer` constructor arguments,
+        exactly as the engine constructor takes them.
 
     Notes
     -----
@@ -400,7 +399,6 @@ class OnlineSession(ImputationSession):
             "engine": {
                 "model_cache_size": engine.model_cache_size,
                 "refresh_policy": engine.refresh_policy,
-                "journal_capacity": engine.journal_capacity,
             },
         }
 

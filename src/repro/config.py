@@ -4,14 +4,14 @@ Every knob of the library is one :class:`Knob` row of :data:`KNOBS` —
 its name, environment variable, default, parser, one-line doc, and whether
 ``None`` is one of its values (an unbounded cache, no deadline).  The rows
 cover the IIM kernel backend, the online engine (model cache, refresh
-policy, mutation journal), the write-ahead log, the serve
-loop (deadline, request bounds, worker pool, micro-batching, admission
-quotas), observability, query provenance and scenario replay.
+policy), the write-ahead log, the serve loop (deadline, request bounds,
+worker pool, micro-batching, admission quotas), observability, query
+provenance and scenario replay.
 
 A knob's value resolves, in decreasing priority, from
 
 1. a per-call argument (``backend=...``, ``OnlineImputationEngine(
-   journal_capacity=...)``, ``SessionServer(workers=...)``) passed through
+   refresh_policy=...)``, ``SessionServer(workers=...)``) passed through
    :func:`resolve`;
 2. the process-wide value chosen by :func:`set` or :func:`override`;
 3. the knob's environment variable;
@@ -143,10 +143,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "engine refresh policy: lazy folds mutations into a model state at "
          "its next impute, eager at every mutation",
          flag="--refresh"),
-    Knob("journal_capacity", "REPRO_ONLINE_JOURNAL_CAPACITY", 512, _count,
-         "mutation-journal ring capacity in entries; overflow spills and "
-         "laggard states rebuild",
-         flag="--journal-capacity"),
     Knob("wal_sync", "REPRO_WAL_SYNC", "batch",
          _choice("always", "batch", "off"),
          "WAL sync policy: always fsyncs every record, batch flushes once "
@@ -216,7 +212,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
 ENGINE_KNOBS = (
     "model_cache_size",
     "refresh_policy",
-    "journal_capacity",
 )
 
 #: Knobs a :class:`~repro.api.serve.SessionServer` keyword of the same name

@@ -68,25 +68,29 @@ def paper_euclidean(query, data) -> np.ndarray:
         batch.
     """
     query, data, single = _prepare(query, data)
+    distances = _squared_euclidean(query, data)
+    # In place: one (q, n) allocation, the same values as sqrt(d / m).
+    distances /= query.shape[1]
+    np.sqrt(distances, out=distances)
+    return distances[0] if single else distances
+
+
+def _squared_euclidean(query: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """A fresh ``(q, n)`` array of squared Euclidean distances."""
     if _cdist is not None:
         # Direct (non-expanded) squared differences, so identical tuples are
         # at distance exactly 0.0 — the self-exclusion logic relies on it.
-        distances = np.sqrt(_cdist(query, data, "sqeuclidean") / query.shape[1])
-    else:
-        diff = query[:, None, :] - data[None, :, :]
-        # einsum contracts the squared differences without materialising diff².
-        distances = np.sqrt(np.einsum("qnd,qnd->qn", diff, diff) / query.shape[1])
-    return distances[0] if single else distances
+        return _cdist(query, data, "sqeuclidean")
+    diff = query[:, None, :] - data[None, :, :]
+    # einsum contracts the squared differences without materialising diff².
+    return np.einsum("qnd,qnd->qn", diff, diff)
 
 
 def euclidean(query, data) -> np.ndarray:
     """Standard (non-normalized) Euclidean distance."""
     query, data, single = _prepare(query, data)
-    if _cdist is not None:
-        distances = np.sqrt(_cdist(query, data, "sqeuclidean"))
-    else:
-        diff = query[:, None, :] - data[None, :, :]
-        distances = np.sqrt(np.einsum("qnd,qnd->qn", diff, diff))
+    distances = _squared_euclidean(query, data)
+    np.sqrt(distances, out=distances)
     return distances[0] if single else distances
 
 

@@ -27,7 +27,6 @@ metric                           kind       labels
 ``repro_artifact_bytes_total``   counter    ``op``
 ``repro_fault_activations_total``  counter  ``site``, ``kind``
 ``repro_store_rows_total``       counter    ``op`` (append/delete/update)
-``repro_journal_spills_total``   counter    —
 ``repro_sessions_open``          gauge      —
 ``repro_serve_workers``          gauge      —
 ``repro_queue_depth``            gauge      —
@@ -91,7 +90,6 @@ __all__ = [
     "observe_artifact_io",
     "count_fault_activation",
     "count_store_rows",
-    "count_journal_spill",
     "set_sessions_open",
     "set_serve_workers",
     "set_queue_depth",
@@ -178,10 +176,6 @@ STORE_ROWS_TOTAL = _registry.counter(
     "repro_store_rows_total",
     "Tuple-store row mutations, by operation.",
     ("op",),
-)
-JOURNAL_SPILLS_TOTAL = _registry.counter(
-    "repro_journal_spills_total",
-    "Mutation-journal spills (journal overflow forcing a flush).",
 )
 SESSIONS_OPEN = _registry.gauge(
     "repro_sessions_open",
@@ -406,12 +400,6 @@ def count_store_rows(op: str, n_rows: int) -> None:
     if not _knob("obs_enabled"):
         return
     STORE_ROWS_TOTAL._inc_fast((op,), n_rows)
-
-
-def count_journal_spill(n: int = 1) -> None:
-    if not _knob("obs_enabled"):
-        return
-    JOURNAL_SPILLS_TOTAL._inc_fast((), n)
 
 
 def set_sessions_open(n: int) -> None:

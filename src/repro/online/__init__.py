@@ -33,7 +33,6 @@ from .artifacts import (
 from .engine import OnlineImputationEngine
 from .store import (
     ColumnarTupleStore,
-    MutationJournal,
     ShardedNeighbors,
     StoreFeatureView,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ColumnarTupleStore",
     "StoreFeatureView",
     "ShardedNeighbors",
-    "MutationJournal",
     "ARTIFACT_FORMAT",
     "ARTIFACT_VERSION",
     "write_artifact",

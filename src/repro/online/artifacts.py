@@ -58,7 +58,7 @@ ARTIFACT_FORMAT = "repro-artifact"
 
 #: The artifact schema version, the only one :func:`read_artifact` reads;
 #: bumped on incompatible layout changes.  Version 3 added the store
-#: section (row and pending counts) and the journal ring knob.
+#: section (row and pending counts).
 ARTIFACT_VERSION = 3
 
 MANIFEST_FILENAME = "manifest.json"

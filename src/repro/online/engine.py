@@ -44,31 +44,27 @@ features are likewise computed once per store version.  Resident per-state
 memory is the orderings/models/costs, ``O(n)`` slot integers and that one
 gathered block.
 
-Deferred maintenance: the mutation journal
-------------------------------------------
+Deferred maintenance: the slot diff
+-----------------------------------
 Under the ``"lazy"`` refresh policy a cached state may lag the store by
-several mutations.  The engine keeps the mutations since each state's sync
-point in a **bounded ring buffer**
-(:class:`~repro.online.store.MutationJournal`) whose entries hold store
-slot references only — the payloads are durable in the columnar store the
-moment a mutation lands, and retired row versions are *retained* (MVCC
-style) until their journal entry is replayed by every resident state or
-spills off the ring, at which point their slots return to the free list.
-Journal memory is thus bounded by the ring capacity regardless of burst
-length; a state older than the ring's floor full-rebuilds instead of
-replaying.  On the next imputation touching a state the journal
-is replayed in two phases — each op maintains the neighbour cache, the
-owner matrix and the dirty sets only, then ONE batched relearn + cost
-rebuild + selection runs over the dirty union — so a burst of mutations
-costs one refresh, not one per op.  A run of adjacent appends replays as
-one batched merge, a run of adjacent deletes as one repair and a run of
-adjacent updates as one ``replace`` of many indices, so the neighbour
-cache is repaired once per run rather than once per op.  When any step of
-the pending sequence would change the state's *structure* (the candidate ℓ
-grid still growing towards ``max_learning_neighbors``, the validation ``k``
-clamped by a small ``n``, the global candidate toggling), the state falls
-back to one full relearn over the final store instead — structure changes
-reshape every array anyway.  The journal is pruned as states catch up.
+any number of mutations.  Its view records the store slots it last saw
+and the store's ``live_slots`` what is live now.  Surviving rows keep
+their order ahead of every appended row, so the difference is always one
+run of revised rows, one run of deleted rows and one run of appended
+rows.  On the next imputation touching the state those runs replay in two
+phases: one ``replace``, one ``remove`` and one ``append`` maintain the
+neighbour cache, the owner matrix and the dirty sets only, then ONE
+batched relearn + cost rebuild + selection runs over the dirty union.  A
+burst of mutations, however long or interleaved, thus costs one refresh.
+The payloads are durable in the columnar store the moment a mutation
+lands; a retired row version stays readable (MVCC style) while a lagging
+view holds it, since the replace step reads it, and returns to the free
+list once none does.  When the replay would change the state's
+*structure* after the removal or at the end (the candidate ℓ grid still
+growing towards ``max_learning_neighbors``, the validation ``k`` clamped
+by a small ``n``, the global candidate toggling), the state falls back to
+one full relearn over the final store instead — structure changes
+reshape every array anyway.
 
 Exactness of the incremental maintenance
 ----------------------------------------
@@ -97,7 +93,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .._validation import as_float_matrix
+from .._validation import as_float_matrix, as_float_vector
 from .. import config
 from ..core.adaptive import adaptive_learning, scatter_validation_costs
 from ..core.combine import get_batch_combiner
@@ -115,7 +111,7 @@ from ..neighbors.brute import drop_self_rows
 from ..obs import engine_phase, observe_imputed_cells
 from ..regression import RidgeRegression, batched_design
 from .artifacts import read_artifact, write_artifact
-from .store import ColumnarTupleStore, MutationJournal, ShardedNeighbors
+from .store import ColumnarTupleStore, ShardedNeighbors
 
 __all__ = ["OnlineImputationEngine"]
 
@@ -221,37 +217,38 @@ class _AttributeState:
         if n == 0:
             raise NotFittedError("cannot sync a model state over an empty store")
         signature = self._signature(n)
-        pending = engine._pending_ops(self.version)
-        if pending is None or self.cache is None or not self._can_replay(
-            pending, signature
-        ):
+        diff = None
+        if self.cache is not None:
+            diff = self._slot_diff(self.cache.slots, engine._store.live_slots)
+        if diff is None or not self._can_replay(diff[2].shape[0], signature):
             self._full_build(signature)
             engine.stats["full_refreshes"] += 1
             engine.stats["rows_refreshed"] += n
         else:
-            # Replay in two phases: each op maintains the neighbour cache,
+            # Replay in two phases: each run maintains the neighbour cache,
             # the owner matrix and the dirty sets only; the expensive model
             # relearn + cost scatter + selection then runs ONCE over the
             # final state — exact, because models and costs depend only on
-            # the final store, and rows no op dirtied kept cold values.
+            # the final store, and rows no run dirtied kept cold values.
+            revised, fresh, deleted, appended = diff
             dirty_models = np.zeros(self.cache.n_points, dtype=bool)
             dirty_costs = np.zeros(self.cache.n_points, dtype=bool)
             refilled = self.cache.refilled_rows
             with engine_phase("order_maintenance"):
-                for op, payload in self._coalesced(pending):
-                    if op == "append":
-                        dirty_models, dirty_costs = self._track_append(
-                            payload, dirty_models, dirty_costs
-                        )
-                    elif op == "delete":
-                        dirty_models, dirty_costs = self._track_delete(
-                            payload, dirty_models, dirty_costs
-                        )
-                    else:
-                        indices, slots = payload
-                        dirty_models, dirty_costs = self._track_update(
-                            indices, slots, dirty_models, dirty_costs
-                        )
+                # replace moves no index, so the deleted rows keep the
+                # view's index space.
+                if revised.size:
+                    dirty_models, dirty_costs = self._track_update(
+                        revised, fresh, dirty_models, dirty_costs
+                    )
+                if deleted.size:
+                    dirty_models, dirty_costs = self._track_delete(
+                        deleted, dirty_models, dirty_costs
+                    )
+                if appended.size:
+                    dirty_models, dirty_costs = self._track_append(
+                        appended, dirty_models, dirty_costs
+                    )
             engine.stats["order_refill_rows"] += self.cache.refilled_rows - refilled
             refreshed = self._finalize_refresh(dirty_models, dirty_costs)
             engine.stats["incremental_refreshes"] += 1
@@ -259,71 +256,62 @@ class _AttributeState:
         self.signature = signature
         self.n_synced = n
         self.version = engine._version
-        engine._prune_journal()
+        engine._release_unread()
 
-    def _can_replay(self, pending, final_signature) -> bool:
-        """Whether every pending op keeps the state structure unchanged."""
-        if self.signature is None or final_signature != self.signature:
-            return False
-        n_running = self.n_synced
-        for op, payload in pending:
-            if op == "append":
-                n_running += payload.shape[0]
-            elif op == "delete":
-                n_running -= payload[0].shape[0]
-            else:
-                continue  # updates never change n (or the structure)
-            if n_running < 1 or self._signature(n_running) != self.signature:
-                return False
-        return True
+    def _can_replay(self, n_deleted: int, final_signature) -> bool:
+        """Whether the structure holds at the sizes the replay passes
+        through: after the removal and at the end."""
+        n_removed = self.n_synced - n_deleted
+        return (
+            self.signature is not None
+            and final_signature == self.signature
+            and n_removed >= 1
+            and self._signature(n_removed) == self.signature
+        )
 
     @staticmethod
-    def _coalesced(pending) -> List[Tuple[str, object]]:
-        """Merge each run of adjacent appends, of adjacent deletes and of
-        adjacent updates into one op.
+    def _slot_diff(
+        old: np.ndarray, live: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The mutations between a view's ``old`` slots and the ``live``
+        slots, as ``(revised, fresh, deleted, appended)``.
 
-        A delete run becomes one delete, of sorted indices, in the index
-        space before the run: every later delete's indices are mapped back
-        past the tuples the run already removed.  A delete's retired slots
-        stay in its journal entry, which releases them.  An update run
-        becomes one update carrying parallel ``(indices, slots)`` arrays;
-        an index revised twice in the run keeps its last slot.  Updates
-        never move indices, so only an append or a delete ends an update
-        run (and an update ends a delete run).
+        A slot in both is a survivor: the store never recycles a slot a
+        resident view holds, and an update writes a fresh slot.  Survivors
+        keep their order and appended rows follow them all, so the
+        survivors cut both sequences into gaps; in each gap the live rows
+        the view lacks pair, in order, with the view's vanished rows — the
+        ``revised`` old indices and their ``fresh`` slots.  Unpaired
+        vanished rows are the ``deleted`` old indices; unpaired live rows
+        lie past the last survivor and are the ``appended`` slots.  Any
+        pairing that reproduces the live order gives the same final data,
+        so replaying the three runs is exact whatever history produced it.
         """
-        out: List[Tuple[str, object]] = []
-        for op, payload in pending:
-            if out and op == out[-1][0] == "append":
-                out[-1] = ("append", np.concatenate([out[-1][1], payload]))
-            elif op == "update":
-                index, _, slot = payload
-                if not (out and out[-1][0] == "update"):
-                    out.append(("update", {}))
-                out[-1][1][int(index)] = int(slot)
-            elif op == "delete":
-                indices = payload[0]
-                if out and out[-1][0] == "delete":
-                    removed = out[-1][1]
-                    # The i-th removed index (sorted) has removed[i] - i
-                    # survivors below it; an index j of the later delete
-                    # skips every removed tuple with at most j survivors
-                    # below it.
-                    indices = indices + np.searchsorted(
-                        removed - np.arange(removed.shape[0]), indices,
-                        side="right",
-                    )
-                    out[-1] = ("delete", np.sort(np.concatenate([removed, indices])))
-                else:
-                    out.append(("delete", indices))
-            else:
-                out.append((op, payload))
-        for position, (op, payload) in enumerate(out):
-            if op == "update":  # {index: last slot} -> parallel arrays
-                out[position] = (op, (
-                    np.array(list(payload), dtype=np.int64),
-                    np.array(list(payload.values()), dtype=np.int64),
-                ))
-        return out
+        size = int(max(old.max(initial=-1), live.max(initial=-1))) + 1
+        in_old = np.zeros(size, dtype=bool)
+        in_old[old] = True
+        in_live = np.zeros(size, dtype=bool)
+        in_live[live] = True
+        survived, kept = in_live[old], in_old[live]
+        vanished, added = np.flatnonzero(~survived), np.flatnonzero(~kept)
+        # A row's gap is the number of survivors before it: its position
+        # less the non-survivors before it.
+        old_gaps = vanished - np.arange(vanished.shape[0])
+        new_gaps = added - np.arange(added.shape[0])
+        n_gaps = old.shape[0] - vanished.shape[0] + 1
+
+        def paired(gaps, other_gaps):
+            rank = np.arange(gaps.shape[0]) - np.searchsorted(gaps, gaps)
+            return rank < np.bincount(other_gaps, minlength=n_gaps)[gaps]
+
+        old_paired = paired(old_gaps, new_gaps)
+        new_paired = paired(new_gaps, old_gaps)
+        return (
+            vanished[old_paired],
+            live[added[new_paired]],
+            vanished[~old_paired],
+            live[added[~new_paired]],
+        )
 
     # ------------------------------------------------------------------ #
     def _full_build(self, signature) -> None:
@@ -774,11 +762,6 @@ class OnlineImputationEngine:
         state on the next imputation touching its attribute, so bursts of
         appends/deletes/updates amortise into one refresh; ``"eager"``
         refreshes every cached state inside each mutating call.
-    journal_capacity:
-        Mutation-journal ring capacity (defaults to the process-wide
-        knob).  Entries hold store slot references only; overflowing
-        entries spill, bounding journal memory, and states older than the
-        spill floor full-rebuild instead of replaying.
 
     Examples
     --------
@@ -796,7 +779,6 @@ class OnlineImputationEngine:
         *,
         model_cache_size="default",
         refresh_policy: Optional[str] = None,
-        journal_capacity="default",
         **iim_params,
     ):
         if imputer is None:
@@ -812,7 +794,6 @@ class OnlineImputationEngine:
         self.imputer = imputer
         self.model_cache_size = config.resolve("model_cache_size", model_cache_size)
         self.refresh_policy = config.resolve("refresh_policy", refresh_policy)
-        self.journal_capacity = config.resolve("journal_capacity", journal_capacity)
 
         self._schema: Optional[Schema] = None
         self._store: Optional[ColumnarTupleStore] = None
@@ -821,7 +802,6 @@ class OnlineImputationEngine:
         # (version, column means) of the last impute; reused until a
         # mutation moves _version.
         self._means: Optional[Tuple[int, np.ndarray]] = None
-        self._journal = MutationJournal(self.journal_capacity)
         self._states: "OrderedDict[int, _AttributeState]" = OrderedDict()
         self.stats: Dict[str, int] = {
             "appends": 0,
@@ -841,7 +821,6 @@ class OnlineImputationEngine:
             "cache_hits": 0,
             "cache_misses": 0,
             "cache_evictions": 0,
-            "journal_spills": 0,
             "read_cache_hits": 0,
             "read_cache_misses": 0,
         }
@@ -925,14 +904,12 @@ class OnlineImputationEngine:
     @classmethod
     def from_relation(
         cls, relation: Relation, *, model_cache_size="default",
-        refresh_policy: Optional[str] = None,
-        journal_capacity="default", **iim_params,
+        refresh_policy: Optional[str] = None, **iim_params,
     ) -> "OnlineImputationEngine":
         """Build an engine seeded with the complete part of ``relation``."""
         engine = cls(
             model_cache_size=model_cache_size,
             refresh_policy=refresh_policy,
-            journal_capacity=journal_capacity,
             **iim_params,
         )
         engine.append(relation.complete_part())
@@ -1003,10 +980,10 @@ class OnlineImputationEngine:
         with engine_phase("append"):
             if self._store is None:
                 self._store = ColumnarTupleStore(self._schema.width)
-            slots = self._store.append(np.asarray(values, dtype=float))
+            self._store.append(np.asarray(values, dtype=float))
             self.stats["appends"] += 1
             self.stats["appended_rows"] += b
-            self._record("append", slots)
+            self._record()
         return self
 
     def promote_pending(self) -> int:
@@ -1048,18 +1025,13 @@ class OnlineImputationEngine:
                 f"delete indices must lie in [0, {self._n}), got "
                 f"[{indices[0]}, {indices[-1]}]"
             )
-        retired = self._store.delete(indices)
+        self._store.delete(indices)
         self.stats["deletes"] += 1
         self.stats["deleted_rows"] += int(indices.size)
         if self._n == 0:
             # No state can outlive an empty store; the next append restarts.
-            self._version += 1
             self._states.clear()
-            self._release_entries(self._journal.clear())
-            self._journal.advance_floor(self._version)
-            self._store.release(retired)
-            return self
-        self._record("delete", (indices, retired), owned_slots=retired)
+        self._record()
         return self
 
     def update(self, index: int, row) -> "OnlineImputationEngine":
@@ -1073,7 +1045,7 @@ class OnlineImputationEngine:
             raise ConfigurationError(
                 f"update index must lie in [0, {self._n}), got {index}"
             )
-        row = np.asarray(row, dtype=float).ravel()
+        row = as_float_vector(row, name="updated row", allow_nan=True)
         if row.shape[0] != self._schema.width:
             raise DataError(
                 f"updated row has {row.shape[0]} attributes, the engine store "
@@ -1083,56 +1055,34 @@ class OnlineImputationEngine:
             raise DataError(
                 "update accepts complete tuples only; impute missing cells first"
             )
-        old_slot, new_slot = self._store.update(index, row)
+        self._store.update(index, row)
         self.stats["updates"] += 1
-        self._record(
-            "update", (index, old_slot, new_slot), owned_slots=[old_slot]
-        )
+        self._record()
         return self
 
-    def _release_entries(self, entries) -> None:
-        """Hand the slots owned by dead journal entries back to the store."""
-        if self._store is None:
-            return
-        for _, op, payload in entries:
-            if op == "delete":
-                self._store.release(payload[1])
-            elif op == "update":
-                self._store.release([payload[1]])
-
-    def _record(self, op: str, payload, owned_slots=None) -> None:
-        """Journal one mutation and run eager refreshes.
-
-        With no resident model state there is nothing that could ever
-        replay the entry (a state built later always starts from a full
-        rebuild), so the entry is not retained — and any slots it would
-        have kept readable are recycled immediately.
-        """
+    def _record(self) -> None:
+        """Version a landed mutation, recycle what no state can read, and
+        run eager refreshes."""
         self._version += 1
-        if not self._states:
-            self._journal.advance_floor(self._version)
-            if owned_slots is not None:
-                self._store.release(owned_slots)
-            return
-        spilled = self._journal.record(self._version, op, payload)
-        if spilled:
-            self.stats["journal_spills"] += len(spilled)
-            self._release_entries(spilled)
+        self._release_unread()
         if self.refresh_policy == "eager":
             for state in self._states.values():
                 state.sync()
 
-    def _pending_ops(self, version: int) -> Optional[List[Tuple[str, object]]]:
-        """Ops recorded after ``version``, or ``None`` if some were spilled."""
-        return self._journal.since(version)
+    def _release_unread(self) -> None:
+        """Recycle every retired slot that no lagging state's view holds.
 
-    def _prune_journal(self) -> None:
-        """Drop journal entries every resident state has already replayed."""
-        if not len(self._journal):
-            return
-        versions = [state.version for state in self._states.values()]
-        horizon = min(versions) if versions else self._version
-        self._release_entries(self._journal.prune(horizon))
+        A current state's view is the live order, so only a lagging view
+        can still read a retired version: the retained slots are bounded by
+        the lagging views.  Runs after each event that retires a slot or
+        ends a lag — a mutation, a sync, an eviction.
+        """
+        if self._store is not None:
+            self._store.release_unheld(
+                state.cache.slots
+                for state in self._states.values()
+                if state.cache is not None and not state.current
+            )
 
     # ------------------------------------------------------------------ #
     # Model cache
@@ -1147,7 +1097,7 @@ class OnlineImputationEngine:
             ):
                 self._states.popitem(last=False)
                 self.stats["cache_evictions"] += 1
-                self._prune_journal()
+                self._release_unread()
             state = _AttributeState(self, target_index)
             self._states[target_index] = state
         else:
@@ -1161,7 +1111,7 @@ class OnlineImputationEngine:
         return list(self._states)
 
     def memory_stats(self) -> Dict[str, int]:
-        """Resident-memory accounting across the store, journal and states.
+        """Resident-memory accounting across the store and the states.
 
         ``state_slot_bytes`` is the slot references of the states' store
         views; ``state_block_bytes`` is the rows those views have gathered
@@ -1194,9 +1144,8 @@ class OnlineImputationEngine:
             "pending_slots": 0 if store is None else store.n_pending,
             "free_slots": 0 if store is None else store.n_free,
             "recycled_slots": 0 if store is None else store.recycled_slots,
-            "journal_entries": len(self._journal),
-            "journal_capacity": self.journal_capacity,
-            "journal_bytes": self._journal.nbytes,
+            # Always 0 (no journal); perfbench sums it into resident bytes.
+            "journal_bytes": 0,
             "state_slot_bytes": state_slot_bytes,
             "state_block_bytes": state_block_bytes,
             "state_order_bytes": state_order_bytes,
@@ -1369,12 +1318,10 @@ class OnlineImputationEngine:
         if self._n:
             for state in self._states.values():
                 state.sync()
-            self._prune_journal()
         manifest: Dict[str, object] = {
             "engine": {
                 "model_cache_size": self.model_cache_size,
                 "refresh_policy": self.refresh_policy,
-                "journal_capacity": self.journal_capacity,
             },
             "store": {"n_rows": self._n, "n_pending": self.n_pending},
             "lifecycle": {"version": self._version},
@@ -1435,7 +1382,6 @@ class OnlineImputationEngine:
             IIMImputer(**(imputer_info.get("params") or {})),
             model_cache_size=engine_info.get("model_cache_size"),
             refresh_policy=engine_info.get("refresh_policy"),
-            journal_capacity=engine_info.get("journal_capacity", "default"),
         )
         schema = manifest.get("schema") or []
         store = arrays["store"]
@@ -1455,7 +1401,6 @@ class OnlineImputationEngine:
             engine._pending = np.array(pending, dtype=float)
         lifecycle = manifest.get("lifecycle") or {}
         engine._version = int(lifecycle.get("version", 0))
-        engine._journal.advance_floor(engine._version)
         stats = manifest.get("stats") or {}
         for key in engine.stats:
             if key in stats:

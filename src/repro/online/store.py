@@ -12,8 +12,8 @@ model states read through slot references:
   through a free list, and updates write the revised tuple into a *fresh*
   slot so the old version stays readable.  Retired slots are kept on a
   pending list until :meth:`release` — the MVCC discipline that lets a
-  lazily-synced model state replay a mutation journal against the exact
-  intermediate values each operation saw.
+  lazily-synced model state replay its lag against the retired versions
+  its view still holds.
 * :class:`StoreFeatureView` — an immutable ``(n, m-1)`` *view* of the
   store: an array of slot references plus an excluded (target) attribute.
   The rows it reads never change, so it gathers them into one block on
@@ -22,24 +22,16 @@ model states read through slot references:
 * :class:`ShardedNeighbors` — neighbour queries as one metric call plus one
   exact top-K selection over the view's block, reproducing the global
   ``(distance, index)`` lexsort order *including ties*.
-* :class:`MutationJournal` — the engine's mutation log as a **bounded ring
-  buffer**.  Entries hold store slot references only (the payloads are
-  durable in the store the moment the mutation lands), so journal memory is
-  ``O(capacity)`` integers regardless of how wide the tuples are or how
-  long a lazy burst runs; overflowing entries spill off the ring, advancing
-  the replay floor, and report the slots they owned so the store can
-  recycle them.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, DataError, NotFittedError
-from ..obs import count_journal_spill, count_store_rows
+from ..obs import count_store_rows
 from .._validation import check_positive_int
 from ..neighbors.brute import topk_batch
 from ..neighbors.distance import get_metric
@@ -48,7 +40,6 @@ __all__ = [
     "ColumnarTupleStore",
     "StoreFeatureView",
     "ShardedNeighbors",
-    "MutationJournal",
 ]
 
 #: Rows of the store's first allocation; growth never allocates fewer.  A
@@ -97,7 +88,7 @@ class ColumnarTupleStore:
 
     @property
     def n_pending(self) -> int:
-        """Retired slots still retained for journal replay."""
+        """Retired slots still retained for a lagging state's replay."""
         return len(self._pending)
 
     @property
@@ -131,8 +122,7 @@ class ColumnarTupleStore:
         capacity = self._data.shape[0]
         if needed > capacity:
             grown = np.empty((max(needed, 2 * capacity, FLOOR), self.width))
-            # Pending slots too: a lagging state reads the versions its
-            # journal entries name.
+            # Pending slots too: a lagging state's view still reads them.
             grown[: self._n_allocated] = self._data[: self._n_allocated]
             self._data = grown
         slots.extend(range(self._n_allocated, needed))
@@ -177,7 +167,7 @@ class ColumnarTupleStore:
         """Write a revised tuple into a fresh slot; returns (old, new) slots.
 
         The old version stays readable (pending) until :meth:`release` — the
-        retention that lets journal replay reconstruct intermediate states.
+        retention that lets a lagging state's replay read what its view held.
         """
         row = np.asarray(row, dtype=float).reshape(1, -1)
         if row.shape[1] != self.width:
@@ -199,6 +189,15 @@ class ColumnarTupleStore:
             if slot in self._pending:
                 self._pending.discard(slot)
                 self._free.append(slot)
+
+    def release_unheld(self, held: Iterable[np.ndarray]) -> None:
+        """Release every pending slot that no array in ``held`` names."""
+        if not self._pending:
+            return
+        named = np.zeros(self._n_allocated, dtype=bool)
+        for slots in held:
+            named[slots] = True
+        self.release([slot for slot in self._pending if not named[slot]])
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -247,7 +246,7 @@ class StoreFeatureView:
       neighbour cache's view on every mutation;
     * the store never rewrites a slot that a resident engine state still
       references: updates write the revised tuple into a fresh slot, and
-      retired slots stay pending until the mutation journal releases them.
+      retired slots stay pending until no lagging state's view holds them.
 
     So the rows a view reads never change.  :meth:`block` gathers them
     once, on first use, and keeps the read-only ``(n, m-1)`` array for the
@@ -384,75 +383,3 @@ class ShardedNeighbors:
         if single:
             return dist[0], idx[0]
         return dist, idx
-
-
-class MutationJournal:
-    """The engine's mutation log as a bounded ring buffer of slot references.
-
-    Every entry is ``(version, op, payload)`` where the payload holds store
-    slots / logical indices only — never tuple values (those are durable in
-    the columnar store by the time the entry is recorded).  When the ring
-    overflows, the oldest entries spill: the replay floor advances (states
-    older than it full-rebuild instead of replaying) and the spilled
-    entries are handed back so their retired slots can be recycled.
-    """
-
-    def __init__(self, capacity: int = 512):
-        self.capacity = check_positive_int(capacity, "capacity")
-        self._entries: Deque[Tuple[int, str, object]] = deque()
-        self.floor = 0
-        self.spills = 0  # entries dropped by ring overflow (observability)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate resident bytes (slot/index arrays only)."""
-        total = 0
-        for _, op, payload in self._entries:
-            if op == "append":
-                total += payload.nbytes
-            elif op == "delete":
-                total += payload[0].nbytes + payload[1].nbytes
-            else:  # update: three plain ints
-                total += 24
-        return total
-
-    def record(
-        self, version: int, op: str, payload
-    ) -> List[Tuple[int, str, object]]:
-        """Append one entry; returns the entries spilled by the ring bound."""
-        self._entries.append((version, op, payload))
-        spilled: List[Tuple[int, str, object]] = []
-        while len(self._entries) > self.capacity:
-            spilled.append(self._entries.popleft())
-        if spilled:
-            self.spills += len(spilled)
-            self.floor = max(self.floor, spilled[-1][0])
-            count_journal_spill(len(spilled))
-        return spilled
-
-    def since(self, version: int) -> Optional[List[Tuple[str, object]]]:
-        """Ops recorded after ``version``; ``None`` when some have spilled."""
-        if version < self.floor:
-            return None
-        return [(op, payload) for v, op, payload in self._entries if v > version]
-
-    def prune(self, horizon: int) -> List[Tuple[int, str, object]]:
-        """Drop (and return) entries every resident state has replayed."""
-        dropped: List[Tuple[int, str, object]] = []
-        while self._entries and self._entries[0][0] <= horizon:
-            dropped.append(self._entries.popleft())
-        self.floor = max(self.floor, horizon)
-        return dropped
-
-    def advance_floor(self, version: int) -> None:
-        """Raise the replay floor without recording an entry."""
-        self.floor = max(self.floor, version)
-
-    def clear(self) -> List[Tuple[int, str, object]]:
-        """Drop every entry (store emptied); returns them for slot release."""
-        dropped = list(self._entries)
-        self._entries.clear()
-        return dropped

@@ -206,7 +206,6 @@ FLAG_VALUES = {
     "trace_sample": ("0.5", 0.5),
     "model_cache_size": ("none", None),
     "refresh_policy": ("eager", "eager"),
-    "journal_capacity": ("32", 32),
 }
 
 

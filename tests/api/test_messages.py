@@ -135,7 +135,9 @@ class TestSessionConfig:
         with pytest.raises(ConfigurationError, match="unknown engine knobs"):
             SessionConfig(method="IIM", engine={"sharding": 4})
         # A removed knob is unknown too.
-        for removed in ("incremental_fallback_fraction", "shard_capacity"):
+        for removed in (
+            "incremental_fallback_fraction", "shard_capacity", "journal_capacity",
+        ):
             with pytest.raises(ConfigurationError, match="unknown engine knobs"):
                 SessionConfig(method="IIM", engine={removed: 1})
 

@@ -108,6 +108,34 @@ class TestQuarantine:
         assert ok(server, cmd="health")["degraded"] == []
         ok(server, cmd="impute", session="s", rows=[_query(values)])
 
+    @pytest.mark.parametrize("template", [
+        '{"cmd": "update", "session": "s", "index": 1, "row": ROW}',
+        '{"cmd": "mutate", "session": "s", '
+        '"ops": [{"op": "update", "index": 1, "row": ROW}]}',
+        '{"cmd": "query", "session": "s", "q": "UPDATE 1 SET A2 = CELL;"}',
+    ], ids=["update", "mutate", "query"])
+    @pytest.mark.parametrize("cell", ["1e999", "-1e999"], ids=["inf", "-inf"])
+    def test_infinite_update_is_a_clean_rejection(
+        self, values, tmp_path, template, cell
+    ):
+        server = SessionServer(wal_root=tmp_path)
+        create_online(server, values)
+        session = server.sessions["s"]
+        store, last_seq = session.engine.store.matrix(), session.wal.last_seq
+        cells = [json.dumps(float(v)) for v in values[80]]
+        cells[1] = cell
+        line = template.replace("ROW", f"[{', '.join(cells)}]")
+        line = line.replace("CELL", cell)
+        response = server.handle_line('{"v": 1, ' + line[1:])
+        assert not response["ok"] and response["error"]["code"] == "data"
+        assert "infinite" in response["error"]["message"]
+        np.testing.assert_array_equal(session.engine.store.matrix(), store)
+        assert session.wal.last_seq == last_seq
+        assert ok(server, cmd="health")["degraded"] == []
+        result = ok(server, cmd="impute", session="s", rows=[_query(values)])
+        assert all(cell is not None for cell in result["rows"][0])
+        server.close_sessions()
+
     def test_wal_write_failure_quarantines_durable_session(
         self, values, tmp_path
     ):

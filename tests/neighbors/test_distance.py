@@ -23,6 +23,27 @@ class TestPaperEuclidean:
         expected = np.sqrt(((3.0**2) + (4.0**2)) / 2)
         assert paper_euclidean(query, data)[0] == pytest.approx(expected)
 
+    @pytest.mark.parametrize("scipy_kernel", [True, False], ids=["cdist", "einsum"])
+    def test_in_place_root_equals_the_two_temporary_expression(
+        self, monkeypatch, scipy_kernel
+    ):
+        from repro.neighbors import distance as distance_module
+
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(300, 5))
+        data[150:] = data[:150]  # exact duplicates: zero distances
+        query = data[::7].copy()
+        if scipy_kernel:
+            squared = distance_module._cdist(query, data, "sqeuclidean")
+        else:
+            monkeypatch.setattr(distance_module, "_cdist", None)
+            diff = query[:, None, :] - data[None, :, :]
+            squared = np.einsum("qnd,qnd->qn", diff, diff)
+        got = paper_euclidean(query, data)
+        np.testing.assert_array_equal(got, np.sqrt(squared / 5))
+        assert (got == 0.0).sum() >= 2 * query.shape[0]
+        np.testing.assert_array_equal(euclidean(query, data), np.sqrt(squared))
+
     def test_zero_distance_to_itself(self):
         point = np.array([1.0, -2.0, 3.0])
         assert paper_euclidean(point, point.reshape(1, -1))[0] == 0.0

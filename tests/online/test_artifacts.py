@@ -148,7 +148,6 @@ def test_manifest_v3_carries_store_metadata(tmp_path):
     assert manifest["engine"] == {
         "model_cache_size": engine.model_cache_size,
         "refresh_policy": engine.refresh_policy,
-        "journal_capacity": engine.journal_capacity,
     }
     restored = OnlineImputationEngine.load(path)
     np.testing.assert_array_equal(restored.store.matrix(), engine.store.matrix())
@@ -172,6 +171,8 @@ def test_manifest_naming_a_removed_engine_knob_still_loads(tmp_path):
     # The row-shard fields snapshots of the sharded store carried.
     manifest["engine"]["shard_capacity"] = 4096
     manifest["store"].update(shard_capacity=4096, n_shards=1)
+    # The mutation-journal ring knob snapshots carried before the slot diff.
+    manifest["engine"]["journal_capacity"] = 512
     (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
 
     restored = OnlineImputationEngine.load(path)

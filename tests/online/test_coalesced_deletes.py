@@ -1,12 +1,13 @@
 """Coalesced delete runs: one repair per attribute state, cold answers.
 
-A lazy engine replays each run of adjacent deletes as a single delete in
-the index space before the run, so every resident attribute state repairs
-its neighbour orderings once per run instead of once per delete.  Later
-deletes in a run name indices in the store as it stood *after* the earlier
-ones; the merge must map them back to the same survivors and keep the
-merged indices sorted — and the imputations must still equal a cold refit
-over the surviving tuples.
+A lazy state syncs from the difference between the slots its view last
+saw and the store's live slots, and every delete since then shows up in
+it as one run of indices in the view's index space.  So every resident
+attribute state repairs its neighbour orderings once, however many
+deletes landed — an update between two deletes included.  Later deletes
+name indices in the store as it stood *after* the earlier ones; the run
+must still name the same survivors in sorted order, and the imputations
+must still equal a cold refit over the surviving tuples.
 """
 
 import numpy as np
@@ -67,7 +68,7 @@ def _delete_update_delete(pool):
 
 @pytest.mark.parametrize(
     "build_ops, repairs_per_state",
-    [(_delete_run, 1), (_delete_update_delete, 2)],
+    [(_delete_run, 1), (_delete_update_delete, 1)],
     ids=["delete_run", "delete_update_delete"],
 )
 def test_delete_runs_match_cold_refit(
@@ -100,23 +101,20 @@ def test_delete_runs_match_cold_refit(
     np.testing.assert_allclose(online, cold.raw, rtol=1e-9, atol=0)
 
 
-def _journal_entries(n, deletes):
-    """Delete ops as the engine journals them: sorted indices in the store
-    of the moment, with the slots they retired (here: the original row
-    labels, so a slot names the tuple it held)."""
-    labels = np.arange(n)
-    entries = []
+def _delete_diff(n, deletes):
+    """The slot diff after a run of deletes, each naming sorted indices in
+    the store of the moment; slot ``i`` holds original row ``i``."""
+    live = np.arange(n)
     for indices in deletes:
-        indices = np.unique(indices)
-        entries.append(("delete", (indices, labels[indices])))
-        labels = np.delete(labels, indices)
-    return entries, labels
+        live = np.delete(live, np.unique(indices))
+    return _AttributeState._slot_diff(np.arange(n), live), live
 
 
 def test_coalesced_run_removes_the_same_survivors():
-    entries, survivors = _journal_entries(N, [[5], [5], [0], [N - 4]])
-    (op, indices), = _AttributeState._coalesced(entries)
-    assert op == "delete"
+    (revised, fresh, indices, appended), survivors = _delete_diff(
+        N, [[5], [5], [0], [N - 4]]
+    )
+    assert revised.size == fresh.size == appended.size == 0
     np.testing.assert_array_equal(indices, [0, 5, 6, N - 1])
     np.testing.assert_array_equal(np.delete(np.arange(N), indices), survivors)
 
@@ -132,23 +130,7 @@ def test_coalesced_random_runs_match_one_at_a_time():
                 break
             deletes.append(indices)
             remaining -= indices.size
-        entries, survivors = _journal_entries(n, deletes)
-        (op, indices), = _AttributeState._coalesced(entries)
-        assert op == "delete" and (np.diff(indices) > 0).all()
+        (revised, _, indices, appended), survivors = _delete_diff(n, deletes)
+        assert revised.size == appended.size == 0
+        assert (np.diff(indices) > 0).all()
         np.testing.assert_array_equal(np.delete(np.arange(n), indices), survivors)
-
-
-def test_updates_break_delete_runs_and_appends_still_merge():
-    delete = ("delete", (np.array([2]), np.array([20])))
-    update = ("update", (1, 11, 12))
-    ops = _AttributeState._coalesced(
-        [
-            ("append", np.array([1, 2])),
-            ("append", np.array([3])),
-            delete,
-            update,
-            delete,
-        ]
-    )
-    assert [op for op, _ in ops] == ["append", "delete", "update", "delete"]
-    np.testing.assert_array_equal(ops[0][1], [1, 2, 3])

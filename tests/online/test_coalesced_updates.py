@@ -1,12 +1,12 @@
 """Coalesced update runs: one ``replace`` per attribute state, cold answers.
 
-A lazy engine replays each run of adjacent updates as a single update that
-carries parallel index and slot arrays, so every resident attribute state
-repairs its neighbour orderings with one ``NeighborOrderCache.replace`` of
-many indices instead of one call per update.  An index revised twice in a
-run keeps its last slot; appends and deletes end a run, because they move
-the indices that later updates name.  The imputations must still equal a
-cold refit over the final store.
+A lazy state syncs from the difference between the slots its view last
+saw and the store's live slots, and every revision since then shows up
+in it as one run of parallel index and slot arrays.  So every resident
+attribute state repairs its neighbour orderings with one
+``NeighborOrderCache.replace`` of many indices instead of one call per
+update, and an index revised twice keeps its last slot.  The imputations
+must still equal a cold refit over the final store.
 """
 
 import numpy as np
@@ -34,47 +34,27 @@ def _queries(pool):
     return queries
 
 
-def _update(index, old_slot, new_slot):
-    """An update op as the engine journals it."""
-    return ("update", (index, old_slot, new_slot))
+def _update_diff(updates, n=10):
+    """The slot diff after ``(index, fresh slot)`` updates of a view whose
+    index ``i`` held slot ``10 * i``."""
+    old = np.arange(n) * 10
+    live = old.copy()
+    for index, slot in updates:
+        live[index] = slot
+    return _AttributeState._slot_diff(old, live)
 
 
 def test_adjacent_updates_merge_into_one_op():
-    ops = _AttributeState._coalesced(
-        [_update(3, 30, 31), _update(7, 70, 71), _update(1, 10, 11)]
-    )
-    (op, (indices, slots)), = ops
-    assert op == "update"
-    np.testing.assert_array_equal(indices, [3, 7, 1])
-    np.testing.assert_array_equal(slots, [31, 71, 11])
+    indices, slots, deleted, appended = _update_diff([(3, 31), (7, 71), (1, 11)])
+    assert deleted.size == appended.size == 0
+    np.testing.assert_array_equal(indices, [1, 3, 7])
+    np.testing.assert_array_equal(slots, [11, 31, 71])
 
 
 def test_a_repeated_index_keeps_its_last_slot():
-    ops = _AttributeState._coalesced(
-        [_update(3, 30, 31), _update(5, 50, 51), _update(3, 31, 32)]
-    )
-    (op, (indices, slots)), = ops
-    assert op == "update"
+    indices, slots, deleted, appended = _update_diff([(3, 31), (5, 51), (3, 32)])
+    assert deleted.size == appended.size == 0
     assert sorted(zip(indices.tolist(), slots.tolist())) == [(3, 32), (5, 51)]
-
-
-def test_appends_and_deletes_break_update_runs():
-    delete = ("delete", (np.array([2]), np.array([20])))
-    ops = _AttributeState._coalesced(
-        [
-            _update(1, 10, 11),
-            _update(2, 20, 21),
-            ("append", np.array([5])),
-            _update(3, 30, 31),
-            delete,
-            _update(4, 40, 41),
-            _update(0, 1, 2),
-        ]
-    )
-    assert [op for op, _ in ops] == ["update", "append", "update", "delete", "update"]
-    np.testing.assert_array_equal(ops[0][1][0], [1, 2])
-    np.testing.assert_array_equal(ops[2][1][0], [3])
-    np.testing.assert_array_equal(ops[4][1], ([4, 0], [41, 2]))
 
 
 @pytest.mark.parametrize("policy", ["lazy", "eager"])

@@ -267,6 +267,24 @@ def test_lifecycle_errors(stream_values):
         engine.update(0, bad)
 
 
+@pytest.mark.parametrize("cell", [np.inf, -np.inf], ids=["inf", "-inf"])
+def test_update_rejects_infinite_cells(stream_values, cell):
+    values = stream_values
+    engine = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=3)
+    engine.append(values[:40])
+    query = values[40:41].copy()
+    query[0, 1] = np.nan
+    answer = engine.impute_batch(query)
+    store, version = engine.store.matrix(), engine._version
+    bad = values[0].copy()
+    bad[1] = cell
+    with pytest.raises(DataError, match="infinite"):
+        engine.update(0, bad)
+    np.testing.assert_array_equal(engine.store.matrix(), store)
+    assert engine._version == version and engine.stats["updates"] == 0
+    np.testing.assert_array_equal(engine.impute_batch(query), answer)
+
+
 def test_duplicate_delete_indices_collapse(stream_values):
     values = stream_values
     engine = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=3)

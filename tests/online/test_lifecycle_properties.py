@@ -8,14 +8,14 @@ the first run of each trace revises one index twice) and all-rows-deleted
 states included — while holding a plain-array reference
 store.  After every imputation the engine must match a cold
 :class:`~repro.core.iim.IIMImputer` refit over the surviving tuples at
-``rtol = 1e-9``; after every operation the mutation journal must respect
-its ring bound and, once every state has synced, the store must have
-recycled every retired slot.  Traces are seeded, so a failure reproduces
-from its parametrisation alone.
+``rtol = 1e-9``; after every operation the store must retain exactly the
+retired slots some lagging state's view still holds — none once every
+state has synced.  Traces are seeded, so a failure reproduces from its
+parametrisation alone.
 
-Engines run with a deliberately tiny first store allocation and journal
-capacity, so the store array reallocates under retained versions and the
-ring spills constantly — the regimes the store has to get right.
+Engines run with a deliberately tiny first store allocation, so the store
+array reallocates under retained versions — the regime the store has to
+get right.
 """
 
 import os
@@ -32,7 +32,7 @@ from repro.online import store as store_module
 #: Long-trace smoke knob for CI (see .github/workflows/ci.yml).
 N_OPS = int(os.environ.get("REPRO_PROPERTY_OPS", "48"))
 
-STRESS_KNOBS = dict(journal_capacity=6, model_cache_size=None)
+STRESS_KNOBS = dict(model_cache_size=None)
 
 
 @pytest.fixture(autouse=True)
@@ -69,11 +69,21 @@ def _draw_row(pool, ref, rng):
     return pool[rng.integers(pool.shape[0])].copy()
 
 
+def _retained_slots(engine):
+    """The retired slots some lagging state's view still holds."""
+    held = set()
+    for state in engine._states.values():
+        if state.cache is not None and not state.current:
+            held.update(state.cache.slots.tolist())
+    return held - set(engine.store.live_slots.tolist())
+
+
 def _check_invariants(engine, ref):
     assert engine.n_tuples == ref.shape[0]
-    memory = engine.memory_stats()
-    assert memory["journal_entries"] <= memory["journal_capacity"], (
-        "mutation journal exceeded its ring bound"
+    # A subset: nothing outlives the views that read it; a superset: a
+    # lagging view never loses a version its replay reads.
+    assert engine.store._pending == _retained_slots(engine), (
+        "the store's pending slots are not the lagging views' retired slots"
     )
 
 
@@ -93,7 +103,6 @@ def _run_trace(engine, pool, rng, params, n_ops, tmp_path=None):
     """Drive one random lifecycle trace; returns the final reference store."""
     ref = pool[:30].copy()
     engine.append(ref)
-    floor_seen = 0
     n_snapshots = 0
     n_runs = 0
     for step in range(n_ops):
@@ -154,19 +163,15 @@ def _run_trace(engine, pool, rng, params, n_ops, tmp_path=None):
             path = tmp_path / f"snap{n_snapshots}"
             n_snapshots += 1
             engine.snapshot(path)
-            # Snapshots fold every pending mutation: the journal must be
-            # empty and every retired slot recycled.
-            memory = engine.memory_stats()
-            assert memory["journal_entries"] == 0
-            assert memory["pending_slots"] == 0
+            # Snapshots fold every pending mutation: every retired slot
+            # must be recycled.
+            assert engine.memory_stats()["pending_slots"] == 0
             restored = OnlineImputationEngine.load(path)
             np.testing.assert_array_equal(
                 restored.store_relation().raw, engine.store_relation().raw
             )
             engine = restored  # continue the trace on the restored engine
         _check_invariants(engine, ref)
-        assert engine._journal.floor >= floor_seen, "journal floor regressed"
-        floor_seen = engine._journal.floor
     if ref.shape[0] >= 8:
         _check_impute(engine, ref, rng, params)
     return engine, ref
@@ -187,19 +192,21 @@ def test_random_trace_with_a_short_candidate_grid(pool, tmp_path):
     _run_trace(engine, pool, rng, params, N_OPS, tmp_path=tmp_path)
 
 
-def test_long_lazy_burst_respects_ring_bound(pool):
-    """A burst far longer than the ring keeps journal memory bounded and the
-    laggard state falls back to one full rebuild (still exact)."""
+def test_long_lazy_burst_retains_at_most_the_lagging_view(pool):
+    """A long write-only burst behind one lagging state retains no more
+    retired slots than that state's view holds, and the state catches up
+    with one incremental refresh (still exact)."""
     params = dict(k=4, learning="adaptive", stepping=4, max_learning_neighbors=12)
-    engine = OnlineImputationEngine(
-        journal_capacity=8, model_cache_size=None, **params
-    )
+    engine = OnlineImputationEngine(model_cache_size=None, **params)
     ref = pool[:40].copy()
     engine.append(ref)
-    _check_impute(engine, ref, np.random.default_rng(2), params)  # make a state resident
+    queries = pool[300:306].copy()
+    queries[:, 2] = np.nan
+    engine.impute_batch(queries)
+    (state,) = engine._states.values()
 
     rng = np.random.default_rng(3)
-    for _ in range(60):  # 60 mutations against a ring of 8
+    for step in range(120):  # appends, updates and deletes, no reads
         row = _draw_row(pool, ref, rng)
         engine.append(row.reshape(1, -1))
         ref = np.vstack([ref, row])
@@ -207,19 +214,25 @@ def test_long_lazy_burst_respects_ring_bound(pool):
         revised = _draw_row(pool, ref, rng)
         engine.update(index, revised)
         ref[index] = revised
-        memory = engine.memory_stats()
-        assert memory["journal_entries"] <= 8
-    assert engine.stats["journal_spills"] > 0
-    full_before = engine.stats["full_refreshes"]
-    _check_impute(engine, ref, rng, params)
-    assert engine.stats["full_refreshes"] > full_before, (
-        "a state older than the spill floor must full-rebuild"
+        if step % 4 == 0:
+            doomed = int(rng.integers(ref.shape[0]))
+            engine.delete([doomed])
+            ref = np.delete(ref, doomed, axis=0)
+        _check_invariants(engine, ref)
+        assert engine.store.n_pending <= state.cache.n_points == 40
+    # The lagging view pins some retired versions; the rest recycled.
+    assert engine.store.n_pending > 0 and engine.store.recycled_slots > 0
+
+    full, incremental = (
+        engine.stats["full_refreshes"], engine.stats["incremental_refreshes"]
     )
-    # Once the laggard caught up, only slots owned by still-ringed entries
-    # may remain pending (each entry owns at most one retired slot here).
-    memory = engine.memory_stats()
-    assert memory["pending_slots"] <= 8
-    assert memory["recycled_slots"] > 0 or engine.store.n_free > 0
+    np.testing.assert_allclose(
+        engine.impute_batch(queries), _cold_impute(ref, queries.copy(), **params),
+        rtol=1e-9, atol=1e-12,
+    )
+    assert engine.stats["full_refreshes"] == full
+    assert engine.stats["incremental_refreshes"] == incremental + 1
+    assert engine.store.n_pending == 0
 
 
 def test_interleaved_restore_keeps_streaming_identically(pool, tmp_path):

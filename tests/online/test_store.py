@@ -18,7 +18,6 @@ from repro.neighbors import BruteForceNeighbors, NeighborOrderCache
 from repro.neighbors.distance import get_metric
 from repro.online import (
     ColumnarTupleStore,
-    MutationJournal,
     OnlineImputationEngine,
     ShardedNeighbors,
 )
@@ -319,8 +318,8 @@ def test_store_backed_cache_matches_matrix_cache_through_lifecycle(monkeypatch):
 
 def test_growth_keeps_the_versions_a_lagging_state_replays():
     """Growing past the floor copies every allocated slot, pending ones
-    included: a lazy state whose journal names retired versions replays
-    them after the reallocation and still equals a cold refit."""
+    included: a lazy state whose view holds retired versions replays them
+    after the reallocation and still equals a cold refit."""
     floor = store_module.FLOOR
     width = 4
     values = np.random.default_rng(11).normal(size=(floor + 200, width))
@@ -357,26 +356,18 @@ def test_growth_keeps_the_versions_a_lagging_state_replays():
     np.testing.assert_allclose(online, cold.raw, rtol=1e-9, atol=1e-12)
 
 
-# --------------------------------------------------------------------------- #
-# MutationJournal ring semantics
-# --------------------------------------------------------------------------- #
-def test_journal_ring_spills_and_floor_advances():
-    journal = MutationJournal(capacity=3)
-    for version in range(1, 6):
-        spilled = journal.record(version, "append", np.array([version]))
-        assert len(journal) <= 3
-    assert journal.spills == 2
-    assert journal.floor == 2
-    assert journal.since(1) is None  # older than the floor: spilled
-    assert [op for op, _ in journal.since(2)] == ["append"] * 3
-    dropped = journal.prune(4)
-    assert [entry[0] for entry in dropped] == [3, 4]
-    assert journal.since(4) is not None and len(journal.since(4)) == 1
-
-
-def test_journal_memory_is_bounded_by_capacity():
-    journal = MutationJournal(capacity=8)
-    for version in range(1, 200):
-        journal.record(version, "append", np.arange(64, dtype=np.int64))
-    assert len(journal) == 8
-    assert journal.nbytes <= 8 * 64 * 8
+def test_release_unheld_keeps_the_pending_slots_a_view_names():
+    store = ColumnarTupleStore(3)
+    store.append(RNG.normal(size=(8, 3)))
+    held = store.live_slots.copy()  # a lagging view's slots
+    store.delete([1, 4])
+    _, fresh = store.update(0, RNG.normal(size=3))
+    _, newer = store.update(0, RNG.normal(size=3))  # retires `fresh`
+    assert store.n_pending == 4
+    store.release_unheld([held[:5]])
+    # Only `fresh` lies outside the named slots.
+    assert store.n_pending == 3 and store.n_free == 1
+    store.release_unheld([])
+    assert store.n_pending == 0 and store.n_free == 4
+    store.release_unheld([held])  # nothing pending: a no-op
+    assert store.n_free == 4 and newer in store.live_slots

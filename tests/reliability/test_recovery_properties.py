@@ -34,7 +34,7 @@ from repro.reliability import Fault, FaultPlan, SimulatedCrash, WriteAheadLog, r
 #: property suite's REPRO_PROPERTY_OPS).
 N_OPS = int(os.environ.get("REPRO_CHAOS_OPS", "24"))
 
-ENGINE_KNOBS = dict(journal_capacity=6, model_cache_size=None)
+ENGINE_KNOBS = dict(model_cache_size=None)
 
 PARAM_GRID = [
     dict(k=4, learning="fixed", learning_neighbors=5),

@@ -287,6 +287,7 @@ class TestDurableSessions:
             id="incremental_fallback_fraction",
         ),
         pytest.param("shard_capacity", 4096, id="shard_capacity"),
+        pytest.param("journal_capacity", 512, id="journal_capacity"),
     ])
     def test_log_naming_a_removed_engine_knob_still_recovers(
         self, tmp_path, knob, value

@@ -97,6 +97,8 @@ class TestSpecValidation:
             make_spec(engine={"incremental_fallback_fraction": 0.9})
         with pytest.raises(ScenarioError, match="unknown engine knob"):
             make_spec(engine={"shard_capacity": 4096})
+        with pytest.raises(ScenarioError, match="unknown engine knob"):
+            make_spec(engine={"journal_capacity": 512})
         spec = make_spec(engine={"refresh_policy": "lazy"})
         assert spec.engine == {"refresh_policy": "lazy"}
 

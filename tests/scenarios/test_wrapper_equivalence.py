@@ -26,8 +26,7 @@ N_ROUNDS = 3
 QUERIES = 6
 IIM = {"k": 4, "learning": "fixed", "learning_neighbors": 4,
        "stepping": 5, "max_learning_neighbors": 12}
-ENGINE = {"refresh_policy": "lazy", "model_cache_size": None,
-          "journal_capacity": "default"}
+ENGINE = {"refresh_policy": "lazy", "model_cache_size": None}
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,6 @@ SPELLINGS = {
     "backend": ("LOOP", "loop"),
     "model_cache_size": (" 3 ", 3),
     "refresh_policy": ("Eager", "eager"),
-    "journal_capacity": ("32", 32),
     "wal_sync": ("off", "off"),
     "max_request_bytes": ("unbounded", None),
     "deadline_seconds": ("2.5", 2.5),
