@@ -1,27 +1,32 @@
 """The dispatch layer of the serve loop: queues, workers, micro-batches.
 
 The transports (:func:`~repro.api.serve.serve_stdio`,
-:func:`~repro.api.serve.serve_tcp`) used to execute every request inline on
-the thread that read it, serialised by one server-wide lock.  This module
-splits *reading* from *executing*:
+:func:`~repro.api.serve.serve_tcp`) read lines on one thread per stream
+and hand each parsed session command to :meth:`RequestScheduler.submit`.
+A request-response TCP client's command runs right there, on the thread
+that read it, whenever nothing else of its session is queued or executing
+and no coalescing window is set: a hand-off to a worker would cost a
+thread wake-up and buy no parallelism.  Everything else is split from its
+reader:
 
 * producers enqueue parsed session commands onto **per-session FIFO
-  queues** (:meth:`RequestScheduler.submit`), bounded at
-  ``max_queued_requests`` — a full queue answers a typed ``overloaded``
-  error instead of buffering without bound;
+  queues**, bounded at ``max_queued_requests`` — a full queue answers a
+  typed ``overloaded`` error instead of buffering without bound;
 * a **bounded worker pool** drains the queues concurrently.  At most one
-  worker drains a given session at a time, so requests of one session
-  execute (and answer) in submission order, while different sessions
-  proceed in parallel — numpy releases the GIL inside the GEMM-heavy
-  kernels, so the parallelism is real, not cosmetic;
+  thread — a worker, or a reader running its own request — executes a
+  given session at a time, so requests of one session execute (and
+  answer) in submission order, while different sessions proceed in
+  parallel — numpy releases the GIL inside the GEMM-heavy kernels, so the
+  parallelism is real, not cosmetic;
 * a **micro-batcher** coalesces a contiguous run of single-row ``impute``
   requests against the same session and missing-cell pattern into one
   batched kernel call (the batched path sustains ~27x the per-row
   throughput of single-request dispatch), then scatters the per-row
   responses back to the right callers.  ``microbatch_window_ms > 0``
-  additionally holds an eligible head request open for stragglers;
-  the default ``0`` coalesces only what is already queued, so
-  request-response clients pay no added latency.
+  additionally holds an eligible head request open for stragglers (and
+  sends every request through the queues); the default ``0`` coalesces
+  only what is already queued, so request-response clients pay no added
+  latency.
 
 Every request handed to :meth:`submit` is answered exactly once through
 its ``respond`` callback — also on handler failure, worker crash or
@@ -31,13 +36,19 @@ every reserved slot is filled.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..exceptions import ProtocolError, ServerOverloadedError
-from ..obs import observe_microbatch, set_queue_depth, set_serve_workers
+from ..obs import (
+    count_inline_request,
+    observe_microbatch,
+    set_queue_depth,
+    set_serve_workers,
+)
 from .errors import error_payload
 from .messages import PROTOCOL_VERSION
 
@@ -59,9 +70,10 @@ class PendingRequest:
         """The request's one wire row, when it is a coalescible impute.
 
         Coalescible means: ``cmd == "impute"`` carrying exactly one row —
-        either a flat list of cells or a singleton list-of-rows.  Anything
-        else (batches, malformed rows) returns ``None`` and is dispatched
-        unbatched, so validation errors keep their per-request envelope.
+        either a flat list of cells or a singleton list-of-rows — of finite
+        numbers and nulls.  Anything else (batches, malformed rows, an
+        infinite cell) returns ``None`` and is dispatched unbatched, so
+        validation errors keep their per-request envelope.
         """
         if self.request.get("cmd") != "impute":
             return None
@@ -77,7 +89,11 @@ class PendingRequest:
             return None
         if not all(
             cell is None
-            or (isinstance(cell, (int, float)) and not isinstance(cell, bool))
+            or (
+                isinstance(cell, (int, float))
+                and not isinstance(cell, bool)
+                and math.isfinite(cell)
+            )
             for cell in row
         ):
             return None
@@ -107,9 +123,10 @@ class RequestScheduler:
     line envelope admits (authenticates) every request before it is
     queued, so a coalesced batch carries no credentials of its own.
 
-    Worker threads are daemonic and started lazily on the first
-    :meth:`submit`, so in-process servers that only ever call
-    ``handle_line`` synchronously never pay for a pool.
+    Worker threads are daemonic and started lazily on the first queued
+    request, so in-process servers that only ever call ``handle_line``
+    synchronously — and TCP servers whose clients never pipeline — never
+    pay for a pool.
     """
 
     def __init__(
@@ -133,12 +150,15 @@ class RequestScheduler:
         #: Sessions with queued work and no worker on them yet, FIFO.
         self._ready: Deque[str] = deque()
         self._ready_set: set = set()
-        #: Sessions a worker is currently draining (one worker per session).
+        #: Sessions a thread is currently executing (one thread per
+        #: session): a worker draining its queue, or a reader running its
+        #: own request inline.
         self._active: set = set()
         self._threads: List[threading.Thread] = []
         self._stopping = False
         # Lifetime counters (read under the lock by snapshot()).
         self.dispatched = 0
+        self.inline = 0
         self.batches_formed = 0
         self.rows_coalesced = 0
         self.rejected_overloaded = 0
@@ -147,8 +167,15 @@ class RequestScheduler:
     # Producer side
     # ------------------------------------------------------------------ #
     def submit(self, request: Dict[str, object],
-               respond: Callable[[Dict[str, object]], None]) -> None:
+               respond: Callable[[Dict[str, object]], None],
+               inline: bool = False) -> None:
         """Enqueue one parsed session command; ``respond`` answers it later.
+
+        With ``inline`` (the caller reads a connection that has never
+        pipelined) the command runs on the calling thread instead, when
+        its session has nothing queued or executing and no coalescing
+        window is set; ``respond`` has then been called when this returns.
+        Otherwise it queues as usual.
 
         Raises :class:`ServerOverloadedError` when the session's queue is
         full and :class:`ProtocolError` once the scheduler is stopping —
@@ -160,28 +187,46 @@ class RequestScheduler:
             if self._stopping:
                 raise ProtocolError("the server is shutting down")
             queue = self._queues.get(key)
-            if queue is None:
-                queue = self._queues[key] = deque()
-            if len(queue) >= self.max_queued_requests:
-                self.rejected_overloaded += 1
-                raise ServerOverloadedError(
-                    f"session {key!r} already has {len(queue)} queued "
-                    f"request(s) (max_queued_requests="
-                    f"{self.max_queued_requests}); back off and resubmit"
-                )
-            queue.append(PendingRequest(request, respond))
-            if key not in self._active and key not in self._ready_set:
-                self._ready.append(key)
-                self._ready_set.add(key)
-            self._ensure_workers_locked()
-            set_queue_depth(self._depth_locked())
-            self._work.notify()
+            if (
+                inline
+                and not queue
+                and key not in self._active
+                and self.microbatch_window_ms == 0.0
+            ):
+                # Marked active, the session is this thread's alone: no
+                # worker starts it, and drain() waits for it.
+                self._active.add(key)
+                self.inline += 1
+            else:
+                if queue is None:
+                    queue = self._queues[key] = deque()
+                if len(queue) >= self.max_queued_requests:
+                    self.rejected_overloaded += 1
+                    raise ServerOverloadedError(
+                        f"session {key!r} already has {len(queue)} queued "
+                        f"request(s) (max_queued_requests="
+                        f"{self.max_queued_requests}); back off and resubmit"
+                    )
+                queue.append(PendingRequest(request, respond))
+                if key not in self._active and key not in self._ready_set:
+                    self._ready.append(key)
+                    self._ready_set.add(key)
+                self._ensure_workers_locked()
+                set_queue_depth(self._depth_locked())
+                self._work.notify()
+                return
+        count_inline_request()
+        try:
+            self._execute(key, [PendingRequest(request, respond)])
+        finally:
+            with self._lock:
+                self._release_locked(key)
 
     @staticmethod
     def _queue_key(request: Dict[str, object]) -> str:
         session = request.get("session")
-        # Invalid session fields still flow through a queue so their typed
-        # error answers in order; they all share one catch-all key.
+        # Invalid session fields still flow through the scheduler so their
+        # typed error answers in order; they all share one catch-all key.
         return session if isinstance(session, str) and session else "\x00"
 
     def _ensure_workers_locked(self) -> None:
@@ -213,19 +258,25 @@ class RequestScheduler:
                 unit = self._take_unit_locked(key)
                 set_queue_depth(self._depth_locked())
             try:
-                self._execute(key, unit)
+                if unit:
+                    self._execute(key, unit)
             finally:
                 with self._lock:
-                    self._active.discard(key)
-                    queue = self._queues.get(key)
-                    if queue:
-                        if key not in self._ready_set:
-                            self._ready.append(key)
-                            self._ready_set.add(key)
-                        self._work.notify()
-                    elif queue is not None:
-                        del self._queues[key]
-                    self._idle.notify_all()
+                    self._release_locked(key)
+
+    def _release_locked(self, key: str) -> None:
+        """End a thread's turn on ``key``: requests that queued meanwhile
+        go to the pool, an emptied queue is dropped, and drain() wakes."""
+        self._active.discard(key)
+        queue = self._queues.get(key)
+        if queue:
+            if key not in self._ready_set:
+                self._ready.append(key)
+                self._ready_set.add(key)
+            self._work.notify()
+        elif queue is not None:
+            del self._queues[key]
+        self._idle.notify_all()
 
     def _take_unit_locked(self, key: str) -> List[PendingRequest]:
         """Pop the next dispatch unit: one request, or a coalesced run.
@@ -258,6 +309,8 @@ class RequestScheduler:
                     break
                 self._work.wait(remaining)
         unit: List[PendingRequest] = []
+        if not queue:
+            return unit  # stop() answered the queue during the window
         run = self._eligible_run_locked(queue, signature, limit)
         for _ in range(run):
             unit.append(queue.popleft())
@@ -369,6 +422,9 @@ class RequestScheduler:
 
         Idempotent; queued-but-undispatched requests are answered with a
         ``protocol`` shutdown error so no reserved response slot leaks.
+        Requests already executing — on a worker, or inline on a reader
+        thread, which no join covers — get up to ``join_timeout`` seconds
+        to finish, so the caller can release their sessions afterwards.
         """
         with self._lock:
             self._stopping = True
@@ -391,6 +447,8 @@ class RequestScheduler:
                 "error": error_payload(exc),
             })
         current = threading.current_thread()
+        if current not in threads:
+            self.drain(join_timeout)
         for thread in threads:
             if thread is not current:
                 thread.join(timeout=join_timeout)
@@ -413,6 +471,7 @@ class RequestScheduler:
                 "queue_depth": sum(queued.values()),
                 "active_sessions": sorted(self._active),
                 "dispatched": self.dispatched,
+                "inline": self.inline,
                 "rejected_overloaded": self.rejected_overloaded,
                 "microbatch": {
                     "window_ms": self.microbatch_window_ms,

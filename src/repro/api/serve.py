@@ -41,18 +41,21 @@ Malformed lines answer with an error response instead of killing the loop
 
 Concurrency
 -----------
-Transports do not execute session commands inline: they parse each line
-and enqueue it on the :class:`~repro.api.scheduling.RequestScheduler`,
-whose bounded worker pool drains per-session FIFO queues concurrently —
-one session's requests execute in submission order, different sessions in
-parallel — and coalesces runs of single-row ``impute`` requests into one
-batched kernel call.  Session state is guarded by *per-session* locks
-plus a short-critical-section registry lock over the session table, so a
-slow (or deadline-abandoned) request poisons one session, never the
-server.  Admission control rejects before any state changes: per-request
-row quotas and a live-session quota answer typed ``quota`` errors, full
-queues answer ``overloaded``, and a shared-secret ``auth_token`` (checked
-on every request when set) answers ``auth``.
+Transports parse each line and hand it to the
+:class:`~repro.api.scheduling.RequestScheduler`.  A TCP connection that has
+never pipelined (a request-response client) runs its session command on
+its own thread when nothing else of that session is queued or executing;
+every other command is enqueued, and a bounded worker pool drains the
+per-session FIFO queues concurrently — one session's requests execute in
+submission order, different sessions in parallel — and coalesces runs of
+single-row ``impute`` requests into one batched kernel call.  Session
+state is guarded by *per-session* locks plus a short-critical-section
+registry lock over the session table, so a slow (or deadline-abandoned)
+request poisons one session, never the server.  Admission control
+rejects before any state changes: per-request row quotas and a
+live-session quota answer typed ``quota`` errors, full queues answer
+``overloaded``, and a shared-secret ``auth_token`` (checked on every
+request when set) answers ``auth``.
 
 Failure containment
 -------------------
@@ -278,7 +281,8 @@ class SessionServer:
         return answered[0] if answered else None
 
     def submit_line(self, line: str,
-                    respond: Callable[[Dict[str, object]], None]) -> bool:
+                    respond: Callable[[Dict[str, object]], None],
+                    inline: bool = False) -> bool:
         """Parse one raw request line and route it for execution.
 
         The concurrent entry point of the transports: session commands are
@@ -288,19 +292,25 @@ class SessionServer:
         on the calling thread.  ``respond`` is called exactly once for any
         non-blank line; blank lines return ``False`` without calling it.
 
+        ``inline`` says the caller reads a connection that has never
+        pipelined: a session command then runs on the calling thread when
+        the scheduler finds its session idle (see
+        :meth:`~repro.api.scheduling.RequestScheduler.submit`).
+
         ``shutdown`` first drains the scheduler so every pipelined request
         ahead of it is answered, then stops the server.
         """
-        return self._envelope(line, respond, queue=True)
+        return self._envelope(line, respond, queue=True, inline=inline)
 
     def _envelope(self, line: str,
                   respond: Callable[[Dict[str, object]], None],
-                  queue: bool) -> bool:
+                  queue: bool, inline: bool = False) -> bool:
         """Bound, decode and authenticate one line, then answer or queue it.
 
         Both entry points share this one admission path, so a line earns
         the same answer through either.  With ``queue`` session commands
-        go to the scheduler; otherwise every request executes inline.
+        go to the scheduler (``inline`` passes on to it); otherwise every
+        request executes on the calling thread.
         """
         line = line.strip()
         if not line:
@@ -326,7 +336,7 @@ class SessionServer:
             self._check_auth(request)
             cmd_label = self._label(request)
             if queue and cmd_label in self._SESSION_COMMANDS:
-                self.scheduler.submit(request, respond)
+                self.scheduler.submit(request, respond, inline=inline)
                 return True
             if queue and cmd_label == "shutdown":
                 self.scheduler.drain()
@@ -1061,7 +1071,8 @@ class SessionServer:
         Idempotent; the transports call it when their input ends — EOF is
         an orderly end of a stdio pipeline, not a crash, so file handles
         must not be left to the garbage collector.  Stops the scheduler
-        first, so no worker dispatches into a session being closed.
+        first, so no request — queued or inline — executes in a session
+        being closed.
         """
         self.scheduler.stop()
         with self._registry_lock:
@@ -1130,6 +1141,12 @@ class _OrderedWriter:
         self._next_seq = 0
         self._next_emit = 0
         self.dead = False
+
+    @property
+    def outstanding(self) -> bool:
+        """Whether a reserved slot has not been emitted yet."""
+        with self._lock:
+            return self._next_emit < self._next_seq
 
     def reserve(self) -> Callable[[Dict[str, object]], None]:
         """Claim the next output slot; the returned callable fills it."""
@@ -1206,10 +1223,21 @@ def _serve_stdio_loop(stdin, stdout, server, limit) -> None:
 
 
 class _JsonlTCPHandler(socketserver.StreamRequestHandler):
+    """One TCP connection: reads its lines, writes its responses in order.
+
+    A connection *pipelines* once it sends a request while another of its
+    requests is outstanding — still unanswered, or already buffered behind
+    the line just read.  Until then each session command may run on this
+    thread (``inline``); from then on, for the connection's lifetime, its
+    commands queue, so a pipelining client's requests keep coalescing
+    even when its window of in-flight requests briefly drains.
+    """
+
     def handle(self):
         server: SessionServer = self.server.session_server  # type: ignore[attr-defined]
         limit = server.max_request_bytes
         writer = _OrderedWriter(self._emit)
+        pipelining = False
         while True:
             try:
                 raw = (
@@ -1243,10 +1271,31 @@ class _JsonlTCPHandler(socketserver.StreamRequestHandler):
                 text = raw.decode("utf-8", errors="replace")
                 if not text.strip():
                     continue  # blank line: no response slot
-                server.submit_line(text, writer.reserve())
+                if not pipelining:
+                    pipelining = writer.outstanding or self._line_buffered()
+                server.submit_line(
+                    text, writer.reserve(), inline=not pipelining
+                )
             if not server.running:
                 self.server.shutdown_event.set()  # type: ignore[attr-defined]
                 return
+
+    def _line_buffered(self) -> bool:
+        """Whether a further complete line already waits to be read.
+
+        Peeks without blocking: the socket is non-blocking for the one
+        read ``peek`` may make when the buffer is empty, then gets its
+        timeout back.
+        """
+        try:
+            self.connection.setblocking(False)
+            try:
+                buffered = self.rfile.peek()
+            finally:
+                self.connection.settimeout(self.timeout)
+        except OSError:
+            return False  # the next readline meets the failure
+        return b"\n" in buffered
 
     def _emit(self, response: Dict[str, object]) -> None:
         self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))

@@ -51,7 +51,11 @@ def candidate_vote_weights_batch(candidates: np.ndarray) -> np.ndarray:
     per row.  Candidates at zero total distance (all candidates identical,
     or a single candidate) receive uniform weight among themselves.
     """
-    candidates = as_float_matrix(candidates, name="candidates")
+    return _vote_weights(as_float_matrix(candidates, name="candidates"))
+
+
+def _vote_weights(candidates: np.ndarray) -> np.ndarray:
+    """:func:`candidate_vote_weights_batch` over an already validated block."""
     q, k = candidates.shape
     if k == 1:
         return np.ones((q, 1))
@@ -65,11 +69,14 @@ def candidate_vote_weights_batch(candidates: np.ndarray) -> np.ndarray:
     has_zero = zero.any(axis=1)
     inverse = 1.0 / np.where(zero, 1.0, relative)
     weights = inverse / inverse.sum(axis=1, keepdims=True)
-    # (Near-)perfect agreement: candidates at zero total distance share the
-    # weight equally and outliers are ignored.
-    agree = zero / np.maximum(zero.sum(axis=1, keepdims=True), 1)
-    weights = np.where(has_zero[:, None], agree, weights)
-    weights = np.where(degenerate[:, None], 1.0 / k, weights)
+    # A degenerate row's candidates are all at zero total distance, so both
+    # fix-ups below leave every row untouched unless some row has a zero.
+    if has_zero.any():
+        # (Near-)perfect agreement: candidates at zero total distance share
+        # the weight equally and outliers are ignored.
+        agree = zero / np.maximum(zero.sum(axis=1, keepdims=True), 1)
+        weights = np.where(has_zero[:, None], agree, weights)
+        weights = np.where(degenerate[:, None], 1.0 / k, weights)
     return weights
 
 
@@ -87,7 +94,7 @@ def combine_voting_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Formula 10 with the voting weights of Formula 12 (the paper's default)."""
     candidates = as_float_matrix(candidates, name="candidates")
-    weights = candidate_vote_weights_batch(candidates)
+    weights = _vote_weights(candidates)
     return np.einsum("qk,qk->q", candidates, weights), weights
 
 

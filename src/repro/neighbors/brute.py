@@ -83,10 +83,13 @@ def topk_batch(distances: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     # Sorting the candidate indices first makes the stable argsort below
     # break distance ties by original index, matching the reference loop.
     part.sort(axis=1)
-    part_dist = np.take_along_axis(distances, part, axis=1)
+    # One broadcast row index serves every gather below (the same picks as
+    # np.take_along_axis, without rebuilding its index arrays per call).
+    row = np.arange(distances.shape[0])[:, None]
+    part_dist = distances[row, part]
     inner = np.argsort(part_dist, axis=1, kind="stable")
-    idx = np.take_along_axis(part, inner, axis=1)[:, :k]
-    dist = np.take_along_axis(part_dist, inner, axis=1)
+    idx = part[row, inner[:, :k]]
+    dist = part_dist[row, inner]
 
     # Tie repair: when the (k+1)-th smallest distance equals the k-th, the
     # partition picked an arbitrary subset of the boundary tie — redo those

@@ -10,6 +10,14 @@ The paper defines the distance between tuples on the complete attributes
 Manhattan and Chebyshev distances are provided as well for ablations; all
 functions operate on plain numpy arrays and support both a single query
 vector and a batch of queries.
+
+Each metric is a *kernel* over two 2-D float64 arrays of equal width plus
+a public wrapper that validates its arguments first (:func:`_prepare`
+scans both arrays for non-finite cells and makes them contiguous).
+:func:`get_kernel` hands the bare kernel to callers that already guarantee
+finite, C-contiguous 2-D arrays — the store-backed neighbour searches,
+whose rows come from a tuple store that admits finite rows only — so a
+query pays for that scan once, at the engine boundary, not per call.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ __all__ = [
     "chebyshev",
     "pairwise_distances",
     "get_metric",
+    "get_kernel",
     "METRICS",
 ]
 
@@ -51,6 +60,49 @@ def _prepare(query: np.ndarray, data: np.ndarray) -> tuple:
     return query, data, single
 
 
+def _paper_euclidean_kernel(query: np.ndarray, data: np.ndarray) -> np.ndarray:
+    distances = _squared_euclidean(query, data)
+    # In place: one (q, n) allocation, the same values as sqrt(d / m).
+    distances /= query.shape[1]
+    np.sqrt(distances, out=distances)
+    return distances
+
+
+def _euclidean_kernel(query: np.ndarray, data: np.ndarray) -> np.ndarray:
+    distances = _squared_euclidean(query, data)
+    np.sqrt(distances, out=distances)
+    return distances
+
+
+def _manhattan_kernel(query: np.ndarray, data: np.ndarray) -> np.ndarray:
+    if _cdist is not None:
+        return _cdist(query, data, "cityblock")
+    return np.sum(np.abs(query[:, None, :] - data[None, :, :]), axis=2)
+
+
+def _chebyshev_kernel(query: np.ndarray, data: np.ndarray) -> np.ndarray:
+    if _cdist is not None:
+        return _cdist(query, data, "chebyshev")
+    return np.max(np.abs(query[:, None, :] - data[None, :, :]), axis=2)
+
+
+def _squared_euclidean(query: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """A fresh ``(q, n)`` array of squared Euclidean distances."""
+    if _cdist is not None:
+        # Direct (non-expanded) squared differences, so identical tuples are
+        # at distance exactly 0.0 — the self-exclusion logic relies on it.
+        return _cdist(query, data, "sqeuclidean")
+    diff = query[:, None, :] - data[None, :, :]
+    # einsum contracts the squared differences without materialising diff².
+    return np.einsum("qnd,qnd->qn", diff, diff)
+
+
+def _validated(kernel, query, data) -> np.ndarray:
+    query, data, single = _prepare(query, data)
+    distances = kernel(query, data)
+    return distances[0] if single else distances
+
+
 def paper_euclidean(query, data) -> np.ndarray:
     """Formula 1: root-mean-square difference over the shared attributes.
 
@@ -67,51 +119,22 @@ def paper_euclidean(query, data) -> np.ndarray:
         Distances of shape ``(n,)`` for a single query or ``(q, n)`` for a
         batch.
     """
-    query, data, single = _prepare(query, data)
-    distances = _squared_euclidean(query, data)
-    # In place: one (q, n) allocation, the same values as sqrt(d / m).
-    distances /= query.shape[1]
-    np.sqrt(distances, out=distances)
-    return distances[0] if single else distances
-
-
-def _squared_euclidean(query: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """A fresh ``(q, n)`` array of squared Euclidean distances."""
-    if _cdist is not None:
-        # Direct (non-expanded) squared differences, so identical tuples are
-        # at distance exactly 0.0 — the self-exclusion logic relies on it.
-        return _cdist(query, data, "sqeuclidean")
-    diff = query[:, None, :] - data[None, :, :]
-    # einsum contracts the squared differences without materialising diff².
-    return np.einsum("qnd,qnd->qn", diff, diff)
+    return _validated(_paper_euclidean_kernel, query, data)
 
 
 def euclidean(query, data) -> np.ndarray:
     """Standard (non-normalized) Euclidean distance."""
-    query, data, single = _prepare(query, data)
-    distances = _squared_euclidean(query, data)
-    np.sqrt(distances, out=distances)
-    return distances[0] if single else distances
+    return _validated(_euclidean_kernel, query, data)
 
 
 def manhattan(query, data) -> np.ndarray:
     """L1 (city-block) distance."""
-    query, data, single = _prepare(query, data)
-    if _cdist is not None:
-        distances = _cdist(query, data, "cityblock")
-    else:
-        distances = np.sum(np.abs(query[:, None, :] - data[None, :, :]), axis=2)
-    return distances[0] if single else distances
+    return _validated(_manhattan_kernel, query, data)
 
 
 def chebyshev(query, data) -> np.ndarray:
     """L-infinity (maximum coordinate difference) distance."""
-    query, data, single = _prepare(query, data)
-    if _cdist is not None:
-        distances = _cdist(query, data, "chebyshev")
-    else:
-        distances = np.max(np.abs(query[:, None, :] - data[None, :, :]), axis=2)
-    return distances[0] if single else distances
+    return _validated(_chebyshev_kernel, query, data)
 
 
 #: Registry of metric names accepted throughout the library.
@@ -123,14 +146,37 @@ METRICS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 }
 
 
+#: The bare kernel behind each metric: ``(q, m)`` and ``(n, m)`` finite,
+#: C-contiguous float64 arrays in, ``(q, n)`` distances out, no checks.
+KERNELS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "paper_euclidean": _paper_euclidean_kernel,
+    "euclidean": _euclidean_kernel,
+    "manhattan": _manhattan_kernel,
+    "chebyshev": _chebyshev_kernel,
+}
+
+
+def _lookup(registry: Dict[str, Callable], name: str) -> Callable:
+    key = str(name).lower()
+    if key not in registry:
+        raise ConfigurationError(
+            f"unknown metric {name!r}; available metrics: {sorted(registry)}"
+        )
+    return registry[key]
+
+
 def get_metric(name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Look up a metric function by name."""
-    key = str(name).lower()
-    if key not in METRICS:
-        raise ConfigurationError(
-            f"unknown metric {name!r}; available metrics: {sorted(METRICS)}"
-        )
-    return METRICS[key]
+    return _lookup(METRICS, name)
+
+
+def get_kernel(name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Look up a metric's bare kernel by name (see :data:`KERNELS`).
+
+    The caller guarantees what :func:`_prepare` would check: both arrays
+    2-D, float64, finite, C-contiguous and of equal width.
+    """
+    return _lookup(KERNELS, name)
 
 
 def pairwise_distances(data, metric: str = "paper_euclidean") -> np.ndarray:

@@ -30,6 +30,7 @@ metric                           kind       labels
 ``repro_sessions_open``          gauge      —
 ``repro_serve_workers``          gauge      —
 ``repro_queue_depth``            gauge      —
+``repro_inline_requests_total``  counter    —
 ``repro_microbatches_total``     counter    —
 ``repro_microbatch_rows_total``  counter    —
 ``repro_microbatch_fill``        histogram  —
@@ -93,6 +94,7 @@ __all__ = [
     "set_sessions_open",
     "set_serve_workers",
     "set_queue_depth",
+    "count_inline_request",
     "observe_microbatch",
     "count_admission_rejection",
     "query_phase",
@@ -188,6 +190,11 @@ SERVE_WORKERS = _registry.gauge(
 QUEUE_DEPTH = _registry.gauge(
     "repro_queue_depth",
     "Requests queued across every session FIFO queue of the serve scheduler.",
+)
+INLINE_REQUESTS_TOTAL = _registry.counter(
+    "repro_inline_requests_total",
+    "Session commands the serve scheduler ran on the connection thread "
+    "that read them instead of queueing them for the worker pool.",
 )
 MICROBATCHES_TOTAL = _registry.counter(
     "repro_microbatches_total",
@@ -418,6 +425,12 @@ def set_queue_depth(n: int) -> None:
     if not _knob("obs_enabled"):
         return
     QUEUE_DEPTH.set(n)
+
+
+def count_inline_request() -> None:
+    if not _knob("obs_enabled"):
+        return
+    INLINE_REQUESTS_TOTAL._inc_fast(())
 
 
 def observe_microbatch(fill: int, wait_seconds: float) -> None:

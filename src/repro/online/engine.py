@@ -1198,6 +1198,15 @@ class OnlineImputationEngine:
                 f"queries must have {self._schema.width} attributes, got shape "
                 f"{values.shape}"
             )
+        # The read path's one check of query cells: NaN marks a missing
+        # cell, and the neighbour search below runs its metric unchecked.
+        infinite = np.isinf(values)
+        if infinite.any():
+            row, attr = (int(i) for i in np.argwhere(infinite)[0])
+            raise DataError(
+                f"query row {row} holds {values[row, attr]} in attribute "
+                f"{attr}; query cells must be finite numbers or NaN (missing)"
+            )
         mask = np.isnan(values)
         self.stats["impute_batches"] += 1
         provenance: List[Dict[str, object]] = []

@@ -34,7 +34,7 @@ from ..exceptions import ConfigurationError, DataError, NotFittedError
 from ..obs import count_store_rows
 from .._validation import check_positive_int
 from ..neighbors.brute import topk_batch
-from ..neighbors.distance import get_metric
+from ..neighbors.distance import get_kernel
 
 __all__ = [
     "ColumnarTupleStore",
@@ -356,12 +356,18 @@ class ShardedNeighbors:
     one :func:`~repro.neighbors.brute.topk_batch` over the view's kept
     block.  The name predates the one-array store; traced benchmark runs
     wrap ``ShardedNeighbors.kneighbors`` by that name.
+
+    The metric runs as its bare kernel
+    (:func:`~repro.neighbors.distance.get_kernel`): the block holds store
+    rows, which are finite, and the online engine rejects non-finite query
+    cells before it searches.  Queries must be finite too; only their
+    width is checked here.
     """
 
     def __init__(self, view: StoreFeatureView, metric: str = "paper_euclidean"):
         self.view = view
         self.metric = metric
-        self._metric_fn = get_metric(metric)
+        self._metric_fn = get_kernel(metric)
 
     @property
     def n_points(self) -> int:
@@ -379,6 +385,12 @@ class ShardedNeighbors:
         query = np.asarray(query, dtype=float)
         single = query.ndim == 1
         query_block = query.reshape(1, -1) if single else query
+        width = self.view.shape[1]
+        if query_block.ndim != 2 or query_block.shape[1] != width:
+            raise DataError(
+                f"query of shape {query.shape} does not match the store "
+                f"view's {width} attributes"
+            )
         dist, idx = topk_batch(self.view.pairwise(query_block, self._metric_fn), k)
         if single:
             return dist[0], idx[0]

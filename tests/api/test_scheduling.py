@@ -6,6 +6,7 @@ in isolation from session semantics (which
 ``test_serve_concurrency.py``/``test_admission.py`` cover end-to-end).
 """
 
+import sys
 import threading
 import time
 
@@ -104,7 +105,10 @@ class TestCoalescingEligibility:
         assert PendingRequest(request, lambda r: None).single_impute_row() is None
 
     def test_non_numeric_cells_are_not_coalesced(self):
-        for row in ([1.0, "x"], [True, None], [[1.0], None]):
+        # Non-finite numbers too: their ``data`` error answers alone.
+        for row in ([1.0, "x"], [True, None], [[1.0], None],
+                    [float("inf"), None], [None, float("-inf")],
+                    [float("nan"), None]):
             pending = PendingRequest(impute("s", row), lambda r: None)
             assert pending.single_impute_row() is None, row
 
@@ -363,6 +367,27 @@ class TestBackpressureAndLifecycle:
         with pytest.raises(ProtocolError):
             scheduler.submit(impute("s", [1.0, None]), queued)
 
+    def test_stop_during_a_window_wait_answers_once_and_returns(self):
+        """A worker holding a head request open for stragglers wakes to an
+        emptied queue: it must release the session, not crash on it."""
+        server = FakeServer()
+        scheduler = make_scheduler(server, workers=1,
+                                   microbatch_window_ms=2000.0)
+        collector = Collector()
+        scheduler.submit(impute("s", [1.0, None], "head"), collector)
+        deadline = time.monotonic() + 5.0
+        while "s" not in scheduler.snapshot()["active_sessions"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        started = time.monotonic()
+        scheduler.stop(join_timeout=5.0)
+        assert time.monotonic() - started < 1.0
+        assert [r["error"]["code"] for r in collector.responses] == [
+            "protocol"
+        ]
+        assert scheduler.snapshot()["active_sessions"] == []
+        assert server.handled == []
+
     def test_drain_waits_for_all_queued_work(self):
         server = FakeServer()
         scheduler = make_scheduler(server, workers=2)
@@ -391,6 +416,68 @@ class TestBackpressureAndLifecycle:
             assert responses[0]["id"] == "alive"
         finally:
             scheduler.stop()
+
+    def test_inline_and_pooled_runs_never_overlap_on_a_session(self):
+        """Stress: 8 request-response threads (more than cores) share two
+        sessions with a tiny switch interval; a thread running inline and
+        a worker must never execute one session at once, and every request
+        answers exactly once."""
+        server = FakeServer()
+        running, overlaps = {}, []
+        handle = server.handle_request
+
+        def exclusive(request):
+            key = request["session"]
+            with server._lock:
+                if running.get(key):
+                    overlaps.append(request["id"])
+                running[key] = True
+            time.sleep(0)
+            with server._lock:
+                running[key] = False
+            return handle(request)
+
+        server.handle_request = exclusive
+        scheduler = make_scheduler(server, workers=2)
+        answered = Collector()
+        per_thread = 40
+
+        def client(index):
+            for i in range(per_thread):
+                done = threading.Event()
+
+                def respond(response, done=done):
+                    answered(response)
+                    done.set()
+
+                scheduler.submit(
+                    impute("ab"[(index + i) % 2], [float(i), None],
+                           f"{index}-{i}"),
+                    respond, inline=True,
+                )
+                assert done.wait(timeout=10)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+            scheduler.stop()
+        ids = [r["id"] for r in answered.responses]
+        assert overlaps == []
+        assert sorted(ids) == sorted(
+            f"{i}-{j}" for i in range(8) for j in range(per_thread)
+        )
+        snapshot = scheduler.snapshot()
+        assert snapshot["dispatched"] == 8 * per_thread
+        assert 0 < snapshot["inline"] <= 8 * per_thread
 
     def test_snapshot_shape(self):
         server = FakeServer()

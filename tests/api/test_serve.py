@@ -211,6 +211,31 @@ class TestServeErrors:
             error = fail(confined, cmd="restore", session="s3", path=escape)
             assert error["code"] == "protocol", escape
 
+    @pytest.mark.parametrize(
+        "cells", ["1e999, 1.0", "-1e999, 1.0", "1e999, null", "null, -1e999"]
+    )
+    def test_infinite_query_cells_answer_data(self, server, values, cells):
+        """Online and batch sessions both answer ``data``, never an ``ok``
+        reply carrying a bare ``Infinity`` token; the session lives on."""
+        create_online(server, values, name="online")
+        ok(server, cmd="create", session="batch", config={"method": "Mean"})
+        ok(server, cmd="fit", session="batch", rows=encode_rows(values[:50]))
+        for name in ("online", "batch"):
+            response = server.handle_line(
+                f'{{"v": 1, "cmd": "impute", "session": "{name}", '
+                f'"rows": [[{cells}]]}}'
+            )
+            assert response["ok"] is False, response
+            assert response["error"]["code"] == "data", response
+            assert "inf" in response["error"]["message"]
+            assert "Infinity" not in json.dumps(response)
+        result = ok(server, cmd="impute", session="online",
+                    rows=[[None, float(values[70, 1])]])
+        assert result["rows"][0][0] is not None
+        health = ok(server, cmd="health")
+        assert health["degraded"] == []
+        assert health["sessions"]["online"]["state"] == "ok"
+
     def test_fit_reports_submitted_and_complete_counts(self, server, values):
         ok(server, cmd="create", session="s", config=IIM_CONFIG)
         rows = encode_rows(values[:4])

@@ -190,6 +190,37 @@ class TestTcpConcurrentClients:
         assert snapshot["microbatch"]["rows_coalesced"] >= 2
 
 
+    def test_an_infinite_row_is_answered_alone(self, values):
+        """A row with an infinite cell never joins a micro-batch, so its
+        ``data`` error cannot fail the rows queued beside it."""
+        queries = [query_row(values, 70 + i) for i in range(7)]
+        lines = [
+            json.dumps({"v": 1, "id": i, "cmd": "impute", "session": "s",
+                        "rows": [row]})
+            for i, row in enumerate(queries)
+        ]
+        # The same missing-cell pattern as its neighbours, one cell infinite.
+        lines[3] = ('{"v": 1, "id": 3, "cmd": "impute", "session": "s", '
+                    '"rows": [[1e999, null]]}')
+        sequential = SessionServer()
+        setup_session(sequential, values, "s")
+        expected = [sequential.handle_line(line) for line in lines]
+        sequential.close_sessions()
+        assert expected[3]["error"]["code"] == "data"
+
+        coalesced = SessionServer(workers=2, microbatch_max_rows=16)
+        setup_session(coalesced, values, "s")
+        collector = Collector()
+        for line in lines:
+            assert coalesced.submit_line(line, collector)
+        responses = collector.wait_for(len(lines))
+        coalesced.close_sessions()
+        assert [r["id"] for r in responses] == list(range(len(lines)))
+        assert responses[3]["error"]["code"] == "data"
+        for got, want in zip(responses, expected):
+            assert got.get("result") == want.get("result")
+
+
 class TestCrossSessionIsolation:
     def _latencies(self, server, session, queries, start_id=0):
         latencies = []

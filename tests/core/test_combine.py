@@ -6,9 +6,11 @@ import pytest
 from repro.core import (
     COMBINERS,
     candidate_vote_weights,
+    candidate_vote_weights_batch,
     combine_distance,
     combine_uniform,
     combine_voting,
+    combine_voting_batch,
     get_combiner,
 )
 from repro.exceptions import ConfigurationError, DataError
@@ -37,6 +39,47 @@ class TestVoteWeights:
         # Candidates 1.19, 1.21, 1.19 -> weights 50/125, 25/125, 50/125.
         weights = candidate_vote_weights(np.array([1.19, 1.21, 1.19]))
         np.testing.assert_allclose(weights, [0.4, 0.2, 0.4], atol=1e-9)
+
+
+def _voting_with_both_fixups(candidates):
+    """Formula 12 with its two ``np.where`` fix-ups applied to every block."""
+    q, k = candidates.shape
+    total = np.abs(candidates[:, :, None] - candidates[:, None, :]).sum(axis=2)
+    scale = total.max(axis=1)
+    degenerate = scale <= 0.0
+    relative = total / np.where(degenerate, 1.0, scale)[:, None]
+    zero = relative <= 1e-12
+    has_zero = zero.any(axis=1)
+    inverse = 1.0 / np.where(zero, 1.0, relative)
+    weights = inverse / inverse.sum(axis=1, keepdims=True)
+    agree = zero / np.maximum(zero.sum(axis=1, keepdims=True), 1)
+    weights = np.where(has_zero[:, None], agree, weights)
+    weights = np.where(degenerate[:, None], 1.0 / k, weights)
+    return np.einsum("qk,qk->q", candidates, weights), weights
+
+
+class TestVotingFixups:
+    @pytest.mark.parametrize("degenerate_rows", [[], [0], [2, 5]])
+    def test_batch_matches_the_two_where_form(self, degenerate_rows):
+        rng = np.random.default_rng(3)
+        candidates = rng.normal(size=(8, 6))
+        candidates[1, :3] = candidates[1, 0]  # a repeated-value subset
+        candidates[4, 2:] = 0.0
+        for row in degenerate_rows:
+            candidates[row] = candidates[row, 0]  # all candidates equal
+        want_values, want_weights = _voting_with_both_fixups(candidates)
+        values, weights = combine_voting_batch(candidates)
+        np.testing.assert_array_equal(values, want_values)
+        np.testing.assert_array_equal(weights, want_weights)
+        np.testing.assert_array_equal(
+            candidate_vote_weights_batch(candidates), want_weights
+        )
+
+    def test_batch_still_validates_its_candidates(self):
+        with pytest.raises(DataError):
+            combine_voting_batch(np.array([[1.0, np.inf]]))
+        with pytest.raises(DataError):
+            candidate_vote_weights_batch(np.array([[np.nan, 1.0]]))
 
 
 class TestCombiners:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.neighbors import BruteForceNeighbors, NeighborOrderCache
-from repro.neighbors.brute import drop_self_rows
+from repro.neighbors.brute import drop_self_rows, topk_batch
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,41 @@ class TestBatchKneighbors:
         for k in (2, 5, 8):
             _, idx = searcher.kneighbors(query, k, backend="vectorized")
             np.testing.assert_array_equal(idx[0], np.arange(k))
+
+
+def _topk_take_along(distances, k):
+    """The ``np.take_along_axis`` form of :func:`topk_batch`'s gathers."""
+    part = np.argpartition(distances, k, axis=1)[:, : k + 1]
+    part.sort(axis=1)
+    part_dist = np.take_along_axis(distances, part, axis=1)
+    inner = np.argsort(part_dist, axis=1, kind="stable")
+    idx = np.take_along_axis(part, inner, axis=1)[:, :k]
+    dist = np.take_along_axis(part_dist, inner, axis=1)
+    ambiguous = dist[:, k] == dist[:, k - 1]
+    dist = dist[:, :k]
+    rows = np.flatnonzero(ambiguous)
+    order = np.argsort(distances[rows], axis=1, kind="stable")[:, :k]
+    idx[rows] = order
+    dist[rows] = np.take_along_axis(distances[rows], order, axis=1)
+    return dist, idx, rows
+
+
+class TestTopkGathers:
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_matches_the_take_along_axis_form(self, k):
+        rng = np.random.default_rng(5)
+        # Half the rows continuous, half drawn from six values, so boundary
+        # ties force the tie-repair rows.
+        distances = np.vstack([
+            rng.uniform(size=(20, 50)),
+            rng.integers(0, 6, size=(20, 50)).astype(float),
+        ])
+        want_dist, want_idx, repaired = _topk_take_along(distances, k)
+        assert repaired.size and repaired.min() >= 20
+        dist, idx = topk_batch(distances, k)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(dist, want_dist)
+        assert idx.dtype == want_idx.dtype
 
 
 class TestNeighborOrderBatch:

@@ -211,6 +211,40 @@ def test_engine_errors(stream_values):
         engine.impute_batch(values[:5, :-1])
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("missing", [False, True], ids=["complete", "missing"])
+def test_infinite_query_cells_are_rejected_before_any_work(
+    stream_values, value, missing
+):
+    """An infinite cell is a DataError naming the value, raised before the
+    complete-row early return and before a lagging state syncs."""
+    engine = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=3)
+    engine.append(stream_values[:50])
+    warm = stream_values[50:52].copy()
+    warm[:, 1] = np.nan
+    engine.impute_batch(warm)
+    engine.append(stream_values[52:60])  # every state now lags
+    stats = dict(engine.stats)
+    query = stream_values[60:62].copy()
+    query[1, 0] = value
+    if missing:
+        query[1, 2] = np.nan
+    with pytest.raises(DataError, match=f"{value} in attribute 0"):
+        engine.impute_batch(query)
+    assert engine.stats == stats
+    assert not any(state.current for state in engine._states.values())
+    # The engine still answers finite queries, bit-identical to a twin that
+    # never saw the bad one.
+    twin = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=3)
+    twin.append(stream_values[:50])
+    twin.impute_batch(warm)
+    twin.append(stream_values[52:60])
+    query[1, 0] = stream_values[61, 0]
+    np.testing.assert_array_equal(
+        engine.impute_batch(query), twin.impute_batch(query)
+    )
+
+
 def test_complete_queries_pass_through(stream_values):
     engine = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=3)
     engine.append(stream_values[:50])

@@ -15,7 +15,7 @@ from repro import IIMImputer
 from repro.data.relation import Relation
 from repro.exceptions import ConfigurationError, DataError
 from repro.neighbors import BruteForceNeighbors, NeighborOrderCache
-from repro.neighbors.distance import get_metric
+from repro.neighbors.distance import METRICS, get_kernel, get_metric
 from repro.online import (
     ColumnarTupleStore,
     OnlineImputationEngine,
@@ -219,6 +219,31 @@ def test_view_pairwise_matches_monolithic_metric(monkeypatch, floor):
     np.testing.assert_array_equal(
         view.pairwise(queries[0], METRIC), METRIC(queries[0], reference)
     )
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_resolved_kernel_over_a_view_block_matches_the_public_metric(name):
+    store = ColumnarTupleStore(5)
+    store.append(RNG.normal(size=(30, 5)))
+    store.delete([2, 11])
+    store.update(4, RNG.normal(size=5))
+    block = store.feature_view(exclude=1).block()
+    queries = RNG.normal(size=(6, 4))
+    kernel, public = get_kernel(name), get_metric(name)
+    np.testing.assert_array_equal(kernel(queries, block), public(queries, block))
+    np.testing.assert_array_equal(
+        kernel(queries[:1], block)[0], public(queries[0], block)
+    )
+
+
+def test_sharded_neighbors_rejects_a_query_of_the_wrong_width():
+    store = ColumnarTupleStore(5)
+    store.append(RNG.normal(size=(12, 5)))
+    searcher = ShardedNeighbors(store.feature_view(exclude=4))
+    for query in (np.zeros(5), np.zeros((2, 3)), np.zeros((1, 2, 4))):
+        with pytest.raises(DataError, match="4 attributes") as raised:
+            searcher.kneighbors(query, 3)
+        assert str(query.shape) in str(raised.value)
 
 
 @pytest.mark.parametrize("floor", [2, 5, 16])
