@@ -120,7 +120,12 @@ def decode_rows(
                     f"{what}[{i}][{j}] must be a number or null, got {cell!r}"
                 )
             else:
-                decoded[i, j] = float(cell)
+                try:
+                    decoded[i, j] = float(cell)
+                except OverflowError:  # a JSON integer beyond float range
+                    raise DataError(
+                        f"{what}[{i}][{j}] is beyond the float range"
+                    ) from None
     return decoded
 
 

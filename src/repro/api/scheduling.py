@@ -72,8 +72,10 @@ class PendingRequest:
         Coalescible means: ``cmd == "impute"`` carrying exactly one row —
         either a flat list of cells or a singleton list-of-rows — of finite
         numbers and nulls.  Anything else (batches, malformed rows, an
-        infinite cell) returns ``None`` and is dispatched unbatched, so
-        validation errors keep their per-request envelope.
+        infinite cell, an integer beyond float range) returns ``None`` and
+        is dispatched unbatched, so validation errors keep their
+        per-request envelope.  Never raises: a worker calls it under the
+        scheduler lock on whatever a client sent.
         """
         if self.request.get("cmd") != "impute":
             return None
@@ -87,17 +89,19 @@ class PendingRequest:
             row = list(rows[0])
         else:
             return None
-        if not all(
-            cell is None
-            or (
-                isinstance(cell, (int, float))
-                and not isinstance(cell, bool)
-                and math.isfinite(cell)
-            )
-            for cell in row
-        ):
+        if not all(cell is None or _finite_number(cell) for cell in row):
             return None
         return list(row)
+
+
+def _finite_number(cell: object) -> bool:
+    """Whether a decoded JSON cell is a number that is a finite float."""
+    if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+        return False
+    try:
+        return math.isfinite(cell)
+    except OverflowError:  # an integer literal beyond float range
+        return False
 
 
 def _missing_signature(row: List[object]) -> tuple:
@@ -255,9 +259,12 @@ class RequestScheduler:
                 key = self._ready.popleft()
                 self._ready_set.discard(key)
                 self._active.add(key)
-                unit = self._take_unit_locked(key)
-                set_queue_depth(self._depth_locked())
+            # Everything after marking the session active sits in this try,
+            # so no failure can leave it active and stall drain().
             try:
+                with self._lock:
+                    unit = self._take_unit_locked(key)
+                    set_queue_depth(self._depth_locked())
                 if unit:
                     self._execute(key, unit)
             finally:
@@ -283,9 +290,12 @@ class RequestScheduler:
 
         Called with the lock held and ``key`` marked active, so no other
         worker can race on this queue; a positive window waits (releasing
-        the lock) for stragglers while the batch has room.
+        the lock) for stragglers while the batch has room.  Returns an
+        empty unit when :meth:`stop` has already answered the queue.
         """
-        queue = self._queues[key]
+        queue = self._queues.get(key)
+        if not queue:
+            return []
         head = queue[0]
         row = head.single_impute_row()
         if row is None:
@@ -308,13 +318,10 @@ class RequestScheduler:
                 if remaining <= 0.0:
                     break
                 self._work.wait(remaining)
-        unit: List[PendingRequest] = []
         if not queue:
-            return unit  # stop() answered the queue during the window
+            return []  # stop() answered the queue during the window
         run = self._eligible_run_locked(queue, signature, limit)
-        for _ in range(run):
-            unit.append(queue.popleft())
-        return unit
+        return [queue.popleft() for _ in range(run)]
 
     @staticmethod
     def _eligible_run_locked(queue: Deque[PendingRequest],

@@ -1272,6 +1272,8 @@ class _JsonlTCPHandler(socketserver.StreamRequestHandler):
                 if not text.strip():
                     continue  # blank line: no response slot
                 if not pipelining:
+                    # Outstanding first: only then may the socket go
+                    # non-blocking for the peek.
                     pipelining = writer.outstanding or self._line_buffered()
                 server.submit_line(
                     text, writer.reserve(), inline=not pipelining
@@ -1285,7 +1287,10 @@ class _JsonlTCPHandler(socketserver.StreamRequestHandler):
 
         Peeks without blocking: the socket is non-blocking for the one
         read ``peek`` may make when the buffer is empty, then gets its
-        timeout back.
+        timeout back.  Call it only while none of this connection's
+        requests is outstanding: a worker's ``sendall`` on the socket
+        meanwhile could fail with EAGAIN and drop the connection's
+        remaining responses.
         """
         try:
             self.connection.setblocking(False)

@@ -14,10 +14,10 @@ vector and a batch of queries.
 Each metric is a *kernel* over two 2-D float64 arrays of equal width plus
 a public wrapper that validates its arguments first (:func:`_prepare`
 scans both arrays for non-finite cells and makes them contiguous).
-:func:`get_kernel` hands the bare kernel to callers that already guarantee
-finite, C-contiguous 2-D arrays — the store-backed neighbour searches,
-whose rows come from a tuple store that admits finite rows only — so a
-query pays for that scan once, at the engine boundary, not per call.
+:func:`distances_to_block` validates only the query and runs the kernel
+over a data block its caller vouches for — a store view's gathered rows,
+which the tuple store admitted finite — so a search scans its few query
+rows, not the ``(n, m)`` block, on every call.
 """
 
 from __future__ import annotations
@@ -41,23 +41,28 @@ __all__ = [
     "chebyshev",
     "pairwise_distances",
     "get_metric",
-    "get_kernel",
+    "distances_to_block",
     "METRICS",
 ]
 
 
 def _prepare(query: np.ndarray, data: np.ndarray) -> tuple:
     data = as_float_matrix(data, name="data")
+    query, single = _prepare_query(query, data.shape[1])
+    return query, data, single
+
+
+def _prepare_query(query, width: int) -> tuple:
     query = np.asarray(query, dtype=float)
     single = query.ndim == 1
     if single:
         query = query.reshape(1, -1)
     query = as_float_matrix(query, name="query")
-    if query.shape[1] != data.shape[1]:
+    if query.shape[1] != width:
         raise DataError(
-            f"query has {query.shape[1]} attributes but data has {data.shape[1]}"
+            f"query has {query.shape[1]} attributes but data has {width}"
         )
-    return query, data, single
+    return query, single
 
 
 def _paper_euclidean_kernel(query: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -148,7 +153,7 @@ METRICS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 
 #: The bare kernel behind each metric: ``(q, m)`` and ``(n, m)`` finite,
 #: C-contiguous float64 arrays in, ``(q, n)`` distances out, no checks.
-KERNELS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+_KERNELS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "paper_euclidean": _paper_euclidean_kernel,
     "euclidean": _euclidean_kernel,
     "manhattan": _manhattan_kernel,
@@ -170,13 +175,18 @@ def get_metric(name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     return _lookup(METRICS, name)
 
 
-def get_kernel(name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Look up a metric's bare kernel by name (see :data:`KERNELS`).
+def distances_to_block(query, block: np.ndarray,
+                       metric: str = "paper_euclidean") -> np.ndarray:
+    """The named metric of ``query`` against ``block``, checking ``query`` only.
 
-    The caller guarantees what :func:`_prepare` would check: both arrays
-    2-D, float64, finite, C-contiguous and of equal width.
+    ``query`` is validated as the public metrics validate it: one vector or
+    a ``(q, m)`` batch of finite numbers, as wide as ``block``.  ``block``
+    is not scanned: the caller guarantees it is a finite, C-contiguous
+    ``(n, m)`` float64 array.  Returns what the public metric returns.
     """
-    return _lookup(KERNELS, name)
+    query, single = _prepare_query(query, block.shape[1])
+    distances = _lookup(_KERNELS, metric)(query, block)
+    return distances[0] if single else distances
 
 
 def pairwise_distances(data, metric: str = "paper_euclidean") -> np.ndarray:

@@ -73,7 +73,7 @@ import numpy as np
 from .._validation import as_float_matrix, check_positive_int
 from ..exceptions import ConfigurationError
 from .brute import drop_self_rows, stable_order, topk_batch
-from .distance import get_kernel, get_metric
+from .distance import get_metric
 
 __all__ = [
     "NeighborOrderCache",
@@ -248,11 +248,7 @@ class NeighborOrderCache:
             self._data = data
         else:
             self._data = as_float_matrix(data, name="data")
-        # A view's rows come from the store, which admits finite rows only,
-        # so a store-backed cache runs the metric's bare kernel.
-        self._metric_fn = (
-            get_kernel(metric) if self._store_backed else get_metric(metric)
-        )
+        self._metric_fn = get_metric(metric)
         self.metric = metric
         self.include_self = bool(include_self)
         if max_length is not None:
@@ -298,11 +294,10 @@ class NeighborOrderCache:
         """Store slots of the indexed points (store-backed mode only)."""
         return self._data.slots if self._store_backed else None
 
-    def _pairwise(self, query: np.ndarray) -> np.ndarray:
-        """Distances of the ``(q, m)`` block ``query`` against every indexed
-        point."""
+    def _pairwise(self, query) -> np.ndarray:
+        """Distances of ``query`` against every indexed point."""
         if self._store_backed:
-            return self._data.pairwise(query, self._metric_fn)
+            return self._data.pairwise(query, self.metric)
         return self._metric_fn(query, self._data)
 
     def max_neighbors(self) -> int:
@@ -324,7 +319,7 @@ class NeighborOrderCache:
             self.max_length = min(self._requested_length, self.max_neighbors())
 
     def _compute_order(self, index: int) -> np.ndarray:
-        distances = self._pairwise(self._data[[index]])[0]
+        distances = self._pairwise(self._data[index])
         order = np.lexsort((np.arange(distances.shape[0]), distances))
         if not self.include_self:
             keep = order != index

@@ -1198,8 +1198,8 @@ class OnlineImputationEngine:
                 f"queries must have {self._schema.width} attributes, got shape "
                 f"{values.shape}"
             )
-        # The read path's one check of query cells: NaN marks a missing
-        # cell, and the neighbour search below runs its metric unchecked.
+        # NaN marks a missing cell; an infinite one is refused here, before
+        # the early return below could echo it back from a complete row.
         infinite = np.isinf(values)
         if infinite.any():
             row, attr = (int(i) for i in np.argwhere(infinite)[0])

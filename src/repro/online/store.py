@@ -34,7 +34,7 @@ from ..exceptions import ConfigurationError, DataError, NotFittedError
 from ..obs import count_store_rows
 from .._validation import check_positive_int
 from ..neighbors.brute import topk_batch
-from ..neighbors.distance import get_kernel
+from ..neighbors.distance import distances_to_block
 
 __all__ = [
     "ColumnarTupleStore",
@@ -45,6 +45,14 @@ __all__ = [
 #: Rows of the store's first allocation; growth never allocates fewer.  A
 #: store sized by its first append would double at the next one.
 FLOOR = 4096
+
+
+def _check_finite(rows: np.ndarray, what: str) -> None:
+    if not np.isfinite(rows).all():
+        raise DataError(
+            f"{what} tuples must be complete and finite; the store holds no "
+            f"NaN or infinite cells"
+        )
 
 
 class ColumnarTupleStore:
@@ -133,13 +141,18 @@ class ColumnarTupleStore:
     # Mutations
     # ------------------------------------------------------------------ #
     def append(self, values: np.ndarray) -> np.ndarray:
-        """Add complete tuples; returns the slots they were written to."""
+        """Add complete tuples; returns the slots they were written to.
+
+        Every cell must be finite — the neighbour searches over a view's
+        block rely on it and do not re-scan the block.
+        """
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[1] != self.width:
             raise DataError(
                 f"appended block must have shape (b, {self.width}), got "
                 f"{values.shape}"
             )
+        _check_finite(values, "appended")
         if values.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
         slots = self._allocate(values.shape[0])
@@ -174,6 +187,7 @@ class ColumnarTupleStore:
             raise DataError(
                 f"updated row must have {self.width} attributes, got {row.shape[1]}"
             )
+        _check_finite(row, "updated")
         old_slot = int(self._live[index])
         new_slot = int(self._allocate(1)[0])
         self._data[new_slot] = row[0]
@@ -342,10 +356,16 @@ class StoreFeatureView:
         """Bytes held by the gathered block (0 before the first gather)."""
         return 0 if self._block is None else int(self._block.nbytes)
 
-    def pairwise(self, query, metric_fn) -> np.ndarray:
-        """Distances of ``query`` against every viewed row: one metric call
-        over the kept block."""
-        return metric_fn(query, self.block())
+    def pairwise(self, query, metric: str = "paper_euclidean") -> np.ndarray:
+        """Distances of ``query`` (one row or a ``(q, m-1)`` batch) against
+        every viewed row under the named metric: one kernel call over the
+        kept block.
+
+        Only ``query`` is validated.  The block holds store rows, which
+        :meth:`ColumnarTupleStore.append` and ``update`` admit finite only,
+        so it is not re-scanned on every search.
+        """
+        return distances_to_block(query, self.block(), metric)
 
 
 class ShardedNeighbors:
@@ -356,18 +376,11 @@ class ShardedNeighbors:
     one :func:`~repro.neighbors.brute.topk_batch` over the view's kept
     block.  The name predates the one-array store; traced benchmark runs
     wrap ``ShardedNeighbors.kneighbors`` by that name.
-
-    The metric runs as its bare kernel
-    (:func:`~repro.neighbors.distance.get_kernel`): the block holds store
-    rows, which are finite, and the online engine rejects non-finite query
-    cells before it searches.  Queries must be finite too; only their
-    width is checked here.
     """
 
     def __init__(self, view: StoreFeatureView, metric: str = "paper_euclidean"):
         self.view = view
         self.metric = metric
-        self._metric_fn = get_kernel(metric)
 
     @property
     def n_points(self) -> int:
@@ -385,13 +398,7 @@ class ShardedNeighbors:
         query = np.asarray(query, dtype=float)
         single = query.ndim == 1
         query_block = query.reshape(1, -1) if single else query
-        width = self.view.shape[1]
-        if query_block.ndim != 2 or query_block.shape[1] != width:
-            raise DataError(
-                f"query of shape {query.shape} does not match the store "
-                f"view's {width} attributes"
-            )
-        dist, idx = topk_batch(self.view.pairwise(query_block, self._metric_fn), k)
+        dist, idx = topk_batch(self.view.pairwise(query_block, self.metric), k)
         if single:
             return dist[0], idx[0]
         return dist, idx

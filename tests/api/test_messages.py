@@ -46,6 +46,10 @@ class TestRowCodec:
         with pytest.raises(ProtocolError):
             decode_rows([[True, 1.0]])
 
+    def test_integer_beyond_float_range_is_a_data_error(self):
+        with pytest.raises(DataError, match=r"rows\[1\]\[0\].*float range"):
+            decode_rows([[1.0, 2.0], [-(10**400), None]])
+
     def test_empty_payload_rejected(self):
         with pytest.raises(ProtocolError):
             decode_rows([])

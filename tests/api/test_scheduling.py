@@ -108,7 +108,7 @@ class TestCoalescingEligibility:
         # Non-finite numbers too: their ``data`` error answers alone.
         for row in ([1.0, "x"], [True, None], [[1.0], None],
                     [float("inf"), None], [None, float("-inf")],
-                    [float("nan"), None]):
+                    [float("nan"), None], [10**400, None]):
             pending = PendingRequest(impute("s", row), lambda r: None)
             assert pending.single_impute_row() is None, row
 

@@ -190,9 +190,13 @@ class TestTcpConcurrentClients:
         assert snapshot["microbatch"]["rows_coalesced"] >= 2
 
 
-    def test_an_infinite_row_is_answered_alone(self, values):
-        """A row with an infinite cell never joins a micro-batch, so its
-        ``data`` error cannot fail the rows queued beside it."""
+    @pytest.mark.parametrize(
+        "cell", ["1e999", "1" + "0" * 400], ids=["inf", "huge-int"]
+    )
+    def test_an_infinite_row_is_answered_alone(self, values, cell):
+        """A row with an infinite cell (or an integer beyond float range)
+        never joins a micro-batch, so its ``data`` error cannot fail the
+        rows queued beside it, and the worker that meets it lives on."""
         queries = [query_row(values, 70 + i) for i in range(7)]
         lines = [
             json.dumps({"v": 1, "id": i, "cmd": "impute", "session": "s",
@@ -201,7 +205,7 @@ class TestTcpConcurrentClients:
         ]
         # The same missing-cell pattern as its neighbours, one cell infinite.
         lines[3] = ('{"v": 1, "id": 3, "cmd": "impute", "session": "s", '
-                    '"rows": [[1e999, null]]}')
+                    f'"rows": [[{cell}, null]]}}')
         sequential = SessionServer()
         setup_session(sequential, values, "s")
         expected = [sequential.handle_line(line) for line in lines]

@@ -264,11 +264,11 @@ def test_a_view_gathers_once_across_calls(count_rows):
     view = store.feature_view(exclude=1)
     queries = np.random.default_rng(1).normal(size=(4, 3))
     assert not view.gathered
-    first = view.pairwise(queries, METRIC)
+    first = view.pairwise(queries)
     gathers = len(count_rows)
     assert gathers == 1
     for _ in range(3):
-        np.testing.assert_array_equal(view.pairwise(queries, METRIC), first)
+        np.testing.assert_array_equal(view.pairwise(queries), first)
         ShardedNeighbors(view).kneighbors(queries, 7)
         ShardedNeighbors(view).kneighbors(queries[0], 5)
     assert len(count_rows) == gathers
@@ -305,7 +305,7 @@ def test_derived_views_gather_their_own(count_rows):
     store = _holed_store()
     view = store.feature_view(exclude=2)
     query = np.random.default_rng(2).normal(size=3)
-    view.pairwise(query, METRIC)
+    view.pairwise(query)
     new_slots = store.append(np.random.default_rng(3).normal(size=(5, 4)))
     derived = {
         "extended": view.extended(new_slots),
@@ -315,7 +315,7 @@ def test_derived_views_gather_their_own(count_rows):
     for name, child in derived.items():
         assert not child.gathered, name
         before = len(count_rows)
-        got = child.pairwise(query, METRIC)
+        got = child.pairwise(query)
         assert len(count_rows) > before, name
         np.testing.assert_array_equal(
             got, METRIC(query, child.materialize()), err_msg=name
@@ -334,7 +334,7 @@ def test_an_old_view_answers_from_its_own_slots_after_update():
         old_slot, new_slot = store.update(6, np.full(4, 99.0))
         assert old_slot != new_slot and view.slots[6] == old_slot
         np.testing.assert_array_equal(
-            view.pairwise(query, METRIC), METRIC(query, before)
+            view.pairwise(query), METRIC(query, before)
         )
         assert ShardedNeighbors(view).kneighbors(query, 5)[1].tolist() == (
             BruteForceNeighbors().fit(before).kneighbors(query, 5)[1].tolist()

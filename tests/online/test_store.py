@@ -15,7 +15,7 @@ from repro import IIMImputer
 from repro.data.relation import Relation
 from repro.exceptions import ConfigurationError, DataError
 from repro.neighbors import BruteForceNeighbors, NeighborOrderCache
-from repro.neighbors.distance import METRICS, get_kernel, get_metric
+from repro.neighbors.distance import METRICS, get_metric
 from repro.online import (
     ColumnarTupleStore,
     OnlineImputationEngine,
@@ -214,25 +214,28 @@ def test_view_pairwise_matches_monolithic_metric(monkeypatch, floor):
     reference = store.matrix()[:, [0, 1, 3]]
     queries = RNG.normal(size=(5, 3))
     np.testing.assert_array_equal(
-        view.pairwise(queries, METRIC), METRIC(queries, reference)
+        view.pairwise(queries), METRIC(queries, reference)
     )
     np.testing.assert_array_equal(
-        view.pairwise(queries[0], METRIC), METRIC(queries[0], reference)
+        view.pairwise(queries[0]), METRIC(queries[0], reference)
     )
 
 
 @pytest.mark.parametrize("name", sorted(METRICS))
-def test_resolved_kernel_over_a_view_block_matches_the_public_metric(name):
+def test_view_pairwise_over_the_kept_block_matches_the_public_metric(name):
     store = ColumnarTupleStore(5)
     store.append(RNG.normal(size=(30, 5)))
     store.delete([2, 11])
     store.update(4, RNG.normal(size=5))
-    block = store.feature_view(exclude=1).block()
+    view = store.feature_view(exclude=1)
+    block = view.block()
     queries = RNG.normal(size=(6, 4))
-    kernel, public = get_kernel(name), get_metric(name)
-    np.testing.assert_array_equal(kernel(queries, block), public(queries, block))
+    public = get_metric(name)
     np.testing.assert_array_equal(
-        kernel(queries[:1], block)[0], public(queries[0], block)
+        view.pairwise(queries, name), public(queries, block)
+    )
+    np.testing.assert_array_equal(
+        view.pairwise(queries[0], name), public(queries[0], block)
     )
 
 
@@ -240,10 +243,33 @@ def test_sharded_neighbors_rejects_a_query_of_the_wrong_width():
     store = ColumnarTupleStore(5)
     store.append(RNG.normal(size=(12, 5)))
     searcher = ShardedNeighbors(store.feature_view(exclude=4))
-    for query in (np.zeros(5), np.zeros((2, 3)), np.zeros((1, 2, 4))):
-        with pytest.raises(DataError, match="4 attributes") as raised:
+    for query in (np.zeros(5), np.zeros((2, 3))):
+        with pytest.raises(DataError, match="but data has 4"):
             searcher.kneighbors(query, 3)
-        assert str(query.shape) in str(raised.value)
+    with pytest.raises(DataError, match="2-dimensional"):
+        searcher.kneighbors(np.zeros((1, 2, 4)), 3)
+    # The block is trusted, the query is not: no NaN distances come back.
+    for cell in (np.nan, np.inf, -np.inf):
+        query = np.zeros((2, 4))
+        query[1, 2] = cell
+        with pytest.raises(DataError, match="NaN or infinite"):
+            searcher.kneighbors(query, 3)
+        with pytest.raises(DataError, match="NaN or infinite"):
+            searcher.kneighbors(query[1], 3)
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+def test_the_store_admits_finite_rows_only(cell):
+    store = ColumnarTupleStore(3)
+    store.append(RNG.normal(size=(4, 3)))
+    bad = RNG.normal(size=(2, 3))
+    bad[1, 0] = cell
+    before = store.matrix()
+    with pytest.raises(DataError, match="finite"):
+        store.append(bad)
+    with pytest.raises(DataError, match="finite"):
+        store.update(2, bad[1])
+    np.testing.assert_array_equal(store.matrix(), before)
 
 
 @pytest.mark.parametrize("floor", [2, 5, 16])
