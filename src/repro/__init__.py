@@ -64,10 +64,10 @@ is read with ``config.get(name)``.  Fitted state —
 engines via ``snapshot``/``load``, every imputer via ``save``/``load`` on
 :class:`~repro.baselines.base.BaseImputer` — persists as ``.npz`` arrays
 plus a JSON manifest (:mod:`repro.online.artifacts`) and restores
-bit-for-bit.  ``python -m repro replay`` replays a CSV trace against the
-engine; ``benchmarks/test_perf_online.py`` replays ``streaming`` and
-``churn`` scenarios (:mod:`repro.scenarios`) and tracks the
-incremental-vs-cold speedup in ``benchmarks/results/online.json``.
+bit-for-bit.  ``python -m repro repl < trace.sql`` runs a statement trace
+against the engine; ``benchmarks/test_perf_online.py`` replays
+``streaming`` and ``churn`` scenarios (:mod:`repro.scenarios`) and tracks
+the incremental-vs-cold speedup in ``benchmarks/results/online.json``.
 
 The service layer
 -----------------

@@ -1,18 +1,17 @@
 """The consolidated command-line interface: ``python -m repro``.
 
-Seven subcommands front the whole library through the :mod:`repro.api`
+Six subcommands front the whole library through the :mod:`repro.api`
 service layer (benchmarks live in ``benchmarks/``, not here):
 
 * ``impute`` — one-shot batch imputation of a CSV file with any registry
   method (``python -m repro impute dirty.csv --method IIM --output clean.csv``);
-* ``replay`` — the streaming CSV-trace or lifecycle statement-trace replay
-  against the online engine (``python -m repro replay churn.sql``);
 * ``serve`` — the JSONL serve loop over stdio or a TCP socket
   (``python -m repro serve --stdio``, ``python -m repro serve --port 7007``),
   with crash-safe durability via ``--wal-dir`` and request hardening via
   ``--deadline`` / ``--max-request-bytes``;
 * ``repl`` — an interactive query shell, in process or against a running
-  server (``python -m repro repl --connect HOST:PORT``);
+  server (``python -m repro repl --connect HOST:PORT``); it also runs
+  statement scripts (``python -m repro repl < churn.sql``);
 * ``recover`` — rebuild an online session from a write-ahead log (plus the
   last checkpoint, when one exists) after a crash, and optionally write a
   fresh checkpoint (``python -m repro recover wal/s --output ckpt``);
@@ -25,7 +24,8 @@ service layer (benchmarks live in ``benchmarks/``, not here):
   parameter schema, ``scenario replay NAME`` a spec through the engine or
   the full serve loop with cold-refit verification, and ``scenario trace
   NAME`` the deterministic trace digest (``--output`` writes the canonical
-  trace bytes).
+  trace bytes).  A spec's ``dataset`` may name a CSV file pinned by its
+  sha256 (``PATH#sha256=HEX``), so user data replays against the oracle too.
 """
 
 from __future__ import annotations
@@ -41,35 +41,12 @@ from .exceptions import ReproError
 PROG = "python -m repro"
 
 
-def _parse_override(token: str):
-    """Parse one ``--set key=value`` override (numbers stay numeric)."""
-    if "=" not in token:
-        raise ReproError(
-            f"--set expects key=value, got {token!r}"
-        )
-    key, raw = token.split("=", 1)
-    value: object = raw
-    lowered = raw.strip().lower()
-    if lowered in ("none", "null"):
-        value = None
-    elif lowered in ("true", "false"):
-        value = lowered == "true"
-    else:
-        try:
-            value = int(raw)
-        except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                pass
-    return key.strip(), value
-
-
 def _cmd_impute(args) -> int:
     from .api import BatchSession
+    from .api.messages import parse_override
     from .data.io import read_csv, write_csv
 
-    overrides = dict(_parse_override(token) for token in args.set or [])
+    overrides = dict(parse_override(token) for token in args.set or [])
     session = BatchSession(args.method, **overrides)
     relation = read_csv(args.csv, has_header=not args.no_header)
     if relation.n_missing_cells == 0:
@@ -88,12 +65,6 @@ def _cmd_impute(args) -> int:
         write_csv(imputed, args.output)
         print(f"imputed relation written to {args.output}")
     return 0
-
-
-def _cmd_replay(args) -> int:
-    from .online.cli import run
-
-    return run(args)
 
 
 def _cmd_serve(args) -> int:
@@ -169,10 +140,18 @@ def _cmd_recover(args) -> int:
 
 def _scenario_spec(args):
     """Resolve the spec a ``scenario`` subcommand operates on."""
+    from .exceptions import ScenarioError
     from .scenarios import ScenarioSpec, get
 
-    if getattr(args, "spec", None):
-        return ScenarioSpec.from_json(Path(args.spec).read_text())
+    if args.spec:
+        try:
+            text = Path(args.spec).read_text()
+        except OSError as exc:
+            raise ScenarioError(
+                f"cannot read scenario spec {args.spec!r}: "
+                f"{exc.strerror or exc}"
+            ) from None
+        return ScenarioSpec.from_json(text)
     return get(args.name)
 
 
@@ -311,16 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     impute.add_argument("--output", metavar="CSV", help="write the imputed relation")
 
-    from .online.cli import add_arguments as add_replay_arguments
-
-    replay = commands.add_parser(
-        "replay",
-        help="replay a CSV or statement trace against the online engine",
-        description="Replay a CSV relation as a streaming append/impute "
-        "trace, or a statement trace as a lifecycle trace.",
-    )
-    add_replay_arguments(replay)
-
     serve = commands.add_parser("serve", help="run the JSONL session server")
     transport = serve.add_mutually_exclusive_group()
     transport.add_argument(
@@ -422,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def _spec_args(sub):
         sub.add_argument(
             "name", nargs="?", default=None,
-            help="registered scenario name (omit with --spec)",
+            help="registered scenario name (or --spec, not both)",
         )
         sub.add_argument(
             "--spec", default=None, metavar="JSON",
@@ -489,18 +458,19 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    if args.command == "scenario" and (
-        args.scenario_command != "list"
-        and args.name is None
-        and not getattr(args, "spec", None)
-    ):
-        parser.error(
-            f"scenario {args.scenario_command}: a scenario name or "
-            f"--spec FILE is required"
-        )
+    if args.command == "scenario" and args.scenario_command != "list":
+        if args.name and args.spec:
+            parser.error(
+                f"scenario {args.scenario_command}: give a scenario name "
+                f"or --spec FILE, not both"
+            )
+        if not (args.name or args.spec):
+            parser.error(
+                f"scenario {args.scenario_command}: a scenario name or "
+                f"--spec FILE is required"
+            )
     command = {
         "impute": _cmd_impute,
-        "replay": _cmd_replay,
         "serve": _cmd_serve,
         "repl": _cmd_repl,
         "recover": _cmd_recover,

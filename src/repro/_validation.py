@@ -22,6 +22,7 @@ __all__ = [
     "check_positive_float",
     "check_fraction",
     "check_in_choices",
+    "check_bool",
     "check_random_state",
 ]
 
@@ -138,6 +139,17 @@ def check_in_choices(value, name: str, choices: Iterable) -> object:
     if value not in choices:
         raise ConfigurationError(f"{name} must be one of {choices}, got {value!r}")
     return value
+
+
+def check_bool(value, name: str) -> bool:
+    """Validate that ``value`` is a Python or numpy bool and return it as ``bool``.
+
+    Strings such as ``"false"`` are refused rather than coerced: ``bool``
+    of any non-empty string is ``True``.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{name} must be a boolean, got {value!r}")
+    return bool(value)
 
 
 def check_random_state(seed) -> np.random.Generator:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "encode_rows",
     "decode_rows",
     "validate_session_name",
+    "parse_override",
     "ImputeRequest",
     "MutationOp",
     "SessionConfig",
@@ -75,6 +76,27 @@ def validate_session_name(name: str, *, durable: bool = False) -> str:
             f"sessions need names matching {SESSION_NAME_PATTERN.pattern}"
         )
     return name
+
+
+def parse_override(token: str) -> Tuple[str, object]:
+    """Parse one ``key=value`` override, as ``impute --set`` and ``repl``'s
+    ``\\create`` spell it: ``none``/``null`` is ``None``, ``true``/``false``
+    a bool, then an int, then a float, else the bare string."""
+    key, sep, raw = token.partition("=")
+    key = key.strip()
+    if not sep or not key:
+        raise ConfigurationError(f"expected key=value, got {token!r}")
+    lowered = raw.strip().lower()
+    if lowered in ("none", "null"):
+        return key, None
+    if lowered in ("true", "false"):
+        return key, lowered == "true"
+    for cast in (int, float):
+        try:
+            return key, cast(raw)
+        except ValueError:
+            pass
+    return key, raw
 
 
 def encode_rows(values: np.ndarray) -> List[List[Optional[float]]]:

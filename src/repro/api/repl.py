@@ -6,21 +6,29 @@ the serve loop speaks: by default against an in-process
 :class:`~repro.api.serve.SessionServer`, or against a live TCP server
 with ``--connect HOST:PORT``.  Every statement rides a ``query`` request,
 so quotas, auth and quarantine discipline apply exactly as they would to
-any other client.
+any other client.  A failing statement prints a typed ``error [...]`` line
+and a script goes on.
 
 Lines starting with ``\\`` are meta-commands handled locally:
 
-=================  ========================================================
-``\\create NAME``   create an online session (``key=value`` engine params
-                   after the name, e.g. ``\\create s k=5 learning=fixed
-                   learning_neighbors=4``) and switch to it
-``\\use NAME``      switch to an existing session
-``\\sessions``      list the server's live sessions
-``\\schema``        the current session's attributes (via ``EXPLAIN``)
-``\\provenance``    the imputed-cell provenance of the last SELECT, as JSON
-``\\help``          this table
-``\\quit``          leave (EOF works too)
-=================  ========================================================
+========================  =================================================
+``\\create NAME``          create an online session (``key=value`` IIM
+                          params after the name, e.g. ``\\create s k=5
+                          learning=fixed learning_neighbors=4``;
+                          ``model_cache_size`` and ``refresh_policy`` set
+                          the session's engine knobs) and switch to it
+``\\use NAME``             switch to an existing session
+``\\save PATH``            save the current session's artifact to PATH
+``\\restore NAME PATH``    restore the artifact at PATH as session NAME and
+                          switch to it
+``\\sessions``             list the server's live sessions
+``\\schema``               the current session's attributes (via
+                          ``EXPLAIN``)
+``\\provenance``           the imputed-cell provenance of the last SELECT,
+                          as JSON
+``\\help``                 this table
+``\\quit``                 leave (EOF works too)
+========================  =================================================
 
 Prompts go to stderr so a scripted run (``python -m repro repl <
 session.sql``) leaves stdout machine-readable.
@@ -34,7 +42,9 @@ import socket
 import sys
 from typing import Dict, List, Optional, TextIO
 
+from ..config import ENGINE_KNOBS
 from ..exceptions import ReproError
+from .messages import parse_override
 
 __all__ = ["Repl", "run_repl"]
 
@@ -81,16 +91,6 @@ class _TcpTransport:
             self._stream.close()
         finally:
             self._conn.close()
-
-
-def _parse_param(text: str):
-    """``key=value`` values: int, then float, then bare string."""
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
 
 
 def _format_cell(value) -> str:
@@ -175,20 +175,54 @@ class Repl:
             if len(parts) < 2:
                 self._print("error [repl]: \\create needs a session name")
                 return True
-            params = dict(
-                (key, _parse_param(value))
-                for key, _, value in (p.partition("=") for p in parts[2:])
-            )
+            try:
+                params = dict(parse_override(part) for part in parts[2:])
+            except ReproError as exc:
+                self._print(f"error [repl]: {exc}")
+                return True
+            engine = {
+                key: params.pop(key) for key in ENGINE_KNOBS if key in params
+            }
             method = params.pop("method", "IIM")
             mode = params.pop("mode", "online")
             result = self._request(
                 cmd="create", session=parts[1],
-                config={"method": method, "mode": mode, "params": params},
+                config={"method": method, "mode": mode, "params": params,
+                        "engine": engine},
             )
             if result is not None:
                 self.session = parts[1]
                 self._print(
                     f"session {parts[1]!r} created ({result.get('kind')} "
+                    f"{result.get('method')}); now current"
+                )
+        elif command == "save":
+            if len(parts) != 2:
+                self._print("error [repl]: \\save needs an artifact path")
+            elif self.session is None:
+                self._print("error [repl]: no session selected to save")
+            else:
+                result = self._request(
+                    cmd="save", session=self.session, path=parts[1]
+                )
+                if result is not None:
+                    self._print(
+                        f"session {self.session!r} saved to {result['path']}"
+                    )
+        elif command == "restore":
+            if len(parts) != 3:
+                self._print(
+                    "error [repl]: \\restore needs a session name and an "
+                    "artifact path"
+                )
+                return True
+            result = self._request(
+                cmd="restore", session=parts[1], path=parts[2]
+            )
+            if result is not None:
+                self.session = parts[1]
+                self._print(
+                    f"session {parts[1]!r} restored ({result.get('kind')} "
                     f"{result.get('method')}); now current"
                 )
         elif command == "use":

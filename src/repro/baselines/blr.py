@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .._validation import check_positive_float
+from .._validation import check_bool, check_positive_float
 from ..regression import BayesianLinearRegression
 from .base import BaseImputer
 
@@ -39,7 +39,7 @@ class BLRImputer(BaseImputer):
     def __init__(self, prior_precision: float = 1e-3, sample: bool = True, random_state=None):
         super().__init__()
         self.prior_precision = check_positive_float(prior_precision, "prior_precision")
-        self.sample = bool(sample)
+        self.sample = check_bool(sample, "sample")
         self.random_state = random_state
 
     def _impute_attribute(

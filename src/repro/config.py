@@ -36,10 +36,12 @@ per-tuple Python code kept as an executable reference.
 A knob that a constructor overrides per instance shares its name with the
 constructor keyword: :data:`ENGINE_KNOBS` for
 :class:`~repro.online.OnlineImputationEngine` (and the ``engine`` field of
-a session config), :data:`SERVE_KNOBS` for
-:class:`~repro.api.serve.SessionServer`.  Those rows also carry the
-command-line flag that :func:`add_flags` gives ``python -m repro replay``
-and ``python -m repro serve``.
+a session config, which ``repl``'s ``\\create`` fills from its
+``key=value`` pairs), :data:`SERVE_KNOBS` for
+:class:`~repro.api.serve.SessionServer`.  The serve rows, and
+``scenario_transport``, also carry the command-line flag that
+:func:`add_flags` gives ``python -m repro serve`` and ``python -m repro
+scenario replay``.
 """
 
 from __future__ import annotations
@@ -137,12 +139,11 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          lambda value: _size(value) or None,
          "per-attribute model states the online engine keeps resident, "
          "LRU-evicted beyond (none or 0 keeps all)",
-         nullable=True, flag="--cache-size"),
+         nullable=True),
     Knob("refresh_policy", "REPRO_ONLINE_REFRESH", "lazy",
          _choice("lazy", "eager"),
          "engine refresh policy: lazy folds mutations into a model state at "
-         "its next impute, eager at every mutation",
-         flag="--refresh"),
+         "its next impute, eager at every mutation"),
     Knob("wal_sync", "REPRO_WAL_SYNC", "batch",
          _choice("always", "batch", "off"),
          "WAL sync policy: always fsyncs every record, batch flushes once "

@@ -28,6 +28,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .._validation import (
+    check_bool,
     check_in_choices,
     check_positive_float,
     check_positive_int,
@@ -35,7 +36,7 @@ from .._validation import (
 from ..baselines.base import BaseImputer
 from .. import config
 from ..exceptions import ConfigurationError
-from ..neighbors import BruteForceNeighbors
+from ..neighbors import BruteForceNeighbors, get_metric
 from ..regression import DEFAULT_ALPHA
 from .adaptive import AdaptiveLearningResult, adaptive_learning
 from .combine import COMBINERS
@@ -122,10 +123,11 @@ class IIMImputer(BaseImputer):
         if validation_neighbors is not None:
             validation_neighbors = check_positive_int(validation_neighbors, "validation_neighbors")
         self.validation_neighbors = validation_neighbors
-        self.incremental = bool(incremental)
-        self.include_global = bool(include_global)
+        self.incremental = check_bool(incremental, "incremental")
+        self.include_global = check_bool(include_global, "include_global")
         self.alpha = check_positive_float(alpha, "alpha", allow_zero=True)
         self.combination = check_in_choices(combination, "combination", tuple(COMBINERS))
+        get_metric(metric)  # an unknown name fails here, not at the first impute
         self.metric = metric
         self.backend = None if backend is None else config.resolve("backend", backend)
         # Per-incomplete-attribute learned models, keyed by the target column.

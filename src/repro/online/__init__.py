@@ -14,9 +14,11 @@ This package turns the batch reproduction into a long-lived service:
   JSON manifest.  Every :class:`~repro.baselines.base.BaseImputer` gains
   ``save`` / ``load`` through this layer; restoration is bit-for-bit.
 
-Run ``python -m repro replay --help`` for a CSV-trace replay demo;
 :mod:`repro.api` fronts the engine behind the unified session protocol and
-the JSONL serve loop.
+the JSONL serve loop; ``python -m repro repl < trace.sql`` runs a
+statement trace through it, and ``python -m repro scenario replay`` checks
+generated traces (over registered datasets or sha256-pinned CSV files)
+against a cold refit.
 
 Engine knobs (cache size, refresh policy) default to the process-wide
 values in :mod:`repro.config`.

@@ -24,11 +24,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..data import load_dataset
+from ..data.io import read_csv
 from ..exceptions import ScenarioError
 from .spec import ScenarioSpec
 
@@ -347,8 +349,38 @@ def resolve_model_params(model: Dict[str, object]) -> Dict[str, object]:
 
 
 def _load_values(params: Dict[str, object]) -> np.ndarray:
-    relation = load_dataset(params["dataset"], size=params["size"])
-    return relation.raw
+    """The complete rows a generator draws from.
+
+    ``dataset`` names a registered dataset, or a static one: a CSV file
+    with a header row, spelt ``PATH#sha256=HEX``, whose bytes must hash to
+    ``HEX``.  The spec's canonical JSON carries the pin, so a trace digest
+    pins the file's content too.
+    """
+    path, pinned, expected = params["dataset"].partition("#sha256=")
+    size = params["size"]
+    if not pinned:
+        return load_dataset(path, size=size).raw
+    try:
+        content = Path(path).read_bytes()
+    except OSError as exc:
+        raise ScenarioError(
+            f"cannot read static dataset {path!r}: {exc.strerror or exc}"
+        ) from None
+    actual = hashlib.sha256(content).hexdigest()
+    if actual != expected:
+        raise ScenarioError(
+            f"static dataset {path!r} hashes to sha256={actual}, but the "
+            f"spec pins sha256={expected}"
+        )
+    values = read_csv(path).complete_part().raw
+    if size is not None:
+        if size > values.shape[0]:
+            raise ScenarioError(
+                f"size={size} exceeds the {values.shape[0]} complete rows "
+                f"of static dataset {path!r}"
+            )
+        values = values[:size]
+    return values
 
 
 def _initial_split(values: np.ndarray, params: Dict[str, object]) -> int:

@@ -88,11 +88,15 @@ def _choice(choices, default=_REQUIRED, *, help=""):
 
 _SINGLE_TENANT_SCHEMA: Dict[str, Param] = {
     "dataset": Param(
-        (str,), "sn", help="registered dataset name (see repro.data.datasets)"
+        (str,), "sn",
+        help="registered dataset name (see repro.data.datasets), or "
+        "PATH#sha256=HEX: a CSV file with a header row, pinned by the "
+        "sha256 of its bytes, whose complete rows are the data",
     ),
     "size": _int(
         None, minimum=4, allow_none=True,
-        help="tuples to generate (None = the dataset's published size)",
+        help="tuples to use: the first size rows (None = the dataset's "
+        "published size, or every complete row of a CSV file)",
     ),
     "n_rounds": _int(4, minimum=1, help="mutation+query rounds after the fit"),
     "initial_fraction": _float(

@@ -1,6 +1,7 @@
 """Tests for the consolidated CLI (``python -m repro``)."""
 
-import warnings
+import hashlib
+import json
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.data import load_dataset
 from repro.data.io import read_csv, write_csv
 from repro.data.missing import inject_missing
 from repro.obs import get_tracer
-from repro.online import cli as replay_cli
 
 
 @pytest.fixture
@@ -53,86 +53,6 @@ class TestImputeSubcommand:
         write_csv(relation, path)
         assert repro_main(["impute", str(path), "--method", "Mean"]) == 0
         assert "nothing to impute" in capsys.readouterr().out
-
-
-class TestReplaySubcommand:
-    def test_forwards_to_the_trace_replay(self, capsys):
-        code = repro_main([
-            "replay", "--demo", "60", "--dataset", "sn", "--k", "3",
-            "--learning", "fixed", "--learning-neighbors", "3",
-        ])
-        assert code == 0
-        assert "store holds" in capsys.readouterr().out
-
-    def test_replay_does_not_warn(self, capsys):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro_main([
-                "replay", "--demo", "40", "--dataset", "sn", "--k", "3",
-                "--learning", "fixed", "--learning-neighbors", "3",
-            ])
-        capsys.readouterr()
-        assert not [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-
-
-STATEMENT_TRACE = """\
--- a statement trace: data verbs and queries in one script
-APPEND VALUES (1.0, 2.0, 3.0), (1.1, 2.1, 3.1), (0.9, 1.9, 2.9),
-              (1.2, 2.2, 3.2), (1.05, 2.05, 3.05), (0.95, 1.95, 2.95);
-APPEND (1.02, ?, 3.02);
-SELECT A1, A2 WHERE A1 > 0.9 ORDER BY A2 DESC LIMIT 3;
-UPDATE 0 SET A1 = 1.01;
-IMPUTE;
-DELETE 1;
-SELECT count(*), avg(A1);
-"""
-
-MODEL_ARGS = ["--k", "3", "--learning", "fixed", "--learning-neighbors", "3"]
-
-
-class TestStatementTraceReplay:
-    def test_replays_a_statement_trace(self, tmp_path, capsys):
-        trace = tmp_path / "trace.sql"
-        trace.write_text(STATEMENT_TRACE)
-        assert repro_main(["replay", str(trace)] + MODEL_ARGS) == 0
-        out = capsys.readouterr().out
-        assert "replayed 7 statements" in out
-        assert "1 imputed on demand)" in out  # the on-demand SELECT
-        assert "rows_promoted=1" in out
-        assert "store holds 6 tuples (0 pending)" in out
-
-    def test_detection_survives_comments_and_case(self, tmp_path, capsys):
-        trace = tmp_path / "trace.sql"
-        trace.write_text(
-            "-- header comment\n\nappend (1.0, 2.0), (1.5, 2.5);\n",
-            encoding="utf-8",
-        )
-        assert repro_main(["replay", str(trace)] + MODEL_ARGS) == 0
-        assert "replayed 1 statements" in capsys.readouterr().out
-
-    def test_plain_csv_is_not_mistaken_for_statements(self, tmp_path, capsys):
-        relation = load_dataset("sn", size=40)
-        injection = inject_missing(relation, fraction=0.1, random_state=1)
-        trace = tmp_path / "rows.csv"
-        write_csv(injection.dirty, trace)
-        assert repro_main(["replay", str(trace)] + MODEL_ARGS) == 0
-        out = capsys.readouterr().out
-        assert "store holds" in out and "replayed" not in out
-
-    def test_statement_trace_does_not_warn(self, tmp_path, capsys):
-        trace = tmp_path / "trace.sql"
-        trace.write_text("APPEND (1.0, 2.0), (2.0, 3.0);\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert repro_main(["replay", str(trace)] + MODEL_ARGS) == 0
-        capsys.readouterr()
-        assert not [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
 
 
 class TestRecoverSubcommand:
@@ -191,6 +111,60 @@ class TestBareInvocation:
         assert repro_main([]) == 2
         assert "impute" in capsys.readouterr().out
 
+    def test_replay_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["replay", "trace.csv"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestScenarioSubcommand:
+    @pytest.mark.parametrize("command", ["describe", "trace", "replay"])
+    def test_a_name_with_spec_is_a_usage_error(self, command, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "from_file", "generator": "streaming",
+            "params": {"size": 40, "n_rounds": 1},
+        }))
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["scenario", command, "gentle_churn", "--spec", str(spec)])
+        assert exit_info.value.code == 2
+        assert "not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["describe", "trace", "replay"])
+    def test_neither_name_nor_spec_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["scenario", command])
+        assert exit_info.value.code == 2
+        assert "is required" in capsys.readouterr().err
+
+    def test_an_unreadable_spec_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert repro_main(["scenario", "replay", "--spec", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read scenario spec") and (
+            err.count("\n") == 1
+        ), err
+
+    def test_replays_a_pinned_csv_against_the_oracle(self, tmp_path, capsys):
+        data = tmp_path / "sn.csv"
+        write_csv(load_dataset("sn", size=60), data)
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "pinned_csv", "generator": "churn",
+            "params": {"dataset": f"{data}#sha256={digest}", "n_rounds": 2},
+            "model": {"k": 3, "learning": "fixed", "learning_neighbors": 3},
+        }))
+        report = tmp_path / "report.json"
+        assert repro_main([
+            "scenario", "replay", "--spec", str(spec), "--transport", "engine",
+            "--output", str(report),
+        ]) == 0
+        capsys.readouterr()
+        payload = json.loads(report.read_text())
+        assert payload["verified"] is True and payload["max_abs_diff"] == 0.0
+
 
 #: A non-default flag value of every generated knob flag and its parsed value.
 FLAG_VALUES = {
@@ -204,8 +178,6 @@ FLAG_VALUES = {
     "max_sessions": ("3", 3),
     "max_queued_requests": ("8", 8),
     "trace_sample": ("0.5", 0.5),
-    "model_cache_size": ("none", None),
-    "refresh_policy": ("eager", "eager"),
 }
 
 
@@ -238,23 +210,6 @@ class TestKnobFlags:
         for name in config.SERVE_KNOBS:
             key = "serve_workers" if name == "workers" else name
             assert health["config"][key] == FLAG_VALUES[name][1], name
-
-    def test_replay_flags_reach_the_engine(self, monkeypatch, capsys):
-        engines = []
-        build = replay_cli._build_engine
-        monkeypatch.setattr(
-            replay_cli, "_build_engine",
-            lambda args: engines.append(build(args)) or engines[-1],
-        )
-        code = repro_main([
-            "replay", "--demo", "30", "--dataset", "sn", "--k", "3",
-            "--learning", "fixed", "--learning-neighbors", "3",
-            *_flags(config.ENGINE_KNOBS),
-        ])
-        assert code == 0
-        (engine,) = engines
-        for name in config.ENGINE_KNOBS:
-            assert getattr(engine, name) == FLAG_VALUES[name][1], name
 
     def test_bad_serve_knob_is_one_error_line(self, served, capsys):
         assert repro_main(["serve", "--workers", "0"]) == 2

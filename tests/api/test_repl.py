@@ -8,6 +8,8 @@ stays machine-readable (prompts go to stderr).
 
 import io
 import json
+import re
+import warnings
 
 import pytest
 
@@ -156,3 +158,113 @@ class TestReplDiscipline:
     def test_unreachable_server_is_a_typed_error(self):
         with pytest.raises(ReproError, match="cannot connect"):
             run_repl("127.0.0.1:1")
+
+
+class TestCreateParams:
+    def test_none_booleans_and_engine_knobs_reach_the_session(self, tmp_path):
+        script = (
+            "\\create s k=3 learning=adaptive max_learning_neighbors=none "
+            "incremental=false model_cache_size=none refresh_policy=eager\n"
+        )
+        code, out, repl = _run_script(script, tmp_path)
+        assert code == 0 and "error" not in out, out
+        engine = repl.transport._server.sessions["s"].engine
+        assert engine.imputer.max_learning_neighbors is None
+        assert engine.imputer.incremental is False
+        assert engine.model_cache_size is None
+        assert engine.refresh_policy == "eager"
+
+    def test_a_token_without_a_value_is_a_local_error(self, tmp_path):
+        code, out, _ = _run_script("\\create s k3\n\\sessions\n", tmp_path)
+        assert code == 0
+        assert "error [repl]: expected key=value, got 'k3'" in out
+        assert "no live sessions" in out
+
+
+class TestSaveRestore:
+    SCRIPT = """\
+\\create s k=3 learning=fixed learning_neighbors=3
+APPEND VALUES (1.0, 2.0, 3.0), (1.1, 2.1, 3.1), (0.9, 1.9, 2.9),
+              (1.2, 2.2, 3.2), (1.05, 2.05, 3.05);
+\\save snap
+\\restore t snap
+\\sessions
+SELECT count(*);
+APPEND VALUES (0.95, 1.95, 2.95);
+SELECT count(*);
+\\use s
+SELECT count(*);
+"""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("artifacts")
+        return root, _run_script(self.SCRIPT, root)
+
+    def test_save_then_restore_round_trips_a_session(self, run):
+        root, (code, out, repl) = run
+        assert code == 0 and "error" not in out, out
+        assert f"session 's' saved to {root / 'snap'}" in out
+        assert "session 't' restored (online IIM); now current" in out
+        # t starts with s's 5 rows, then grows alone; s keeps its 5
+        counts = re.findall(r"^count\(\*\)\n(\d+)$", out, re.MULTILINE)
+        assert counts == ["5", "6", "5"]
+        sessions = repl.transport._server.sessions
+        assert sessions["t"].engine.n_tuples == 6
+        assert sessions["s"].engine.n_tuples == 5
+
+    def test_restore_makes_the_session_current(self, run):
+        _, (_, out, repl) = run
+        assert "  s  kind=online" in out and "* t  kind=online" in out
+        assert repl.session == "s"  # the later \use switched back
+
+    def test_save_needs_a_session_and_restore_needs_two_arguments(self, tmp_path):
+        code, out, _ = _run_script("\\save snap\n\\restore t\n", tmp_path)
+        assert code == 0
+        assert "error [repl]: no session selected to save" in out
+        assert "error [repl]: \\restore needs a session name and an" in out
+
+
+#: A lifecycle trace in the statement language: data verbs and queries in
+#: one script, after the ``\create`` that picks the model.
+STATEMENT_SCRIPT = """\
+\\create s k=3 learning=fixed learning_neighbors=3
+-- a statement trace: data verbs and queries in one script
+APPEND VALUES (1.0, 2.0, 3.0), (1.1, 2.1, 3.1), (0.9, 1.9, 2.9),
+              (1.2, 2.2, 3.2), (1.05, 2.05, 3.05), (0.95, 1.95, 2.95);
+APPEND (1.02, ?, 3.02);
+SELECT A1, A2 WHERE A1 > 0.9 ORDER BY A2 DESC LIMIT 3;
+UPDATE 0 SET A1 = 1.01;
+IMPUTE;
+DELETE 1;
+SELECT count(*), avg(A1);
+"""
+
+
+class TestStatementScripts:
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _run_script(
+                STATEMENT_SCRIPT, tmp_path_factory.mktemp("statements")
+            )
+
+    def test_statement_trace_does_not_warn(self, run):
+        # warnings escalate to errors while the script runs; one would
+        # surface as an exception or a typed error line
+        code, out, _ = run
+        assert code == 0 and "error" not in out, out
+
+    def test_replays_a_statement_trace(self, run):
+        _, out, repl = run
+        answers = re.findall(
+            r"^(?:append|update|impute|delete): |^\(\d+ row\(s\); ",
+            out, flags=re.MULTILINE,
+        )
+        assert len(answers) == 7, out
+        assert "1 row(s) imputed on demand)" in out  # the on-demand SELECT
+        assert "impute: rows_promoted=1, n_pending=0" in out
+        assert re.search(r"^count\(\*\)  avg\(A1\)\n6  ", out, re.MULTILINE)
+        engine = repl.transport._server.sessions["s"].engine
+        assert (engine.n_tuples, engine.n_pending) == (6, 0)

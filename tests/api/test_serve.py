@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import SessionServer, encode_rows, serve_stdio, serve_tcp
 from repro.data import load_dataset
+from repro.reliability.wal import SEGMENT_SUFFIX
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +187,28 @@ class TestServeErrors:
                      config={"method": "IIM", "params": {"kk": 3}})
         assert error["code"] == "configuration"
         assert "kk" in error["message"]
+
+    @pytest.mark.parametrize("flag", ["incremental", "include_global"])
+    @pytest.mark.parametrize("value", ["false", "no", 1])
+    def test_non_boolean_flags_map_to_configuration(self, server, flag, value):
+        error = fail(server, cmd="create", session="s",
+                     config={"method": "IIM", "params": {flag: value}})
+        assert error["code"] == "configuration"
+        assert flag in error["message"]
+
+    def test_unknown_metric_maps_to_configuration_at_create(self, server):
+        error = fail(server, cmd="create", session="s",
+                     config={"method": "IIM", "params": {"metric": "nope"}})
+        assert error["code"] == "configuration"
+        assert "nope" in error["message"]
+
+    def test_refused_create_writes_no_wal(self, tmp_path):
+        server = SessionServer(wal_root=tmp_path / "wal")
+        for params in ({"incremental": "false"}, {"metric": "nope"}):
+            fail(server, cmd="create", session="s",
+                 config={"method": "IIM", "mode": "online", "params": params})
+        assert not list((tmp_path / "wal").rglob("*" + SEGMENT_SUFFIX))
+        assert ok(server, cmd="sessions")["sessions"] == []
 
     def test_error_does_not_kill_the_loop(self, server, values):
         fail(server, cmd="frobnicate")

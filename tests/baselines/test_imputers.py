@@ -21,7 +21,7 @@ from repro.baselines import (
     paper_table2_methods,
 )
 from repro.data import Relation, Schema, inject_missing, load_dataset
-from repro.exceptions import DataError
+from repro.exceptions import ConfigurationError, DataError
 from repro.metrics import rms_error
 
 
@@ -114,6 +114,11 @@ class TestBLRImputer:
         a = _run(BLRImputer(sample=True, random_state=3), linear_injection)
         b = _run(BLRImputer(sample=True, random_state=3), linear_injection)
         np.testing.assert_array_equal(a, b)
+
+    def test_sample_must_be_a_boolean(self):
+        with pytest.raises(ConfigurationError, match="sample"):
+            BLRImputer(sample="false")
+        assert BLRImputer(sample=np.False_).sample is False
 
 
 class TestPMMImputer:

@@ -81,6 +81,20 @@ class TestIIMImputerConfiguration:
     def test_name_is_iim(self):
         assert IIMImputer().name == "IIM"
 
+    @pytest.mark.parametrize("flag", ["incremental", "include_global"])
+    @pytest.mark.parametrize("value", ["false", "no", 1, None])
+    def test_non_boolean_flags_are_refused(self, flag, value):
+        with pytest.raises(ConfigurationError, match=flag):
+            IIMImputer(**{flag: value})
+
+    def test_numpy_booleans_are_accepted(self):
+        imputer = IIMImputer(incremental=np.False_, include_global=np.True_)
+        assert imputer.incremental is False and imputer.include_global is True
+
+    def test_unknown_metric_is_refused_at_construction(self):
+        with pytest.raises(ConfigurationError, match="available metrics"):
+            IIMImputer(metric="nope")
+
 
 class TestIIMImputerBehaviour:
     def test_imputes_all_missing_cells(self, asf_injection):

@@ -1,5 +1,7 @@
 """Tuple lifecycle: delete/update equivalence, heavy churn, CLI trace."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -294,8 +296,10 @@ def test_duplicate_delete_indices_collapse(stream_values):
     assert engine.stats["deleted_rows"] == 2
 
 
-def test_statement_trace_cli_roundtrip(tmp_path, stream_values):
-    """A statement-trace replay drives the full lifecycle end to end."""
+def test_statement_trace_cli_roundtrip(tmp_path, stream_values, monkeypatch,
+                                      capsys):
+    """A statement script run through ``repl`` drives the full lifecycle end
+    to end, and ``\\save`` checkpoints the result."""
     from repro.__main__ import main
 
     values = stream_values
@@ -306,19 +310,16 @@ def test_statement_trace_cli_roundtrip(tmp_path, stream_values):
     assignments = ", ".join(
         f"A{j + 1} = {float(v)!r}" for j, v in enumerate(values[50])
     )
-    trace = tmp_path / "churn.sql"
-    trace.write_text(
-        "".join(f"APPEND VALUES ({cells(row)});\n" for row in values[:40])
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "\\create s k=3 learning=fixed learning_neighbors=4\n"
+        + "".join(f"APPEND VALUES ({cells(row)});\n" for row in values[:40])
         + f"UPDATE 3 SET {assignments};\n"
         + "DELETE 0, 5;\n"
-    )
-    snap = tmp_path / "snap"
-    code = main([
-        "replay", str(trace), "--learning", "fixed",
-        "--learning-neighbors", "4", "--k", "3", "--snapshot", str(snap),
-    ])
-    assert code == 0
-    engine = OnlineImputationEngine.load(snap)
+        + "\\save snap\n"
+    ))
+    assert main(["repl", "--artifact-root", str(tmp_path)]) == 0
+    assert "error" not in capsys.readouterr().out
+    engine = OnlineImputationEngine.load(tmp_path / "snap")
     store = np.delete(values[:40].copy(), [0, 5], axis=0)
     store[2] = values[50]  # index 3 updated, then rows 0 and 5 removed
     np.testing.assert_array_equal(engine.store_relation().raw, store)
