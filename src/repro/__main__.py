@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -321,6 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "under DIR (default: in-memory ring only)",
     )
     config.add_flags(serve, config.SERVE_KNOBS)
+    # Accepted and ignored: serve has no worker pool, but the repository
+    # benchmark's server launcher (perfbench/common.py, Server) still
+    # passes --workers 4.
+    serve.add_argument("--workers", help=argparse.SUPPRESS)
 
     repl = commands.add_parser(
         "repl",
@@ -482,6 +487,14 @@ def main(argv=None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout went away (``... | head -1``).  As the
+        # Python docs' note on SIGPIPE advises, point stdout at devnull so
+        # the interpreter's final flush cannot fail again, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -31,9 +31,9 @@ The pieces:
   stdin/stdout or a TCP socket, with per-session quarantine, request
   deadlines and bounded request lines.
 * :mod:`repro.api.scheduling` — the dispatch layer behind the transports:
-  per-session FIFO queues drained by a bounded worker pool
-  (:class:`RequestScheduler`), with micro-batching of single-row imputes
-  and ``overloaded`` backpressure on full queues.
+  per-session FIFO queues executed by flat combining on the threads that
+  publish to them (:class:`RequestScheduler`), with micro-batching of
+  single-row imputes and ``overloaded`` backpressure on full queues.
 * :func:`recover_session` — rebuild an online session from its
   write-ahead log (plus the last checkpoint, when one exists) after a
   crash; see :mod:`repro.reliability` for the WAL itself.

@@ -79,9 +79,14 @@ class _TcpTransport:
         self._stream = self._conn.makefile("rw", encoding="utf-8")
 
     def request(self, payload: Dict[str, object]) -> Dict[str, object]:
-        self._stream.write(json.dumps(payload) + "\n")
-        self._stream.flush()
-        line = self._stream.readline()
+        try:
+            self._stream.write(json.dumps(payload) + "\n")
+            self._stream.flush()
+            line = self._stream.readline()
+        except OSError as exc:  # a socket's BrokenPipeError is not stdout's
+            raise ReproError(
+                f"the connection to the server failed: {exc}"
+            ) from exc
         if not line:
             raise ReproError("the server closed the connection")
         return json.loads(line)
@@ -89,6 +94,8 @@ class _TcpTransport:
     def close(self) -> None:
         try:
             self._stream.close()
+        except OSError:
+            pass  # a dropped connection cannot take the unsent request
         finally:
             self._conn.close()
 

@@ -1,35 +1,43 @@
-"""The dispatch layer of the serve loop: queues, workers, micro-batches.
+"""The serve loop's dispatch layer: session queues, combining, micro-batches.
 
 The transports (:func:`~repro.api.serve.serve_stdio`,
-:func:`~repro.api.serve.serve_tcp`) read lines on one thread per stream
-and hand each parsed session command to :meth:`RequestScheduler.submit`.
-A request-response TCP client's command runs right there, on the thread
-that read it, whenever nothing else of its session is queued or executing
-and no coalescing window is set: a hand-off to a worker would cost a
-thread wake-up and buy no parallelism.  Everything else is split from its
-reader:
+:func:`~repro.api.serve.serve_tcp`) read lines on one thread per stream,
+and every session command runs on a thread that asked for it.  Dispatch
+is *flat combining* (Hendler, Incze, Shavit and Tzafrir, "Flat combining
+and the synchronization-parallelism tradeoff", SPAA 2010):
 
-* producers enqueue parsed session commands onto **per-session FIFO
-  queues**, bounded at ``max_queued_requests`` — a full queue answers a
-  typed ``overloaded`` error instead of buffering without bound;
-* a **bounded worker pool** drains the queues concurrently.  At most one
-  thread — a worker, or a reader running its own request — executes a
-  given session at a time, so requests of one session execute (and
-  answer) in submission order, while different sessions proceed in
-  parallel — numpy releases the GIL inside the GEMM-heavy kernels, so the
-  parallelism is real, not cosmetic;
+* a caller **publishes** each parsed session command on its session's
+  FIFO queue (:meth:`RequestScheduler.submit`), bounded at
+  ``max_queued_requests`` — a full queue answers a typed ``overloaded``
+  error instead of buffering without bound;
+* it then **combines** (:meth:`RequestScheduler.combine`): until its
+  requests are answered it either *holds* their session and executes that
+  queue in order — other callers' requests included — or waits while
+  another thread holds it.  One thread holds a session at a time, so one
+  session's requests execute (and answer) in publication order, while
+  different sessions run in parallel on their callers' threads — numpy
+  releases the GIL inside the GEMM-heavy kernels;
+* a holder's **turn ends** once its own requests are answered, and a
+  waiting publisher takes over the rest: no request is stranded, and a hot
+  session cannot keep one connection's reader from its own socket.  No
+  thread waits while it holds a session, except for a positive coalescing
+  window;
 * a **micro-batcher** coalesces a contiguous run of single-row ``impute``
   requests against the same session and missing-cell pattern into one
   batched kernel call (the batched path sustains ~27x the per-row
   throughput of single-request dispatch), then scatters the per-row
   responses back to the right callers.  ``microbatch_window_ms > 0``
-  additionally holds an eligible head request open for stragglers (and
-  sends every request through the queues); the default ``0`` coalesces
-  only what is already queued, so request-response clients pay no added
-  latency.
+  additionally holds an eligible head request open for stragglers from
+  other threads; the default ``0`` coalesces only what is already queued.
 
-Every request handed to :meth:`submit` is answered exactly once through
-its ``respond`` callback — also on handler failure, worker crash or
+A TCP reader publishes every complete line its buffer holds before it
+combines, so a pipelining client's lines coalesce with each other and
+with other connections' lines to the same session, while a
+request-response client's command runs on its own reader thread whenever
+its session is free.
+
+Every request handed to :meth:`~RequestScheduler.submit` is answered
+exactly once through its ``respond`` callback — also on handler failure or
 server shutdown — because the transports' ordered writers block until
 every reserved slot is filled.
 """
@@ -43,12 +51,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..exceptions import ProtocolError, ServerOverloadedError
-from ..obs import (
-    count_inline_request,
-    observe_microbatch,
-    set_queue_depth,
-    set_serve_workers,
-)
+from ..obs import observe_microbatch, set_queue_depth
 from .errors import error_payload
 from .messages import PROTOCOL_VERSION
 
@@ -56,15 +59,18 @@ __all__ = ["PendingRequest", "RequestScheduler"]
 
 
 class PendingRequest:
-    """One parsed request waiting on a session queue, plus its reply path."""
+    """One parsed request on a session queue, plus its reply path."""
 
-    __slots__ = ("request", "respond", "enqueued_at")
+    __slots__ = ("request", "respond", "enqueued_at", "key", "done")
 
     def __init__(self, request: Dict[str, object],
                  respond: Callable[[Dict[str, object]], None]):
         self.request = request
         self.respond = respond
         self.enqueued_at = time.monotonic()
+        self.key = _queue_key(request)
+        #: Set once ``respond`` has been called.
+        self.done = False
 
     def single_impute_row(self) -> Optional[List[object]]:
         """The request's one wire row, when it is a coalescible impute.
@@ -74,7 +80,7 @@ class PendingRequest:
         numbers and nulls.  Anything else (batches, malformed rows, an
         infinite cell, an integer beyond float range) returns ``None`` and
         is dispatched unbatched, so validation errors keep their
-        per-request envelope.  Never raises: a worker calls it under the
+        per-request envelope.  Never raises: a combiner calls it under the
         scheduler lock on whatever a client sent.
         """
         if self.request.get("cmd") != "impute":
@@ -92,6 +98,13 @@ class PendingRequest:
         if not all(cell is None or _finite_number(cell) for cell in row):
             return None
         return list(row)
+
+
+def _queue_key(request: Dict[str, object]) -> str:
+    session = request.get("session")
+    # Invalid session fields still flow through the scheduler so their
+    # typed error answers in order; they all share one catch-all key.
+    return session if isinstance(session, str) and session else "\x00"
 
 
 def _finite_number(cell: object) -> bool:
@@ -117,181 +130,171 @@ def _missing_signature(row: List[object]) -> tuple:
     )
 
 
+class _Published(threading.local):
+    """The calling thread's publications, in order, that may be unanswered."""
+
+    def __init__(self):
+        self.pending: List[PendingRequest] = []
+
+
 class RequestScheduler:
-    """Per-session FIFO queues drained by a bounded worker pool.
+    """Per-session FIFO queues, executed by the threads that publish to them.
 
     ``server`` is the :class:`~repro.api.serve.SessionServer` whose
     :meth:`handle_request` executes each dispatch unit; the scheduler
-    owns ordering, parallelism, backpressure and coalescing, the server
-    owns semantics (locking, quarantine, deadlines, WAL).  The server's
-    line envelope admits (authenticates) every request before it is
-    queued, so a coalesced batch carries no credentials of its own.
+    owns ordering, backpressure and coalescing, the server owns semantics
+    (locking, quarantine, deadlines, WAL).  The server's line envelope
+    admits (authenticates) every request before it is published, so a
+    coalesced batch carries no credentials of its own.
 
-    Worker threads are daemonic and started lazily on the first queued
-    request, so in-process servers that only ever call ``handle_line``
-    synchronously — and TCP servers whose clients never pipeline — never
-    pay for a pool.
+    The scheduler starts no thread: a caller publishes with :meth:`submit`
+    and executes with :meth:`combine`.
     """
 
     def __init__(
         self,
         server,
         *,
-        workers: int,
         microbatch_window_ms: float,
         microbatch_max_rows: int,
         max_queued_requests: int,
     ):
         self.server = server
-        self.workers = int(workers)
         self.microbatch_window_ms = float(microbatch_window_ms)
         self.microbatch_max_rows = int(microbatch_max_rows)
         self.max_queued_requests = int(max_queued_requests)
         self._lock = threading.Lock()
+        #: Wakes a holder waiting out a coalescing window: a request arrived.
         self._work = threading.Condition(self._lock)
-        self._idle = threading.Condition(self._lock)
+        #: Wakes combiners and drain(): a turn ended or requests answered.
+        self._changed = threading.Condition(self._lock)
         self._queues: Dict[str, Deque[PendingRequest]] = {}
-        #: Sessions with queued work and no worker on them yet, FIFO.
-        self._ready: Deque[str] = deque()
-        self._ready_set: set = set()
-        #: Sessions a thread is currently executing (one thread per
-        #: session): a worker draining its queue, or a reader running its
-        #: own request inline.
+        #: Sessions a thread holds (one holder per session).
         self._active: set = set()
-        self._threads: List[threading.Thread] = []
+        self._published = _Published()
         self._stopping = False
         # Lifetime counters (read under the lock by snapshot()).
         self.dispatched = 0
-        self.inline = 0
         self.batches_formed = 0
         self.rows_coalesced = 0
         self.rejected_overloaded = 0
 
     # ------------------------------------------------------------------ #
-    # Producer side
+    # Publishing
     # ------------------------------------------------------------------ #
     def submit(self, request: Dict[str, object],
-               respond: Callable[[Dict[str, object]], None],
-               inline: bool = False) -> None:
-        """Enqueue one parsed session command; ``respond`` answers it later.
+               respond: Callable[[Dict[str, object]], None]) -> None:
+        """Publish one parsed session command; :meth:`combine` runs it.
 
-        With ``inline`` (the caller reads a connection that has never
-        pipelined) the command runs on the calling thread instead, when
-        its session has nothing queued or executing and no coalescing
-        window is set; ``respond`` has then been called when this returns.
-        Otherwise it queues as usual.
+        ``respond`` is called exactly once, by the thread that executes the
+        request: this one in a later :meth:`combine`, or meanwhile the
+        thread holding its session.  A full queue may hold this thread's
+        own earlier publications, which only it would run: it runs them
+        first and retries once.
 
         Raises :class:`ServerOverloadedError` when the session's queue is
-        full and :class:`ProtocolError` once the scheduler is stopping —
-        in both cases nothing was enqueued and the caller still owns the
-        response.
+        still full and :class:`ProtocolError` once the scheduler is
+        stopping — in both cases nothing was enqueued and the caller still
+        owns the response.
         """
-        key = self._queue_key(request)
+        pending = PendingRequest(request, respond)
+        if self._publish(pending):
+            return
+        self.combine()
+        if self._publish(pending):
+            return
+        with self._lock:
+            self.rejected_overloaded += 1
+        raise ServerOverloadedError(
+            f"session {pending.key!r} already has {self.max_queued_requests} "
+            f"queued request(s) (max_queued_requests="
+            f"{self.max_queued_requests}); back off and resubmit"
+        )
+
+    def _publish(self, pending: PendingRequest) -> bool:
+        """Append to the session's queue; ``False`` when it is full."""
         with self._lock:
             if self._stopping:
                 raise ProtocolError("the server is shutting down")
-            queue = self._queues.get(key)
-            if (
-                inline
-                and not queue
-                and key not in self._active
-                and self.microbatch_window_ms == 0.0
-            ):
-                # Marked active, the session is this thread's alone: no
-                # worker starts it, and drain() waits for it.
-                self._active.add(key)
-                self.inline += 1
-            else:
-                if queue is None:
-                    queue = self._queues[key] = deque()
-                if len(queue) >= self.max_queued_requests:
-                    self.rejected_overloaded += 1
-                    raise ServerOverloadedError(
-                        f"session {key!r} already has {len(queue)} queued "
-                        f"request(s) (max_queued_requests="
-                        f"{self.max_queued_requests}); back off and resubmit"
-                    )
-                queue.append(PendingRequest(request, respond))
-                if key not in self._active and key not in self._ready_set:
-                    self._ready.append(key)
-                    self._ready_set.add(key)
-                self._ensure_workers_locked()
-                set_queue_depth(self._depth_locked())
-                self._work.notify()
-                return
-        count_inline_request()
-        try:
-            self._execute(key, [PendingRequest(request, respond)])
-        finally:
-            with self._lock:
-                self._release_locked(key)
-
-    @staticmethod
-    def _queue_key(request: Dict[str, object]) -> str:
-        session = request.get("session")
-        # Invalid session fields still flow through the scheduler so their
-        # typed error answers in order; they all share one catch-all key.
-        return session if isinstance(session, str) and session else "\x00"
-
-    def _ensure_workers_locked(self) -> None:
-        if self._threads or self._stopping:
-            return
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-serve-worker-{index}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-        set_serve_workers(len(self._threads))
+            queue = self._queues.get(pending.key)
+            if queue is None:
+                queue = self._queues[pending.key] = deque()
+            elif len(queue) >= self.max_queued_requests:
+                return False
+            queue.append(pending)
+            set_queue_depth(self._depth_locked())
+            self._work.notify_all()
+        self._published.pending.append(pending)
+        return True
 
     # ------------------------------------------------------------------ #
-    # Worker side
+    # Combining
     # ------------------------------------------------------------------ #
-    def _worker_loop(self) -> None:
-        while True:
+    def combine(self) -> None:
+        """Execute until every request this thread published is answered.
+
+        Takes a turn on each free session holding an unanswered request of
+        this thread, and waits, holding nothing, while other threads hold
+        them.  Returns at once when nothing of this thread is queued.
+        """
+        mine = self._published.pending
+        while mine:
             with self._lock:
-                while not self._ready and not self._stopping:
-                    self._work.wait()
-                if self._stopping and not self._ready:
+                key = self._take_turn_locked(mine)
+                if key is None:
                     return
-                key = self._ready.popleft()
-                self._ready_set.discard(key)
-                self._active.add(key)
-            # Everything after marking the session active sits in this try,
-            # so no failure can leave it active and stall drain().
+            last = next(p for p in reversed(mine) if p.key == key)
             try:
-                with self._lock:
-                    unit = self._take_unit_locked(key)
-                    set_queue_depth(self._depth_locked())
-                if unit:
-                    self._execute(key, unit)
+                self._run_turn(key, last)
             finally:
                 with self._lock:
-                    self._release_locked(key)
+                    self._active.discard(key)
+                    queue = self._queues.get(key)
+                    if queue is not None and not queue:
+                        del self._queues[key]
+                    self._changed.notify_all()
 
-    def _release_locked(self, key: str) -> None:
-        """End a thread's turn on ``key``: requests that queued meanwhile
-        go to the pool, an emptied queue is dropped, and drain() wakes."""
-        self._active.discard(key)
-        queue = self._queues.get(key)
-        if queue:
-            if key not in self._ready_set:
-                self._ready.append(key)
-                self._ready_set.add(key)
-            self._work.notify()
-        elif queue is not None:
-            del self._queues[key]
-        self._idle.notify_all()
+    def _take_turn_locked(self, mine: List[PendingRequest]) -> Optional[str]:
+        """Hold a session with unanswered requests of ``mine``; ``None``
+        once all of them are answered."""
+        while True:
+            mine[:] = [pending for pending in mine if not pending.done]
+            if not mine:
+                return None
+            for pending in mine:
+                if (
+                    pending.key not in self._active
+                    and self._queues.get(pending.key)
+                ):
+                    self._active.add(pending.key)
+                    return pending.key
+            self._changed.wait()
+
+    def _run_turn(self, key: str, last: PendingRequest) -> None:
+        """Execute ``key``'s queue in order until ``last`` is answered."""
+        unit: List[PendingRequest] = []
+        while True:
+            with self._lock:
+                if unit:
+                    # The last unit may have answered requests of waiting
+                    # publishers: let them go back to their sockets.
+                    self._changed.notify_all()
+                if last.done:
+                    return
+                unit = self._take_unit_locked(key)
+                set_queue_depth(self._depth_locked())
+            if not unit:
+                return  # stop() emptied the queue and answers it
+            self._execute(key, unit)
 
     def _take_unit_locked(self, key: str) -> List[PendingRequest]:
         """Pop the next dispatch unit: one request, or a coalesced run.
 
-        Called with the lock held and ``key`` marked active, so no other
-        worker can race on this queue; a positive window waits (releasing
-        the lock) for stragglers while the batch has room.  Returns an
-        empty unit when :meth:`stop` has already answered the queue.
+        Called with the lock held by the thread holding ``key``, so no
+        other thread takes from this queue; a positive window waits
+        (releasing the lock) for stragglers while the batch has room.
+        Returns an empty unit when :meth:`stop` has already answered the
+        queue.
         """
         queue = self._queues.get(key)
         if not queue:
@@ -393,12 +396,13 @@ class RequestScheduler:
     @staticmethod
     def _answer(pending: PendingRequest,
                 response: Dict[str, object]) -> None:
-        # A dead client's respond callback must not take down the worker
+        # A dead client's respond callback must not take down the combiner
         # (or starve the ordered writer of the slot's sibling responses).
         try:
             pending.respond(response)
         except Exception:  # noqa: BLE001 - reply path is best-effort
             pass
+        pending.done = True
 
     # ------------------------------------------------------------------ #
     # Lifecycle + introspection
@@ -407,12 +411,14 @@ class RequestScheduler:
         return sum(len(queue) for queue in self._queues.values())
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every queued request has been answered.
+        """Block until every published request has been answered.
 
-        Returns ``False`` on timeout.  Used by the transports before
-        executing ``shutdown`` and at EOF, so pipelined requests are
-        answered before the stream closes.
+        Runs this thread's own publications first — nobody else would.
+        Returns ``False`` on timeout.  Used by ``shutdown`` and by
+        :meth:`stop`, so pipelined requests are answered before the
+        stream closes.
         """
+        self.combine()
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while self._queues or self._active:
@@ -421,17 +427,16 @@ class RequestScheduler:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0.0:
                         return False
-                self._idle.wait(remaining)
+                self._changed.wait(remaining)
         return True
 
     def stop(self, join_timeout: float = 5.0) -> None:
-        """Reject new submits, fail queued ones, and join the workers.
+        """Reject new submits, fail queued ones, and wait for the holders.
 
-        Idempotent; queued-but-undispatched requests are answered with a
+        Idempotent; queued-but-unexecuted requests are answered with a
         ``protocol`` shutdown error so no reserved response slot leaks.
-        Requests already executing — on a worker, or inline on a reader
-        thread, which no join covers — get up to ``join_timeout`` seconds
-        to finish, so the caller can release their sessions afterwards.
+        Requests already executing get up to ``join_timeout`` seconds to
+        finish, so the caller can release their sessions afterwards.
         """
         with self._lock:
             self._stopping = True
@@ -440,11 +445,7 @@ class RequestScheduler:
                 orphans.extend(queue)
                 queue.clear()
             self._queues.clear()
-            self._ready.clear()
-            self._ready_set.clear()
-            threads = list(self._threads)
             self._work.notify_all()
-            self._idle.notify_all()
         exc = ProtocolError("the server is shutting down")
         for pending in orphans:
             self._answer(pending, {
@@ -453,12 +454,9 @@ class RequestScheduler:
                 "ok": False,
                 "error": error_payload(exc),
             })
-        current = threading.current_thread()
-        if current not in threads:
-            self.drain(join_timeout)
-        for thread in threads:
-            if thread is not current:
-                thread.join(timeout=join_timeout)
+        with self._lock:
+            self._changed.notify_all()
+        self.drain(join_timeout)
         set_queue_depth(0)
 
     def snapshot(self) -> Dict[str, object]:
@@ -472,13 +470,10 @@ class RequestScheduler:
             batches = self.batches_formed
             coalesced = self.rows_coalesced
             return {
-                "workers": self.workers,
-                "started": bool(self._threads),
                 "queued": queued,
                 "queue_depth": sum(queued.values()),
                 "active_sessions": sorted(self._active),
                 "dispatched": self.dispatched,
-                "inline": self.inline,
                 "rejected_overloaded": self.rejected_overloaded,
                 "microbatch": {
                     "window_ms": self.microbatch_window_ms,

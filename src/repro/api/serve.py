@@ -41,14 +41,14 @@ Malformed lines answer with an error response instead of killing the loop
 
 Concurrency
 -----------
-Transports parse each line and hand it to the
-:class:`~repro.api.scheduling.RequestScheduler`.  A TCP connection that has
-never pipelined (a request-response client) runs its session command on
-its own thread when nothing else of that session is queued or executing;
-every other command is enqueued, and a bounded worker pool drains the
-per-session FIFO queues concurrently — one session's requests execute in
-submission order, different sessions in parallel — and coalesces runs of
-single-row ``impute`` requests into one batched kernel call.  Session
+Transports parse each line and publish its session command on the
+:class:`~repro.api.scheduling.RequestScheduler`'s per-session FIFO queue,
+then execute by flat combining: the reader thread holds the session and
+runs its queue in order — other connections' requests included — until
+its own requests are answered, or waits while another reader holds it.
+One session's requests execute in publication order, different sessions
+in parallel on their readers' threads, and runs of single-row ``impute``
+requests coalesce into one batched kernel call.  Session
 state is guarded by *per-session* locks plus a short-critical-section
 registry lock over the session table, so a slow (or deadline-abandoned)
 request poisons one session, never the server.  Admission control
@@ -145,12 +145,14 @@ class SessionServer:
 
     Holds the named-session table and answers decoded requests;
     :func:`serve_stdio` and :func:`serve_tcp` are transports around
-    :meth:`submit_line` (queued, concurrent) and :meth:`handle_line`
-    (synchronous, for in-process use and tests).  All methods are safe to
-    call from multiple threads: each session's state is guarded by its own
-    lock — numpy releases the GIL in the GEMM-heavy kernels, so distinct
-    sessions genuinely run in parallel — and the session table itself by a
-    registry lock held only for dictionary operations.
+    :meth:`submit_line` (publish) and the scheduler's
+    :meth:`~repro.api.scheduling.RequestScheduler.combine` (execute);
+    :meth:`handle_line` does both for in-process use and tests.  All
+    methods are safe to call from multiple threads: each session's state
+    is guarded by its own lock — numpy releases the GIL in the GEMM-heavy
+    kernels, so distinct sessions genuinely run in parallel — and the
+    session table itself by a registry lock held only for dictionary
+    operations.
 
     ``artifact_root`` confines every ``save``/``restore`` path from the
     wire to one directory: requests naming paths that resolve outside it
@@ -170,7 +172,7 @@ class SessionServer:
     through the WAL, the artifact writer and request dispatch for chaos
     testing.
 
-    ``workers``/``microbatch_window_ms``/``microbatch_max_rows``/
+    ``microbatch_window_ms``/``microbatch_max_rows``/
     ``max_queued_requests`` shape the dispatch layer (see
     :mod:`repro.api.scheduling`); ``max_rows_per_request`` and
     ``max_sessions`` are admission quotas answering typed ``quota``
@@ -178,7 +180,7 @@ class SessionServer:
     ``auth_token`` (when set) demands a matching ``"token"`` field on
     every request envelope.
 
-    Each of those ten tuning keywords is the :mod:`repro.config` knob of
+    Each of those nine tuning keywords is the :mod:`repro.config` knob of
     the same name (:data:`repro.config.SERVE_KNOBS`), and each
     ``python -m repro serve`` flag is generated from its table row.  The
     ``"default"`` sentinel resolves the knob process-wide: a
@@ -198,7 +200,6 @@ class SessionServer:
         fault_injector=None,
         trace_log: Optional[Union[str, Path]] = None,
         trace_sample: Union[str, float, None] = "default",
-        workers: Union[str, int] = "default",
         microbatch_window_ms: Union[str, float] = "default",
         microbatch_max_rows: Union[str, int] = "default",
         max_rows_per_request: Union[str, int, None] = "default",
@@ -242,7 +243,6 @@ class SessionServer:
         self._abandoned: Dict[str, List[Dict[str, object]]] = {}
         self.scheduler = RequestScheduler(
             self,
-            workers=config.resolve("workers", workers),
             microbatch_window_ms=config.resolve(
                 "microbatch_window_ms", microbatch_window_ms
             ),
@@ -273,44 +273,28 @@ class SessionServer:
     def handle_line(self, line: str) -> Optional[Dict[str, object]]:
         """Answer one raw request line (``None`` for blank lines).
 
-        The synchronous entry point, for in-process use and tests: every
-        admitted request executes on the calling thread.
+        :meth:`submit_line`, then combine until the line is answered —
+        the path the transports take, one line at a time.
         """
         answered: List[Dict[str, object]] = []
-        self._envelope(line, answered.append, queue=False)
+        self.submit_line(line, answered.append)
+        self.scheduler.combine()
         return answered[0] if answered else None
 
     def submit_line(self, line: str,
-                    respond: Callable[[Dict[str, object]], None],
-                    inline: bool = False) -> bool:
-        """Parse one raw request line and route it for execution.
+                    respond: Callable[[Dict[str, object]], None]) -> bool:
+        """Bound, decode and authenticate one raw line, then route it.
 
-        The concurrent entry point of the transports: session commands are
-        enqueued on the scheduler (``respond`` is invoked from a worker
-        once the request executes, in per-session submission order), while
-        control commands — and every admission rejection — answer inline
-        on the calling thread.  ``respond`` is called exactly once for any
+        A session command is published on its session's queue; ``respond``
+        is called once it executes, in per-session publication order, when
+        the caller (or the holder of its session) combines.  A control
+        command — and every admission rejection — answers on the calling
+        thread, a control command after the caller's own published
+        commands have run.  ``respond`` is called exactly once for any
         non-blank line; blank lines return ``False`` without calling it.
-
-        ``inline`` says the caller reads a connection that has never
-        pipelined: a session command then runs on the calling thread when
-        the scheduler finds its session idle (see
-        :meth:`~repro.api.scheduling.RequestScheduler.submit`).
 
         ``shutdown`` first drains the scheduler so every pipelined request
         ahead of it is answered, then stops the server.
-        """
-        return self._envelope(line, respond, queue=True, inline=inline)
-
-    def _envelope(self, line: str,
-                  respond: Callable[[Dict[str, object]], None],
-                  queue: bool, inline: bool = False) -> bool:
-        """Bound, decode and authenticate one line, then answer or queue it.
-
-        Both entry points share this one admission path, so a line earns
-        the same answer through either.  With ``queue`` session commands
-        go to the scheduler (``inline`` passes on to it); otherwise every
-        request executes on the calling thread.
         """
         line = line.strip()
         if not line:
@@ -335,10 +319,11 @@ class SessionServer:
             # capacity; the scheduler holds admitted requests only.
             self._check_auth(request)
             cmd_label = self._label(request)
-            if queue and cmd_label in self._SESSION_COMMANDS:
-                self.scheduler.submit(request, respond, inline=inline)
+            if cmd_label in self._SESSION_COMMANDS:
+                self.scheduler.submit(request, respond)
                 return True
-            if queue and cmd_label == "shutdown":
+            self.scheduler.combine()
+            if cmd_label == "shutdown":
                 self.scheduler.drain()
             response = self.handle_request(request)
         except Exception as exc:  # noqa: BLE001 - the loop must survive bad input
@@ -462,10 +447,10 @@ class SessionServer:
             ):
                 if self.fault_injector is not None:
                     # Attribute the firing to the session so session-scoped
-                    # faults count deterministically: the scheduler runs at
-                    # most one worker per session, so "the Nth dispatch of
-                    # session X" is the same request in every run even
-                    # though the global dispatch order is racy.
+                    # faults count deterministically: one thread at a time
+                    # holds a session, so "the Nth dispatch of session X"
+                    # is the same request in every run even though the
+                    # global dispatch order is racy.
                     self.fault_injector.fire(
                         "serve.dispatch",
                         session=(
@@ -854,7 +839,6 @@ class SessionServer:
             ),
             "deadline_seconds": self.deadline_seconds,
             "max_request_bytes": self.max_request_bytes,
-            "serve_workers": self.scheduler.workers,
             "microbatch_window_ms": self.scheduler.microbatch_window_ms,
             "microbatch_max_rows": self.scheduler.microbatch_max_rows,
             "max_rows_per_request": self.max_rows_per_request,
@@ -1071,7 +1055,7 @@ class SessionServer:
         Idempotent; the transports call it when their input ends — EOF is
         an orderly end of a stdio pipeline, not a crash, so file handles
         must not be left to the garbage collector.  Stops the scheduler
-        first, so no request — queued or inline — executes in a session
+        first, so no request — queued or executing — runs in a session
         being closed.
         """
         self.scheduler.stop()
@@ -1112,8 +1096,8 @@ class SessionServer:
     }
 
     #: Commands that target one session's state: they run under that
-    #: session's lock and, on the transports, through its FIFO queue.
-    #: Everything else is a control command answering inline, lock-free.
+    #: session's lock, through its FIFO queue.  Everything else is a
+    #: control command answering on the calling thread, lock-free.
     _SESSION_COMMANDS = frozenset({
         "create", "fit", "append", "delete", "update", "mutate", "impute",
         "query", "stats", "save", "restore", "close",
@@ -1124,10 +1108,10 @@ class _OrderedWriter:
     """Emits responses in request order while execution runs out of order.
 
     A byte stream has one order, so each accepted input line reserves the
-    next output slot; scheduler workers fill slots as requests finish and
-    the writer flushes the contiguous prefix.  One slow request therefore
-    delays the *emission* of later responses on its own stream — but not
-    their execution, and other connections flow independently.
+    next output slot; whichever thread executes a request fills its slot
+    and the writer flushes the contiguous prefix.  One slow request
+    therefore delays the *emission* of later responses on its own stream —
+    but not their execution, and other connections flow independently.
 
     Write failures mark the stream dead and drop the remaining responses:
     the requests still execute (their state changes are real), there is
@@ -1141,12 +1125,6 @@ class _OrderedWriter:
         self._next_seq = 0
         self._next_emit = 0
         self.dead = False
-
-    @property
-    def outstanding(self) -> bool:
-        """Whether a reserved slot has not been emitted yet."""
-        with self._lock:
-            return self._next_emit < self._next_seq
 
     def reserve(self) -> Callable[[Dict[str, object]], None]:
         """Claim the next output slot; the returned callable fills it."""
@@ -1176,12 +1154,11 @@ def serve_stdio(
 ) -> int:
     """Serve requests line-by-line from ``stdin`` until EOF or ``shutdown``.
 
-    Session commands execute on the server's scheduler (pipelined lines
-    against different sessions run concurrently; responses still emit in
-    request order).  Without an explicit ``server`` the loop runs confined
-    to the working directory (save/restore paths may not escape it); pass
-    a :class:`SessionServer` of your own to choose a different artifact
-    root or to run unconfined.
+    Each line runs to its answer on the reader thread before the next is
+    read, so pipelined stdio lines neither overlap nor coalesce.  Without
+    an explicit ``server`` the loop runs confined to the working directory
+    (save/restore paths may not escape it); pass a :class:`SessionServer`
+    of your own to choose a different artifact root or to run unconfined.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
@@ -1200,7 +1177,7 @@ def _serve_stdio_loop(stdin, stdout, server, limit) -> None:
         stdout.flush()
 
     writer = _OrderedWriter(emit)
-    while True:
+    while server.running:
         line = stdin.readline() if limit is None else stdin.readline(limit + 1)
         if not line:
             break
@@ -1212,95 +1189,74 @@ def _serve_stdio_loop(stdin, stdout, server, limit) -> None:
                 if not rest or rest.endswith("\n"):
                     break
             writer.reserve()(server.oversized_response())
-        elif not line.strip():
-            continue  # blank line: no response slot
-        else:
+        elif line.strip():  # a blank line gets no response slot
             server.submit_line(line, writer.reserve())
-        if not server.running:
-            return  # shutdown already drained the scheduler
-    # EOF: answer everything still queued before releasing the sessions.
-    server.scheduler.drain()
+            server.scheduler.combine()
+
+
+#: Bytes one ``recv_into`` may read; a longer line grows the buffer.
+_RECV_BYTES = 1 << 16
 
 
 class _JsonlTCPHandler(socketserver.StreamRequestHandler):
     """One TCP connection: reads its lines, writes its responses in order.
 
-    A connection *pipelines* once it sends a request while another of its
-    requests is outstanding — still unanswered, or already buffered behind
-    the line just read.  Until then each session command may run on this
-    thread (``inline``); from then on, for the connection's lifetime, its
-    commands queue, so a pipelining client's requests keep coalescing
-    even when its window of in-flight requests briefly drains.
+    The reader blocks in ``recv_into`` on one persistent buffer, publishes
+    every complete line the buffer holds, then combines until they are
+    answered, and only then reads again.  A pipelining client's buffered
+    lines therefore coalesce, and a request-response client's command runs
+    on this thread whenever its session is free.  The socket stays
+    blocking, so another connection's reader can always ``sendall`` this
+    connection's responses.
     """
 
     def handle(self):
         server: SessionServer = self.server.session_server  # type: ignore[attr-defined]
         limit = server.max_request_bytes
         writer = _OrderedWriter(self._emit)
-        pipelining = False
+        buffer = bytearray(_RECV_BYTES)
+        start = end = 0  # buffer[start:end] is read but not yet parsed
+        skipping = False  # inside an over-long line, dropping its bytes
         while True:
+            if end == len(buffer):
+                if start:
+                    buffer[:end - start] = buffer[start:end]
+                    end -= start
+                    start = 0
+                else:
+                    buffer.extend(bytes(len(buffer)))
             try:
-                raw = (
-                    self.rfile.readline()
-                    if limit is None
-                    else self.rfile.readline(limit + 1)
-                )
-            except (ConnectionResetError, OSError):
+                received = self.connection.recv_into(memoryview(buffer)[end:])
+            except OSError:
                 return  # client vanished: nothing left to answer
-            if not raw:
-                return
-            if not raw.endswith(b"\n"):
-                if limit is not None and len(raw) > limit:
-                    # Over-long line: drain to its newline, then answer a
-                    # typed error so the client can correct itself.
-                    try:
-                        while True:
-                            rest = self.rfile.readline(1 << 16)
-                            if not rest or rest.endswith(b"\n"):
-                                break
-                    except (ConnectionResetError, OSError):
-                        return
-                    if not rest:
-                        return  # disconnected mid-line: discard the torn frame
+            if not received:
+                return  # EOF; a torn last line is discarded
+            end += received
+            while server.running:
+                newline = buffer.find(b"\n", start, end)
+                if newline < 0:
+                    break
+                if skipping or (limit is not None and newline - start > limit):
+                    # An over-long line ends: answer a typed error so the
+                    # client can correct itself.
+                    skipping = False
                     writer.reserve()(server.oversized_response())
                 else:
-                    # Client disconnected mid-line: the frame is torn, so
-                    # discard it and close this connection quietly.
-                    return
-            else:
-                text = raw.decode("utf-8", errors="replace")
-                if not text.strip():
-                    continue  # blank line: no response slot
-                if not pipelining:
-                    # Outstanding first: only then may the socket go
-                    # non-blocking for the peek.
-                    pipelining = writer.outstanding or self._line_buffered()
-                server.submit_line(
-                    text, writer.reserve(), inline=not pipelining
-                )
+                    text = buffer[start:newline].decode(
+                        "utf-8", errors="replace"
+                    )
+                    if text.strip():  # a blank line gets no response slot
+                        server.submit_line(text, writer.reserve())
+                start = newline + 1
+            if skipping or (limit is not None and end - start > limit):
+                skipping = True  # drop what came of the over-long line
+                start = end
+            if start == end:
+                start = end = 0
+            server.scheduler.combine()
             if not server.running:
                 self.server.shutdown_event.set()  # type: ignore[attr-defined]
                 return
-
-    def _line_buffered(self) -> bool:
-        """Whether a further complete line already waits to be read.
-
-        Peeks without blocking: the socket is non-blocking for the one
-        read ``peek`` may make when the buffer is empty, then gets its
-        timeout back.  Call it only while none of this connection's
-        requests is outstanding: a worker's ``sendall`` on the socket
-        meanwhile could fail with EAGAIN and drop the connection's
-        remaining responses.
-        """
-        try:
-            self.connection.setblocking(False)
-            try:
-                buffered = self.rfile.peek()
-            finally:
-                self.connection.settimeout(self.timeout)
-        except OSError:
-            return False  # the next readline meets the failure
-        return b"\n" in buffered
 
     def _emit(self, response: Dict[str, object]) -> None:
         self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))

@@ -5,13 +5,13 @@ its name, environment variable, default, parser, one-line doc, and whether
 ``None`` is one of its values (an unbounded cache, no deadline).  The rows
 cover the IIM kernel backend, the online engine (model cache, refresh
 policy), the write-ahead log, the serve loop (deadline, request bounds,
-worker pool, micro-batching, admission quotas), observability, query
-provenance and scenario replay.
+micro-batching, admission quotas), observability, query provenance and
+scenario replay.
 
 A knob's value resolves, in decreasing priority, from
 
 1. a per-call argument (``backend=...``, ``OnlineImputationEngine(
-   refresh_policy=...)``, ``SessionServer(workers=...)``) passed through
+   refresh_policy=...)``, ``SessionServer(max_sessions=...)``) passed through
    :func:`resolve`;
 2. the process-wide value chosen by :func:`set` or :func:`override`;
 3. the knob's environment variable;
@@ -158,12 +158,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "per-request serve deadline in seconds; overruns answer a deadline "
          "error",
          nullable=True, flag="--deadline"),
-    # Numpy releases the GIL inside the GEMM-heavy kernels, so a few
-    # workers buy cross-session parallelism; more than the live sessions
-    # or cores only adds contention.
-    Knob("workers", "REPRO_SERVE_WORKERS", 4, _count,
-         "serve worker threads draining the per-session queues",
-         flag="--workers"),
     # 0 merges only requests already queued behind one another, so
     # request-response clients pay no added latency.
     Knob("microbatch_window_ms", "REPRO_MICROBATCH_WINDOW_MS", 0.0,
@@ -221,7 +215,6 @@ SERVE_KNOBS = (
     "wal_sync",
     "deadline_seconds",
     "max_request_bytes",
-    "workers",
     "microbatch_window_ms",
     "microbatch_max_rows",
     "max_rows_per_request",

@@ -28,9 +28,7 @@ metric                           kind       labels
 ``repro_fault_activations_total``  counter  ``site``, ``kind``
 ``repro_store_rows_total``       counter    ``op`` (append/delete/update)
 ``repro_sessions_open``          gauge      —
-``repro_serve_workers``          gauge      —
 ``repro_queue_depth``            gauge      —
-``repro_inline_requests_total``  counter    —
 ``repro_microbatches_total``     counter    —
 ``repro_microbatch_rows_total``  counter    —
 ``repro_microbatch_fill``        histogram  —
@@ -92,9 +90,7 @@ __all__ = [
     "count_fault_activation",
     "count_store_rows",
     "set_sessions_open",
-    "set_serve_workers",
     "set_queue_depth",
-    "count_inline_request",
     "observe_microbatch",
     "count_admission_rejection",
     "query_phase",
@@ -183,18 +179,9 @@ SESSIONS_OPEN = _registry.gauge(
     "repro_sessions_open",
     "Sessions currently open on the serve loop.",
 )
-SERVE_WORKERS = _registry.gauge(
-    "repro_serve_workers",
-    "Worker threads in the serve scheduler's pool.",
-)
 QUEUE_DEPTH = _registry.gauge(
     "repro_queue_depth",
     "Requests queued across every session FIFO queue of the serve scheduler.",
-)
-INLINE_REQUESTS_TOTAL = _registry.counter(
-    "repro_inline_requests_total",
-    "Session commands the serve scheduler ran on the connection thread "
-    "that read them instead of queueing them for the worker pool.",
 )
 MICROBATCHES_TOTAL = _registry.counter(
     "repro_microbatches_total",
@@ -415,22 +402,10 @@ def set_sessions_open(n: int) -> None:
     SESSIONS_OPEN.set(n)
 
 
-def set_serve_workers(n: int) -> None:
-    if not _knob("obs_enabled"):
-        return
-    SERVE_WORKERS.set(n)
-
-
 def set_queue_depth(n: int) -> None:
     if not _knob("obs_enabled"):
         return
     QUEUE_DEPTH.set(n)
-
-
-def count_inline_request() -> None:
-    if not _knob("obs_enabled"):
-        return
-    INLINE_REQUESTS_TOTAL._inc_fast(())
 
 
 def observe_microbatch(fill: int, wait_seconds: float) -> None:

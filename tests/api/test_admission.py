@@ -119,7 +119,10 @@ class TestSessionQuota:
 
 class TestBackpressure:
     def test_full_queue_answers_overloaded_inline(self, values):
-        server = SessionServer(workers=1, max_queued_requests=1)
+        """The rejection answers on the submitting thread at once; the
+        slow request and the one queued behind it, each sent from a thread
+        of its own as a connection's reader would, both answer."""
+        server = SessionServer(max_queued_requests=1)
         ok(server, cmd="create", session="s", config=IIM_CONFIG)
         ok(server, cmd="append", session="s", rows=encode_rows(values[:30]))
 
@@ -127,31 +130,36 @@ class TestBackpressure:
         plan = FaultPlan([Fault("serve.dispatch", "slow", delay=0.8, hit=1)])
         server.fault_injector = plan
 
-        responses = []
-        done = threading.Event()
-
-        def respond(response):
-            responses.append(response)
-            if len(responses) == 2:
-                done.set()
-
         line = json.dumps({"v": 1, "cmd": "impute", "session": "s",
                            "rows": [query_row(values, 40)]})
-        assert server.submit_line(line, respond)
-        # Wait until the first request occupies the worker, so the queue
+        responses = []
+
+        def reader():
+            responses.append(server.handle_line(line))
+
+        first = threading.Thread(target=reader)
+        first.start()
+        # Wait until the first request holds the session, so the queue
         # length below is deterministic.
         deadline = time.monotonic() + 5.0
         while plan.hits("serve.dispatch") < 1:
             assert time.monotonic() < deadline
             time.sleep(0.005)
-        assert server.submit_line(line, respond)  # fills the queue
+        second = threading.Thread(target=reader)  # fills the queue
+        second.start()
+        while server.scheduler.snapshot()["queue_depth"] < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
         rejected = []
         assert server.submit_line(line, rejected.append)
         assert rejected[0]["ok"] is False
         assert rejected[0]["error"]["code"] == "overloaded"
         assert "back off" in rejected[0]["error"]["message"]
 
-        assert done.wait(timeout=10)
+        first.join(timeout=10)
+        second.join(timeout=10)
+        assert not first.is_alive() and not second.is_alive()
+        assert len(responses) == 2
         assert all(r["ok"] for r in responses)
         assert server.scheduler.snapshot()["rejected_overloaded"] == 1
         server.close_sessions()
@@ -182,27 +190,22 @@ class TestTokenAuth:
     def test_coalesced_imputes_carry_the_members_token(self, values):
         """Coalesced imputes under auth answer: every member was admitted
         when it was enqueued, so the synthetic micro-batch needs no token."""
-        server = SessionServer(auth_token="sesame", workers=1,
-                               microbatch_max_rows=8)
+        server = SessionServer(auth_token="sesame", microbatch_max_rows=8)
         ok(server, cmd="create", session="s", config=IIM_CONFIG,
            token="sesame")
         ok(server, cmd="append", session="s", rows=encode_rows(values[:30]),
            token="sesame")
         responses = []
-        arrived = threading.Event()
-
-        def respond(response):
-            responses.append(response)
-            if len(responses) == 6:
-                arrived.set()
-
         for i in range(6):
             line = json.dumps({"v": 1, "id": i, "cmd": "impute",
                                "session": "s", "token": "sesame",
                                "rows": [query_row(values, 40 + i)]})
-            assert server.submit_line(line, respond)
-        assert arrived.wait(timeout=10)
+            assert server.submit_line(line, responses.append)
+        # Published together, then combined: one coalesced batch.
+        server.scheduler.combine()
+        assert [r["id"] for r in responses] == list(range(6))
         assert all(r["ok"] for r in responses), responses
+        assert server.scheduler.snapshot()["microbatch"]["batches"] == 1
         server.close_sessions()
 
     def test_both_entry_points_authenticate_before_the_version_check(self):
@@ -231,36 +234,30 @@ class TestTokenAuth:
         assert responses[0]["ok"] is False
         assert responses[0]["error"]["code"] == "auth"
         # Nothing reached the scheduler: the rejection answered inline.
-        assert server.scheduler.snapshot()["started"] is False
+        snapshot = server.scheduler.snapshot()
+        assert snapshot["queued"] == {} and snapshot["dispatched"] == 0
         server.close_sessions()
 
 
 class TestStatsAndHealthSurfaces:
     def test_scheduler_sections_and_microbatch_counters(self, values):
-        server = SessionServer(workers=2, microbatch_max_rows=8)
+        server = SessionServer(microbatch_max_rows=8)
         ok(server, cmd="create", session="s", config=IIM_CONFIG)
         ok(server, cmd="append", session="s", rows=encode_rows(values[:30]))
 
         collector = []
-        arrived = threading.Event()
-
-        def respond(response):
-            collector.append(response)
-            if len(collector) == 6:
-                arrived.set()
-
         for i in range(6):
             line = json.dumps({"v": 1, "id": i, "cmd": "impute",
                                "session": "s",
                                "rows": [query_row(values, 40 + i)]})
-            assert server.submit_line(line, respond)
-        assert arrived.wait(timeout=10)
+            assert server.submit_line(line, collector.append)
+        server.scheduler.combine()
+        assert len(collector) == 6
         assert all(r["ok"] for r in collector)
 
         stats = ok(server, cmd="stats", session="s")
         scheduler = stats["server"]["scheduler"]
-        assert scheduler["workers"] == 2
-        assert scheduler["started"] is True
+        assert not {"workers", "started", "inline"} & set(scheduler)
         assert scheduler["dispatched"] >= 6
         microbatch = scheduler["microbatch"]
         assert microbatch["max_rows"] == 8
@@ -273,8 +270,9 @@ class TestStatsAndHealthSurfaces:
         assert health["degraded"] == []
         assert health["abandoned"] == {}
         config = health["config"]
-        for knob in ("serve_workers", "microbatch_window_ms",
+        for knob in ("microbatch_window_ms",
                      "microbatch_max_rows", "max_rows_per_request",
                      "max_sessions", "max_queued_requests", "auth"):
             assert knob in config, knob
+        assert "serve_workers" not in config
         server.close_sessions()

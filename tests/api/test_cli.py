@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import sys
 
 import pytest
 
@@ -171,7 +173,6 @@ FLAG_VALUES = {
     "wal_sync": ("off", "off"),
     "deadline_seconds": ("5", 5.0),
     "max_request_bytes": ("none", None),
-    "workers": ("2", 2),
     "microbatch_window_ms": ("1.5", 1.5),
     "microbatch_max_rows": ("16", 16),
     "max_rows_per_request": ("100", 100),
@@ -208,11 +209,41 @@ class TestKnobFlags:
         (server,) = served
         health = server.handle_line('{"v": 1, "cmd": "health"}')["result"]
         for name in config.SERVE_KNOBS:
-            key = "serve_workers" if name == "workers" else name
-            assert health["config"][key] == FLAG_VALUES[name][1], name
+            assert health["config"][name] == FLAG_VALUES[name][1], name
 
     def test_bad_serve_knob_is_one_error_line(self, served, capsys):
-        assert repro_main(["serve", "--workers", "0"]) == 2
+        assert repro_main(["serve", "--microbatch-max-rows", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "workers" in err and not served
+        assert "microbatch_max_rows" in err and not served
+
+    def test_workers_is_accepted_hidden_and_ignored(self, served, capsys):
+        """The benchmark's server launcher still passes ``--workers 4``."""
+        assert repro_main(["serve", "--workers", "0"]) == 0
+        (server,) = served
+        health = server.handle_line('{"v": 1, "cmd": "health"}')["result"]
+        assert "serve_workers" not in health["config"]
+        assert "workers" not in health["scheduler"]
+        with pytest.raises(SystemExit):
+            repro_main(["serve", "--help"])
+        assert "--workers" not in capsys.readouterr().out
+
+
+def test_a_closed_stdout_exits_quietly(monkeypatch, capsys):
+    """``python -m repro ... | head -1``: once the reader of stdout is gone,
+    the command exits 1 without a traceback, and stdout points at devnull
+    so the interpreter's final flush cannot fail again."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = os.fdopen(write_end, "w", buffering=1)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        with pytest.raises(BrokenPipeError):
+            print("a line the closed pipe refuses")
+        assert repro_main(["scenario", "list"]) == 1
+        print("later output goes to devnull")
+        stdout.flush()
+    finally:
+        monkeypatch.undo()
+        stdout.close()
+    assert capsys.readouterr().err == ""

@@ -1,16 +1,24 @@
-"""Inline dispatch: a request-response TCP client runs on its own thread.
+"""Flat combining over real :func:`serve_tcp` sockets.
 
-The contracts, over real :func:`serve_tcp` sockets:
+Every session command runs on a thread that asked for it: a connection's
+reader publishes the lines its buffer holds, then holds their session or
+waits while another reader holds it.  The contracts:
 
-* a connection that never pipelines runs each session command on the
-  connection thread (the scheduler's ``inline`` count), the worker pool
-  never starts, and the answers equal ``handle_line``'s;
-* a burst sent in one write still queues and coalesces, bit-identically;
-* once a connection pipelines it stays on the queue;
-* an inline request holds its session exclusively, as a worker does:
-  another connection's request to that session queues behind it, other
-  sessions answer meanwhile, and ``shutdown`` drains it;
-* ``serve_stdio`` always queues.
+* a connection that waits for each reply has every command run on the
+  thread that read it, and the answers equal ``handle_line``'s;
+* a burst sent in one write coalesces, bit-identically, on its reader;
+* a connection that pipelined runs its later requests itself again;
+* a held request owns its session: another connection's request to it
+  queues, and its own reader executes it once the holder's turn ends;
+  other sessions answer meanwhile, and ``shutdown`` drains it;
+* four connections pipelining into one session each get their answers in
+  order, equal to ``handle_line``'s, while no two handler calls of the
+  session overlap and no worker thread exists;
+* a 300-line pipeline in one write answers 300 ``ok`` at default knobs;
+* a ``shutdown`` written after session commands is answered after them;
+* ``handle_line`` takes ``submit_line``'s path, and ``serve_stdio`` runs
+  each line on its reader thread: pipelined lines neither overlap nor
+  coalesce.
 """
 
 import io
@@ -20,6 +28,7 @@ import threading
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.api import SessionServer, encode_rows, serve_stdio, serve_tcp
@@ -113,6 +122,31 @@ def tcp_server(**kwargs):
         assert not thread.is_alive()
 
 
+def record_threads(server):
+    """Which thread read (``submit_line``) and which executed
+    (``handle_request``) each request, keyed by request id."""
+    read, ran = {}, {}
+    submit, handle = server.submit_line, server.handle_request
+
+    def submitted(line, respond):
+        read[json.loads(line).get("id")] = threading.current_thread().name
+        return submit(line, respond)
+
+    def handled(request):
+        ran[request.get("id")] = threading.current_thread().name
+        return handle(request)
+
+    server.submit_line = submitted
+    server.handle_request = handled
+    return read, ran
+
+
+def numbered(requests, prefix):
+    for i, request in enumerate(requests):
+        request["id"] = f"{prefix}{i}"
+    return requests
+
+
 def wait_for_hits(plan, session, count=1, timeout=5.0):
     deadline = time.monotonic() + timeout
     while plan.hits("serve.dispatch", session=session) < count:
@@ -122,73 +156,92 @@ def wait_for_hits(plan, session, count=1, timeout=5.0):
 
 class TestRequestResponseClients:
     def test_every_request_runs_on_the_connection_thread(self, values):
-        requests = setup_requests(values, "s") + impute_requests(
-            values, "s", 12
+        requests = numbered(
+            setup_requests(values, "s") + impute_requests(values, "s", 12),
+            "r",
         )
         expected = sequential_answers(values, "s", requests[2:])
-        with tcp_server(workers=2) as server:
+        with tcp_server() as server:
+            read, ran = record_threads(server)
             client = Client(server.tcp_port)
             answers = [client.call(request) for request in requests]
             snapshot = server.scheduler.snapshot()
+            read, ran = dict(read), dict(ran)  # before the closing shutdown
             client.close()
         assert all(answer["ok"] for answer in answers), answers
-        assert snapshot["inline"] == len(requests)
         assert snapshot["dispatched"] == len(requests)
-        assert snapshot["started"] is False
+        # One reader thread read every line and executed every command.
+        assert len(set(read.values())) == 1
+        assert ran == read
         assert [a["result"] for a in answers[2:]] == [
             e["result"] for e in expected
         ]
 
-    def test_stats_and_health_report_the_inline_count(self, values):
-        with tcp_server(workers=2) as server:
+    def test_stats_and_health_report_the_dispatch_count(self, values):
+        with tcp_server() as server:
             client = Client(server.tcp_port)
             for request in setup_requests(values, "s"):
                 assert client.call(request)["ok"]
             health = client.call({"v": 1, "cmd": "health"})["result"]
             stats = client.call({"v": 1, "cmd": "stats", "session": "s"})
+            after = client.call({"v": 1, "cmd": "health"})["result"]
             client.close()
         # Control commands answer outside the scheduler; the stats request
-        # is counted when it is dispatched, before its handler reads.
-        assert health["scheduler"]["inline"] == 2
-        assert stats["result"]["server"]["scheduler"]["inline"] == 3
+        # is counted once it has answered, after its handler read.
+        assert health["scheduler"]["dispatched"] == 2
+        assert stats["result"]["server"]["scheduler"]["dispatched"] == 2
+        assert after["scheduler"]["dispatched"] == 3
+        for section in (health["scheduler"],
+                        stats["result"]["server"]["scheduler"]):
+            assert not {"inline", "workers", "started"} & set(section)
+        assert "serve_workers" not in health["config"]
 
 
 class TestPipeliningClients:
     def test_a_burst_in_one_write_still_coalesces(self, values):
         requests = impute_requests(values, "s", 16)
         expected = sequential_answers(values, "s", requests)
-        with tcp_server(workers=2, microbatch_max_rows=16) as server:
+        with tcp_server(microbatch_max_rows=16) as server:
             for request in setup_requests(values, "s"):
                 assert server.handle_line(json.dumps(request))["ok"]
+            read, ran = record_threads(server)
             client = Client(server.tcp_port)
             client.send(*requests)
             answers = [client.recv() for _ in requests]
             snapshot = server.scheduler.snapshot()
+            read, ran = dict(read), dict(ran)
             client.close()
         assert [a["id"] for a in answers] == list(range(len(requests)))
         assert [a["result"]["rows"] for a in answers] == [
             e["result"]["rows"] for e in expected
         ]
-        assert snapshot["started"] is True
         assert snapshot["microbatch"]["batches"] >= 1
         assert snapshot["microbatch"]["rows_coalesced"] > 1
+        # Its reader executed the batches itself: nothing was handed off.
+        assert len(set(read.values())) == 1
+        assert set(ran.values()) == set(read.values())
 
-    def test_a_connection_that_pipelined_stays_on_the_queue(self, values):
+    def test_a_connection_that_pipelined_runs_its_later_requests_itself(
+        self, values,
+    ):
         burst = impute_requests(values, "s", 8)
-        later = impute_requests(values, "s", 6, start=90)
-        with tcp_server(workers=2) as server:
+        later = numbered(impute_requests(values, "s", 6, start=90), "later")
+        with tcp_server() as server:
             for request in setup_requests(values, "s"):
                 assert server.handle_line(json.dumps(request))["ok"]
             client = Client(server.tcp_port)
             client.send(*burst)
             assert all(client.recv()["ok"] for _ in burst)
             before = server.scheduler.snapshot()
+            read, ran = record_threads(server)
             answers = [client.call(request) for request in later]
             after = server.scheduler.snapshot()
+            read, ran = dict(read), dict(ran)
             client.close()
         assert all(answer["ok"] for answer in answers)
-        assert after["inline"] == before["inline"]
         assert after["dispatched"] == before["dispatched"] + len(later)
+        assert len(set(read.values())) == 1
+        assert ran == read
 
 
 def record_handling(server):
@@ -218,16 +271,16 @@ class TestSessionExclusivity:
         plan = FaultPlan([
             Fault("serve.dispatch", "slow", delay=2.0, hit=1, session="s"),
         ])
-        with tcp_server(workers=2) as server:
+        with tcp_server() as server:
             for name in ("s", "t"):
                 for request in setup_requests(values, name):
                     assert server.handle_line(json.dumps(request))["ok"]
             server.fault_injector = plan
+            read, ran = record_threads(server)
             spans = record_handling(server)
             held, queued, other = (Client(server.tcp_port) for _ in range(3))
             held.send(one_impute(values, "s", "held"))
             wait_for_hits(plan, "s")
-            inline_before = server.scheduler.snapshot()["inline"]
 
             queued.send(one_impute(values, "s", "queued", start=71))
             deadline = time.monotonic() + 5.0
@@ -237,24 +290,25 @@ class TestSessionExclusivity:
             answer = other.call(one_impute(values, "t", "other", start=72))
             assert answer["ok"], answer
             assert "held" not in spans, "lengthen the injected delay"
-            assert server.scheduler.snapshot()["inline"] == inline_before + 1
 
             assert held.recv()["ok"]
             assert queued.recv()["ok"]
-            snapshot = server.scheduler.snapshot()
+            read, ran = dict(read), dict(ran)
             for client in (held, queued, other):
                 client.close()
         # The other session ran while the held request did; the queued one
         # started only once the held one had finished.
         assert spans["other"][1] < spans["held"][1] <= spans["queued"][0]
-        assert snapshot["inline"] == inline_before + 1
-        assert snapshot["started"] is True  # the queued request's worker
+        # Three readers, each executing its own request: the held one's
+        # turn ended with it, and the queued one's reader took over.
+        assert len(set(read.values())) == 3
+        assert ran == read
 
     def test_shutdown_drains_an_inline_request(self, values):
         plan = FaultPlan([
             Fault("serve.dispatch", "slow", delay=0.5, hit=1, session="s"),
         ])
-        with tcp_server(workers=2) as server:
+        with tcp_server() as server:
             for request in setup_requests(values, "s"):
                 assert server.handle_line(json.dumps(request))["ok"]
             server.fault_injector = plan
@@ -272,12 +326,12 @@ class TestSessionExclusivity:
 
 
     def test_close_sessions_waits_for_an_inline_request(self, values):
-        """Stopping the scheduler waits for an inline request, as it joins
-        a worker, before the sessions it runs in are closed."""
+        """Stopping the scheduler waits for a request executing on its
+        reader thread before the sessions it runs in are closed."""
         plan = FaultPlan([
             Fault("serve.dispatch", "slow", delay=0.5, hit=1, session="s"),
         ])
-        with tcp_server(workers=2) as server:
+        with tcp_server() as server:
             for request in setup_requests(values, "s"):
                 assert server.handle_line(json.dumps(request))["ok"]
             server.fault_injector = plan
@@ -293,16 +347,159 @@ class TestSessionExclusivity:
         assert spans["held"][1] <= closed_at
 
 
-def test_serve_stdio_still_queues(values):
-    requests = setup_requests(values, "s") + impute_requests(values, "s", 4)
+def pipeline(values, name, count, blank=1, prefix=""):
+    """``count`` single-row imputes cycling through rows 70..159."""
+    requests = []
+    for i in range(count):
+        row = [float(cell) for cell in values[70 + i % 90]]
+        row[blank] = None
+        requests.append({"v": 1, "id": f"{prefix}{i}", "cmd": "impute",
+                         "session": name, "rows": [row]})
+    return requests
+
+
+class TestCombiningContract:
+    def test_four_connections_pipelining_into_one_session(self, values):
+        width = values.shape[1]
+        pipelines = [
+            pipeline(values, "shared", 60, blank=k % width, prefix=f"c{k}-")
+            for k in range(4)
+        ]
+        expected = sequential_answers(
+            values, "shared", [r for p in pipelines for r in p]
+        )
+        want = {e["id"]: e["result"]["rows"] for e in expected}
+        calls, worker_threads = [], []
+        with tcp_server() as server:
+            for request in setup_requests(values, "shared"):
+                assert server.handle_line(json.dumps(request))["ok"]
+            handle = server.handle_request
+
+            def timed(request):
+                started = time.monotonic()
+                try:
+                    return handle(request)
+                finally:
+                    calls.append((started, time.monotonic()))
+
+            server.handle_request = timed
+            clients = [Client(server.tcp_port) for _ in pipelines]
+            answers = [None] * len(clients)
+            start = threading.Barrier(len(clients))
+
+            def run(index):
+                start.wait()
+                clients[index].send(*pipelines[index])
+                worker_threads.extend(
+                    t.name for t in threading.enumerate()
+                    if t.name.startswith("repro-serve-worker")
+                )
+                answers[index] = [clients[index].recv()
+                                  for _ in pipelines[index]]
+
+            threads = [threading.Thread(target=run, args=(index,))
+                       for index in range(len(clients))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            snapshot = server.scheduler.snapshot()
+            calls = list(calls)
+            for client in clients:
+                client.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert worker_threads == []
+        for sent, got in zip(pipelines, answers):
+            assert [a["id"] for a in got] == [r["id"] for r in sent]
+            assert all(a["ok"] for a in got), got
+            np.testing.assert_allclose(
+                np.asarray([a["result"]["rows"] for a in got], dtype=float),
+                np.asarray([want[r["id"]] for r in sent], dtype=float),
+                rtol=1e-9, atol=1e-12,
+            )
+        calls.sort()
+        assert all(a[1] <= b[0] for a, b in zip(calls, calls[1:])), (
+            "two handler calls of one session overlapped"
+        )
+        assert snapshot["dispatched"] == 2 + 4 * 60  # with create, append
+        assert snapshot["microbatch"]["batches"] >= 1
+
+    def test_a_deep_pipeline_in_one_write_answers_every_request(self, values):
+        requests = pipeline(values, "s", 300)
+        with tcp_server() as server:
+            for request in setup_requests(values, "s"):
+                assert server.handle_line(json.dumps(request))["ok"]
+            client = Client(server.tcp_port)
+            client.send(*requests)
+            answers = [client.recv() for _ in requests]
+            snapshot = server.scheduler.snapshot()
+            client.close()
+        assert [a["id"] for a in answers] == [r["id"] for r in requests]
+        assert all(a["ok"] for a in answers), [
+            a["error"] for a in answers if not a["ok"]
+        ][:3]
+        assert snapshot["rejected_overloaded"] == 0
+
+    def test_a_shutdown_in_a_burst_is_answered_after_the_burst(self, values):
+        requests = pipeline(values, "s", 10)
+        shutdown = {"v": 1, "id": "stop", "cmd": "shutdown"}
+        with tcp_server(microbatch_max_rows=1) as server:
+            for request in setup_requests(values, "s"):
+                assert server.handle_line(json.dumps(request))["ok"]
+            spans = record_handling(server)
+            client = Client(server.tcp_port)
+            client.send(*requests, shutdown)
+            answers = [client.recv() for _ in range(len(requests) + 1)]
+            client.close()
+        assert [a["id"] for a in answers] == [
+            r["id"] for r in requests
+        ] + ["stop"]
+        assert all(a["ok"] for a in answers), answers
+        assert max(end for _, end in (
+            spans[r["id"]] for r in requests
+        )) <= spans["stop"][0]
+
+
+def test_handle_line_takes_the_submit_line_path(values):
+    """In-process lines publish on the scheduler and combine, as the
+    transports' lines do: one execution path."""
+    server = SessionServer()
+    published = []
+    submit = server.scheduler.submit
+
+    def spy(request, respond):
+        published.append(request["cmd"])
+        submit(request, respond)
+
+    server.scheduler.submit = spy
+    for request in setup_requests(values, "s"):
+        assert server.handle_line(json.dumps(request))["ok"]
+    assert server.handle_line('{"v": 1, "cmd": "ping"}')["ok"]
+    snapshot = server.scheduler.snapshot()
+    server.close_sessions()
+    assert published == ["create", "append"]
+    assert snapshot["dispatched"] == 2
+
+
+def test_serve_stdio_runs_each_line_on_its_reader_thread(values):
+    requests = numbered(
+        setup_requests(values, "s") + impute_requests(values, "s", 4), "r"
+    )
     stdin = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
     stdout = io.StringIO()
-    server = SessionServer(workers=2)
+    server = SessionServer(microbatch_max_rows=16)
+    read, ran = record_threads(server)
+    spans = record_handling(server)
     assert serve_stdio(stdin, stdout, server) == 0
     answers = [json.loads(line) for line in stdout.getvalue().splitlines()]
     snapshot = server.scheduler.snapshot()
     assert len(answers) == len(requests)
     assert all(answer["ok"] for answer in answers)
-    assert snapshot["inline"] == 0
     assert snapshot["dispatched"] == len(requests)
-    assert snapshot["started"] is True
+    # Pipelined on stdin, yet one line at a time: no batch, no overlap.
+    assert snapshot["microbatch"]["batches"] == 0
+    assert ran == read == {
+        r["id"]: threading.current_thread().name for r in requests
+    }
+    intervals = [spans[r["id"]] for r in requests]
+    assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))

@@ -9,11 +9,12 @@ stays machine-readable (prompts go to stderr).
 import io
 import json
 import re
+import socket
 import warnings
 
 import pytest
 
-from repro.api.repl import Repl, _InProcessTransport, run_repl
+from repro.api.repl import Repl, _InProcessTransport, _TcpTransport, run_repl
 from repro.exceptions import ReproError
 
 
@@ -158,6 +159,20 @@ class TestReplDiscipline:
     def test_unreachable_server_is_a_typed_error(self):
         with pytest.raises(ReproError, match="cannot connect"):
             run_repl("127.0.0.1:1")
+
+    def test_a_connection_the_server_dropped_is_a_typed_error(self):
+        """A socket error mid-session (a reset, a broken pipe) is the
+        server's failure, not stdout's: it surfaces as a typed error."""
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            transport = _TcpTransport(*listener.getsockname())
+            accepted, _ = listener.accept()
+            accepted.close()
+            for _ in range(3):  # closed, then reset or broken pipe
+                with pytest.raises(ReproError):
+                    transport.request({"v": 1, "cmd": "ping"})
+            transport.close()  # the unsent request is dropped quietly
 
 
 class TestCreateParams:

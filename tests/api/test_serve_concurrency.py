@@ -9,6 +9,11 @@ The contracts of the multi-tenant refactor:
   responses match sequential dispatch within rtol 1e-9;
 * a deadline-abandoned worker degrades only its own session (reported by
   ``health``) while every other session keeps serving.
+
+Pipelined submits go through the entry the TCP reader uses: publish every
+line with ``submit_line``, then combine.  A request that must stay busy
+while others run is sent from a thread of its own, as a connection's
+reader would send it.
 """
 
 import json
@@ -76,7 +81,7 @@ class Collector:
 class TestTcpConcurrentClients:
     def test_n_clients_m_sessions_ordered_and_correct(self, values):
         """4 threaded TCP clients, one session each, pipelined imputes."""
-        server = SessionServer(workers=4)
+        server = SessionServer()
         ready = threading.Event()
         thread = threading.Thread(
             target=serve_tcp, args=("127.0.0.1", 0, server, ready),
@@ -165,7 +170,7 @@ class TestTcpConcurrentClients:
             expected.append(response["result"]["rows"][0])
         sequential.close_sessions()
 
-        coalesced = SessionServer(workers=2, microbatch_max_rows=16)
+        coalesced = SessionServer(microbatch_max_rows=16)
         setup_session(coalesced, values, "s")
         collector = Collector()
         for i, row in enumerate(queries):
@@ -174,6 +179,7 @@ class TestTcpConcurrentClients:
                  "rows": [row]}
             ), collector)
             assert accepted
+        coalesced.scheduler.combine()
         responses = collector.wait_for(len(queries))
         snapshot = coalesced.scheduler.snapshot()
         coalesced.close_sessions()
@@ -185,9 +191,10 @@ class TestTcpConcurrentClients:
             np.asarray(expected, dtype=float),
             rtol=1e-9, atol=1e-12,
         )
-        # The pipelined submits really did coalesce into batched calls.
-        assert snapshot["microbatch"]["batches"] >= 1
-        assert snapshot["microbatch"]["rows_coalesced"] >= 2
+        # The pipelined submits really did coalesce into batched calls:
+        # 24 published rows in runs of at most 16.
+        assert snapshot["microbatch"]["batches"] == 2
+        assert snapshot["microbatch"]["rows_coalesced"] == 24
 
 
     @pytest.mark.parametrize(
@@ -212,11 +219,12 @@ class TestTcpConcurrentClients:
         sequential.close_sessions()
         assert expected[3]["error"]["code"] == "data"
 
-        coalesced = SessionServer(workers=2, microbatch_max_rows=16)
+        coalesced = SessionServer(microbatch_max_rows=16)
         setup_session(coalesced, values, "s")
         collector = Collector()
         for line in lines:
             assert coalesced.submit_line(line, collector)
+        coalesced.scheduler.combine()
         responses = collector.wait_for(len(lines))
         coalesced.close_sessions()
         assert [r["id"] for r in responses] == list(range(len(lines)))
@@ -227,27 +235,22 @@ class TestTcpConcurrentClients:
 
 class TestCrossSessionIsolation:
     def _latencies(self, server, session, queries, start_id=0):
+        """Request-response latencies: publish one line, combine."""
         latencies = []
         for i, row in enumerate(queries):
-            done = threading.Event()
             out = []
-
-            def respond(response, out=out, done=done):
-                out.append(response)
-                done.set()
-
             line = json.dumps({"v": 1, "id": start_id + i, "cmd": "impute",
                                "session": session, "rows": [row]})
             started = time.perf_counter()
-            assert server.submit_line(line, respond)
-            assert done.wait(timeout=30)
+            assert server.submit_line(line, out.append)
+            server.scheduler.combine()
             latencies.append(time.perf_counter() - started)
             assert out[0]["ok"], out[0]
         return latencies
 
     def test_slow_request_does_not_stall_other_sessions(self, values):
         """p95 of a fast session stays bounded while another is wedged."""
-        server = SessionServer(workers=4)
+        server = SessionServer()
         setup_session(server, values, "fast")
         setup_session(server, values, "slow")
         queries = [query_row(values, 70 + i) for i in range(30)]
@@ -260,10 +263,14 @@ class TestCrossSessionIsolation:
         ])
         server.fault_injector = plan
         slow_done = Collector()
-        assert server.submit_line(json.dumps(
+        wedge = json.dumps(
             {"v": 1, "id": "wedge", "cmd": "impute", "session": "slow",
              "rows": [query_row(values, 65)]}
-        ), slow_done)
+        )
+        slow_reader = threading.Thread(
+            target=lambda: slow_done(server.handle_line(wedge)), daemon=True
+        )
+        slow_reader.start()
         # Wait until the slow request is actually executing (the fault
         # site fires, and sleeps, inside the dispatch).
         deadline = time.monotonic() + 5.0
@@ -277,6 +284,8 @@ class TestCrossSessionIsolation:
             "lengthen the injected delay"
         )
         slow_done.wait_for(1)
+        slow_reader.join(timeout=10)
+        assert not slow_reader.is_alive()
         server.close_sessions()
 
         p95_solo = float(np.percentile(solo, 95))
@@ -290,7 +299,7 @@ class TestCrossSessionIsolation:
 
     def test_deadline_abandoned_worker_degrades_only_its_session(self, values):
         """The leaked worker is reported, and other sessions keep serving."""
-        server = SessionServer(workers=2, deadline_seconds=0.1)
+        server = SessionServer(deadline_seconds=0.1)
         setup_session(server, values, "ok")
         setup_session(server, values, "wedged")
         plan = FaultPlan([

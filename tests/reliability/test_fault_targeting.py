@@ -102,7 +102,7 @@ class TestFourConcurrentClients:
         return load_dataset("sn", size=160).raw
 
     def _run_once(self, values):
-        server = SessionServer(workers=4)
+        server = SessionServer()
         plan = FaultPlan([
             Fault("serve.dispatch", "io_error", hit=2 + self.TARGET_IMPUTE,
                   session=self.TARGET_SESSION),

@@ -23,7 +23,6 @@ SPELLINGS = {
     "wal_sync": ("off", "off"),
     "max_request_bytes": ("unbounded", None),
     "deadline_seconds": ("2.5", 2.5),
-    "workers": ("2", 2),
     "microbatch_window_ms": ("1.5", 1.5),
     "microbatch_max_rows": ("16", 16),
     "max_rows_per_request": ("100", 100),
@@ -127,15 +126,17 @@ class TestAccessors:
     def test_none_is_a_value_only_of_nullable_knobs(self):
         assert config.resolve("max_sessions", None) is None
         assert config.resolve("model_cache_size", 0) is None
-        assert config.resolve("workers", None) == config.get("workers")
+        assert config.resolve("microbatch_max_rows", None) == config.get(
+            "microbatch_max_rows"
+        )
 
     def test_unknown_knob_and_bad_values_are_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown knob"):
             config.get("warp_speed")
-        with pytest.raises(ConfigurationError, match="workers"):
-            config.resolve("workers", 0)
-        with pytest.raises(ConfigurationError, match="workers"):
-            config.resolve("workers", True)
+        with pytest.raises(ConfigurationError, match="microbatch_max_rows"):
+            config.resolve("microbatch_max_rows", 0)
+        with pytest.raises(ConfigurationError, match="microbatch_max_rows"):
+            config.resolve("microbatch_max_rows", True)
 
 
 def test_readme_knob_table_matches_the_table():
