@@ -10,7 +10,10 @@ records the per-round latencies and aggregate speedups in
 * **churn** scenarios (interleaved append/update/delete/impute, in- and
   out-of-distribution query traces, and a heavy sweep whose every
   mutation batch dirties most of the store): recorded against cold
-  refits.
+  refits;
+* **refresh work** on ``ingest_churn``-shaped rounds: an incremental
+  refresh must re-solve only the ``(row, ℓ)`` models whose neighbour
+  prefix changed, strictly fewer than whole-row relearns would.
 
 Every round's answers are verified against the cold refit at rtol 1e-9
 (``replay`` raises on divergence), and every scenario also asserts the
@@ -130,6 +133,96 @@ def test_online_churn(profile, record_result, write_report):
     write_report("online", **scenarios)
     record_result(
         "online_churn", "\n".join(_line(n, e) for n, e in scenarios.items())
+    )
+
+
+#: The bench profile's IIM parameters, as the repository benchmark's
+#: ``ingest_churn`` workload spells them out.
+CHURN_PARAMS = dict(k=10, learning="adaptive", stepping=5,
+                    max_learning_neighbors=25, validation_neighbors=10)
+
+
+def test_refresh_solves_only_changed_prefixes(record_result, write_report):
+    """``ingest_churn``-shaped rounds: a refresh re-solves only the models
+    whose prefix changed.
+
+    Each round appends 64 rows, updates 8 and deletes 8 on a 2,000-row
+    store, then imputes one row per attribute, so every state refreshes
+    incrementally.  Candidate ``ℓ`` learns from the first ``ℓ`` neighbours
+    only, so ``models_solved`` must stay strictly below ``rows_refreshed``
+    × the candidate count: a fallback to whole-row relearns fails here.
+    The last round's answers must equal a cold refit's.
+    """
+    from repro import IIMImputer, load_dataset
+    from repro.core import candidate_ell_values
+    from repro.data.relation import Relation
+    from repro.online import OnlineImputationEngine
+
+    store_rows, rounds, appends, updates, deletes = 2000, 6, 64, 8, 8
+    # Each round draws its appends, its updates and one query per attribute.
+    pool = load_dataset("asf", size=store_rows + (rounds + 1) * 100,
+                        random_state=0).raw
+    rng = np.random.default_rng(1)
+    width = pool.shape[1]
+    engine = OnlineImputationEngine(model_cache_size=None, **CHURN_PARAMS)
+    engine.append(pool[:store_rows])
+    taken = store_rows
+
+    def take(n):
+        nonlocal taken
+        taken += n
+        return pool[taken - n:taken].copy()
+
+    def blanked():
+        queries = take(width)
+        queries[np.arange(width), np.arange(width)] = np.nan
+        return queries
+
+    engine.impute_batch(blanked())  # every attribute state, built cold
+    before = dict(engine.stats)
+    start = time.perf_counter()
+    for _ in range(rounds):
+        engine.append(take(appends))
+        for index in rng.choice(engine.n_tuples, updates, replace=False):
+            engine.update(int(index), take(1)[0])
+        engine.delete(rng.choice(engine.n_tuples, deletes, replace=False))
+        queries = blanked()
+        answers = engine.impute_batch(queries)
+    seconds = time.perf_counter() - start
+    delta = {key: engine.stats[key] - before[key] for key in before}
+
+    cold = IIMImputer(**CHURN_PARAMS).fit(engine.store_relation())
+    np.testing.assert_allclose(
+        answers, cold.impute(Relation(queries)).raw, rtol=1e-9, atol=1e-12
+    )
+    n_candidates = candidate_ell_values(
+        engine.n_tuples, stepping=CHURN_PARAMS["stepping"],
+        max_ell=CHURN_PARAMS["max_learning_neighbors"],
+    ).shape[0]
+    assert delta["full_refreshes"] == 0
+    assert delta["incremental_refreshes"] == rounds * width
+    whole_rows = delta["rows_refreshed"] * n_candidates
+    ratio = delta["models_solved"] / whole_rows
+    section = {
+        "params": {**CHURN_PARAMS, "store_rows": store_rows, "rounds": rounds,
+                   "round": {"appends": appends, "updates": updates,
+                             "deletes": deletes}},
+        "rows_refreshed": delta["rows_refreshed"],
+        "models_solved": delta["models_solved"],
+        "models_solved_ratio": ratio,
+        "cost_rows_rebuilt": delta["cost_rows_rebuilt"],
+        "seconds": seconds,
+    }
+    write_report("online", refresh_work=section)
+    record_result(
+        "online_refresh_work",
+        f"{rounds} rounds over {store_rows} rows: {delta['rows_refreshed']} "
+        f"model-dirty rows, {delta['models_solved']} of {whole_rows} (row, ℓ) "
+        f"models re-solved ({ratio:.2f}), {delta['cost_rows_rebuilt']} cost "
+        f"rows rebuilt, {seconds:.2f}s",
+    )
+    assert delta["models_solved"] < whole_rows, (
+        "an incremental refresh re-solved every candidate of every dirty row"
     )
 
 

@@ -35,41 +35,63 @@ __all__ = [
     "AdaptiveLearningResult",
     "adaptive_learning",
     "scatter_validation_costs",
+    "global_validation_costs",
     "VALIDATION_PAIR_CHUNK",
 ]
 
 #: Flattened (validation tuple, model owner) pairs processed per block of
-#: the vectorized validation kernel.  The online engine's partial cost
-#: rebuilds share this kernel, so stale and fresh rows accumulate their
-#: sums in the same order.
+#: the vectorized validation kernel, read at call time.  Blocks hold
+#: ``VALIDATION_PAIR_CHUNK // k`` whole validators, so the online engine's
+#: partial cost rebuilds, which share this kernel, group every owner's sum
+#: exactly as a full pass over the same store does.
 VALIDATION_PAIR_CHUNK = 65536
+
+
+def validator_block(k: int) -> int:
+    """Validators per block of :func:`scatter_validation_costs` at ``k``."""
+    return max(1, VALIDATION_PAIR_CHUNK // max(1, k))
 
 
 def scatter_validation_costs(
     costs: np.ndarray,
-    j_idx: np.ndarray,
-    i_idx: np.ndarray,
+    owners: np.ndarray,
     designs: np.ndarray,
     target: np.ndarray,
     all_parameters: np.ndarray,
-    pair_chunk: int = VALIDATION_PAIR_CHUNK,
+    charged: Optional[np.ndarray] = None,
 ) -> None:
     """Accumulate squared validation errors onto ``costs`` (in place).
 
-    For every flattened pair ``(j_idx[p], i_idx[p])`` — validation tuple
-    ``j`` charging model owner ``i`` — the squared error of imputing
-    ``target[j]`` with each of owner ``i``'s candidate models is added to
-    ``costs[i]``: one ``einsum`` per pair block, one ``bincount`` per
-    candidate column.
+    Validation tuple ``j`` charges every model owner ``i`` in ``owners[j]``
+    (its ``k`` nearest neighbours) the squared error of imputing
+    ``target[j]`` with each of owner ``i``'s candidate models, added to
+    ``costs[i]``: one ``einsum`` per block of validators, one ``bincount``
+    per candidate column.  With the boolean ``charged`` mask only the
+    pairs whose owner is charged are priced; each charged owner then
+    receives the same sums, grouped by the same validator blocks, as in a
+    full pass, so a caller that zeroes those rows first rebuilds them
+    bit for bit.
     """
     n, n_candidates = costs.shape
-    for start in range(0, j_idx.shape[0], pair_chunk):
-        stop = min(start + pair_chunk, j_idx.shape[0])
-        j_block = j_idx[start:stop]
-        i_block = i_idx[start:stop]
-        # (pairs, L): prediction of owner i's candidate models on tuple j.
+    n_validators, k = owners.shape
+    span = validator_block(k)
+    for start in range(0, n_validators, span):
+        block = owners[start:start + span]
+        if charged is None:
+            j_block = np.repeat(np.arange(start, start + block.shape[0]), k)
+            i_block = block.ravel()
+        else:
+            rows, cols = np.nonzero(charged[block])
+            if not rows.size:
+                continue
+            j_block = rows + start
+            i_block = block[rows, cols]
+        # (pairs, L): prediction of owner i's candidate models on tuple j
+        # (np.take gathers the same rows several times faster than [...]).
         predictions = np.einsum(
-            "pc,lpc->pl", designs[j_block], all_parameters[:, i_block, :]
+            "pc,lpc->pl",
+            np.take(designs, j_block, axis=0),
+            np.take(all_parameters, i_block, axis=1),
         )
         errors = (target[j_block, None] - predictions) ** 2
         # Scatter-add per candidate column (bincount beats np.add.at here).
@@ -77,6 +99,35 @@ def scatter_validation_costs(
             costs[:, position] += np.bincount(
                 i_block, weights=errors[:, position], minlength=n
             )
+
+
+def global_validation_costs(
+    owners: np.ndarray,
+    designs: np.ndarray,
+    target: np.ndarray,
+    global_params: np.ndarray,
+) -> np.ndarray:
+    """The cost column of the ``ℓ = n`` global model (Proposition 2).
+
+    The model is the same for every owner, so each validator's squared
+    error is computed once and charged to its ``k`` owners, block by block
+    as in :func:`scatter_validation_costs`.  A cold build and an online
+    refresh both price the column here.
+    """
+    n, k = owners.shape
+    # The same per-pair einsum as the candidate columns, once per validator.
+    predictions = np.einsum(
+        "pc,lpc->pl", designs, np.broadcast_to(global_params, (1, n, designs.shape[1]))
+    )
+    errors = (target - predictions[:, 0]) ** 2
+    costs = np.zeros(n)
+    span = validator_block(k)
+    for start in range(0, n, span):
+        block = owners[start:start + span]
+        costs += np.bincount(
+            block.ravel(), weights=np.repeat(errors[start:start + span], k), minlength=n
+        )
+    return costs
 
 
 @dataclass
@@ -221,16 +272,18 @@ def adaptive_learning(
         backend=backend,
     )  # shape (L, n, d + 1)
 
+    global_params = None
+    stepped_parameters = all_parameters
     if global_candidate:
-        global_model = RidgeRegression(alpha=alpha).fit(features, target)
-        global_parameters = np.tile(global_model.coefficients, (n, 1))[None, :, :]
+        global_params = RidgeRegression(alpha=alpha).fit(features, target).coefficients
+        global_parameters = np.tile(global_params, (n, 1))[None, :, :]
         all_parameters = np.concatenate([all_parameters, global_parameters], axis=0)
         candidate_array = np.concatenate([candidate_array, [n]])
 
     k = min(validation_neighbors, n - 1) if n > 1 else 0
     if backend == "vectorized":
         costs, validation_counts = _validation_costs_vectorized(
-            features, target, all_parameters, learn_cache, k
+            features, target, stepped_parameters, global_params, learn_cache, k
         )
     else:
         costs, validation_counts = _validation_costs_loop(
@@ -296,10 +349,10 @@ def _validation_costs_loop(
 def _validation_costs_vectorized(
     features: np.ndarray,
     target: np.ndarray,
-    all_parameters: np.ndarray,
+    stepped_parameters: np.ndarray,
+    global_params: Optional[np.ndarray],
     learn_cache: NeighborOrderCache,
     k: int,
-    pair_chunk: int = VALIDATION_PAIR_CHUNK,
 ):
     """Batched validation step: one scatter-add over all (j, i) pairs.
 
@@ -307,11 +360,13 @@ def _validation_costs_vectorized(
     ``φ^{(ℓ)}_i`` to ``cost[i][ℓ]`` for each of its ``k`` nearest neighbour
     models ``i``; the whole double loop collapses into an ``einsum`` over
     flattened (j, i) pairs followed by a scatter-add on the cost matrix
-    (:func:`scatter_validation_costs`).
+    (:func:`scatter_validation_costs`).  The ``ℓ = n`` column, when
+    ``global_params`` is given, comes last, from
+    :func:`global_validation_costs`.
     """
     n = features.shape[0]
-    n_candidates = all_parameters.shape[0]
-    costs = np.zeros((n, n_candidates))
+    n_stepped = stepped_parameters.shape[0]
+    costs = np.zeros((n, n_stepped + (global_params is not None)))
     if k <= 0:
         return costs, np.zeros(n, dtype=int)
 
@@ -321,12 +376,14 @@ def _validation_costs_vectorized(
     orders = learn_cache.order_matrix()[:, : k + 1]
     owners = drop_self_rows(orders, np.arange(n))[:, :k]  # (n, k)
 
-    j_idx = np.repeat(np.arange(n), k)
-    i_idx = owners.ravel()
     designs = batched_design(features)
     scatter_validation_costs(
-        costs, j_idx, i_idx, designs, target, all_parameters, pair_chunk
+        costs[:, :n_stepped], owners, designs, target, stepped_parameters
     )
+    if global_params is not None:
+        costs[:, n_stepped] = global_validation_costs(
+            owners, designs, target, global_params
+        )
 
-    validation_counts = np.bincount(i_idx, minlength=n)
+    validation_counts = np.bincount(owners.ravel(), minlength=n)
     return costs, validation_counts.astype(int)

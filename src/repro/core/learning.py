@@ -19,11 +19,19 @@ Each learning entry point exists in two implementations selected through
 
 * ``"vectorized"`` (default) — gathers the neighbour-ordered design rows of
   a whole block of tuples at once, builds the incremental U/V statistics of
-  Proposition 3 as *prefix sums* (per-Δh-segment batched GEMMs accumulated
-  by ``cumsum`` along the candidate axis) and resolves every
-  ``(candidate × tuple)`` ridge system with one batched
-  :func:`~repro.regression.batched.batched_ridge_solve`.  Blocks are chunked
-  over tuples so the scratch memory stays bounded.
+  Proposition 3 as *prefix sums* (per-Δh-segment batched GEMMs added up
+  along the candidate axis) and resolves every ``(candidate × tuple)``
+  ridge system with one batched
+  :func:`~repro.regression.batched.batched_ridge_solve`.  The stacks are
+  candidate-major — ``U`` is ``(L, tuples, p, p)`` — so the prefix sums are
+  contiguous adds and the solutions land in the ``(L, n, p)`` result
+  without a transpose.  ``ℓ = 1`` is the constant model and never reaches
+  the solver.  Blocks are chunked over tuples so the scratch memory stays
+  bounded.  :func:`learn_candidate_models_for_rows` can also solve a
+  *subset*: per tuple, only the candidates from a given one on (the
+  online engine's refresh, where candidate ``ℓ`` needs re-solving only
+  when the tuple's ordering changed before rank ``ℓ``); each solved entry
+  is bit-identical to the full call's.
 * ``"loop"`` — the original per-tuple Python loop over
   :class:`~repro.regression.IncrementalRidge`, kept as the executable
   reference; the test suite asserts both backends agree to ``rtol = 1e-9``.
@@ -274,6 +282,7 @@ def learn_candidate_models_for_rows(
     orders,
     alpha: float = DEFAULT_ALPHA,
     incremental: bool = True,
+    first_solved=None,
 ) -> np.ndarray:
     """Learn ``Φ(ℓ)`` for an explicit subset of tuples given their orderings.
 
@@ -299,6 +308,13 @@ def learn_candidate_models_for_rows(
     incremental:
         Grow the U/V statistics across candidates (Proposition 3) or rebuild
         them per candidate.
+    first_solved:
+        Optional array of shape ``(r,)``: per row, the index into
+        ``candidates`` of the first candidate to solve.  Candidate ``ℓ``'s
+        model reads only the first ``ℓ`` neighbours, so a row whose
+        ordering is unchanged before rank ``ρ`` needs only the candidates
+        with ``ℓ > ρ``.  Every solved entry is bit-identical to the entry of
+        a call without ``first_solved``; the entries left out are NaN.
 
     Returns
     -------
@@ -325,8 +341,13 @@ def learn_candidate_models_for_rows(
         raise ConfigurationError(
             f"requested {max_ell} neighbours but only {orders.shape[1]} are available"
         )
+    if first_solved is not None:
+        first_solved = np.asarray(first_solved, dtype=int)
+        if first_solved.shape != orders.shape[:1]:
+            raise ConfigurationError("first_solved must hold one entry per row of orders")
     return _candidate_models_from_orders(
-        features, target, candidates, alpha, orders[:, :max_ell], incremental
+        features, target, candidates, alpha, orders[:, :max_ell], incremental,
+        first_solved,
     )
 
 
@@ -365,81 +386,126 @@ def _candidate_models_from_orders(
     alpha: float,
     orders: np.ndarray,
     incremental: bool,
+    first_solved: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Candidate learning over explicit ``(rows, max_ell)`` orderings.
 
     For each block of tuples the candidate Gram/moment statistics are built
-    from the neighbour-ordered design rows — per-segment batched GEMMs
-    turned into prefix sums by a ``cumsum`` over the candidate axis
+    candidate-major, ``U`` as ``(L, rows, p, p)`` and ``V`` as ``(L, rows,
+    p)``, from the neighbour-ordered design rows: per-segment batched GEMMs
+    turned into prefix sums by contiguous adds over the candidate axis
     (Proposition 3) when ``incremental``, or from scratch per candidate when
-    not — and solved as one stacked ridge system.
-    """
-    d = features.shape[1]
-    p = d + 1
-    n = orders.shape[0]
-    max_ell = orders.shape[1]
-    n_candidates = candidates.shape[0]
+    not.  The systems to solve go to one stacked ridge solve, whose output
+    already has the ``(L, n, p)`` layout of the result.
 
-    all_parameters = np.empty((n_candidates, n, p))
+    ``ℓ = 1`` (always first in a stepped grid) is the constant model of
+    Section III-A2: it is written directly and sliced off before the solve.
+    With ``first_solved``, only the candidates from each row's entry on are
+    solved (see :func:`learn_candidate_models_for_rows`); the incremental
+    variant still builds every segment, since each one feeds the prefix
+    sums, and the straightforward one builds only what it solves.
+    """
+    p = features.shape[1] + 1
+    n, max_ell = orders.shape
+    n_candidates = candidates.shape[0]
+    lead = int(candidates[0] == 1)
+
+    if first_solved is None:
+        all_parameters = np.empty((n_candidates, n, p))
+    else:
+        all_parameters = np.full((n_candidates, n, p), np.nan)
 
     chunk = _chunk_rows(n, max_ell, n_candidates, p)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        block_orders = orders[start:stop]  # (c, max_ell)
-        design = np.empty((stop - start, max_ell, p))
+        block_orders = orders[start:stop]  # (rows, max_ell)
+        rows = stop - start
+        design = np.empty((rows, max_ell, p))
         design[:, :, 0] = 1.0
-        design[:, :, 1:] = features[block_orders]
-        y = target[block_orders]  # (c, max_ell)
+        design[:, :, 1:] = np.take(features, block_orders, axis=0)
+        y = target[block_orders]  # (rows, max_ell)
+        out = all_parameters[:, start:stop]  # (L, rows, p) view
+        solve = None
+        if first_solved is not None:
+            # (L, rows): which (candidate, row) systems this block solves.
+            solve = np.arange(n_candidates)[:, None] >= first_solved[None, start:stop]
 
-        c = stop - start
-        U = np.empty((c, n_candidates, p, p))
-        V = np.empty((c, n_candidates, p))
+        if lead:
+            constant = slice(None) if solve is None else solve[0]
+            out[0, constant] = 0.0
+            out[0, constant, 0] = y[constant, 0]
+
         if incremental:
-            # Proposition 3 as segment sums: each candidate adds only the
-            # Δh design rows between it and its predecessor (one batched
-            # GEMM per segment), then a cumsum over the L segments turns
-            # them into the per-candidate prefix statistics.
-            widths = np.diff(candidates, prepend=0)
-            if n_candidates > 1 and np.all(widths[1:] == widths[1]):
-                # Uniform stepping (the common schedule): fold all Δh
-                # segments into one batched GEMM via a reshape.
-                head = int(widths[0])
-                step = int(widths[1])
-                first = design[:, :head]
-                U[:, 0] = first.transpose(0, 2, 1) @ first
-                V[:, 0] = np.einsum("chp,ch->cp", first, y[:, :head])
-                rest = design[:, head:max_ell].reshape(c, n_candidates - 1, step, p)
-                rest_y = y[:, head:max_ell].reshape(c, n_candidates - 1, step)
-                U[:, 1:] = rest.transpose(0, 1, 3, 2) @ rest
-                V[:, 1:] = np.einsum("cshp,csh->csp", rest, rest_y)
-            else:
-                consumed = 0
-                for index, ell in enumerate(candidates):
-                    segment = design[:, consumed:ell]  # (c, Δh, p)
-                    U[:, index] = segment.transpose(0, 2, 1) @ segment
-                    V[:, index] = np.einsum("chp,ch->cp", segment, y[:, consumed:ell])
-                    consumed = int(ell)
-            # Running prefix over the candidate axis (sequential in-place
-            # adds beat np.cumsum's strided inner loop for small L).
+            U = np.empty((n_candidates, rows, p, p))
+            V = np.empty((n_candidates, rows, p))
+            _segment_statistics(design, y, candidates, U, V)
+            # Running prefix over the candidate axis: contiguous adds.
             for index in range(1, n_candidates):
-                U[:, index] += U[:, index - 1]
-                V[:, index] += V[:, index - 1]
+                U[index] += U[index - 1]
+                V[index] += V[index - 1]
+            U, V = U[lead:], V[lead:]
+            if solve is None:
+                U, V = U.reshape(-1, p, p), V.reshape(-1, p)
+            else:
+                U, V = U[solve[lead:]], V[solve[lead:]]
         else:
             # Straightforward variant: rebuild each candidate's statistics
             # from its full prefix (cost linear in ℓ per candidate, as in
             # the paper's Figure 12 baseline) — still batched over tuples.
-            for index, ell in enumerate(candidates):
-                prefix = design[:, :ell]
-                U[:, index] = prefix.transpose(0, 2, 1) @ prefix
-                V[:, index] = np.einsum("chp,ch->cp", prefix, y[:, :ell])
+            picks = [
+                slice(None) if solve is None else solve[index]
+                for index in range(lead, n_candidates)
+            ]
+            sizes = [rows if solve is None else int(pick.sum()) for pick in picks]
+            U = np.empty((sum(sizes), p, p))
+            V = np.empty((sum(sizes), p))
+            offset = 0
+            for ell, pick, size in zip(candidates[lead:], picks, sizes):
+                prefix = design[pick, :ell]
+                part = slice(offset, offset + size)
+                np.matmul(prefix.transpose(0, 2, 1), prefix, out=U[part])
+                V[part] = np.einsum("chp,ch->cp", prefix, y[pick, :ell])
+                offset += size
 
-        solved = batched_ridge_solve(
-            U,
-            V,
-            alpha=alpha,
-            counts=candidates[None, :],
-            first_targets=y[:, :1],
-            overwrite_u=True,
-        )  # (c, L, p)
-        all_parameters[:, start:stop] = solved.transpose(1, 0, 2)
+        if U.shape[0]:
+            solved = batched_ridge_solve(U, V, alpha=alpha, overwrite_u=True)
+            if solve is None:
+                out[lead:] = solved.reshape(n_candidates - lead, rows, p)
+            else:
+                out[lead:][solve[lead:]] = solved
     return all_parameters
+
+
+def _segment_statistics(
+    design: np.ndarray,
+    y: np.ndarray,
+    candidates: np.ndarray,
+    U: np.ndarray,
+    V: np.ndarray,
+) -> None:
+    """Fill ``U[c]``/``V[c]`` with the statistics of the Δh design rows
+    between candidate ``c`` and its predecessor (Proposition 3's segments),
+    one batched GEMM per segment."""
+    rows, max_ell, p = design.shape
+    n_candidates = candidates.shape[0]
+    widths = np.diff(candidates, prepend=0)
+    if n_candidates > 1 and np.all(widths[1:] == widths[1]):
+        # Uniform stepping (the common schedule): fold all Δh segments
+        # after the first into one batched GEMM via a reshape.
+        head, step = int(widths[0]), int(widths[1])
+        first = design[:, :head]
+        np.matmul(first.transpose(0, 2, 1), first, out=U[0])
+        V[0] = np.einsum("chp,ch->cp", first, y[:, :head])
+        rest = design[:, head:max_ell].reshape(rows, n_candidates - 1, step, p)
+        rest = rest.transpose(1, 0, 2, 3)  # (L - 1, rows, Δh, p)
+        rest_y = y[:, head:max_ell].reshape(rows, n_candidates - 1, step)
+        rest_y = rest_y.transpose(1, 0, 2)
+        np.matmul(rest.transpose(0, 1, 3, 2), rest, out=U[1:])
+        V[1:] = np.einsum("schp,sch->scp", rest, rest_y)
+        return
+    consumed = 0
+    for index, ell in enumerate(candidates):
+        segment = design[:, consumed:ell]  # (rows, Δh, p)
+        np.matmul(segment.transpose(0, 2, 1), segment, out=U[index])
+        V[index] = np.einsum("chp,ch->cp", segment, y[:, consumed:ell])
+        consumed = int(ell)

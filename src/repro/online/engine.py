@@ -13,9 +13,10 @@ scratch on every ``fit``; this module keeps a *long-lived* engine instead:
   :meth:`~repro.neighbors.NeighborOrderCache.remove` /
   :meth:`~repro.neighbors.NeighborOrderCache.replace`), only the tuples
   whose neighbour prefix — or whose prefix *values* — actually changed have
-  their candidate models relearned (through the batched Proposition 3
+  their candidate models relearned, and of those only the candidates that
+  read the changed part of the prefix (through the batched Proposition 3
   kernel :func:`~repro.core.learning.learn_candidate_models_for_rows`), and
-  only the validation-cost rows touched by the mutation are rebuilt.
+  only the validation-cost rows whose validator set changed are rebuilt.
 * :meth:`OnlineImputationEngine.impute_batch` serves imputation requests in
   batches from an LRU cache of per-attribute model states — after any
   interleaving of appends, deletes and updates the answers match a cold
@@ -53,8 +54,9 @@ their order ahead of every appended row, so the difference is always one
 run of revised rows, one run of deleted rows and one run of appended
 rows.  On the next imputation touching the state those runs replay in two
 phases: one ``replace``, one ``remove`` and one ``append`` maintain the
-neighbour cache, the owner matrix and the dirty sets only, then ONE
-batched relearn + cost rebuild + selection runs over the dirty union.  A
+neighbour cache, the owner matrix, the per-row ranks and the cost-dirty
+rows only, then ONE batched relearn + cost rebuild + selection runs over
+the dirty rows.  A
 burst of mutations, however long or interleaved, thus costs one refresh.
 The payloads are durable in the columnar store the moment a mutation
 lands; a retired row version stays readable (MVCC style) while a lagging
@@ -68,20 +70,38 @@ reshape every array anyway.
 
 Exactness of the incremental maintenance
 ----------------------------------------
+Candidate ``ℓ``'s model is learned from the first ``ℓ`` tuples of a
+tuple's neighbour ordering only (the prefix statistics of Proposition 3).
+A replay therefore carries, per row, the first *rank* of its ordering
+that changed: the minimum, over the replay's runs, of the index's
+first-changed position (``first_changed`` on the append, remove and
+replace results), of the rank a revised tuple holds in each prefix that
+holds it (a revised tuple changes a model's *values* without moving in
+any ordering), and of 0 for appended and revised rows.  A row is
+model-dirty when its rank is below the largest candidate, and only its
+candidates with ``ℓ > rank`` are re-solved; every other ``(row, ℓ)``
+model reads an unchanged prefix and keeps the value a cold build
+computes.  The solved ones come from the same kernel, so they are bit for
+bit the cold values too.
+
 Adaptive learning (Algorithm 3) gives every complete tuple ``i`` a cost row
-``cost[i][ℓ]`` summed over the validation tuples ``j`` that count ``i``
-among their ``k`` nearest neighbours.  A mutation can change that row in
-exactly four ways: (1) ``i``'s own candidate models changed because its
-learning prefix gained, lost, or revalued a tuple, (2) some validator ``j``
-gained or lost ``i`` in its top-``k``, (3) a validator appeared,
-disappeared, or changed value, or (4) the ``ℓ = n`` global candidate moved
-(it does on *every* mutation; its single ridge fit and cost column are
-recomputed each refresh).  The engine tracks all four through the index's
-first-changed-position reports — plus, for updates, a prefix-membership
-scan, because a revised tuple can change a model's *values* without moving
-in any ordering — and rebuilds exactly those rows with the same scatter-add
-kernel the cold path uses, so untouched rows keep values a cold run would
-reproduce.
+``cost[i][ℓ]`` summed, validator by validator, over the validation tuples
+``j`` that count ``i`` among their ``k`` nearest neighbours.  A mutation
+can change that row in exactly these ways: (1) ``i``'s own candidate
+models changed, (2) some validator ``j`` gained or lost ``i`` in its
+top-``k`` (a set difference: an owner that only moved within ``j``'s list
+keeps its sum), (3) a validator appeared, disappeared, or changed value,
+or (4) a deletion renumbered one of ``i``'s validators into another block
+of the scatter kernel, which sums each block separately.  The engine
+rebuilds exactly those rows with the cold path's scatter-add kernel
+(:func:`~repro.core.adaptive.scatter_validation_costs`): its blocks hold
+whole validators, so a rebuilt row groups its sum as a full pass over the
+same store does, and untouched rows keep values a cold run would
+reproduce.  The ``ℓ = n`` global candidate moves on *every* mutation; its
+single ridge fit and its cost column are recomputed each refresh, through
+:func:`~repro.core.adaptive.global_validation_costs`, the helper the cold
+path prices it with.  Every state array of a refreshed state therefore
+equals a fresh build over the same store.
 """
 
 from __future__ import annotations
@@ -95,7 +115,12 @@ import numpy as np
 
 from .._validation import as_float_matrix, as_float_vector
 from .. import config
-from ..core.adaptive import adaptive_learning, scatter_validation_costs
+from ..core.adaptive import (
+    adaptive_learning,
+    global_validation_costs,
+    scatter_validation_costs,
+    validator_block,
+)
 from ..core.combine import get_batch_combiner
 from ..core.iim import IIMImputer
 from ..core.learning import (
@@ -224,35 +249,41 @@ class _AttributeState:
             self._full_build(signature)
             engine.stats["full_refreshes"] += 1
             engine.stats["rows_refreshed"] += n
+            engine.stats["cost_rows_rebuilt"] += n if self._adaptive else 0
         else:
             # Replay in two phases: each run maintains the neighbour cache,
-            # the owner matrix and the dirty sets only; the expensive model
+            # the owner matrix, the ranks and the dirty costs only; the model
             # relearn + cost scatter + selection then runs ONCE over the
             # final state — exact, because models and costs depend only on
             # the final store, and rows no run dirtied kept cold values.
             revised, fresh, deleted, appended = diff
-            dirty_models = np.zeros(self.cache.n_points, dtype=bool)
+            # Per row, the first ordering rank whose tuple changed, in
+            # identity or in value, since its models were learned; the
+            # largest candidate means "clean".
+            ranks = np.full(self.cache.n_points, self._dirty_limit())
             dirty_costs = np.zeros(self.cache.n_points, dtype=bool)
             refilled = self.cache.refilled_rows
             with engine_phase("order_maintenance"):
                 # replace moves no index, so the deleted rows keep the
                 # view's index space.
                 if revised.size:
-                    dirty_models, dirty_costs = self._track_update(
-                        revised, fresh, dirty_models, dirty_costs
+                    ranks, dirty_costs = self._track_update(
+                        revised, fresh, ranks, dirty_costs
                     )
                 if deleted.size:
-                    dirty_models, dirty_costs = self._track_delete(
-                        deleted, dirty_models, dirty_costs
+                    ranks, dirty_costs = self._track_delete(
+                        deleted, ranks, dirty_costs
                     )
                 if appended.size:
-                    dirty_models, dirty_costs = self._track_append(
-                        appended, dirty_models, dirty_costs
+                    ranks, dirty_costs = self._track_append(
+                        appended, ranks, dirty_costs
                     )
             engine.stats["order_refill_rows"] += self.cache.refilled_rows - refilled
-            refreshed = self._finalize_refresh(dirty_models, dirty_costs)
+            refreshed, solved, costed = self._finalize_refresh(ranks, dirty_costs)
             engine.stats["incremental_refreshes"] += 1
             engine.stats["rows_refreshed"] += refreshed
+            engine.stats["models_solved"] += solved
+            engine.stats["cost_rows_rebuilt"] += costed
         self.signature = signature
         self.n_synced = n
         self.version = engine._version
@@ -386,76 +417,47 @@ class _AttributeState:
             return drop_self_rows(orders[:, : k_val + 1], np.arange(n))[:, :k_val]
         return np.empty((n, 0), dtype=int)
 
-    def _rebuild_dirty_costs(
-        self,
-        dirty_rows: np.ndarray,
-        owners_new: np.ndarray,
-        designs: np.ndarray,
-        target: np.ndarray,
-        k_val: int,
-    ) -> None:
-        """Zero and re-accumulate the dirty validation-cost rows."""
-        if k_val > 0 and dirty_rows.size:
-            pair_j, pair_pos = np.nonzero(np.isin(owners_new, dirty_rows))
-            pair_i = owners_new[pair_j, pair_pos]
-            self.costs[dirty_rows] = 0.0
-            # The cold validation kernel, restricted to the dirty pairs —
-            # same einsum, same bincount, same accumulation order.
-            scatter_validation_costs(
-                self.costs, pair_j, pair_i, designs, target, self.all_parameters
-            )
-
-    def _finish_validation(
-        self,
-        owners_new: np.ndarray,
-        designs: np.ndarray,
-        target: np.ndarray,
-        k_val: int,
-        global_active: bool,
-        n: int,
-    ) -> None:
-        """Global cost column, validation counts, owner matrix, selection."""
-        if global_active and k_val > 0:
-            residuals = (target - designs @ self.global_params) ** 2
-            self.global_costs = np.bincount(
-                owners_new.ravel(),
-                weights=residuals[np.repeat(np.arange(n), k_val)],
-                minlength=n,
-            )
-        else:
-            self.global_costs = np.zeros(n)
-        self.counts = (
-            np.bincount(owners_new.ravel(), minlength=n).astype(int)
-            if k_val > 0
-            else np.zeros(n, dtype=int)
-        )
-        self.owners = owners_new
-        self._select(n)
-
     # ------------------------------------------------------------------ #
     # Per-operation dirty tracking (phase 1 of a replay)
     # ------------------------------------------------------------------ #
+    def _grid(self) -> np.ndarray:
+        """The candidate ``ℓ`` values the state learns (one when fixed)."""
+        if self._adaptive:
+            return self.candidates
+        return np.array([self.signature[1]])
+
     def _dirty_limit(self) -> int:
         """The prefix length whose change invalidates a tuple's models."""
-        if self._adaptive:
-            return int(self.candidates.max())
-        return self.signature[1]
+        return int(self._grid()[-1])
 
     def _k_val(self) -> int:
         return self.signature[2] if self._adaptive else 0
 
+    @staticmethod
+    def _mark_moved_owners(
+        dirty_costs: np.ndarray, old_rows: np.ndarray, new_rows: np.ndarray
+    ) -> None:
+        """Mark the owners that changed validators gained or lost.
+
+        An owner's cost sums its validators' errors in validator order, so
+        an owner that only moved within a validator's list keeps its sum.
+        ``old_rows`` entries of ``-1`` (deleted owners) are skipped.
+        """
+        same = old_rows[:, :, None] == new_rows[:, None, :]
+        lost = old_rows[~same.any(axis=2)]
+        dirty_costs[lost[lost >= 0]] = True
+        dirty_costs[new_rows[~same.any(axis=1)]] = True
+
     def _track_append(
-        self, slots: np.ndarray, dirty_models: np.ndarray, dirty_costs: np.ndarray
+        self, slots: np.ndarray, ranks: np.ndarray, dirty_costs: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Absorb appended tuples into the cache/owner/dirty state."""
         n_old = self.cache.n_points
         result = self.cache.append(slots=slots)
         n = self.cache.n_points
 
-        grown_models = np.zeros(n, dtype=bool)
-        grown_models[:n_old] = dirty_models
-        grown_models[result.changed_rows(self._dirty_limit())] = True
-        grown_models[n_old:] = True
+        grown_ranks = np.zeros(n, dtype=int)  # appended rows learn from scratch
+        grown_ranks[:n_old] = np.minimum(ranks, result.first_changed)
         grown_costs = np.zeros(n, dtype=bool)
         grown_costs[:n_old] = dirty_costs
 
@@ -474,11 +476,11 @@ class _AttributeState:
                 owners_new = self._owners_from(orders, k_val, n)
                 validators_changed = result.changed_rows(k_val + 1)
                 if validators_changed.size:
-                    old_rows = self.owners[validators_changed]
-                    new_rows = owners_new[validators_changed]
-                    moved = old_rows != new_rows
-                    grown_costs[old_rows[moved]] = True
-                    grown_costs[new_rows[moved]] = True
+                    self._mark_moved_owners(
+                        grown_costs,
+                        self.owners[validators_changed],
+                        owners_new[validators_changed],
+                    )
                 grown_costs[owners_new[n_old:].ravel()] = True
                 self.owners = owners_new
             else:
@@ -487,12 +489,12 @@ class _AttributeState:
             params = np.empty((n, self.parameters.shape[1]))
             params[:n_old] = self.parameters
             self.parameters = params
-        return grown_models, grown_costs
+        return grown_ranks, grown_costs
 
     def _track_delete(
         self,
         indices: np.ndarray,
-        dirty_models: np.ndarray,
+        ranks: np.ndarray,
         dirty_costs: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fold deleted tuples out of the cache/owner/dirty state."""
@@ -502,13 +504,12 @@ class _AttributeState:
         index_map = result.index_map
         n = self.cache.n_points
 
-        shrunk_models = dirty_models[kept]
-        shrunk_models[result.changed_rows(self._dirty_limit())] = True
+        shrunk_ranks = np.minimum(ranks[kept], result.first_changed)
         shrunk_costs = dirty_costs[kept]
 
         if self._adaptive:
-            self.all_parameters = np.ascontiguousarray(self.all_parameters[:, kept])
-            self.costs = np.ascontiguousarray(self.costs[kept])
+            self.all_parameters = np.take(self.all_parameters, kept, axis=1)
+            self.costs = np.take(self.costs, kept, axis=0)
             k_val = self._k_val()
             if k_val > 0:
                 orders = self.cache.order_matrix()
@@ -516,28 +517,32 @@ class _AttributeState:
                 # Owners gained/lost by surviving validators...
                 validators_changed = result.changed_rows(k_val + 1)
                 if validators_changed.size:
-                    old_rows = index_map[old_owners[kept[validators_changed]]]
-                    new_rows = owners_new[validators_changed]
-                    moved = old_rows != new_rows
-                    moved_old = old_rows[moved]
-                    shrunk_costs[moved_old[moved_old >= 0]] = True
-                    shrunk_costs[new_rows[moved]] = True
-                # ...and owners that lost a deleted validator's contribution.
+                    self._mark_moved_owners(
+                        shrunk_costs,
+                        index_map[old_owners[kept[validators_changed]]],
+                        owners_new[validators_changed],
+                    )
+                # ...owners that lost a deleted validator's contribution...
                 removed_old = np.flatnonzero(index_map < 0)
                 lost = index_map[old_owners[removed_old]]
                 shrunk_costs[lost[lost >= 0]] = True
+                # ...and the owners of validators renumbered into another
+                # scatter block, whose sums now group differently.
+                span = validator_block(k_val)
+                shifted = np.flatnonzero(kept // span != np.arange(n) // span)
+                shrunk_costs[owners_new[shifted].ravel()] = True
                 self.owners = owners_new
             else:
                 self.owners = np.empty((n, 0), dtype=int)
         else:
             self.parameters = self.parameters[kept]
-        return shrunk_models, shrunk_costs
+        return shrunk_ranks, shrunk_costs
 
     def _track_update(
         self,
         indices: np.ndarray,
         slots: np.ndarray,
-        dirty_models: np.ndarray,
+        ranks: np.ndarray,
         dirty_costs: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fold a run of revised tuples into the cache/owner/dirty state."""
@@ -547,13 +552,14 @@ class _AttributeState:
         orders = self.cache.order_matrix()
         limit = self._dirty_limit()
 
-        # Changed orderings are not enough: a model whose prefix still
-        # contains a revised tuple at the same rank changed *values*.
-        dirty_models[result.changed_rows(limit)] = True
+        # Changed orderings are not enough: a prefix that still holds a
+        # revised tuple changed *values* from that tuple's rank on.
         revised = np.zeros(n, dtype=bool)
         revised[indices] = True
-        dirty_models |= revised[orders[:, :limit]].any(axis=1)
-        dirty_models[indices] = True
+        held = revised[orders[:, :limit]]
+        revalued = np.where(held.any(axis=1), held.argmax(axis=1), limit)
+        ranks = np.minimum(ranks, np.minimum(result.first_changed, revalued))
+        ranks[indices] = 0
 
         if self._adaptive:
             k_val = self._k_val()
@@ -561,79 +567,92 @@ class _AttributeState:
                 owners_new = self._owners_from(orders, k_val, n)
                 validators_changed = result.changed_rows(k_val + 1)
                 if validators_changed.size:
-                    old_rows = old_owners[validators_changed]
-                    new_rows = owners_new[validators_changed]
-                    moved = old_rows != new_rows
-                    dirty_costs[old_rows[moved]] = True
-                    dirty_costs[new_rows[moved]] = True
+                    self._mark_moved_owners(
+                        dirty_costs,
+                        old_owners[validators_changed],
+                        owners_new[validators_changed],
+                    )
                 # Every owner a revised tuple validates sees a revalued
                 # squared error, even where the neighbour sets did not move.
                 dirty_costs[old_owners[indices]] = True
                 dirty_costs[owners_new[indices]] = True
                 self.owners = owners_new
-        return dirty_models, dirty_costs
+        return ranks, dirty_costs
 
     # ------------------------------------------------------------------ #
     # Batched refresh (phase 2 of a replay)
     # ------------------------------------------------------------------ #
     def _finalize_refresh(
-        self, dirty_models: np.ndarray, dirty_costs: np.ndarray
-    ) -> int:
-        """One batched relearn + cost rebuild + selection over the dirty sets."""
+        self, ranks: np.ndarray, dirty_costs: np.ndarray
+    ) -> Tuple[int, int, int]:
+        """One batched relearn + cost rebuild + selection over the dirty rows.
+
+        Returns the model-dirty rows, the ``(row, ℓ)`` models solved and
+        the cost rows rebuilt.
+        """
         imputer = self._imputer
         n = self.cache.n_points
-        model_rows = np.flatnonzero(dirty_models)
+        grid = self._grid()
+        model_rows = np.flatnonzero(ranks < grid[-1])
+        # Candidate ℓ reads the first ℓ neighbours: solve those with ℓ > rank.
+        first = np.searchsorted(grid, ranks[model_rows], side="right")
         features = self.cache.data.block()
         target = self.target_column()
-        orders = self.cache.order_matrix()
 
-        if not self._adaptive:
-            with engine_phase("subset_relearn"):
-                ell = self.signature[1]
-                if model_rows.size:
-                    refreshed = learn_candidate_models_for_rows(
-                        features,
-                        target,
-                        [ell],
-                        orders[model_rows],
-                        alpha=imputer.alpha,
-                        incremental=True,
-                    )[0]
-                    self.parameters[model_rows] = refreshed
-                self.models = IndividualModels(
-                    self.parameters, np.full(n, ell, dtype=int)
-                )
-            return int(model_rows.shape[0])
-
-        _, stepped, k_val, global_active = self.signature
         with engine_phase("subset_relearn"):
             if model_rows.size:
                 refreshed = learn_candidate_models_for_rows(
                     features,
                     target,
-                    self.candidates,
-                    orders[model_rows],
+                    grid,
+                    self.cache.order_matrix()[model_rows],
                     alpha=imputer.alpha,
-                    incremental=imputer.incremental,
+                    incremental=imputer.incremental if self._adaptive else True,
+                    first_solved=first,
                 )
-                self.all_parameters[:, model_rows] = refreshed
+                stack = self.all_parameters if self._adaptive else self.parameters[None]
+                for index in range(grid.shape[0]):
+                    solved = first <= index
+                    stack[index, model_rows[solved]] = refreshed[index, solved]
+            n_solved = int(grid.shape[0] * model_rows.shape[0] - first.sum())
+            if not self._adaptive:
+                self.models = IndividualModels(
+                    self.parameters, np.full(n, grid[0], dtype=int)
+                )
+                return int(model_rows.shape[0]), n_solved, 0
 
             # The global ℓ = n candidate changes on every mutation.
+            _, _, k_val, global_active = self.signature
             if global_active:
                 self.global_params = (
                     RidgeRegression(alpha=imputer.alpha).fit(features, target).coefficients
                 )
 
         with engine_phase("cost_rebuild"):
-            dirty_rows = np.flatnonzero(dirty_costs | dirty_models)
+            dirty_costs[model_rows] = True
             designs = batched_design(features)
-            self._rebuild_dirty_costs(
-                dirty_rows, self.owners, designs, target, k_val
+            n_costed = int(dirty_costs.sum()) if k_val > 0 else 0
+            if n_costed:
+                # The cold validation kernel, restricted to the dirty
+                # owners: same blocks, same einsum, same bincount order.
+                self.costs[dirty_costs] = 0.0
+                scatter_validation_costs(
+                    self.costs, self.owners, designs, target,
+                    self.all_parameters, dirty_costs,
+                )
+            if global_active and k_val > 0:
+                self.global_costs = global_validation_costs(
+                    self.owners, designs, target, self.global_params
+                )
+            else:
+                self.global_costs = np.zeros(n)
+            self.counts = (
+                np.bincount(self.owners.ravel(), minlength=n).astype(int)
+                if k_val > 0
+                else np.zeros(n, dtype=int)
             )
-            self._finish_validation(
-                self.owners, designs, target, k_val, global_active, n
-            )
-        return int(model_rows.shape[0])
+            self._select(n)
+        return int(model_rows.shape[0]), n_solved, n_costed
 
     def _select(self, n: int) -> None:
         """Re-run the per-tuple argmin of Algorithm 3 over the cost matrix."""
@@ -816,6 +835,10 @@ class OnlineImputationEngine:
             # Always 0; perfbench reads it as engine.hybrid_full_rebuilds.
             "hybrid_full_rebuilds": 0,
             "rows_refreshed": 0,
+            # (row, ℓ) models incremental refreshes re-solved, all states.
+            "models_solved": 0,
+            # Validation-cost rows rebuilt, full and incremental refreshes.
+            "cost_rows_rebuilt": 0,
             # Ordering rows re-filled from a fresh distance row, all states.
             "order_refill_rows": 0,
             "cache_hits": 0,

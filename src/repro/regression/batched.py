@@ -6,13 +6,11 @@ one shot — ``U`` of shape ``(..., d+1, d+1)`` and ``V`` of shape
 ``(..., d+1)`` — and hand the whole stack to :func:`batched_ridge_solve`,
 which resolves them with a single LAPACK call instead of one
 :class:`~repro.regression.incremental_ridge.IncrementalRidge` solve per
-system.  Systems built from a single row fall back to the constant model of
-Section III-A2, exactly like the scalar solvers.
+system.  Systems built from a single row (the constant model of Section
+III-A2) are the caller's to write; the learning kernel never sends them.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -36,8 +34,6 @@ def batched_ridge_solve(
     U: np.ndarray,
     V: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
-    counts: Optional[np.ndarray] = None,
-    first_targets: Optional[np.ndarray] = None,
     overwrite_u: bool = False,
 ) -> np.ndarray:
     """Solve ``φ = (U + αE)⁻¹ V`` for a stack of ridge systems.
@@ -55,49 +51,18 @@ def batched_ridge_solve(
     overwrite_u:
         Allow clobbering ``U`` with the regularised Gram matrices (skips one
         stack-sized allocation on the hot path).
-    counts:
-        Optional number of rows accumulated into each system, broadcastable
-        to ``U.shape[:-2]``.  Systems with ``count == 1`` return the
-        constant model (Section III-A2) instead of the ridge solution and
-        then require ``first_targets``.
-    first_targets:
-        The target value of each system's first accumulated row,
-        broadcastable to ``U.shape[:-2]``; only consulted where
-        ``counts == 1``.
     """
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
     alpha = check_positive_float(alpha, "alpha", allow_zero=True)
     if U.shape[:-1] != V.shape:
         raise DataError(f"U {U.shape} and V {V.shape} describe different systems")
+    if alpha == 0:
+        return np.einsum("...ij,...j->...i", np.linalg.pinv(U), V)
     p = U.shape[-1]
-
-    single = None
-    if counts is not None:
-        single = np.broadcast_to(np.asarray(counts), U.shape[:-2]) == 1
-        if not single.any():
-            single = None
-        elif first_targets is None:
-            raise DataError("systems with a single row require first_targets")
-
-    if single is not None and single.all():
-        solutions = np.zeros_like(V)
-    elif alpha > 0:
-        if overwrite_u:
-            gram = U
-            gram += alpha * np.eye(p)
-        else:
-            gram = U + alpha * np.eye(p)
-        if single is not None:
-            # Keep the one-row systems trivially solvable; their ridge
-            # solutions are overwritten below by the constant model.
-            gram[single] = np.eye(p)
-        solutions = np.linalg.solve(gram, V[..., None])[..., 0]
+    if overwrite_u:
+        gram = U
+        gram += alpha * np.eye(p)
     else:
-        solutions = np.einsum("...ij,...j->...i", np.linalg.pinv(U), V)
-
-    if single is not None:
-        firsts = np.broadcast_to(np.asarray(first_targets, dtype=float), U.shape[:-2])
-        solutions[single] = 0.0
-        solutions[single, 0] = firsts[single]
-    return solutions
+        gram = U + alpha * np.eye(p)
+    return np.linalg.solve(gram, V[..., None])[..., 0]

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import candidate_ell_values, learn_individual_models, learn_models_for_candidates
+from repro.core import (
+    candidate_ell_values,
+    learn_candidate_models_for_rows,
+    learn_individual_models,
+    learn_models_for_candidates,
+)
+from repro.core import learning
 from repro.core.learning import IndividualModels
 from repro.exceptions import ConfigurationError
 from repro.neighbors import NeighborOrderCache
@@ -128,3 +134,68 @@ class TestIndividualModelsContainer:
         row = models[0]
         row[:] = 0
         assert not np.allclose(models[0], 0)
+
+
+class TestMaskedRefreshSolve:
+    """``first_solved`` solves only each row's candidates from its entry on,
+    and every solved entry is bit-equal to the unmasked call's."""
+
+    @pytest.fixture
+    def store(self):
+        rng = np.random.default_rng(4)
+        features = rng.normal(size=(90, 3))
+        features[60:] = features[:30]  # zero-distance ties
+        target = features @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=90)
+        orders = NeighborOrderCache(features, include_self=True).order_matrix()
+        rows = rng.choice(90, size=40, replace=False)
+        return features, target, orders[rows], rng
+
+    @pytest.mark.parametrize("candidates", [[1, 5, 9, 13], [1, 2, 6, 7, 15], [3, 7, 11]],
+                             ids=["uniform", "non-uniform", "no-constant"])
+    @pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "straightforward"])
+    @pytest.mark.parametrize("block_rows", [None, 7], ids=["one-block", "row-blocks"])
+    def test_solved_entries_equal_the_unmasked_call(
+        self, store, candidates, incremental, block_rows, monkeypatch
+    ):
+        features, target, orders, rng = store
+        if block_rows is not None:
+            monkeypatch.setattr(learning, "_chunk_rows", lambda n, *_: min(n, block_rows))
+        full = learn_candidate_models_for_rows(
+            features, target, candidates, orders, incremental=incremental
+        )
+        # A row whose ordering first changed at rank ρ re-solves ℓ > ρ.
+        ranks = rng.integers(0, candidates[-1] + 1, size=orders.shape[0])
+        first = np.searchsorted(candidates, ranks, side="right")
+        masked = learn_candidate_models_for_rows(
+            features, target, candidates, orders, incremental=incremental,
+            first_solved=first,
+        )
+        solved = np.arange(len(candidates))[:, None] >= first[None, :]
+        np.testing.assert_array_equal(masked[solved], full[solved])
+        assert np.isnan(masked[~solved]).all()
+        if candidates[0] == 1:
+            # ℓ = 1 is the constant model of Section III-A2.
+            constant = np.zeros((orders.shape[0], features.shape[1] + 1))
+            constant[:, 0] = target[orders[:, 0]]
+            np.testing.assert_array_equal(full[0], constant)
+            np.testing.assert_array_equal(masked[0, solved[0]], constant[solved[0]])
+
+    def test_the_unmasked_call_matches_the_full_relation_kernel(self, store):
+        features, target, _, _ = store
+        orders = NeighborOrderCache(features, include_self=True).order_matrix()
+        for incremental in (True, False):
+            np.testing.assert_array_equal(
+                learn_candidate_models_for_rows(
+                    features, target, [1, 4, 7, 10], orders, incremental=incremental
+                ),
+                learn_models_for_candidates(
+                    features, target, [1, 4, 7, 10], incremental=incremental
+                ),
+            )
+
+    def test_first_solved_must_align_with_the_rows(self, store):
+        features, target, orders, _ = store
+        with pytest.raises(ConfigurationError):
+            learn_candidate_models_for_rows(
+                features, target, [1, 5], orders, first_solved=np.zeros(3, dtype=int)
+            )

@@ -8,7 +8,9 @@ the first run of each trace revises one index twice) and all-rows-deleted
 states included — while holding a plain-array reference
 store.  After every imputation the engine must match a cold
 :class:`~repro.core.iim.IIMImputer` refit over the surviving tuples at
-``rtol = 1e-9``; after every operation the store must retain exactly the
+``rtol = 1e-9``, and every state the imputation synced must equal, array
+for array and bit for bit, the state a fresh engine builds over the same
+store; after every operation the store must retain exactly the
 retired slots some lagging state's view still holds — none once every
 state has synced.  Traces are seeded, so a failure reproduces from its
 parametrisation alone.
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro import IIMImputer, load_dataset
+from repro.core import adaptive
 from repro.data.relation import Relation
 from repro.exceptions import NotFittedError
 from repro.online import OnlineImputationEngine
@@ -47,8 +50,15 @@ PARAM_GRID = [
          combination="uniform"),
     dict(k=4, learning="adaptive", stepping=4, max_learning_neighbors=12,
          combination="distance"),
+    dict(k=4, learning="adaptive", stepping=4, max_learning_neighbors=12,
+         incremental=False),
 ]
-PARAM_IDS = ["fixed", "adaptive-voting", "adaptive-uniform", "adaptive-distance"]
+PARAM_IDS = ["fixed", "adaptive-voting", "adaptive-uniform", "adaptive-distance",
+             "adaptive-straightforward"]
+
+#: The arrays a synced state must share with a fresh build of the same store.
+STATE_ARRAYS = ("all_parameters", "costs", "global_costs", "owners", "counts",
+                "parameters", "models_parameters", "models_ell")
 
 
 @pytest.fixture(scope="module")
@@ -97,11 +107,30 @@ def _check_impute(engine, ref, rng, params, n_queries=4):
     got = engine.impute_batch(queries)
     want = _cold_impute(ref, queries.copy(), **params)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+    _check_states(engine, params)
 
 
-def _run_trace(engine, pool, rng, params, n_ops, tmp_path=None):
+def _check_states(engine, params):
+    """Every synced state equals a fresh engine's state over the same store."""
+    fresh = OnlineImputationEngine(**STRESS_KNOBS, **params)
+    fresh.append(engine.store_relation().raw)
+    for target_index, state in engine._states.items():
+        if not state.current:
+            continue
+        got = state.state_arrays()
+        want = fresh._get_state(target_index).state_arrays()
+        assert got.keys() == want.keys()
+        for key in STATE_ARRAYS:
+            if key in want:
+                np.testing.assert_array_equal(
+                    got[key], want[key],
+                    err_msg=f"state {target_index} {key} drifted from a fresh build",
+                )
+
+
+def _run_trace(engine, pool, rng, params, n_ops, tmp_path=None, n_start=30):
     """Drive one random lifecycle trace; returns the final reference store."""
-    ref = pool[:30].copy()
+    ref = pool[:n_start].copy()
     engine.append(ref)
     n_snapshots = 0
     n_runs = 0
@@ -190,6 +219,18 @@ def test_random_trace_with_a_short_candidate_grid(pool, tmp_path):
     rng = np.random.default_rng(11)
     engine = OnlineImputationEngine(**STRESS_KNOBS, **params)
     _run_trace(engine, pool, rng, params, N_OPS, tmp_path=tmp_path)
+
+
+def test_random_trace_across_validation_blocks(pool, tmp_path, monkeypatch):
+    """A shrunk pair block cuts a 200-row store's validators into two
+    blocks: subset cost rebuilds must group each owner's sum across the
+    boundary as a full pass does, also after deletes renumber validators
+    across it."""
+    monkeypatch.setattr(adaptive, "VALIDATION_PAIR_CHUNK", 4 * 120)
+    params = dict(k=4, learning="adaptive", stepping=4, max_learning_neighbors=12)
+    rng = np.random.default_rng(7)
+    engine = OnlineImputationEngine(**STRESS_KNOBS, **params)
+    _run_trace(engine, pool, rng, params, N_OPS, tmp_path=tmp_path, n_start=200)
 
 
 def test_long_lazy_burst_retains_at_most_the_lagging_view(pool):
