@@ -15,6 +15,7 @@ from .index import (
     NeighborOrderCache,
     OrderAppendResult,
     OrderRemoveResult,
+    OrderRepairResult,
     OrderReplaceResult,
 )
 
@@ -23,6 +24,7 @@ __all__ = [
     "NeighborOrderCache",
     "OrderAppendResult",
     "OrderRemoveResult",
+    "OrderRepairResult",
     "OrderReplaceResult",
     "METRICS",
     "paper_euclidean",

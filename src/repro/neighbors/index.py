@@ -21,16 +21,19 @@ pairwise distances computed over one block the view gathers from the
 store once and keeps — bit-identical to the matrix, with the store the
 only owner of tuple payloads.  A matrix-backed cache is read-only: it is
 what the cold :class:`~repro.core.iim.IIMImputer` builds and reads.  Only
-a store-backed cache — the online engine's — is mutable.  Its lifecycle
-methods take store positions and slots (:meth:`~NeighborOrderCache.append`
-``(slots)``, :meth:`~NeighborOrderCache.remove` ``(indices)``,
-:meth:`~NeighborOrderCache.replace` ``(index, slot)``, where ``index`` and
-``slot`` may also be parallel arrays), repair the cached orderings
-*incrementally* and report, per tuple, the first ordering position that
-changed — the signal the online engine uses to invalidate only the
-affected per-tuple models.  The repaired orderings are exactly those a cold
-rebuild over the mutated store would produce (same distance values, same
-index tie-breaks).
+a store-backed cache — the online engine's — is mutable.  One method
+changes it: :meth:`~NeighborOrderCache.repair` takes a batch of mutations
+as three runs — revised indices with their fresh store slots, deleted
+indices and appended slots — repairs the cached orderings
+*incrementally*, once, and reports, per surviving tuple, the first
+ordering position that changed and the first that holds a revised tuple
+— the signals the online engine uses to invalidate only the affected
+per-tuple models.  :meth:`~NeighborOrderCache.append` ``(slots)``,
+:meth:`~NeighborOrderCache.remove` ``(indices)`` and
+:meth:`~NeighborOrderCache.replace` ``(index, slot)`` are one-run calls of
+it.  The repaired orderings are exactly those a cold rebuild over the
+mutated store would produce (same distance values, same index
+tie-breaks).
 
 Slack and the valid length
 --------------------------
@@ -48,19 +51,22 @@ entries, only when its valid length dropped below ``L``
 (:attr:`~NeighborOrderCache.refilled_rows` counts them).  Matrix-backed and
 uncapped caches keep no slack (``s = 0``).
 
-Each repair sorts, merges and re-fills only the rows whose ordering the
-mutation can change; every other row costs one vectorised scan or gather
-and is reported unchanged:
+A repair sorts, merges and re-fills only the rows whose ordering the
+mutations can change; every other row costs one vectorised gather and is
+reported unchanged:
 
-* :meth:`NeighborOrderCache.append` merges into a row only the appended
-  tuples closer than its last valid entry (a row holding every tuple takes
-  them all), packed per row in index order;
-* :meth:`NeighborOrderCache.remove` renumbers every row with one index-map
-  gather, then compacts the rows that held a removed tuple;
-* :meth:`NeighborOrderCache.replace` retires the stale entries of the
-  revised tuples, merges back those that sort before a row's old last
-  valid entry, and takes each revised tuple's own ordering from its
-  distance row.
+* every surviving row is renumbered into the new index space by one
+  gather (the order of survivors is kept, so a row that holds no revised
+  or deleted tuple and takes no candidate is then exact);
+* the revised and appended tuples are priced against the final data by
+  one distance call; their own orderings come from those rows, and the
+  same rows are every other tuple's candidates;
+* a candidate enters a row only when it sorts before the row's old last
+  valid ``(distance, index)`` entry (an appended tuple only when strictly
+  closer: its index exceeds every survivor's), or when the row held every
+  tuple;
+* one merge retires the revised and deleted entries of the rows holding
+  them and sorts the entering candidates in by ``(distance, index)``.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ __all__ = [
     "NeighborOrderCache",
     "OrderAppendResult",
     "OrderRemoveResult",
+    "OrderRepairResult",
     "OrderReplaceResult",
 ]
 
@@ -87,27 +94,98 @@ _BLANK = -1
 
 
 def _first_difference(new: np.ndarray, old: np.ndarray, length: int) -> np.ndarray:
-    """Per row, the first column where ``new`` and ``old`` differ (else ``length``)."""
-    differs = new != old
+    """Per row, the first of the ``length`` columns where ``new`` and ``old``
+    differ (else ``length``); ``old`` is cut, or padded with blanks, to
+    ``length`` columns."""
+    if old.shape[1] < length:
+        old = np.hstack(
+            [old, np.full((old.shape[0], length - old.shape[1]), _BLANK, old.dtype)]
+        )
+    differs = new[:, :length] != old[:, :length]
     return np.where(differs.any(axis=1), differs.argmax(axis=1), length)
 
 
-def _packed(mask: np.ndarray, values: np.ndarray, labels: np.ndarray):
-    """Per row, the ``values``/``labels`` where ``mask`` holds, packed to the
-    front in column order and padded with blanks to the widest row.
+def _packed(rows: np.ndarray, labels: np.ndarray, values: np.ndarray, n_rows: int):
+    """The ``labels``/``values`` of entries owned by ``rows`` (sorted), each
+    row's packed to the front in the given order and padded with blanks to
+    the widest row.
 
-    Returns ``(labels, values, counts)``: ``(r, e)`` int32 labels, ``(r, e)``
-    values (``+inf`` padding) and the per-row entry counts.
+    Returns ``(labels, values, counts)``: ``(n_rows, e)`` int32 labels,
+    ``(n_rows, e)`` values (``+inf`` padding) and the per-row entry counts.
     """
-    rows, cols = np.nonzero(mask)
-    counts = np.bincount(rows, minlength=mask.shape[0])
+    counts = np.bincount(rows, minlength=n_rows)
     width = int(counts.max()) if counts.size else 0
     position = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    out_labels = np.full((mask.shape[0], width), _BLANK, dtype=np.int32)
-    out_values = np.full((mask.shape[0], width), np.inf)
-    out_labels[rows, position] = labels[cols]
-    out_values[rows, position] = values[rows, cols]
+    out_labels = np.full((n_rows, width), _BLANK, dtype=np.int32)
+    out_values = np.full((n_rows, width), np.inf)
+    out_labels[rows, position] = labels
+    out_values[rows, position] = values
     return out_labels, out_values, counts
+
+
+def _merged(orders: np.ndarray, dists: np.ndarray, width: int, revised: bool):
+    """Each row's entries in ``(distance, index)`` order, cut or padded with
+    blanks to ``width`` columns.
+
+    A repair hands every row its surviving entries, already in that order,
+    followed by the entering candidates in index order, so one stable sort
+    by distance orders it unless a revised tuple (``revised``: one is among
+    the candidates) ties an entry with a larger index; only the rows where
+    such a tie left two indices out of order are sorted again, by
+    ``(distance, index)``.
+    """
+    n_rows, columns = dists.shape
+    flat = np.argsort(dists, axis=1, kind="stable")
+    flat += np.arange(0, n_rows * columns, columns)[:, None]
+    sorted_orders, sorted_dists = np.take(orders, flat), np.take(dists, flat)
+    if revised:
+        tied = (sorted_dists[:, 1:] == sorted_dists[:, :-1]) & (
+            sorted_orders[:, 1:] < sorted_orders[:, :-1]
+        )
+        rows = np.flatnonzero(tied.any(axis=1))
+        if rows.size:
+            order = np.lexsort((orders[rows], dists[rows]), axis=1)
+            sorted_orders[rows] = np.take_along_axis(orders[rows], order, axis=1)
+            sorted_dists[rows] = np.take_along_axis(dists[rows], order, axis=1)
+    if columns < width:
+        pad = width - columns
+        return (
+            np.hstack([sorted_orders, np.full((n_rows, pad), _BLANK, np.int32)]),
+            np.hstack([sorted_dists, np.full((n_rows, pad), np.inf)]),
+        )
+    return sorted_orders[:, :width], sorted_dists[:, :width]
+
+
+@dataclass
+class OrderRepairResult:
+    """Outcome of one :meth:`NeighborOrderCache.repair` call.
+
+    Attributes
+    ----------
+    index_map:
+        Array of shape ``(n_before,)`` mapping old tuple indices to new
+        ones; deleted tuples map to ``-1``.  Survivors keep their order,
+        revised tuples included, and the appended tuples follow them.
+    first_changed:
+        Array of shape ``(n_kept,)``, aligned with the surviving tuples in
+        their new index order: the first position of each survivor's
+        exposed ordering whose neighbour *identity* differs from its old
+        ordering renumbered (the effective length when none does), so
+        ``first_changed[i] < ell`` is exactly "the ``ell``-prefix of
+        survivor ``i`` changed".
+    first_revised:
+        Array of shape ``(n_kept,)``: per survivor, the first exposed
+        position that holds a revised tuple (the effective length when
+        none does).  Such a prefix keeps its identities but not its values.
+    """
+
+    index_map: np.ndarray
+    first_changed: np.ndarray
+    first_revised: np.ndarray
+
+    def kept_rows(self) -> np.ndarray:
+        """Old indices of the surviving tuples, in new index order."""
+        return np.flatnonzero(self.index_map >= 0)
 
 
 @dataclass
@@ -193,7 +271,7 @@ class OrderReplaceResult:
         *contains* a replaced tuple at the same position has an unchanged
         ordering even though that neighbour's values changed; callers that
         learn models over the prefix values must treat those rows as dirty
-        too.
+        too (:attr:`OrderRepairResult.first_revised` reports them).
     """
 
     index: Union[int, np.ndarray]
@@ -439,8 +517,182 @@ class NeighborOrderCache:
         if not self._store_backed:
             raise ConfigurationError(
                 "a matrix-backed NeighborOrderCache is read-only; build it "
-                "over a store feature view to append, remove or replace"
+                "over a store feature view to repair it"
             )
+
+    def _last_valid(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row, the index and distance of the last valid entry."""
+        n, width = self._matrix.shape
+        if not width:
+            return np.full(n, _BLANK), np.full(n, np.inf)
+        flat = np.arange(0, n * width, width) + np.maximum(self._valid - 1, 0)
+        return self._matrix.ravel()[flat], self._dists.ravel()[flat]
+
+    def repair(self, revised=(), fresh=(), deleted=(), appended=()) -> OrderRepairResult:
+        """Replay one batch of mutations and repair every ordering once.
+
+        The tuples ``revised`` now read the store slots ``fresh`` (parallel
+        arrays), the tuples ``deleted`` leave, and the tuples at the store
+        slots ``appended`` join after every survivor; indices are the
+        cache's current ones, and no tuple is both revised and deleted.
+        The repaired orderings are exactly those a cold rebuild over the
+        final data produces (the module docstring says how).  A revised
+        candidate at a row's threshold distance is ranked by its old index,
+        which orders survivors as the new indices do.  A merged row's valid
+        length becomes ``V − retired + entered``, up to ``W``, and a row
+        left below the exposed length is re-filled.
+
+        Returns an :class:`OrderRepairResult`.
+        """
+        self._check_mutable()
+        n = self.n_points
+        revised = np.asarray(revised, dtype=np.int64).reshape(-1)
+        fresh = np.asarray(fresh, dtype=np.int64).reshape(-1)
+        deleted = np.sort(np.asarray(deleted, dtype=np.int64).reshape(-1))
+        appended = np.asarray(appended, dtype=np.int64).reshape(-1)
+        if fresh.shape != revised.shape:
+            raise ConfigurationError("every revised tuple needs one fresh slot")
+        order = np.argsort(revised, kind="stable")
+        revised, fresh = revised[order], fresh[order]
+        named = np.concatenate([revised, deleted])
+        if named.size and (
+            named.min() < 0 or named.max() >= n or np.unique(named).size < named.size
+        ):
+            raise ConfigurationError(
+                f"revised and deleted tuples must be distinct indices in [0, {n})"
+            )
+        if not (named.size or appended.size):
+            length = self.effective_length()
+            return OrderRepairResult(
+                np.arange(n), np.full(n, length), np.full(n, length)
+            )
+
+        self.order_matrix()
+        old_orders, old_dists, old_valid = self._matrix, self._dists, self._valid
+        last_orders, last_dists = self._last_valid()
+        complete = old_valid == self.max_neighbors()
+        alive = np.ones(n, dtype=bool)
+        alive[deleted] = False
+        kept = np.flatnonzero(alive)
+        n_kept = kept.shape[0]
+        # Old → new indices; one extra trailing entry maps blanks to blanks.
+        index_map = np.full(n + 1, _BLANK, dtype=np.int32)
+        index_map[kept] = np.arange(n_kept)
+        moved = index_map[revised].astype(np.int64)
+        n_after = n_kept + appended.shape[0]
+
+        self._data = self._data.repaired(kept, moved, fresh, appended)
+        self._resize()
+        if n_after == 0:
+            self.max_length = None if self._requested_length is None else 0
+            self._install(
+                np.empty((0, 0), dtype=np.int32), np.empty((0, 0)),
+                np.empty(0, dtype=np.int32), np.empty(0, dtype=int),
+            )
+            return OrderRepairResult(index_map[:n], np.empty(0, int), np.empty(0, int))
+        length = self.effective_length()
+        width = self._width()
+
+        # --- The candidates: revised and appended tuples, in index order.
+        candidates = np.concatenate([moved, np.arange(n_kept, n_after)])
+        if candidates.size:
+            cand_dists = self._pairwise(
+                np.take(self._data.block(), candidates, axis=0)
+            )
+        else:
+            cand_dists = np.empty((0, n_after))
+        own = self._select_rows(cand_dists, candidates, width)
+
+        # --- The survivors' old entries in the new index space (identities:
+        # revised tuples keep theirs), and which of them are stale.
+        rows = old_orders if not deleted.size else np.take(old_orders, kept, axis=0)
+        renumbered = rows if not deleted.size else np.take(index_map, rows)
+        stale = None
+        if named.size:
+            member = np.zeros(n + 1, dtype=bool)
+            member[named] = True
+            stale = np.take(member, rows)
+
+        # --- Entering candidates, against each row's old last valid entry.
+        to_rows = cand_dists[:, :n_kept]
+        limits = np.take(last_dists, kept)
+        enters = to_rows < limits
+        if revised.size:
+            enters[: revised.size] |= (to_rows[: revised.size] == limits) & (
+                revised[:, None] < np.take(last_orders, kept)
+            )
+        enters |= np.take(complete, kept)
+        enters[:, moved] = False  # revised rows are rebuilt whole
+        # The entering (candidate, row) pairs, row by row in index order.
+        pairs = np.flatnonzero(enters)
+        pairs = pairs[np.argsort(pairs % n_kept, kind="stable")]
+        entering, entered_rows = np.divmod(pairs, n_kept)
+        merged = np.zeros(n_kept, dtype=bool) if stale is None else stale.any(axis=1)
+        merged[entered_rows] = True
+        merged[moved] = False
+        merged = np.flatnonzero(merged)
+
+        orders = np.empty((n_after, width), dtype=np.int32)
+        dists = np.empty((n_after, width))
+        valid = np.empty(n_after, dtype=np.int32)
+        keep = min(width, old_orders.shape[1])
+        kept_dists = old_dists if not deleted.size else np.take(old_dists, kept, axis=0)
+        orders[:n_kept, :keep] = renumbered[:, :keep]
+        orders[:n_kept, keep:] = _BLANK
+        dists[:n_kept, :keep] = kept_dists[:, :keep]
+        dists[:n_kept, keep:] = np.inf
+        valid[:n_kept] = np.minimum(np.take(old_valid, kept), width)
+
+        # --- One merge: retire the stale entries as blanks, then sort the
+        # entering candidates in.
+        if merged.size:
+            row_orders = np.take(renumbered, merged, axis=0)
+            row_dists = np.take(kept_dists, merged, axis=0)
+            retired = 0
+            if stale is not None:
+                row_stale = np.take(stale, merged, axis=0)
+                row_orders[row_stale] = _BLANK
+                row_dists[row_stale] = np.inf
+                retired = row_stale.sum(axis=1)
+            slot = np.empty(n_kept, dtype=np.int64)
+            slot[merged] = np.arange(merged.size)
+            packed_orders, packed_dists, entered = _packed(
+                np.take(slot, entered_rows),
+                np.take(candidates, entering),
+                np.take(cand_dists, entering * n_after + entered_rows),
+                merged.size,
+            )
+            orders[merged], dists[merged] = _merged(
+                np.hstack([row_orders, packed_orders]),
+                np.hstack([row_dists, packed_dists]),
+                width,
+                bool(revised.size),
+            )
+            valid[merged] = np.minimum(
+                np.take(old_valid, np.take(kept, merged)) - retired + entered, width
+            )
+        orders[candidates] = own
+        dists[candidates] = np.take_along_axis(cand_dists, own, axis=1)
+        valid[candidates] = width
+        self._install(orders, dists, valid, merged)
+
+        # --- Per survivor: the first exposed position whose identity moved,
+        # and the first that holds a revised tuple.
+        rebuilt = np.concatenate([merged, moved])
+        final = np.take(orders, rebuilt, axis=0)
+        first_changed = np.full(n_kept, length, dtype=int)
+        first_changed[rebuilt] = _first_difference(
+            final, np.take(renumbered, rebuilt, axis=0), length
+        )
+        first_revised = np.full(n_kept, length, dtype=int)
+        if revised.size:
+            is_revised = np.zeros(n_after + 1, dtype=bool)
+            is_revised[moved] = True
+            held = np.take(is_revised, final[:, :length])
+            first_revised[rebuilt] = np.where(
+                held.any(axis=1), held.argmax(axis=1), length
+            )
+        return OrderRepairResult(index_map[:n], first_changed, first_revised)
 
     def _install(
         self, orders: np.ndarray, dists: np.ndarray, valid: np.ndarray, rows
@@ -460,235 +712,46 @@ class NeighborOrderCache:
         self._valid = valid
         self._cache.clear()
 
-    def _last_valid(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per row, the index and distance of the last valid entry."""
-        n, width = self._matrix.shape
-        if not width:
-            return np.full(n, _BLANK), np.full(n, np.inf)
-        flat = np.arange(0, n * width, width) + np.maximum(self._valid - 1, 0)
-        return self._matrix.ravel()[flat], self._dists.ravel()[flat]
-
     def append(self, slots) -> OrderAppendResult:
-        """Add the tuples at store ``slots`` and update every cached ordering.
+        """Add the tuples at store ``slots`` (:meth:`repair` with an
+        appended run only).
 
-        An appended tuple enters a pre-existing row only when its distance
-        is strictly below the row's last valid distance (a tie cannot enter:
-        appended indices exceed every old one), or when the row holds every
-        tuple.  Only those entering candidates are merged, packed per row in
-        index order, by one stable row-wise sort over ``W + e`` entries
-        (``e`` the most candidates entering any one row); the valid length
-        rises by the number that entered, up to ``W``.  The new tuples'
-        orderings are computed against the grown store.  Both are *exactly*
-        the orderings a cold rebuild would produce: the per-pair distance
-        values are identical and ties still break by index (the old cached
-        ordering and the packed candidates are each already in index order,
-        so a stable sort on distance preserves the lexicographic order).
-
-        The effective ordering length grows back towards the requested
-        ``max_length`` cap as the store grows; while it grows every row
-        holds every tuple, so every row takes every candidate.
-
-        ``slots`` are the columnar-store slots the engine appended; their
-        values are gathered from the store.
-
-        Returns an :class:`OrderAppendResult` reporting, per pre-existing
-        tuple, the first ordering position that changed.
+        An appended tuple enters a row only when strictly closer than the
+        row's last valid entry, since its index exceeds every old one, or
+        when the row holds every tuple.  The effective ordering length
+        grows back towards the requested ``max_length`` cap as the store
+        grows; while it grows every row holds every tuple.
         """
-        self._check_mutable()
         n_before = self.n_points
-        slots = np.asarray(slots, dtype=np.int64)
-        n_appended = slots.shape[0]
-        if n_appended == 0:
-            length = self.effective_length()
-            return OrderAppendResult(
-                n_before, 0, np.full(n_before, length, dtype=int)
-            )
-        rows = self._data.store.rows(slots, attrs=self._data.attrs)
-
-        # Materialise the current orderings (and distances) before growing.
-        old_length = self.order_matrix().shape[1]
-        old_orders, old_dists, old_valid = self._matrix, self._dists, self._valid
-        _, last_dists = self._last_valid()
-        complete = old_valid == self.max_neighbors()
-
-        n_after = n_before + n_appended
-        new_indices = np.arange(n_before, n_after)
-
-        # Distances of the appended rows against the full grown store; the
-        # transpose of its left block is, by metric symmetry, bit-identical
-        # to what a cold rebuild computes for the pre-existing rows.
-        self._data = self._data.extended(slots)
-        appended_distances = self._pairwise(rows)
-        self._resize()
-        new_length = self.effective_length()
-        width = self._width()
-
-        orders = np.empty((n_after, width), dtype=np.int32)
-        dists = np.empty((n_after, width))
-        valid = np.empty(n_after, dtype=np.int32)
-        # --- Orderings of the appended tuples (cold path over the full
-        # store, truncated selection exactly like order_matrix()).
-        orders[n_before:] = self._select_rows(appended_distances, new_indices, width)
-        dists[n_before:] = np.take_along_axis(
-            appended_distances, orders[n_before:], axis=1
+        result = self.repair(appended=slots)
+        return OrderAppendResult(
+            n_before, self.n_points - n_before, result.first_changed
         )
-        valid[n_before:] = width
-        old_width = old_orders.shape[1]
-        orders[:n_before, :old_width] = old_orders
-        orders[:n_before, old_width:] = _BLANK
-        dists[:n_before, :old_width] = old_dists
-        dists[:n_before, old_width:] = np.inf
-        valid[:n_before] = old_valid
-
-        # --- Merge the entering candidates into the rows they reach.
-        candidate_dists = appended_distances[:, :n_before]  # (b, n_before)
-        touched = np.flatnonzero(
-            (candidate_dists.min(axis=0) < last_dists) | complete
-        )
-        first_changed = np.full(n_before, new_length, dtype=int)
-        if touched.size:
-            candidate_dists = candidate_dists[:, touched].T  # (t, b)
-            enters = (candidate_dists < last_dists[touched, None]) | complete[
-                touched, None
-            ]
-            packed_orders, packed_dists, entered = _packed(
-                enters, candidate_dists, new_indices
-            )
-            concat_dists = np.hstack([old_dists[touched], packed_dists])
-            concat_orders = np.hstack([old_orders[touched], packed_orders])
-            merge = np.argsort(concat_dists, axis=1, kind="stable")[:, :width]
-            # Entries past the new valid length are blanks (+inf sorts last).
-            orders[touched, : merge.shape[1]] = np.take_along_axis(
-                concat_orders, merge, axis=1
-            )
-            dists[touched, : merge.shape[1]] = np.take_along_axis(
-                concat_dists, merge, axis=1
-            )
-            valid[touched] = np.minimum(old_valid[touched] + entered, width)
-
-            # First changed position per touched tuple (old_length when the
-            # ordering only grew at the tail).
-            padded = np.full((touched.shape[0], new_length), _BLANK, dtype=np.int32)
-            padded[:, :old_length] = old_orders[touched, :old_length]
-            first_changed[touched] = _first_difference(
-                orders[touched, :new_length], padded, new_length
-            )
-
-        self._install(orders, dists, valid, touched)
-        return OrderAppendResult(n_before, n_appended, first_changed)
 
     def remove(self, indices) -> OrderRemoveResult:
-        """Remove tuples from the indexed data and repair every ordering.
+        """Remove tuples (:meth:`repair` with a deleted run only); duplicate
+        indices collapse.
 
-        Every surviving ordering is renumbered into the compacted index
-        space (old index tie-breaks map monotonically onto the new ones),
-        which leaves the rows that held no removed tuple exact.  The rows
-        that did are *compacted*: the removed entries are deleted in place,
-        an order-preserving operation, and the valid length drops by the
-        number of entries lost inside it.  Only a row whose valid length
-        fell below the new effective length is re-filled from a fresh
-        distance row; uncapped caches never need this.
-
-        Returns an :class:`OrderRemoveResult` carrying the per-survivor
-        first-changed positions (new index space) and the old→new
-        ``index_map``.
+        Survivors compact in order; a row that held a removed tuple loses
+        valid length by the entries it lost, and is re-filled only when it
+        falls below the effective length.
         """
-        self._check_mutable()
+        indices = np.unique(np.asarray(indices, dtype=np.int64))
         n_before = self.n_points
-        indices = np.unique(np.atleast_1d(np.asarray(indices, dtype=int)))
-        if indices.size == 0:
-            return OrderRemoveResult(
-                n_before,
-                0,
-                np.full(n_before, self.effective_length(), dtype=int),
-                np.arange(n_before),
-            )
-        if indices[0] < 0 or indices[-1] >= n_before:
-            raise ConfigurationError(
-                f"removal indices must lie in [0, {n_before}), got "
-                f"[{indices[0]}, {indices[-1]}]"
-            )
-
-        removed_mask = np.zeros(n_before, dtype=bool)
-        removed_mask[indices] = True
-        kept = np.flatnonzero(~removed_mask)
-        # One extra trailing entry maps blank (-1) entries to blanks too.
-        renumber = np.full(n_before + 1, _BLANK, dtype=np.int32)
-        renumber[kept] = np.arange(kept.size)
-        index_map = renumber[:n_before]
-        n_after = kept.size
-
-        if n_after == 0:
-            self._data = self._data.selected(kept)
-            self.max_length = None if self._requested_length is None else 0
-            self._matrix = np.empty((0, 0), dtype=np.int32)
-            self._dists = np.empty((0, 0))
-            self._valid = np.empty(0, dtype=np.int32)
-            self._cache.clear()
-            return OrderRemoveResult(
-                n_before, n_before, np.empty(0, dtype=int), index_map
-            )
-
-        # Materialise the current orderings (and distances) before shrinking.
-        self.order_matrix()
-        old_orders, old_dists, old_valid = self._matrix, self._dists, self._valid
-        old_width = old_orders.shape[1]
-
-        self._data = self._data.selected(kept)
-        self._resize()
-        new_length = self.effective_length()
-        width = self._width()
-
-        # --- Renumber every survivor's ordering (removed entries map to -1);
-        # rows that held no removed tuple are then already exact.
-        renumbered = renumber[old_orders[kept]]
-        gone = renumbered < 0
-        old_valid = old_valid[kept]
-        lost = gone.sum(axis=1) - (old_width - old_valid)
-        valid = np.minimum(old_valid - lost, width).astype(np.int32)
-        new_orders = renumbered[:, :width].copy()
-        new_dists = old_dists[kept, :width]
-
-        # --- Compact the rows that held a removed tuple: stable-partition
-        # the kept entries to the front (order preserved), then truncate.
-        held = np.flatnonzero(lost)
-        if held.size:
-            cols = np.argsort(gone[held], axis=1, kind="stable")[:, :width]
-            new_orders[held] = np.take_along_axis(renumbered[held], cols, axis=1)
-            held_dists = np.take_along_axis(old_dists[kept[held]], cols, axis=1)
-            held_dists[np.arange(width) >= valid[held, None]] = np.inf
-            new_dists[held] = held_dists
-
-        self._install(new_orders, new_dists, valid, held)
-        # First changed position per survivor: compare neighbour identities
-        # against the old prefix (removed entries map to -1, never equal).
-        first_changed = np.full(n_after, new_length, dtype=int)
-        first_changed[held] = _first_difference(
-            new_orders[held, :new_length], renumbered[held, :new_length], new_length
+        result = self.repair(deleted=indices)
+        return OrderRemoveResult(
+            n_before, indices.size, result.first_changed, result.index_map
         )
-        return OrderRemoveResult(n_before, indices.size, first_changed, index_map)
 
     def replace(self, index, slot) -> OrderReplaceResult:
-        """Point indexed tuples at revised store slots and repair every
-        ordering.
+        """Point indexed tuples at revised store slots (:meth:`repair` with
+        a revised run only).
 
         ``index`` and ``slot`` are one tuple index and the fresh
         columnar-store slot holding its revised values, or parallel arrays
         of them (a run of updates); an index given twice keeps its last
         slot.
-
-        Removal + merge over the kept distances, on the touched rows only:
-        those holding a revised tuple and those a revised tuple enters (its
-        new ``(distance, index)`` sorts before the row's old last valid
-        entry; a row holding every tuple takes them all).  There the stale
-        entries are retired and the entering tuples merged back by one
-        row-wise ``(distance, index)`` lexsort, so ties still break exactly
-        like a cold rebuild; the valid length becomes ``V - held +
-        entered``, up to ``W``.  Each revised tuple's own ordering comes
-        from its distance row.  Every other row is unchanged.
         """
-        self._check_mutable()
-        n = self.n_points
         scalar = np.ndim(index) == 0
         indices = np.atleast_1d(np.asarray(index, dtype=np.int64))
         slots = np.atleast_1d(np.asarray(slot, dtype=np.int64))
@@ -696,78 +759,12 @@ class NeighborOrderCache:
             raise ConfigurationError(
                 "replace takes one index and slot, or parallel 1-D arrays of them"
             )
-        out_of_range = indices[(indices < 0) | (indices >= n)]
-        if out_of_range.size:
-            raise ConfigurationError(f"tuple index {out_of_range[0]} out of range")
         # A repeated index keeps its last slot.
         indices, last = np.unique(indices[::-1], return_index=True)
-        slots = slots[::-1][last]
-
-        self.order_matrix()
-        old_orders, old_dists, old_valid = self._matrix, self._dists, self._valid
-        length = self.effective_length()
-        width = old_orders.shape[1]
-        last_orders, last_dists = self._last_valid()
-        complete = old_valid == self.max_neighbors()
-
-        self._data = self._data.replaced(indices, slots)
-        # Distances of the revised tuples against the updated store (their
-        # own entries included); by metric symmetry these rows double as
-        # every other tuple's candidate distances.
-        cand_dists = self._pairwise(self._data[indices])  # (k, n)
-
-        # --- Touched rows: those holding a revised tuple, and those a
-        # revised tuple enters, where (d, index) sorts before the row's old
-        # last valid (distance, index).  The revised rows are rebuilt whole.
-        # One membership gather; the extra trailing entry keeps blanks out.
-        member = np.zeros(n + 1, dtype=bool)
-        member[indices] = True
-        stale = member[old_orders]
-        candidates = cand_dists.T  # (n, k)
-        enters = (
-            (candidates < last_dists[:, None])
-            | ((candidates == last_dists[:, None]) & (indices < last_orders[:, None]))
-            | complete[:, None]
+        result = self.repair(revised=indices, fresh=slots[::-1][last])
+        return OrderReplaceResult(
+            int(indices[0]) if scalar else indices, result.first_changed
         )
-        touched = stale.any(axis=1) | enters.any(axis=1)
-        touched[indices] = False
-        touched = np.flatnonzero(touched)
-
-        # Retire the stale entries as blanks, then merge the entering
-        # candidates in by one (distance, index) sort; blanks sort last.
-        row_orders = old_orders[touched]
-        row_dists = old_dists[touched]
-        retired = stale[touched]
-        row_orders[retired] = _BLANK
-        row_dists[retired] = np.inf
-        packed_orders, packed_dists, entered = _packed(
-            enters[touched], candidates[touched], indices
-        )
-        concat_orders = np.hstack([row_orders, packed_orders])
-        concat_dists = np.hstack([row_dists, packed_dists])
-        merge = np.lexsort((concat_orders, concat_dists), axis=1)[:, :width]
-
-        new_orders = old_orders.copy()
-        new_dists = old_dists.copy()
-        valid = old_valid.copy()
-        new_orders[touched] = np.take_along_axis(concat_orders, merge, axis=1)
-        new_dists[touched] = np.take_along_axis(concat_dists, merge, axis=1)
-        valid[touched] = np.minimum(
-            old_valid[touched] - retired.sum(axis=1) + entered, width
-        )
-        # The revised tuples' own orderings come from their distance rows.
-        own = self._select_rows(cand_dists, indices, width)
-        new_orders[indices] = own
-        new_dists[indices] = np.take_along_axis(cand_dists, own, axis=1)
-        valid[indices] = width
-
-        self._install(new_orders, new_dists, valid, touched)
-        changed = np.concatenate([touched, indices])
-        first_changed = np.full(n, length, dtype=int)
-        first_changed[changed] = _first_difference(
-            new_orders[changed, :length], old_orders[changed, :length], length
-        )
-        return OrderReplaceResult(int(indices[0]) if scalar else indices, first_changed)
 
     def restore_matrix(self, orders: np.ndarray, dists: np.ndarray) -> None:
         """Install previously materialised orderings (artifact restore path).

@@ -8,10 +8,8 @@ scratch on every ``fit``; this module keeps a *long-lived* engine instead:
   :meth:`OnlineImputationEngine.update` revises one tuple in place — the
   full lifecycle a production store sees (inserts, retractions, late
   corrections).  Every cached per-attribute model state is maintained
-  **incrementally**: the neighbour index absorbs the mutation exactly
-  (:meth:`~repro.neighbors.NeighborOrderCache.append` /
-  :meth:`~repro.neighbors.NeighborOrderCache.remove` /
-  :meth:`~repro.neighbors.NeighborOrderCache.replace`), only the tuples
+  **incrementally**: the neighbour index absorbs the mutations exactly
+  (:meth:`~repro.neighbors.NeighborOrderCache.repair`), only the tuples
   whose neighbour prefix — or whose prefix *values* — actually changed have
   their candidate models relearned, and of those only the candidates that
   read the changed part of the prefix (through the batched Proposition 3
@@ -53,31 +51,32 @@ and the store's ``live_slots`` what is live now.  Surviving rows keep
 their order ahead of every appended row, so the difference is always one
 run of revised rows, one run of deleted rows and one run of appended
 rows.  On the next imputation touching the state those runs replay in two
-phases: one ``replace``, one ``remove`` and one ``append`` maintain the
-neighbour cache, the owner matrix, the per-row ranks and the cost-dirty
-rows only, then ONE batched relearn + cost rebuild + selection runs over
-the dirty rows.  A
-burst of mutations, however long or interleaved, thus costs one refresh.
+phases: one neighbour-cache repair carries all three runs and the state
+maintains its owner matrix, per-row ranks and cost-dirty rows from it
+once, then ONE batched relearn + cost rebuild + selection runs over the
+dirty rows.  A burst of mutations, however long or interleaved, thus
+costs one repair and one refresh.
 The payloads are durable in the columnar store the moment a mutation
 lands; a retired row version stays readable (MVCC style) while a lagging
-view holds it, since the replace step reads it, and returns to the free
+view holds it, since the repair reads it, and returns to the free
 list once none does.  When the replay would change the state's
 *structure* after the removal or at the end (the candidate ℓ grid still
 growing towards ``max_learning_neighbors``, the validation ``k`` clamped
 by a small ``n``, the global candidate toggling), the state falls back to
 one full relearn over the final store instead — structure changes
-reshape every array anyway.
+reshape every array anyway.  ``stats`` counts each full relearn by
+reason: no resident state, a state the store's emptying dropped, or a
+structure change.
 
 Exactness of the incremental maintenance
 ----------------------------------------
 Candidate ``ℓ``'s model is learned from the first ``ℓ`` tuples of a
 tuple's neighbour ordering only (the prefix statistics of Proposition 3).
 A replay therefore carries, per row, the first *rank* of its ordering
-that changed: the minimum, over the replay's runs, of the index's
-first-changed position (``first_changed`` on the append, remove and
-replace results), of the rank a revised tuple holds in each prefix that
-holds it (a revised tuple changes a model's *values* without moving in
-any ordering), and of 0 for appended and revised rows.  A row is
+that changed: the minimum of the repair's ``first_changed`` (the first
+position whose neighbour moved) and ``first_revised`` (the first position
+holding a revised tuple, which changes a model's *values* without moving
+in any ordering), and 0 for appended and revised rows.  A row is
 model-dirty when its rank is below the largest candidate, and only its
 candidates with ``ℓ > rank`` are re-solved; every other ``(row, ℓ)``
 model reads an unchanged prefix and keeps the value a cold build
@@ -89,8 +88,9 @@ Adaptive learning (Algorithm 3) gives every complete tuple ``i`` a cost row
 ``j`` that count ``i`` among their ``k`` nearest neighbours.  A mutation
 can change that row in exactly these ways: (1) ``i``'s own candidate
 models changed, (2) some validator ``j`` gained or lost ``i`` in its
-top-``k`` (a set difference: an owner that only moved within ``j``'s list
-keeps its sum), (3) a validator appeared, disappeared, or changed value,
+top-``k`` over the replay (one set difference against ``j``'s renumbered
+old owners: an owner that only moved within ``j``'s list keeps its sum),
+(3) a validator appeared, disappeared, or changed value,
 or (4) a deletion renumbered one of ``i``'s validators into another block
 of the scatter kernel, which sums each block separately.  The engine
 rebuilds exactly those rows with the cold path's scatter-add kernel
@@ -139,6 +139,22 @@ from .artifacts import read_artifact, write_artifact
 from .store import ColumnarTupleStore, ShardedNeighbors
 
 __all__ = ["OnlineImputationEngine"]
+
+
+def _regrown(array: np.ndarray, kept: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """``array`` restricted to the rows ``kept`` along ``axis``, in order,
+    then grown with zero rows to ``n``."""
+    shape = list(array.shape)
+    shape[axis] = n
+    grown = np.zeros(shape)
+    head = [slice(None)] * array.ndim
+    head[axis] = slice(0, kept.shape[0])
+    if kept.shape[0] == array.shape[axis]:  # nothing deleted
+        grown[tuple(head)] = array
+    else:
+        grown[tuple(head)] = np.take(array, kept, axis=axis)
+    return grown
+
 
 class _AttributeState:
     """Models + incremental maintenance state for one incomplete attribute.
@@ -245,39 +261,24 @@ class _AttributeState:
         diff = None
         if self.cache is not None:
             diff = self._slot_diff(self.cache.slots, engine._store.live_slots)
-        if diff is None or not self._can_replay(diff[2].shape[0], signature):
+        reason = self._rebuild_reason(diff, signature)
+        if reason is not None:
             self._full_build(signature)
+            engine._emptied.discard(self.target_index)
             engine.stats["full_refreshes"] += 1
+            engine.stats[reason] += 1
             engine.stats["rows_refreshed"] += n
             engine.stats["cost_rows_rebuilt"] += n if self._adaptive else 0
         else:
-            # Replay in two phases: each run maintains the neighbour cache,
-            # the owner matrix, the ranks and the dirty costs only; the model
-            # relearn + cost scatter + selection then runs ONCE over the
-            # final state — exact, because models and costs depend only on
-            # the final store, and rows no run dirtied kept cold values.
-            revised, fresh, deleted, appended = diff
-            # Per row, the first ordering rank whose tuple changed, in
-            # identity or in value, since its models were learned; the
-            # largest candidate means "clean".
-            ranks = np.full(self.cache.n_points, self._dirty_limit())
-            dirty_costs = np.zeros(self.cache.n_points, dtype=bool)
+            # Replay in two phases: one repair maintains the neighbour
+            # cache, the owner matrix, the ranks and the dirty costs; the
+            # model relearn + cost scatter + selection then runs once over
+            # the final state — exact, because models and costs depend only
+            # on the final store, and rows the repair left clean kept cold
+            # values.
             refilled = self.cache.refilled_rows
             with engine_phase("order_maintenance"):
-                # replace moves no index, so the deleted rows keep the
-                # view's index space.
-                if revised.size:
-                    ranks, dirty_costs = self._track_update(
-                        revised, fresh, ranks, dirty_costs
-                    )
-                if deleted.size:
-                    ranks, dirty_costs = self._track_delete(
-                        deleted, ranks, dirty_costs
-                    )
-                if appended.size:
-                    ranks, dirty_costs = self._track_append(
-                        appended, ranks, dirty_costs
-                    )
+                ranks, dirty_costs = self._track(*diff)
             engine.stats["order_refill_rows"] += self.cache.refilled_rows - refilled
             refreshed, solved, costed = self._finalize_refresh(ranks, dirty_costs)
             engine.stats["incremental_refreshes"] += 1
@@ -289,16 +290,26 @@ class _AttributeState:
         self.version = engine._version
         engine._release_unread()
 
-    def _can_replay(self, n_deleted: int, final_signature) -> bool:
-        """Whether the structure holds at the sizes the replay passes
-        through: after the removal and at the end."""
-        n_removed = self.n_synced - n_deleted
-        return (
-            self.signature is not None
-            and final_signature == self.signature
-            and n_removed >= 1
-            and self._signature(n_removed) == self.signature
-        )
+    def _rebuild_reason(self, diff, final_signature) -> Optional[str]:
+        """The ``stats`` counter of the reason the state must rebuild
+        instead of replaying ``diff``, or ``None`` when it can replay.
+
+        A state without a view is new: first used, evicted, or dropped
+        when the store emptied.  A replay must keep the structure at the
+        sizes it passes through: after the removal and at the end.
+        """
+        if diff is None:
+            if self.target_index in self.engine._emptied:
+                return "full_refreshes_emptied"
+            return "full_refreshes_no_state"
+        n_removed = self.n_synced - diff[2].shape[0]
+        if (
+            final_signature != self.signature
+            or n_removed < 1
+            or self._signature(n_removed) != self.signature
+        ):
+            return "full_refreshes_structure"
+        return None
 
     @staticmethod
     def _slot_diff(
@@ -405,11 +416,7 @@ class _AttributeState:
             self.global_costs = np.zeros(n)
         self.costs = result.costs[:, :n_stepped].copy()
         self.counts = result.validation_counts.astype(int)
-        if k_val > 0:
-            orders = self.cache.order_matrix()[:, : k_val + 1]
-            self.owners = drop_self_rows(orders, np.arange(n))[:, :k_val]
-        else:
-            self.owners = np.empty((n, 0), dtype=int)
+        self.owners = self._owners_from(self.cache.order_matrix(), k_val, n)
         self.models = result.models
 
     def _owners_from(self, orders: np.ndarray, k_val: int, n: int) -> np.ndarray:
@@ -418,17 +425,13 @@ class _AttributeState:
         return np.empty((n, 0), dtype=int)
 
     # ------------------------------------------------------------------ #
-    # Per-operation dirty tracking (phase 1 of a replay)
+    # Dirty tracking (phase 1 of a replay)
     # ------------------------------------------------------------------ #
     def _grid(self) -> np.ndarray:
         """The candidate ``ℓ`` values the state learns (one when fixed)."""
         if self._adaptive:
             return self.candidates
         return np.array([self.signature[1]])
-
-    def _dirty_limit(self) -> int:
-        """The prefix length whose change invalidates a tuple's models."""
-        return int(self._grid()[-1])
 
     def _k_val(self) -> int:
         return self.signature[2] if self._adaptive else 0
@@ -448,135 +451,62 @@ class _AttributeState:
         dirty_costs[lost[lost >= 0]] = True
         dirty_costs[new_rows[~same.any(axis=1)]] = True
 
-    def _track_append(
-        self, slots: np.ndarray, ranks: np.ndarray, dirty_costs: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Absorb appended tuples into the cache/owner/dirty state."""
-        n_old = self.cache.n_points
-        result = self.cache.append(slots=slots)
-        n = self.cache.n_points
-
-        grown_ranks = np.zeros(n, dtype=int)  # appended rows learn from scratch
-        grown_ranks[:n_old] = np.minimum(ranks, result.first_changed)
-        grown_costs = np.zeros(n, dtype=bool)
-        grown_costs[:n_old] = dirty_costs
-
-        if self._adaptive:
-            n_stepped = self.candidates.shape[0]
-            p = self.all_parameters.shape[2]
-            params = np.empty((n_stepped, n, p))
-            params[:, :n_old] = self.all_parameters
-            self.all_parameters = params
-            costs = np.zeros((n, n_stepped))
-            costs[:n_old] = self.costs
-            self.costs = costs
-            k_val = self._k_val()
-            if k_val > 0:
-                orders = self.cache.order_matrix()
-                owners_new = self._owners_from(orders, k_val, n)
-                validators_changed = result.changed_rows(k_val + 1)
-                if validators_changed.size:
-                    self._mark_moved_owners(
-                        grown_costs,
-                        self.owners[validators_changed],
-                        owners_new[validators_changed],
-                    )
-                grown_costs[owners_new[n_old:].ravel()] = True
-                self.owners = owners_new
-            else:
-                self.owners = np.empty((n, 0), dtype=int)
-        else:
-            params = np.empty((n, self.parameters.shape[1]))
-            params[:n_old] = self.parameters
-            self.parameters = params
-        return grown_ranks, grown_costs
-
-    def _track_delete(
+    def _track(
         self,
-        indices: np.ndarray,
-        ranks: np.ndarray,
-        dirty_costs: np.ndarray,
+        revised: np.ndarray,
+        fresh: np.ndarray,
+        deleted: np.ndarray,
+        appended: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold deleted tuples out of the cache/owner/dirty state."""
+        """Replay the slot diff's runs through one neighbour-cache repair.
+
+        Returns, over the final rows, each row's first changed rank and
+        the cost-dirty owners.
+        """
         old_owners = self.owners
-        result = self.cache.remove(indices)
+        result = self.cache.repair(revised, fresh, deleted, appended)
         kept = result.kept_rows()
         index_map = result.index_map
+        n_kept = kept.shape[0]
         n = self.cache.n_points
+        moved = index_map[revised]
 
-        shrunk_ranks = np.minimum(ranks[kept], result.first_changed)
-        shrunk_costs = dirty_costs[kept]
+        # A prefix that still holds a revised tuple changed *values* from
+        # its rank on; appended and revised rows learn from scratch.
+        ranks = np.zeros(n, dtype=int)
+        ranks[:n_kept] = np.minimum(result.first_changed, result.first_revised)
+        ranks[moved] = 0
+        dirty_costs = np.zeros(n, dtype=bool)
 
-        if self._adaptive:
-            self.all_parameters = np.take(self.all_parameters, kept, axis=1)
-            self.costs = np.take(self.costs, kept, axis=0)
-            k_val = self._k_val()
-            if k_val > 0:
-                orders = self.cache.order_matrix()
-                owners_new = self._owners_from(orders, k_val, n)
-                # Owners gained/lost by surviving validators...
-                validators_changed = result.changed_rows(k_val + 1)
-                if validators_changed.size:
-                    self._mark_moved_owners(
-                        shrunk_costs,
-                        index_map[old_owners[kept[validators_changed]]],
-                        owners_new[validators_changed],
-                    )
-                # ...owners that lost a deleted validator's contribution...
-                removed_old = np.flatnonzero(index_map < 0)
-                lost = index_map[old_owners[removed_old]]
-                shrunk_costs[lost[lost >= 0]] = True
-                # ...and the owners of validators renumbered into another
-                # scatter block, whose sums now group differently.
+        if not self._adaptive:
+            self.parameters = _regrown(self.parameters, kept, n, axis=0)
+            return ranks, dirty_costs
+        self.all_parameters = _regrown(self.all_parameters, kept, n, axis=1)
+        self.costs = _regrown(self.costs, kept, n, axis=0)
+        k_val = self._k_val()
+        owners = self._owners_from(self.cache.order_matrix(), k_val, n)
+        if k_val > 0:
+            # Owners that surviving validators gained or lost...
+            changed = np.flatnonzero(result.first_changed < k_val + 1)
+            if changed.size:
+                self._mark_moved_owners(
+                    dirty_costs,
+                    index_map[old_owners[kept[changed]]],
+                    owners[changed],
+                )
+            # ...every owner of a deleted or revised validator, before and
+            # after, and of an appended one: their squared errors changed...
+            lost = index_map[old_owners[np.concatenate([deleted, revised])]]
+            dirty_costs[lost[lost >= 0]] = True
+            dirty_costs[owners[moved]] = True
+            dirty_costs[owners[n_kept:]] = True
+            # ...and the owners of validators renumbered into another
+            # scatter block, whose sums now group differently.
+            if deleted.size:
                 span = validator_block(k_val)
-                shifted = np.flatnonzero(kept // span != np.arange(n) // span)
-                shrunk_costs[owners_new[shifted].ravel()] = True
-                self.owners = owners_new
-            else:
-                self.owners = np.empty((n, 0), dtype=int)
-        else:
-            self.parameters = self.parameters[kept]
-        return shrunk_ranks, shrunk_costs
-
-    def _track_update(
-        self,
-        indices: np.ndarray,
-        slots: np.ndarray,
-        ranks: np.ndarray,
-        dirty_costs: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold a run of revised tuples into the cache/owner/dirty state."""
-        old_owners = self.owners
-        result = self.cache.replace(indices, slot=slots)
-        n = self.cache.n_points
-        orders = self.cache.order_matrix()
-        limit = self._dirty_limit()
-
-        # Changed orderings are not enough: a prefix that still holds a
-        # revised tuple changed *values* from that tuple's rank on.
-        revised = np.zeros(n, dtype=bool)
-        revised[indices] = True
-        held = revised[orders[:, :limit]]
-        revalued = np.where(held.any(axis=1), held.argmax(axis=1), limit)
-        ranks = np.minimum(ranks, np.minimum(result.first_changed, revalued))
-        ranks[indices] = 0
-
-        if self._adaptive:
-            k_val = self._k_val()
-            if k_val > 0:
-                owners_new = self._owners_from(orders, k_val, n)
-                validators_changed = result.changed_rows(k_val + 1)
-                if validators_changed.size:
-                    self._mark_moved_owners(
-                        dirty_costs,
-                        old_owners[validators_changed],
-                        owners_new[validators_changed],
-                    )
-                # Every owner a revised tuple validates sees a revalued
-                # squared error, even where the neighbour sets did not move.
-                dirty_costs[old_owners[indices]] = True
-                dirty_costs[owners_new[indices]] = True
-                self.owners = owners_new
+                shifted = np.flatnonzero(kept // span != np.arange(n_kept) // span)
+                dirty_costs[owners[shifted]] = True
+        self.owners = owners
         return ranks, dirty_costs
 
     # ------------------------------------------------------------------ #
@@ -822,6 +752,8 @@ class OnlineImputationEngine:
         # mutation moves _version.
         self._means: Optional[Tuple[int, np.ndarray]] = None
         self._states: "OrderedDict[int, _AttributeState]" = OrderedDict()
+        # Attributes whose states an emptied store dropped, until rebuilt.
+        self._emptied: set = set()
         self.stats: Dict[str, int] = {
             "appends": 0,
             "appended_rows": 0,
@@ -830,7 +762,13 @@ class OnlineImputationEngine:
             "updates": 0,
             "impute_batches": 0,
             "imputed_cells": 0,
+            # Full rebuilds by reason: no resident state (first use or an
+            # eviction), a state the store's emptying dropped, or a structure
+            # change; full_refreshes sums them.
             "full_refreshes": 0,
+            "full_refreshes_no_state": 0,
+            "full_refreshes_emptied": 0,
+            "full_refreshes_structure": 0,
             "incremental_refreshes": 0,
             # Always 0; perfbench reads it as engine.hybrid_full_rebuilds.
             "hybrid_full_rebuilds": 0,
@@ -1052,7 +990,9 @@ class OnlineImputationEngine:
         self.stats["deletes"] += 1
         self.stats["deleted_rows"] += int(indices.size)
         if self._n == 0:
-            # No state can outlive an empty store; the next append restarts.
+            # No state can outlive an empty store; the next append restarts,
+            # and each dropped attribute's next build counts as emptied.
+            self._emptied.update(self._states)
             self._states.clear()
         self._record()
         return self

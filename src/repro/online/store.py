@@ -226,10 +226,8 @@ class ColumnarTupleStore:
         self, slots: np.ndarray, attrs: Optional[Sequence[int]] = None
     ) -> np.ndarray:
         """Materialise the tuples at ``slots`` (optionally a column subset)."""
-        slots = np.asarray(slots, dtype=np.int64)
-        if attrs is None:
-            return self._data[slots]
-        return self._data[np.ix_(slots, attrs)]
+        rows = np.take(self._data, np.asarray(slots, dtype=np.int64), axis=0)
+        return rows if attrs is None else np.take(rows, attrs, axis=1)
 
     def matrix(self) -> np.ndarray:
         """The live store as a dense ``(n, m)`` matrix (materialised copy)."""
@@ -253,20 +251,21 @@ class StoreFeatureView:
     A view is immutable once built, and the gathered block below rests on
     that:
 
-    * it owns its read-only ``slots`` array (logical order), and the view
-      mutators (:meth:`extended`, :meth:`selected`, :meth:`replaced`)
-      return *new* views sharing the store — the shapes the incremental
-      cache maintenance needs for append/remove/replace, which swaps the
-      neighbour cache's view on every mutation;
+    * it owns its read-only ``slots`` array (logical order), and
+      :meth:`repaired` returns a *new* view sharing the store — the shape
+      a neighbour-cache repair leaves, which swaps the cache's view on
+      every sync;
     * the store never rewrites a slot that a resident engine state still
       references: updates write the revised tuple into a fresh slot, and
       retired slots stay pending until no lagging state's view holds them.
 
-    So the rows a view reads never change.  :meth:`block` gathers them
-    once, on first use, and keeps the read-only ``(n, m-1)`` array for the
-    view's lifetime: :meth:`pairwise` and :class:`ShardedNeighbors`
-    allocate only the ``(q, n)`` distances.  :meth:`materialize`,
-    ``__getitem__`` and ``__array__`` still return fresh arrays.
+    So the rows a view reads never change.  :meth:`block` keeps them as
+    one read-only ``(n, m-1)`` array for the view's lifetime: a view from
+    :meth:`ColumnarTupleStore.feature_view` gathers it from the store on
+    first use, and a repaired view derives it from its parent's block at
+    once.  :meth:`pairwise` and :class:`ShardedNeighbors` allocate only
+    the ``(q, n)`` distances.  :meth:`materialize`, ``__getitem__`` and
+    ``__array__`` still return fresh arrays.
     """
 
     def __init__(
@@ -311,34 +310,40 @@ class StoreFeatureView:
         block = self.store.rows(np.ravel(slots), attrs=self.attrs)
         return block.reshape(np.shape(slots) + (len(self.attrs),))
 
-    # -- view mutators (new views; the store is never touched) ----------- #
-    def extended(self, slots: np.ndarray) -> "StoreFeatureView":
-        """The view grown by appended slots (logical order preserved)."""
-        grown = np.concatenate([self.slots, np.asarray(slots, dtype=np.int64)])
-        return StoreFeatureView(self.store, grown, self.exclude)
+    # -- the repaired view (a new view; the store is never touched) ------ #
+    def repaired(
+        self, kept: np.ndarray, revised: np.ndarray, fresh: np.ndarray,
+        appended: np.ndarray,
+    ) -> "StoreFeatureView":
+        """The view of the rows at positions ``kept``, in order, with the
+        new positions ``revised`` pointed at the ``fresh`` slots, followed
+        by the ``appended`` slots.
 
-    def selected(self, positions: np.ndarray) -> "StoreFeatureView":
-        """The view restricted to the given logical positions, in order."""
-        return StoreFeatureView(
-            self.store, self.slots[np.asarray(positions, dtype=np.int64)],
-            self.exclude,
+        Its block is built at once from this view's: the kept rows are
+        copied from it, and only the revised and appended rows are read
+        from the store — the same float64 values a full gather reads.
+        """
+        kept, revised, fresh, appended = (
+            np.asarray(positions, dtype=np.int64)
+            for positions in (kept, revised, fresh, appended)
         )
-
-    def replaced(self, positions, slots) -> "StoreFeatureView":
-        """The view with logical ``positions`` pointed at fresh ``slots``
-        (one of each, or parallel arrays of distinct positions)."""
-        revised = self.slots.copy()
-        revised[np.asarray(positions, dtype=np.int64)] = np.asarray(
-            slots, dtype=np.int64
-        )
-        return StoreFeatureView(self.store, revised, self.exclude)
+        slots = np.concatenate([np.take(self.slots, kept), appended])
+        slots[revised] = fresh
+        view = StoreFeatureView(self.store, slots, self.exclude)
+        read = np.concatenate([revised, np.arange(kept.shape[0], slots.shape[0])])
+        block = np.empty(view.shape)
+        block[: kept.shape[0]] = np.take(self.block(), kept, axis=0)
+        block[read] = self.store.rows(np.take(slots, read), attrs=self.attrs)
+        block.setflags(write=False)
+        view._block = block
+        return view
 
     # -- the gathered block ---------------------------------------------- #
     def block(self) -> np.ndarray:
         """The viewed rows as one read-only ``(n, m-1)`` array.
 
-        Gathered on the first call and kept for the view's lifetime (see
-        the class docstring for why it cannot go stale).
+        Kept for the view's lifetime (see the class docstring for why it
+        cannot go stale); a view of the store gathers it on the first call.
         """
         if self._block is None:
             block = self.materialize()

@@ -13,6 +13,8 @@ against a cold rebuild over the same store:
   row only when their index sorts before the last entry's.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,8 @@ WIDTH = 4
 EXCLUDE = 2
 FEATURES = [0, 1, 3]
 METRIC = get_metric("paper_euclidean")
+#: Repair calls per mixed-run trace; CI's long-trace job raises it.
+N_OPS = int(os.environ.get("REPRO_PROPERTY_OPS", "48"))
 
 
 def _rows(rng, count, grid):
@@ -328,3 +332,105 @@ def test_rows_holding_every_tuple_take_every_candidate(cap):
         _assert_cold(cache, store, cap)
         _assert_slack_exact(cache, store, cap)
     assert cache.refilled_rows == 0
+
+
+# --------------------------------------------------------------------------- #
+# One repair carrying revised, deleted and appended runs together
+# --------------------------------------------------------------------------- #
+def _mixed_runs(rng, store, cache, grid, delete_heavy, shrink_to=2):
+    """Mutate ``store`` by one random batch — updates, then deletes, then
+    appends, as a lagging state's slot diff orders them — and return the
+    runs ``(revised, fresh, deleted, appended, retired)`` in the cache's
+    index space; ``retired`` are the store slots the batch retired."""
+    n = cache.n_points
+    n_deleted = min(int(rng.integers(0, 13 if delete_heavy else 5)), n - shrink_to)
+    named = list(rng.permutation(n)[: n_deleted + int(rng.integers(0, 5))])
+    if named and rng.random() < 0.5:
+        # Revise some row's last valid entry: the row's threshold is stale.
+        row = int(rng.integers(n))
+        last = int(cache._matrix[row, cache._valid[row] - 1])
+        if last >= 0:
+            named = [last] + [i for i in named if i != last]
+    deleted = np.sort(np.array(named[len(named) - n_deleted:], dtype=int))
+    revised = np.array(named[: len(named) - n_deleted], dtype=int)
+    retired, fresh = [], []
+    for index in revised:
+        old_slot, new_slot = store.update(int(index), _rows(rng, 1, grid)[0])
+        retired.append(old_slot)
+        fresh.append(new_slot)
+    retired.extend(store.delete(deleted).tolist())
+    count = int(rng.integers(0, 3 if delete_heavy else 9))
+    if n - deleted.size + count < 2:
+        count = 2
+    appended = store.append(_rows(rng, count, grid))
+    return revised, np.array(fresh, dtype=int), deleted, appended, retired
+
+
+def _check_mixed_repair(rng, store, cache, cap, grid, delete_heavy, shrink_to=2):
+    before = cache.order_matrix().copy()
+    revised, fresh, deleted, appended, retired = _mixed_runs(
+        rng, store, cache, grid, delete_heavy, shrink_to
+    )
+    result = cache.repair(revised, fresh, deleted, appended)
+    store.release(retired)  # slots recycle at once
+    np.testing.assert_array_equal(cache.slots, store.live_slots)
+    _assert_cold(cache, store, cap)
+    _assert_slack_exact(cache, store, cap)
+    kept = result.kept_rows()
+    np.testing.assert_array_equal(kept, np.delete(np.arange(before.shape[0]), deleted))
+    after = cache.order_matrix()[: kept.size]
+    renumbered = result.index_map[before[kept]]
+    _assert_first_changed(
+        _to_width(renumbered, after.shape[1]), after, result.first_changed
+    )
+    holds = np.isin(after, result.index_map[revised])
+    np.testing.assert_array_equal(
+        result.first_revised,
+        np.where(holds.any(axis=1), holds.argmax(axis=1), after.shape[1]),
+    )
+    return revised.size, deleted.size, appended.size
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("cap", [8, 25])
+def test_mixed_runs_match_cold_rebuild(cap, grid, include_self):
+    """Random batches of revised, deleted and appended tuples, one repair
+    each; every third batch is delete-heavy, which drains rows below the
+    cap and forces re-fills."""
+    rng = np.random.default_rng(1000 + cap * 10 + 2 * grid + include_self)
+    store = ColumnarTupleStore(WIDTH)
+    store.append(_rows(rng, 150, grid))
+    cache = _cache(store, cap, include_self)
+    cache.order_matrix()
+    mixed = 0
+    for step in range(N_OPS):
+        runs = _check_mixed_repair(rng, store, cache, cap, grid, step % 3 == 2)
+        mixed += all(runs)
+    assert mixed > 0
+    assert store.recycled_slots > 0
+    if cap == 8:
+        assert cache.refilled_rows > 0
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+def test_mixed_runs_across_a_changing_width(include_self):
+    """A store that hovers around the cap: the width ``W`` changes within a
+    trace, rows often hold every tuple, grid data makes ties, and a batch
+    may delete every old tuple while appending new ones."""
+    rng = np.random.default_rng(77 + include_self)
+    store = ColumnarTupleStore(WIDTH)
+    store.append(_rows(rng, 12, grid=True))
+    cache = _cache(store, 8, include_self)
+    cache.order_matrix()
+    widths = set()
+    for step in range(N_OPS):
+        _check_mixed_repair(
+            rng, store, cache, 8, True, step % 2 == 1, shrink_to=0 if step % 7 == 6 else 2
+        )
+        widths.add(cache._matrix.shape[1])
+        while cache.n_points > 24:  # keep the store near the cap
+            indices = rng.choice(cache.n_points, 6, replace=False)
+            store.release(store.delete(np.sort(indices)))
+            cache.remove(indices)
+    assert len(widths) > 2

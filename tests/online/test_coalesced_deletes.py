@@ -67,13 +67,12 @@ def _delete_update_delete(pool):
 
 
 @pytest.mark.parametrize(
-    "build_ops, repairs_per_state",
-    [(_delete_run, 1), (_delete_update_delete, 1)],
+    "build_ops, deleted, revised",
+    [(_delete_run, [0, 5, 6, N - 1], []),
+     (_delete_update_delete, [7, N - 1], [3])],
     ids=["delete_run", "delete_update_delete"],
 )
-def test_delete_runs_match_cold_refit(
-    pool, monkeypatch, build_ops, repairs_per_state
-):
+def test_delete_runs_match_cold_refit(pool, monkeypatch, build_ops, deleted, revised):
     session = OnlineSession(
         refresh_policy="lazy", model_cache_size=None, **PARAMS,
     )
@@ -81,20 +80,24 @@ def test_delete_runs_match_cold_refit(
     queries = _queries(pool)
     session.impute(ImputeRequest(queries))  # every attribute state resident
 
-    removals = []
-    original = NeighborOrderCache.remove
+    repairs = []
+    original = NeighborOrderCache.repair
 
-    def counting_remove(cache, indices):
-        removals.append(np.array(indices))
-        return original(cache, indices)
+    def counting_repair(cache, revised=(), fresh=(), deleted=(), appended=()):
+        repairs.append((id(cache), np.array(revised).tolist(),
+                        np.array(deleted).tolist(), len(appended)))
+        return original(cache, revised, fresh, deleted, appended)
 
-    monkeypatch.setattr(NeighborOrderCache, "remove", counting_remove)
+    monkeypatch.setattr(NeighborOrderCache, "repair", counting_repair)
     ops = build_ops(pool)
     session.mutate(ops)
     online = session.impute(ImputeRequest(queries))
 
+    # One repair per state, carrying the whole run in the view's indices.
     width = pool.shape[1]
-    assert len(removals) == repairs_per_state * width
+    assert len({cache for cache, *_ in repairs}) == len(repairs) == width
+    for _, got_revised, got_deleted, appended in repairs:
+        assert (got_revised, got_deleted, appended) == (revised, deleted, 0)
     survivors = _apply(pool[:N], ops)
     np.testing.assert_array_equal(session.engine.store_relation().raw, survivors)
     cold = IIMImputer(**PARAMS).fit(Relation(survivors)).impute(Relation(queries))

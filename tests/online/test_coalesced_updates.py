@@ -1,12 +1,12 @@
-"""Coalesced update runs: one ``replace`` per attribute state, cold answers.
+"""Coalesced update runs: one repair per attribute state, cold answers.
 
 A lazy state syncs from the difference between the slots its view last
 saw and the store's live slots, and every revision since then shows up
 in it as one run of parallel index and slot arrays.  So every resident
 attribute state repairs its neighbour orderings with one
-``NeighborOrderCache.replace`` of many indices instead of one call per
-update, and an index revised twice keeps its last slot.  The imputations
-must still equal a cold refit over the final store.
+``NeighborOrderCache.repair`` carrying many revised indices instead of
+one call per update, and an index revised twice keeps its last slot.  The
+imputations must still equal a cold refit over the final store.
 """
 
 import numpy as np
@@ -67,13 +67,14 @@ def test_update_run_replays_as_one_replace_per_state(pool, monkeypatch, policy):
     engine.impute_batch(queries)  # every attribute state resident
 
     calls = []
-    original = NeighborOrderCache.replace
+    original = NeighborOrderCache.repair
 
-    def spy(cache, index, slot):
-        calls.append(np.atleast_1d(index).copy())
-        return original(cache, index, slot)
+    def spy(cache, revised=(), fresh=(), deleted=(), appended=()):
+        assert len(deleted) == len(appended) == 0
+        calls.append(np.array(revised).tolist())
+        return original(cache, revised, fresh, deleted, appended)
 
-    monkeypatch.setattr(NeighborOrderCache, "replace", spy)
+    monkeypatch.setattr(NeighborOrderCache, "repair", spy)
     # Index 5 is revised twice; N - 1 is the last tuple.
     updates = [(5, N + 20), (17, N + 21), (5, N + 22), (N - 1, N + 23)]
     ref = pool[:N].copy()
@@ -85,12 +86,10 @@ def test_update_run_replays_as_one_replace_per_state(pool, monkeypatch, policy):
     width = pool.shape[1]
     if policy == "lazy":
         # One run, one repair per state, over the distinct indices.
-        assert len(calls) == width
-        for indices in calls:
-            np.testing.assert_array_equal(indices, [5, 17, N - 1])
+        assert calls == [[5, 17, N - 1]] * width
     else:
         # Eager refreshes after every update: each is a run of its own.
-        assert len(calls) == len(updates) * width
+        assert calls == [[index] for index, _ in updates for _ in range(width)]
     np.testing.assert_array_equal(engine.store_relation().raw, ref)
     cold = IIMImputer(**PARAMS).fit(Relation(ref)).impute(Relation(queries))
     np.testing.assert_allclose(online, cold.raw, rtol=1e-9, atol=0)

@@ -271,3 +271,97 @@ def test_online_config_knobs_roundtrip():
         config.set("refresh_policy", previous)
     with pytest.raises(ConfigurationError):
         config.set("refresh_policy", "never")
+
+
+# --------------------------------------------------------------------------- #
+# Why a state rebuilt: full_refreshes split by reason
+# --------------------------------------------------------------------------- #
+REASONS = ("full_refreshes_no_state", "full_refreshes_emptied",
+           "full_refreshes_structure")
+GROWING = dict(k=4, learning="adaptive", stepping=5, max_learning_neighbors=30)
+
+
+def _blank(values, row, attr):
+    query = values[row : row + 1].copy()
+    query[0, attr] = np.nan
+    return query
+
+
+def _reasons(engine):
+    counts = {reason: engine.stats[reason] for reason in REASONS}
+    assert engine.stats["full_refreshes"] == sum(counts.values())
+    return counts
+
+
+def test_a_state_built_on_first_use_or_after_eviction_has_no_state(stream_values):
+    engine = OnlineImputationEngine(model_cache_size=1, **GROWING)
+    engine.append(stream_values[:60])
+    for attr in (0, 1, 0):  # the third read follows attribute 0's eviction
+        engine.impute_batch(_blank(stream_values, 300, attr))
+    assert engine.stats["cache_evictions"] == 2
+    assert _reasons(engine) == {
+        "full_refreshes_no_state": 3, "full_refreshes_emptied": 0,
+        "full_refreshes_structure": 0,
+    }
+
+
+def test_a_structure_change_at_the_end_or_at_the_removal_rebuilds(stream_values):
+    engine = OnlineImputationEngine(**GROWING)
+    engine.append(stream_values[:12])
+    query = _blank(stream_values, 300, 0)
+    engine.impute_batch(query)
+    # The candidate grid still grows below max_learning_neighbors...
+    engine.append(stream_values[12:40])
+    engine.impute_batch(query)
+    # ...so a replay whose removal passes below it rebuilds too, though
+    # the final size is back where it was.
+    engine.delete(np.arange(20))
+    engine.append(stream_values[40:60])
+    engine.impute_batch(query)
+    # A replay that keeps the structure does not rebuild.
+    engine.update(3, stream_values[60])
+    engine.impute_batch(query)
+    assert _reasons(engine) == {
+        "full_refreshes_no_state": 1, "full_refreshes_emptied": 0,
+        "full_refreshes_structure": 2,
+    }
+    assert engine.stats["incremental_refreshes"] == 1
+
+
+def test_a_state_dropped_by_an_emptied_store_rebuilds_as_emptied(stream_values):
+    engine = OnlineImputationEngine(**GROWING)
+    engine.append(stream_values[:60])
+    query = _blank(stream_values, 300, 2)
+    engine.impute_batch(query)
+    engine.delete(np.arange(60))
+    engine.append(stream_values[60:120])
+    online = engine.impute_batch(query)
+    engine.update(0, stream_values[130])
+    engine.impute_batch(query)  # replays: the emptying is counted once
+    assert _reasons(engine) == {
+        "full_refreshes_no_state": 1, "full_refreshes_emptied": 1,
+        "full_refreshes_structure": 0,
+    }
+    cold = _cold_impute(6, stream_values[60:120], query, **GROWING)
+    np.testing.assert_allclose(online, cold, rtol=1e-9, atol=1e-12)
+    # Every row the state synced deleted, but the store never empty: the
+    # slot diff pairs the new rows with the vanished ones and replays them.
+    engine.append(stream_values[140:200])
+    engine.delete(np.arange(60))
+    online = engine.impute_batch(query)
+    assert _reasons(engine)["full_refreshes_emptied"] == 1
+    cold = _cold_impute(6, stream_values[140:200], query, **GROWING)
+    np.testing.assert_allclose(online, cold, rtol=1e-9, atol=1e-12)
+
+
+def test_rebuild_reasons_persist_in_snapshots(stream_values, tmp_path):
+    engine = OnlineImputationEngine(**GROWING)
+    engine.append(stream_values[:12])
+    engine.impute_batch(_blank(stream_values, 300, 0))
+    engine.append(stream_values[12:40])
+    engine.impute_batch(_blank(stream_values, 300, 0))
+    restored = OnlineImputationEngine.load(engine.snapshot(tmp_path / "engine"))
+    assert _reasons(restored) == _reasons(engine) == {
+        "full_refreshes_no_state": 1, "full_refreshes_emptied": 0,
+        "full_refreshes_structure": 1,
+    }

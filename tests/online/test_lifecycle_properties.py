@@ -10,9 +10,9 @@ store.  After every imputation the engine must match a cold
 :class:`~repro.core.iim.IIMImputer` refit over the surviving tuples at
 ``rtol = 1e-9``, and every state the imputation synced must equal, array
 for array and bit for bit, the state a fresh engine builds over the same
-store; after every operation the store must retain exactly the
-retired slots some lagging state's view still holds — none once every
-state has synced.  Traces are seeded, so a failure reproduces from its
+store, exposed neighbour orderings and distances included; after every
+operation the store must retain exactly the retired slots some lagging
+state's view still holds — none once every state has synced.  Traces are seeded, so a failure reproduces from its
 parametrisation alone.
 
 Engines run with a deliberately tiny first store allocation, so the store
@@ -57,8 +57,9 @@ PARAM_IDS = ["fixed", "adaptive-voting", "adaptive-uniform", "adaptive-distance"
              "adaptive-straightforward"]
 
 #: The arrays a synced state must share with a fresh build of the same store.
-STATE_ARRAYS = ("all_parameters", "costs", "global_costs", "owners", "counts",
-                "parameters", "models_parameters", "models_ell")
+STATE_ARRAYS = ("orders", "order_dists", "all_parameters", "costs",
+                "global_costs", "owners", "counts", "parameters",
+                "models_parameters", "models_ell")
 
 
 @pytest.fixture(scope="module")

@@ -302,25 +302,53 @@ def test_feature_view_owns_a_copy_of_the_slots():
 
 
 def test_derived_views_gather_their_own(count_rows):
+    """A repaired view holds its own block from the start: the parent's
+    kept rows, plus the revised and appended rows in one store read."""
     store = _holed_store()
     view = store.feature_view(exclude=2)
     query = np.random.default_rng(2).normal(size=3)
     view.pairwise(query)
     new_slots = store.append(np.random.default_rng(3).normal(size=(5, 4)))
-    derived = {
-        "extended": view.extended(new_slots),
-        "selected": view.selected(np.arange(0, len(view), 2)),
-        "replaced": view.replaced(4, int(new_slots[0])),
+    everything = np.arange(len(view))
+    runs = {
+        "appended": ((everything, [], [], new_slots), 5),
+        "kept": ((everything[::2], [], [], []), 0),
+        "revised": ((everything, [4], [new_slots[0]], []), 1),
+        "all three": ((everything[1:], [0, 9], new_slots[:2], new_slots[2:]), 5),
     }
-    for name, child in derived.items():
-        assert not child.gathered, name
+    for name, (run, read) in runs.items():
         before = len(count_rows)
-        got = child.pairwise(query)
-        assert len(count_rows) > before, name
+        child = view.repaired(*run)
+        assert count_rows[before:] == [read], name
+        assert child.gathered, name
+        np.testing.assert_array_equal(child.block(), child.materialize(), name)
         np.testing.assert_array_equal(
-            got, METRIC(query, child.materialize()), err_msg=name
+            child.pairwise(query), METRIC(query, child.materialize()), err_msg=name
         )
     assert view.gathered  # the parent keeps its own block
+
+
+def test_a_repaired_block_equals_a_fresh_gather():
+    """Random runs of revised, deleted and appended rows, each derived from
+    the last view's block: every block equals a gather from the store."""
+    rng = np.random.default_rng(7)
+    store = ColumnarTupleStore(5)
+    store.append(rng.normal(size=(60, 5)))
+    view = store.feature_view(exclude=int(rng.integers(5)))
+    for _ in range(40):
+        n = len(view)
+        named = rng.choice(n, size=int(rng.integers(0, min(8, n - 1))), replace=False)
+        split = int(rng.integers(0, named.size + 1))
+        revised, deleted = named[:split], np.sort(named[split:])
+        fresh = [store.update(int(i), rng.normal(size=5))[1] for i in revised]
+        store.delete(deleted)
+        appended = store.append(rng.normal(size=(int(rng.integers(0, 6)), 5)))
+        kept = np.delete(np.arange(n), deleted)
+        moved = np.searchsorted(kept, revised)
+        view = view.repaired(kept, moved, fresh, appended)
+        np.testing.assert_array_equal(view.slots, store.live_slots)
+        np.testing.assert_array_equal(view.block(), view.materialize())
+        assert not view.block().flags.writeable
 
 
 def test_an_old_view_answers_from_its_own_slots_after_update():
@@ -368,8 +396,8 @@ def test_kneighbors_across_mutations_match_brute_force_with_recycled_slots():
 
 
 def test_maintained_views_match_brute_force_with_recycled_slots(values):
-    """The views an engine state gets from its repairs (extended, selected,
-    replaced) answer like brute force over the live store, read after read."""
+    """The views an engine state gets from its repairs answer like brute
+    force over the live store, read after read."""
     engine = OnlineImputationEngine(**PARAMS)
     engine.append(values[:200])
     rng = np.random.default_rng(6)

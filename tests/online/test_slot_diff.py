@@ -4,15 +4,15 @@ A lagging state compares the store slots its view last saw with the
 store's live slots.  Surviving rows keep their order ahead of every
 appended row, so the difference is always one run of revised rows, one
 run of deleted rows and one run of appended rows, which the state replays
-as at most one ``replace``, one ``remove`` and one ``append``.  Seeded
+through one ``NeighborOrderCache.repair`` carrying all three.  Seeded
 random interleavings — repeated updates, updates of appended rows and of
 the last row, deletes of revised rows — must show that:
 
 * the three runs, applied to the view's slots, reproduce the live slots;
 * every slot the view holds that is no longer live is still pending, so
   the replay can read the version it held;
-* a sync costs each state at most one repair of each kind, and the
-  answers still equal a cold refit.
+* a sync costs each state exactly one repair, and the answers still equal
+  a cold refit.
 """
 
 import os
@@ -130,16 +130,20 @@ def test_runs_rebuild_the_live_slots_from_the_view(pool, seed):
 
 
 def _spy(monkeypatch):
-    """Record ``(cache, kind)`` for every neighbour-cache repair."""
+    """Record ``(cache, revised, deleted, appended count)`` for every
+    neighbour-cache repair."""
     calls = []
-    for kind in ("replace", "remove", "append"):
-        original = getattr(NeighborOrderCache, kind)
+    original = NeighborOrderCache.repair
 
-        def spy(cache, *args, _original=original, _kind=kind, **kwargs):
-            calls.append((id(cache), _kind))
-            return _original(cache, *args, **kwargs)
+    def spy(cache, revised=(), fresh=(), deleted=(), appended=()):
+        assert len(fresh) == len(revised)
+        calls.append(
+            (id(cache), np.array(revised).tolist(), np.array(deleted).tolist(),
+             len(appended))
+        )
+        return original(cache, revised, fresh, deleted, appended)
 
-        monkeypatch.setattr(NeighborOrderCache, kind, spy)
+    monkeypatch.setattr(NeighborOrderCache, "repair", spy)
     return calls
 
 
@@ -162,25 +166,28 @@ def test_a_sync_costs_each_state_at_most_one_repair_of_each_kind(
     for _ in range(16):
         ref = _mutate(engine, ref, pool, rng, revised)
     _check_cold(engine, ref, pool)
-    repairs = Counter(calls)
-    assert repairs and max(repairs.values()) == 1
-    assert len({cache for cache, _ in calls}) == pool.shape[1]
+    # Every state lagged, and each repaired exactly once.
+    repairs = Counter(cache for cache, *_ in calls)
+    assert len(repairs) == pool.shape[1]
+    assert set(repairs.values()) == {1}
 
 
-@pytest.mark.parametrize("ops, repairs", [
-    # One remove, though an update separates the two deletes.
+@pytest.mark.parametrize("ops, runs", [
+    # One deleted run, though an update separates the two deletes.
     ([("delete", [7]), ("update", 3), ("delete", [N - 2])],
-     {"replace": 1, "remove": 1}),
-    # A row revised, then deleted before the sync, is never replaced.
-    ([("update", 3), ("delete", [3])], {"remove": 1}),
+     {"revised": [3], "deleted": [7, N - 1], "appended": 0}),
+    # A row revised, then deleted before the sync, is never revised.
+    ([("update", 3), ("delete", [3])],
+     {"revised": [], "deleted": [3], "appended": 0}),
     # An appended row revised twice arrives as one append.
-    ([("append", 2), ("update", N + 1), ("update", N + 1)], {"append": 1}),
+    ([("append", 2), ("update", N + 1), ("update", N + 1)],
+     {"revised": [], "deleted": [], "appended": 2}),
     # The last row revised, then rows appended behind it.
     ([("update", N - 1), ("append", 3), ("delete", [0])],
-     {"replace": 1, "remove": 1, "append": 1}),
+     {"revised": [N - 1], "deleted": [0], "appended": 3}),
 ], ids=["delete_update_delete", "update_then_delete", "append_then_revise",
         "revise_last_then_append"])
-def test_interleavings_replay_as_one_run_per_kind(pool, monkeypatch, ops, repairs):
+def test_interleavings_replay_as_one_run_per_kind(pool, monkeypatch, ops, runs):
     engine, ref = _engine(pool)
     calls = _spy(monkeypatch)
     source = iter(range(340, 400))
@@ -198,7 +205,9 @@ def test_interleavings_replay_as_one_run_per_kind(pool, monkeypatch, ops, repair
             ref = ref.copy()
             ref[arg] = row
     _check_cold(engine, ref, pool)
-    width = pool.shape[1]
-    assert Counter(kind for _, kind in calls) == {
-        kind: count * width for kind, count in repairs.items()
-    }
+    # One repair per state, each carrying exactly the listed runs.
+    assert len({cache for cache, *_ in calls}) == len(calls) == pool.shape[1]
+    for _, revised, deleted, appended in calls:
+        assert (revised, deleted, appended) == (
+            runs["revised"], runs["deleted"], runs["appended"]
+        )
