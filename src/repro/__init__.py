@@ -57,9 +57,9 @@ to a cold ``IIMImputer`` refit over the same tuples.
 >>> filled = engine.impute_batch(rows_with_nans)             # doctest: +SKIP
 >>> engine.snapshot("artifacts/engine")                      # doctest: +SKIP
 
-Engine knobs (model cache size, refresh policy) are rows of the same
-:data:`repro.config.KNOBS` table as the backend, the WAL, serve, obs,
-query and scenario knobs; each has a ``REPRO_*`` environment variable and
+The engine knob (the model cache size) is a row of the same
+:data:`repro.config.KNOBS` table as the backend, the WAL, serve, obs and
+scenario knobs; each has a ``REPRO_*`` environment variable and
 is read with ``config.get(name)``.  Fitted state —
 engines via ``snapshot``/``load``, every imputer via ``save``/``load`` on
 :class:`~repro.baselines.base.BaseImputer` — persists as ``.npz`` arrays

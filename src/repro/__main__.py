@@ -227,7 +227,7 @@ def _cmd_scenario(args) -> int:
         transport=args.scenario_transport,
         verify=not args.no_verify,
         run_cold=not args.no_cold,
-        check_digest=False if args.no_digest_check else None,
+        check_digest=not args.no_digest_check,
         isolate_obs=True,
     )
     payload = report.as_dict()

@@ -15,8 +15,8 @@ Lines starting with ``\\`` are meta-commands handled locally:
 ``\\create NAME``          create an online session (``key=value`` IIM
                           params after the name, e.g. ``\\create s k=5
                           learning=fixed learning_neighbors=4``;
-                          ``model_cache_size`` and ``refresh_policy`` set
-                          the session's engine knobs) and switch to it
+                          ``model_cache_size`` sets the session's engine
+                          knob) and switch to it
 ``\\use NAME``             switch to an existing session
 ``\\save PATH``            save the current session's artifact to PATH
 ``\\restore NAME PATH``    restore the artifact at PATH as session NAME and

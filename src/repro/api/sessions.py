@@ -257,9 +257,11 @@ class OnlineSession(ImputationSession):
     engine:
         Wrap an existing :class:`~repro.online.OnlineImputationEngine`.
     kwargs:
-        Otherwise, engine knobs (``model_cache_size``, ``refresh_policy``)
-        and :class:`~repro.core.iim.IIMImputer` constructor arguments,
-        exactly as the engine constructor takes them.
+        Otherwise, the engine knob ``model_cache_size`` and
+        :class:`~repro.core.iim.IIMImputer` constructor arguments, exactly
+        as the engine constructor takes them.  Mutations land in the
+        store at once; each resident model state catches up when an
+        imputation, a query or a save next reads it.
 
     Notes
     -----
@@ -396,10 +398,7 @@ class OnlineSession(ImputationSession):
             "method": self.method,
             "mode": "online",
             "params": engine.imputer.get_params(),
-            "engine": {
-                "model_cache_size": engine.model_cache_size,
-                "refresh_policy": engine.refresh_policy,
-            },
+            "engine": {"model_cache_size": engine.model_cache_size},
         }
 
     def save(self, path: Union[str, Path]) -> Path:

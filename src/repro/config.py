@@ -3,16 +3,15 @@
 Every knob of the library is one :class:`Knob` row of :data:`KNOBS` —
 its name, environment variable, default, parser, one-line doc, and whether
 ``None`` is one of its values (an unbounded cache, no deadline).  The rows
-cover the IIM kernel backend, the online engine (model cache, refresh
-policy), the write-ahead log, the serve loop (deadline, request bounds,
-micro-batching, admission quotas), observability, query provenance and
-scenario replay.
+cover the IIM kernel backend, the online engine's model cache, the
+write-ahead log, the serve loop (deadline, request bounds, micro-batching,
+admission quotas), observability and the scenario replay transport.
 
 A knob's value resolves, in decreasing priority, from
 
 1. a per-call argument (``backend=...``, ``OnlineImputationEngine(
-   refresh_policy=...)``, ``SessionServer(max_sessions=...)``) passed through
-   :func:`resolve`;
+   model_cache_size=...)``, ``SessionServer(max_sessions=...)``) passed
+   through :func:`resolve`;
 2. the process-wide value chosen by :func:`set` or :func:`override`;
 3. the knob's environment variable;
 4. the table default.
@@ -140,10 +139,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "per-attribute model states the online engine keeps resident, "
          "LRU-evicted beyond (none or 0 keeps all)",
          nullable=True),
-    Knob("refresh_policy", "REPRO_ONLINE_REFRESH", "lazy",
-         _choice("lazy", "eager"),
-         "engine refresh policy: lazy folds mutations into a model state at "
-         "its next impute, eager at every mutation"),
     Knob("wal_sync", "REPRO_WAL_SYNC", "batch",
          _choice("always", "batch", "off"),
          "WAL sync policy: always fsyncs every record, batch flushes once "
@@ -189,25 +184,16 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "fraction of serve requests whose span tree is captured (metrics "
          "cover every request)",
          flag="--trace-sample"),
-    Knob("query_provenance", "REPRO_QUERY_PROVENANCE", True, _flag,
-         "whether queries record per-imputed-cell provenance (EXPLAIN and "
-         "the provenance field)"),
     Knob("scenario_transport", "REPRO_SCENARIO_TRANSPORT", "auto",
          _choice("auto", "engine", "serve", "tcp"),
          "scenario replay transport: engine, serve, tcp, or auto (serve for "
          "multi-tenant specs, engine otherwise)",
          flag="--transport"),
-    Knob("scenario_digest_check", "REPRO_SCENARIO_DIGEST_CHECK", True, _flag,
-         "whether replays of registered scenarios first check the golden "
-         "trace digest"),
 )}
 
 #: Knobs an :class:`~repro.online.OnlineImputationEngine` keyword of the
 #: same name overrides; also the keys a session config's ``engine`` takes.
-ENGINE_KNOBS = (
-    "model_cache_size",
-    "refresh_policy",
-)
+ENGINE_KNOBS = ("model_cache_size",)
 
 #: Knobs a :class:`~repro.api.serve.SessionServer` keyword of the same name
 #: overrides.
@@ -278,8 +264,8 @@ def set(name: str, value):
 def override(name: str, value):
     """Set knob ``name`` for the duration of a ``with`` block.
 
-    >>> with override("refresh_policy", "eager"):
-    ...     pass  # engines built here refresh eagerly
+    >>> with override("model_cache_size", 2):
+    ...     pass  # engines built here keep two model states resident
     """
     previous = set(name, value)
     try:

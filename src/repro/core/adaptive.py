@@ -14,6 +14,10 @@ tuple*, the candidate whose model best imputes the other complete tuples:
 Tuples that never appear among any validation tuple's neighbours have an
 empty cost row; they fall back to the candidate that is best summed over all
 tuples (a documented deviation — the paper leaves this case unspecified).
+
+The online engine shares this module's cost kernels but not
+:func:`adaptive_learning`, whose arrays its fresh builds equal bit for
+bit (asserted in the test suite): the function stays an independent check.
 """
 
 from __future__ import annotations
@@ -154,10 +158,6 @@ class AdaptiveLearningResult:
     chosen_ell: np.ndarray
     costs: np.ndarray
     validation_counts: np.ndarray
-    #: Per-candidate parameters ``(len(candidates), n, m)``; only populated
-    #: when ``keep_candidate_models=True`` (the online engine keeps them so
-    #: appends can refresh a subset of tuples without relearning the rest).
-    all_parameters: Optional[np.ndarray] = None
 
 
 def adaptive_learning(
@@ -172,8 +172,6 @@ def adaptive_learning(
     incremental: bool = True,
     include_global: bool = True,
     backend: Optional[str] = None,
-    order_cache: Optional[NeighborOrderCache] = None,
-    keep_candidate_models: bool = False,
 ) -> AdaptiveLearningResult:
     """Algorithm 3: select a per-tuple ``ℓ`` by validating against complete tuples.
 
@@ -211,16 +209,6 @@ def adaptive_learning(
         replaces the validator double loop of step 2 with one scatter-add
         over the flattened (validation tuple, model owner) pairs.  Both
         backends agree to ``rtol = 1e-9``.
-    order_cache:
-        Optional pre-built neighbour ordering over ``features`` (with
-        ``include_self=True`` and an effective length of at least
-        ``max(max(candidates), min(n, validation_neighbors + 1))``); one is
-        created on the fly when omitted.  The online engine passes its
-        incrementally-maintained cache here so a full relearn reuses it.
-    keep_candidate_models:
-        Retain the full per-candidate parameter stack on the result's
-        ``all_parameters`` (costs one ``(L, n, m)`` array; needed by callers
-        that later refresh a subset of tuples incrementally).
     """
     features = np.asarray(features, dtype=float)
     target = np.asarray(target, dtype=float).ravel()
@@ -242,23 +230,10 @@ def adaptive_learning(
 
     # Shared neighbour ordering (self included) reused for both the learning
     # of Φ(ℓ) and, with the self removed, the validation neighbour lookups.
-    max_candidate = int(candidate_array.max())
-    needed_length = max(max_candidate, min(n, validation_neighbors + 1))
-    if order_cache is None:
-        learn_cache = NeighborOrderCache(
-            features, metric=metric, include_self=True, max_length=needed_length
-        )
-    else:
-        if not order_cache.include_self:
-            raise ConfigurationError(
-                "adaptive_learning requires an order_cache with include_self=True"
-            )
-        if order_cache.effective_length() < needed_length:
-            raise ConfigurationError(
-                f"order_cache keeps {order_cache.effective_length()} neighbours "
-                f"but adaptive learning needs {needed_length}"
-            )
-        learn_cache = order_cache
+    needed_length = max(int(candidate_array.max()), min(n, validation_neighbors + 1))
+    learn_cache = NeighborOrderCache(
+        features, metric=metric, include_self=True, max_length=needed_length
+    )
 
     backend = config.resolve("backend", backend)
     all_parameters = learn_models_for_candidates(
@@ -305,7 +280,6 @@ def adaptive_learning(
         chosen_ell=chosen_ell,
         costs=costs,
         validation_counts=validation_counts,
-        all_parameters=all_parameters if keep_candidate_models else None,
     )
 
 

@@ -345,6 +345,8 @@ def learn_candidate_models_for_rows(
         first_solved = np.asarray(first_solved, dtype=int)
         if first_solved.shape != orders.shape[:1]:
             raise ConfigurationError("first_solved must hold one entry per row of orders")
+        if not first_solved.any():
+            first_solved = None  # every candidate: the unmasked kernel, no copies
     return _candidate_models_from_orders(
         features, target, candidates, alpha, orders[:, :max_ell], incremental,
         first_solved,

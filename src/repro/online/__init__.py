@@ -20,8 +20,8 @@ statement trace through it, and ``python -m repro scenario replay`` checks
 generated traces (over registered datasets or sha256-pinned CSV files)
 against a cold refit.
 
-Engine knobs (cache size, refresh policy) default to the process-wide
-values in :mod:`repro.config`.
+The engine knob (the model cache size) defaults to the process-wide
+value in :mod:`repro.config`.
 """
 
 from .artifacts import (

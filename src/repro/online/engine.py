@@ -45,8 +45,9 @@ gathered block.
 
 Deferred maintenance: the slot diff
 -----------------------------------
-Under the ``"lazy"`` refresh policy a cached state may lag the store by
-any number of mutations.  Its view records the store slots it last saw
+A mutation only versions the store, so a cached state may lag it by any
+number of mutations until an imputation or a snapshot reads the state.
+Its view records the store slots it last saw
 and the store's ``live_slots`` what is live now.  Surviving rows keep
 their order ahead of every appended row, so the difference is always one
 run of revised rows, one run of deleted rows and one run of appended
@@ -62,11 +63,10 @@ view holds it, since the repair reads it, and returns to the free
 list once none does.  When the replay would change the state's
 *structure* after the removal or at the end (the candidate ℓ grid still
 growing towards ``max_learning_neighbors``, the validation ``k`` clamped
-by a small ``n``, the global candidate toggling), the state falls back to
-one full relearn over the final store instead — structure changes
-reshape every array anyway.  ``stats`` counts each full relearn by
-reason: no resident state, a state the store's emptying dropped, or a
-structure change.
+by a small ``n``, the global candidate toggling), the state builds fresh
+orderings of the final store instead — structure changes reshape every
+array anyway.  ``stats`` counts each full build by reason: no resident
+state, a state the store's emptying dropped, or a structure change.
 
 Exactness of the incremental maintenance
 ----------------------------------------
@@ -81,7 +81,10 @@ model-dirty when its rank is below the largest candidate, and only its
 candidates with ``ℓ > rank`` are re-solved; every other ``(row, ℓ)``
 model reads an unchanged prefix and keeps the value a cold build
 computes.  The solved ones come from the same kernel, so they are bit for
-bit the cold values too.
+bit the cold values too.  A full build is the extreme case, every rank 0
+and every cost row dirty over fresh orderings: a state has one way to
+come up to date, and the cold ``IIMImputer``'s learning functions stay an
+independent path to the same arrays.
 
 Adaptive learning (Algorithm 3) gives every complete tuple ``i`` a cost row
 ``cost[i][ℓ]`` summed, validator by validator, over the validation tuples
@@ -115,8 +118,9 @@ import numpy as np
 
 from .._validation import as_float_matrix, as_float_vector
 from .. import config
+# Not called: the benchmark's traced runs still wrap it as learn.full_rebuild.
+from ..core.adaptive import adaptive_learning  # noqa: F401
 from ..core.adaptive import (
-    adaptive_learning,
     global_validation_costs,
     scatter_validation_costs,
     validator_block,
@@ -127,7 +131,6 @@ from ..core.learning import (
     IndividualModels,
     candidate_ell_values,
     learn_candidate_models_for_rows,
-    learn_individual_models,
 )
 from ..data.relation import Relation, Schema
 from ..exceptions import ConfigurationError, DataError, NotFittedError
@@ -224,7 +227,7 @@ class _AttributeState:
         return max(imputer.max_learning_neighbors, self._validation_neighbors() + 1)
 
     def _signature(self, n: int) -> Tuple:
-        """Structural fingerprint; a change forces a full relearn.
+        """Structural fingerprint; a change forces a full build.
 
         Captures everything that reshapes the state's arrays: the stepped
         candidate grid (still growing while ``n < max_learning_neighbors``),
@@ -285,7 +288,6 @@ class _AttributeState:
             engine.stats["rows_refreshed"] += refreshed
             engine.stats["models_solved"] += solved
             engine.stats["cost_rows_rebuilt"] += costed
-        self.signature = signature
         self.n_synced = n
         self.version = engine._version
         engine._release_unread()
@@ -302,10 +304,11 @@ class _AttributeState:
             if self.target_index in self.engine._emptied:
                 return "full_refreshes_emptied"
             return "full_refreshes_no_state"
+        # Every kept or revised row stays: a diff over a non-empty store
+        # keeps at least one (sync refuses an empty one).
         n_removed = self.n_synced - diff[2].shape[0]
         if (
             final_signature != self.signature
-            or n_removed < 1
             or self._signature(n_removed) != self.signature
         ):
             return "full_refreshes_structure"
@@ -357,67 +360,31 @@ class _AttributeState:
 
     # ------------------------------------------------------------------ #
     def _full_build(self, signature) -> None:
-        """Cold rebuild: a fresh store view + neighbour cache, then the
-        model/cost stack."""
-        view = self.engine._store.feature_view(exclude=self.target_index)
-        self.cache = NeighborOrderCache(
-            view,
-            metric=self._imputer.metric,
-            include_self=True,
-            max_length=self._requested_cache_length(),
-        )
+        """Build the state over fresh orderings of the whole store: the
+        replay's relearn + cost rebuild + selection, every row dirty from
+        rank 0."""
+        n = self.engine._n
+        width = len(self.feature_indices) + 1
+        self.signature = signature
         with engine_phase("full_rebuild"):
-            self._rebuild_from_cache(signature)
-
-    def _rebuild_from_cache(self, signature) -> None:
-        """Learn every model and validation cost over the fresh orderings."""
-        imputer = self._imputer
-        features = self.cache.data.block()
-        target = self.target_column()
-        n = features.shape[0]
-        if not self._adaptive:
-            ell = signature[1]
-            self.models = learn_individual_models(
-                features,
-                target,
-                ell,
-                alpha=imputer.alpha,
-                metric=imputer.metric,
-                order_cache=self.cache,
-                backend="vectorized",
+            view = self.engine._store.feature_view(exclude=self.target_index)
+            self.cache = NeighborOrderCache(
+                view,
+                metric=self._imputer.metric,
+                include_self=True,
+                max_length=self._requested_cache_length(),
             )
-            self.parameters = self.models.parameters
-            return
-
-        _, stepped, k_val, global_active = signature
-        result = adaptive_learning(
-            features,
-            target,
-            validation_neighbors=self._validation_neighbors(),
-            stepping=imputer.stepping,
-            max_ell=imputer.max_learning_neighbors,
-            alpha=imputer.alpha,
-            metric=imputer.metric,
-            incremental=imputer.incremental,
-            include_global=imputer.include_global,
-            backend="vectorized",
-            order_cache=self.cache,
-            keep_candidate_models=True,
-        )
-        n_stepped = len(stepped)
-        self.candidates = np.asarray(stepped, dtype=int)
-        self.global_active = global_active
-        self.all_parameters = result.all_parameters[:n_stepped].copy()
-        if global_active:
-            self.global_params = result.all_parameters[n_stepped, 0].copy()
-            self.global_costs = result.costs[:, n_stepped].copy()
-        else:
+            orders = self.cache.order_matrix()
+        if self._adaptive:
+            _, stepped, k_val, self.global_active = signature
+            self.owners = self._owners_from(orders, k_val, n)
+            self.candidates = np.asarray(stepped, dtype=int)
+            self.all_parameters = np.empty((len(stepped), n, width))
+            self.costs = np.zeros((n, len(stepped)))
             self.global_params = None
-            self.global_costs = np.zeros(n)
-        self.costs = result.costs[:, :n_stepped].copy()
-        self.counts = result.validation_counts.astype(int)
-        self.owners = self._owners_from(self.cache.order_matrix(), k_val, n)
-        self.models = result.models
+        else:
+            self.parameters = np.empty((n, width))
+        self._finalize_refresh(np.zeros(n, dtype=int), np.ones(n, dtype=bool))
 
     def _owners_from(self, orders: np.ndarray, k_val: int, n: int) -> np.ndarray:
         if k_val > 0:
@@ -515,7 +482,8 @@ class _AttributeState:
     def _finalize_refresh(
         self, ranks: np.ndarray, dirty_costs: np.ndarray
     ) -> Tuple[int, int, int]:
-        """One batched relearn + cost rebuild + selection over the dirty rows.
+        """One batched relearn + cost rebuild + selection over the dirty rows
+        (every row, from rank 0, in a full build).
 
         Returns the model-dirty rows, the ``(row, ℓ)`` models solved and
         the cost rows rebuilt.
@@ -529,7 +497,7 @@ class _AttributeState:
         features = self.cache.data.block()
         target = self.target_column()
 
-        with engine_phase("subset_relearn"):
+        with engine_phase("relearn"):
             if model_rows.size:
                 refreshed = learn_candidate_models_for_rows(
                     features,
@@ -696,6 +664,10 @@ class _AttributeState:
 class OnlineImputationEngine:
     """A long-lived IIM service over a mutable store of complete tuples.
 
+    A mutation only versions the store: a model state folds every pending
+    mutation in when an imputation or a snapshot next reads it, so a burst
+    of appends, deletes and updates costs one refresh per state.
+
     Parameters
     ----------
     imputer:
@@ -706,11 +678,6 @@ class OnlineImputationEngine:
         Maximum number of per-attribute model states kept resident
         (LRU-evicted beyond that; ``None`` = unbounded).  Defaults to the
         process-wide knob of :mod:`repro.config`.
-    refresh_policy:
-        ``"lazy"`` (default knob) folds pending mutations into a model
-        state on the next imputation touching its attribute, so bursts of
-        appends/deletes/updates amortise into one refresh; ``"eager"``
-        refreshes every cached state inside each mutating call.
 
     Examples
     --------
@@ -727,7 +694,6 @@ class OnlineImputationEngine:
         imputer: Optional[IIMImputer] = None,
         *,
         model_cache_size="default",
-        refresh_policy: Optional[str] = None,
         **iim_params,
     ):
         if imputer is None:
@@ -742,7 +708,6 @@ class OnlineImputationEngine:
             )
         self.imputer = imputer
         self.model_cache_size = config.resolve("model_cache_size", model_cache_size)
-        self.refresh_policy = config.resolve("refresh_policy", refresh_policy)
 
         self._schema: Optional[Schema] = None
         self._store: Optional[ColumnarTupleStore] = None
@@ -864,15 +829,10 @@ class OnlineImputationEngine:
 
     @classmethod
     def from_relation(
-        cls, relation: Relation, *, model_cache_size="default",
-        refresh_policy: Optional[str] = None, **iim_params,
+        cls, relation: Relation, *, model_cache_size="default", **iim_params,
     ) -> "OnlineImputationEngine":
         """Build an engine seeded with the complete part of ``relation``."""
-        engine = cls(
-            model_cache_size=model_cache_size,
-            refresh_policy=refresh_policy,
-            **iim_params,
-        )
+        engine = cls(model_cache_size=model_cache_size, **iim_params)
         engine.append(relation.complete_part())
         return engine
 
@@ -897,11 +857,8 @@ class OnlineImputationEngine:
         model learning or neighbour search, but the query layer scans them
         and imputes their missing cells on demand (see
         :meth:`store_relation`).  Complete tuples in the same batch take
-        the normal store path.
-
-        Under the ``"eager"`` refresh policy every cached model state is
-        updated before the call returns; under ``"lazy"`` the work is
-        deferred (and batched) until the next imputation.
+        the normal store path.  Cached model states catch up at their next
+        read.
         """
         if isinstance(rows, Relation):
             if self._schema is not None and rows.schema.attributes != self._schema.attributes:
@@ -970,7 +927,8 @@ class OnlineImputationEngine:
         store; duplicates are tolerated.  Surviving tuples are compacted in
         order, so index ``j > i`` becomes ``j - |removed ≤ j|``.  Cached
         model states repair their neighbour orderings, models and
-        validation costs incrementally.  Deleting every tuple empties the
+        validation costs incrementally at their next read.  Deleting every
+        tuple empties the
         store (the schema is kept; streaming can resume with fresh
         appends).
         """
@@ -1024,13 +982,9 @@ class OnlineImputationEngine:
         return self
 
     def _record(self) -> None:
-        """Version a landed mutation, recycle what no state can read, and
-        run eager refreshes."""
+        """Version a landed mutation and recycle what no state can read."""
         self._version += 1
         self._release_unread()
-        if self.refresh_policy == "eager":
-            for state in self._states.values():
-                state.sync()
 
     def _release_unread(self) -> None:
         """Recycle every retired slot that no lagging state's view holds.
@@ -1276,7 +1230,7 @@ class OnlineImputationEngine:
     ) -> Path:
         """Persist the engine (store, index, models, costs) as an artifact.
 
-        Pending lazy mutations are folded into every resident state first,
+        Pending mutations are folded into every resident state first,
         so the artifact always holds fully-synced states.  The artifact
         directory holds the manifest + arrays files (written atomically,
         see :func:`~repro.online.artifacts.write_artifact`); :meth:`load`
@@ -1291,10 +1245,7 @@ class OnlineImputationEngine:
             for state in self._states.values():
                 state.sync()
         manifest: Dict[str, object] = {
-            "engine": {
-                "model_cache_size": self.model_cache_size,
-                "refresh_policy": self.refresh_policy,
-            },
+            "engine": {"model_cache_size": self.model_cache_size},
             "store": {"n_rows": self._n, "n_pending": self.n_pending},
             "lifecycle": {"version": self._version},
             "imputer": {
@@ -1353,7 +1304,6 @@ class OnlineImputationEngine:
         engine = cls(
             IIMImputer(**(imputer_info.get("params") or {})),
             model_cache_size=engine_info.get("model_cache_size"),
-            refresh_policy=engine_info.get("refresh_policy"),
         )
         schema = manifest.get("schema") or []
         store = arrays["store"]
@@ -1394,6 +1344,5 @@ class OnlineImputationEngine:
         width = "?" if self._schema is None else self._schema.width
         return (
             f"OnlineImputationEngine(n={self._n}, m={width}, "
-            f"cached_attributes={list(self._states)}, "
-            f"refresh={self.refresh_policy!r})"
+            f"cached_attributes={list(self._states)})"
         )

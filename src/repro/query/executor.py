@@ -14,7 +14,7 @@ Evaluation of a SELECT proceeds in four instrumented phases
    compute (bit-identical under the vectorized backend, rtol 1e-9
    otherwise).  Every imputed cell's provenance (method, neighbours,
    per-neighbour ℓ, combiner weights, confidence, trace id) is captured
-   unless the ``query_provenance`` config knob is off;
+   unless the caller passes ``provenance=False``;
 4. **evaluate** — filter, stable multi-key ordering, limit, and the
    projection or aggregates, all plain numpy over the materialised block.
 
@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import config
 from ..exceptions import (
     QueryError,
     QuotaExceededError,
@@ -193,7 +192,7 @@ def _execute_select(
     statement: SelectStatement,
     *,
     max_impute_rows: Optional[int],
-    provenance: Optional[bool],
+    provenance: bool,
 ) -> QueryResult:
     engine = _engine_of(session)
     with query_phase("plan"):
@@ -217,9 +216,8 @@ def _execute_select(
 
     cells: List[Dict[str, object]] = []
     if touched.size:
-        collect = config.resolve("query_provenance", provenance)
         with query_phase("impute"):
-            if collect:
+            if provenance:
                 imputed, cells = engine.impute_batch(
                     matrix[touched], collect_provenance=True
                 )
@@ -363,15 +361,14 @@ def execute_query(
     statement: Union[str, Statement],
     *,
     max_impute_rows: Optional[int] = None,
-    provenance: Optional[bool] = None,
+    provenance: bool = True,
 ) -> Union[QueryResult, StatementResult]:
     """Execute one statement (text or AST) against a live session.
 
     ``max_impute_rows`` is the admission quota of the serve loop: a query
     that would impute more touched rows is rejected with a typed
     :class:`~repro.exceptions.QuotaExceededError` *before* any kernel
-    runs.  ``provenance`` overrides the ``query_provenance`` config knob
-    for this call.
+    runs.  ``provenance=False`` skips the per-imputed-cell provenance.
     """
     if isinstance(statement, str):
         statement = _parse_cached(statement)
@@ -390,7 +387,7 @@ def execute_script(
     text: str,
     *,
     max_impute_rows: Optional[int] = None,
-    provenance: Optional[bool] = None,
+    provenance: bool = True,
 ) -> List[Union[QueryResult, StatementResult]]:
     """Execute every ``;``-separated statement of ``text``, in order."""
     from .parser import parse_script

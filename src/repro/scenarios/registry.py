@@ -117,7 +117,7 @@ def _builtin(spec: ScenarioSpec) -> ScenarioSpec:
 _builtin(ScenarioSpec(
     name="steady_stream",
     description="Append-only baseline: steady arrivals, MCAR queries over "
-                "the paper's SN curve (the legacy run_streaming shape).",
+                "the paper's SN curve.",
     generator="streaming",
     params={"dataset": "sn", "size": 220, "n_rounds": 4,
             "queries_per_round": 8},
@@ -128,7 +128,7 @@ _builtin(ScenarioSpec(
 _builtin(ScenarioSpec(
     name="bursty_stream",
     description="Bursty arrivals: every second round carries a 3x append "
-                "burst, stressing journal absorption and cache refresh.",
+                "burst, stressing the slot-diff replay and cache refresh.",
     generator="streaming",
     params={"dataset": "sn", "size": 220, "n_rounds": 4,
             "queries_per_round": 8, "arrival": "bursty",
@@ -203,14 +203,13 @@ _builtin(ScenarioSpec(
             "queries_per_round": 8, "updates_per_round": 3,
             "deletes_per_round": 4},
     model=dict(_SMOKE_MODEL),
-    engine={"refresh_policy": "lazy"},
     seed=7,
 ))
 
 _builtin(ScenarioSpec(
     name="adversarial_churn",
     description="Adversarial churn: steady appends with 4x update/delete "
-                "storms every third round, the hybrid relearn policy's "
+                "storms every third round, the incremental refresh's "
                 "worst case.",
     generator="churn",
     params={"dataset": "sn", "size": 220, "n_rounds": 4,

@@ -396,9 +396,9 @@ def _maybe_check_digest(spec: ScenarioSpec, trace: ScenarioTrace,
 
     Only enforced when the spec *is* the registered spec of that name
     (a caller's custom spec reusing a built-in name must not be held to
-    the built-in's digest) and the ``scenario_digest_check`` knob is on.
+    the built-in's digest) and ``check_digest`` is true.
     """
-    if not config.resolve("scenario_digest_check", check_digest):
+    if not check_digest:
         return False
     from . import registry
 
@@ -427,7 +427,7 @@ def replay(
     transport: Optional[str] = None,
     verify: bool = True,
     run_cold: bool = True,
-    check_digest: Optional[bool] = None,
+    check_digest: bool = True,
     isolate_obs: bool = False,
 ) -> ReplayReport:
     """Replay a scenario and verify it against the cold-refit oracle.
@@ -448,7 +448,7 @@ def replay(
         disables verification and leaves cold columns NaN).
     check_digest:
         Pre-check the generated trace against the checked-in golden digest
-        (``None`` = the config knob; only applies to registered specs).
+        (only applies to registered specs).
     isolate_obs:
         Reset the process-wide :mod:`repro.obs` registry before replaying,
         so the report's phase percentiles cover exactly this replay.

@@ -133,7 +133,7 @@ class TestSessionConfig:
 
     def test_engine_knobs_rejected_for_batch_methods(self):
         with pytest.raises(ConfigurationError, match="engine knobs"):
-            SessionConfig(method="kNN", engine={"refresh_policy": "eager"})
+            SessionConfig(method="kNN", engine={"model_cache_size": 2})
 
     def test_unknown_engine_knob_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown engine knobs"):
@@ -141,6 +141,7 @@ class TestSessionConfig:
         # A removed knob is unknown too.
         for removed in (
             "incremental_fallback_fraction", "shard_capacity", "journal_capacity",
+            "refresh_policy",
         ):
             with pytest.raises(ConfigurationError, match="unknown engine knobs"):
                 SessionConfig(method="IIM", engine={removed: 1})
@@ -148,7 +149,7 @@ class TestSessionConfig:
     def test_wire_round_trip(self):
         config = SessionConfig(
             method="IIM", mode="online", params={"k": 5},
-            engine={"refresh_policy": "eager"},
+            engine={"model_cache_size": 2},
         )
         clone = SessionConfig.from_wire(config.to_wire())
         assert clone == config

@@ -179,7 +179,7 @@ class TestCreateParams:
     def test_none_booleans_and_engine_knobs_reach_the_session(self, tmp_path):
         script = (
             "\\create s k=3 learning=adaptive max_learning_neighbors=none "
-            "incremental=false model_cache_size=none refresh_policy=eager\n"
+            "incremental=false model_cache_size=none\n"
         )
         code, out, repl = _run_script(script, tmp_path)
         assert code == 0 and "error" not in out, out
@@ -187,7 +187,6 @@ class TestCreateParams:
         assert engine.imputer.max_learning_neighbors is None
         assert engine.imputer.incremental is False
         assert engine.model_cache_size is None
-        assert engine.refresh_policy == "eager"
 
     def test_a_token_without_a_value_is_a_local_error(self, tmp_path):
         code, out, _ = _run_script("\\create s k3\n\\sessions\n", tmp_path)

@@ -225,9 +225,8 @@ class TestCreateSession:
     def test_engine_knobs_forwarded(self):
         session = create_session(
             method="IIM", params={"k": 4},
-            engine={"refresh_policy": "eager", "model_cache_size": 3},
+            engine={"model_cache_size": 3},
         )
-        assert session.engine.refresh_policy == "eager"
         assert session.engine.model_cache_size == 3
 
     def test_restore_session_rejects_unknown_artifacts(self, tmp_path):

@@ -145,10 +145,7 @@ def test_manifest_v3_carries_store_metadata(tmp_path):
     manifest = json.loads((path / MANIFEST_FILENAME).read_text())
     assert manifest["version"] == ARTIFACT_VERSION == 3
     assert manifest["store"] == {"n_rows": 80, "n_pending": 0}
-    assert manifest["engine"] == {
-        "model_cache_size": engine.model_cache_size,
-        "refresh_policy": engine.refresh_policy,
-    }
+    assert manifest["engine"] == {"model_cache_size": engine.model_cache_size}
     restored = OnlineImputationEngine.load(path)
     np.testing.assert_array_equal(restored.store.matrix(), engine.store.matrix())
 
@@ -173,6 +170,8 @@ def test_manifest_naming_a_removed_engine_knob_still_loads(tmp_path):
     manifest["store"].update(shard_capacity=4096, n_shards=1)
     # The mutation-journal ring knob snapshots carried before the slot diff.
     manifest["engine"]["journal_capacity"] = 512
+    # The refresh schedule knob: states now sync only when read.
+    manifest["engine"]["refresh_policy"] = "eager"
     (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
 
     restored = OnlineImputationEngine.load(path)

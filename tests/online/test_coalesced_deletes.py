@@ -73,9 +73,7 @@ def _delete_update_delete(pool):
     ids=["delete_run", "delete_update_delete"],
 )
 def test_delete_runs_match_cold_refit(pool, monkeypatch, build_ops, deleted, revised):
-    session = OnlineSession(
-        refresh_policy="lazy", model_cache_size=None, **PARAMS,
-    )
+    session = OnlineSession(model_cache_size=None, **PARAMS)
     session.mutate([MutationOp.append(pool[:N])])
     queries = _queries(pool)
     session.impute(ImputeRequest(queries))  # every attribute state resident

@@ -58,13 +58,15 @@ def test_a_repeated_index_keeps_its_last_slot():
 
 
 @pytest.mark.parametrize("policy", ["lazy", "eager"])
-def test_update_run_replays_as_one_replace_per_state(pool, monkeypatch, policy):
-    engine = OnlineImputationEngine(
-        refresh_policy=policy, model_cache_size=None, **PARAMS
-    )
+def test_update_run_replays_as_one_replace_per_state(
+    pool, monkeypatch, policy, sync_each_mutation
+):
+    engine = OnlineImputationEngine(model_cache_size=None, **PARAMS)
     engine.append(pool[:N])
     queries = _queries(pool)
     engine.impute_batch(queries)  # every attribute state resident
+    if policy == "eager":
+        sync_each_mutation(engine)
 
     calls = []
     original = NeighborOrderCache.repair
@@ -88,7 +90,7 @@ def test_update_run_replays_as_one_replace_per_state(pool, monkeypatch, policy):
         # One run, one repair per state, over the distinct indices.
         assert calls == [[5, 17, N - 1]] * width
     else:
-        # Eager refreshes after every update: each is a run of its own.
+        # A read after every update: each is a run of its own.
         assert calls == [[index] for index, _ in updates for _ in range(width)]
     np.testing.assert_array_equal(engine.store_relation().raw, ref)
     cold = IIMImputer(**PARAMS).fit(Relation(ref)).impute(Relation(queries))

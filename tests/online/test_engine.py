@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro import IIMImputer, config, load_dataset
+from repro.core import (
+    adaptive_learning,
+    learn_individual_models,
+    learn_models_for_candidates,
+)
 from repro.data.relation import Relation, Schema
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
+from repro.neighbors import NeighborOrderCache
 from repro.online import OnlineImputationEngine
 
 
@@ -50,11 +56,14 @@ def _make_queries(values, rows, rng, n_missing=1):
          "adaptive-no-global"],
 )
 @pytest.mark.parametrize("policy", ["lazy", "eager"])
-def test_engine_matches_cold_refit(stream_values, params, policy):
-    """Acceptance: any append sequence == cold IIMImputer refit (rtol 1e-9)."""
+def test_engine_matches_cold_refit(stream_values, params, policy, sync_each_mutation):
+    """Acceptance: any append sequence == cold IIMImputer refit (rtol 1e-9),
+    whether states catch up at the next impute or after every mutation."""
     values = stream_values
     rng = np.random.default_rng(0)
-    engine = OnlineImputationEngine(refresh_policy=policy, **params)
+    engine = OnlineImputationEngine(**params)
+    if policy == "eager":
+        sync_each_mutation(engine)
     offset = 120
     engine.append(values[:offset])
     for batch in (40, 1, 25, 60):
@@ -65,6 +74,81 @@ def test_engine_matches_cold_refit(stream_values, params, policy):
         cold = _cold_impute(values.shape[1], values[:offset], queries, **params)
         np.testing.assert_allclose(online, cold, rtol=1e-9, atol=1e-12)
     assert engine.stats["incremental_refreshes"] > 0
+
+
+COLD_VARIANTS = {
+    "fixed": dict(k=4, learning="fixed", learning_neighbors=6),
+    "adaptive": dict(k=4, learning="adaptive", stepping=3, max_learning_neighbors=12),
+    "no-global": dict(
+        k=4, learning="adaptive", stepping=3, max_learning_neighbors=12,
+        include_global=False,
+    ),
+    "straightforward": dict(
+        k=4, learning="adaptive", stepping=3, max_learning_neighbors=12,
+        incremental=False,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [9, 60], ids=["below-cap", "above-cap"])
+@pytest.mark.parametrize("variant", list(COLD_VARIANTS))
+def test_a_fresh_state_equals_the_cold_functions(stream_values, variant, n):
+    """A state's first build runs the refresh's kernels with every row
+    dirty; its arrays equal the cold learning functions' bit for bit, over
+    a matrix-backed ordering with the state's cap (duplicate rows tie)."""
+    params = COLD_VARIANTS[variant]
+    store = stream_values[:n].copy()
+    store[n // 2 : n // 2 + 3] = store[:3]
+    engine = OnlineImputationEngine(model_cache_size=None, **params)
+    engine.append(store)
+    query = store[:1].copy()
+    query[0, 1:3] = np.nan
+    engine.impute_batch(query)
+    for target_index in (1, 2):
+        state = engine._states[target_index]
+        # Row-major, as the state's gathered block (the global ridge fit's
+        # rounding follows the layout).
+        features = np.ascontiguousarray(store[:, state.feature_indices])
+        target = store[:, target_index]
+        cache = NeighborOrderCache(
+            features, include_self=True, max_length=state._requested_cache_length()
+        )
+        np.testing.assert_array_equal(state.cache.order_matrix(), cache.order_matrix())
+        imputer = engine.imputer
+        if imputer.learning == "fixed":
+            models = learn_individual_models(
+                features, target, min(imputer.learning_neighbors, n),
+                order_cache=cache, backend="vectorized",
+            )
+            np.testing.assert_array_equal(state.parameters, models.parameters)
+        else:
+            np.testing.assert_array_equal(
+                state.all_parameters,
+                learn_models_for_candidates(
+                    features, target, state.candidates,
+                    incremental=imputer.incremental, order_cache=cache,
+                    backend="vectorized",
+                ),
+            )
+            cold = adaptive_learning(
+                features, target,
+                validation_neighbors=imputer.validation_neighbors or imputer.k,
+                stepping=imputer.stepping,
+                max_ell=imputer.max_learning_neighbors,
+                incremental=imputer.incremental,
+                include_global=imputer.include_global,
+                backend="vectorized",
+            )
+            costs = state.costs
+            if state.global_active:
+                costs = np.hstack([costs, state.global_costs[:, None]])
+            np.testing.assert_array_equal(costs, cold.costs)
+            np.testing.assert_array_equal(state.counts, cold.validation_counts)
+            models = cold.models
+        np.testing.assert_array_equal(state.models.parameters, models.parameters)
+        np.testing.assert_array_equal(
+            state.models.learning_neighbors, models.learning_neighbors
+        )
 
 
 def test_engine_warmup_from_tiny_store(stream_values):
@@ -87,9 +171,7 @@ def test_engine_warmup_from_tiny_store(stream_values):
 
 def test_lazy_appends_batch_into_one_refresh(stream_values):
     values = stream_values
-    engine = OnlineImputationEngine(
-        refresh_policy="lazy", k=4, learning="fixed", learning_neighbors=5
-    )
+    engine = OnlineImputationEngine(k=4, learning="fixed", learning_neighbors=5)
     engine.append(values[:100])
     queries = values[300:305].copy()
     queries[:, 0] = np.nan
@@ -109,20 +191,6 @@ def test_lazy_appends_batch_into_one_refresh(stream_values):
         engine.stats["full_refreshes"] + engine.stats["incremental_refreshes"]
         == refreshes + 1
     )
-
-
-def test_eager_refreshes_on_append(stream_values):
-    values = stream_values
-    engine = OnlineImputationEngine(
-        refresh_policy="eager", k=4, learning="fixed", learning_neighbors=5
-    )
-    engine.append(values[:100])
-    queries = values[300:305].copy()
-    queries[:, 0] = np.nan
-    engine.impute_batch(queries)
-    before = engine.stats["incremental_refreshes"]
-    engine.append(values[100:120])
-    assert engine.stats["incremental_refreshes"] == before + 1
 
 
 def test_lru_eviction(stream_values):
@@ -192,8 +260,8 @@ def test_engine_errors(stream_values):
     values = stream_values
     with pytest.raises(ConfigurationError):
         OnlineImputationEngine(IIMImputer(k=3), k=5)  # both instance and kwargs
-    with pytest.raises(ConfigurationError):
-        OnlineImputationEngine(refresh_policy="sometimes", k=3)
+    with pytest.raises(TypeError, match="refresh_policy"):
+        OnlineImputationEngine(refresh_policy="lazy", k=3)  # a removed knob
     with pytest.raises(ConfigurationError):
         OnlineImputationEngine(model_cache_size=-1, k=3)
 
@@ -263,14 +331,9 @@ def test_online_config_knobs_roundtrip():
         ).model_cache_size is None
     finally:
         config.set("model_cache_size", previous)
-    previous = config.set("refresh_policy", "eager")
-    try:
-        engine = OnlineImputationEngine(k=3, learning="fixed", learning_neighbors=3)
-        assert engine.refresh_policy == "eager"
-    finally:
-        config.set("refresh_policy", previous)
-    with pytest.raises(ConfigurationError):
-        config.set("refresh_policy", "never")
+    assert config.ENGINE_KNOBS == ("model_cache_size",)
+    with pytest.raises(ConfigurationError, match="unknown knob"):
+        config.set("refresh_policy", "lazy")
 
 
 # --------------------------------------------------------------------------- #

@@ -51,11 +51,16 @@ PARAM_IDS = ["fixed", "adaptive-voting", "adaptive-uniform", "adaptive-distance"
 
 @pytest.mark.parametrize("params", PARAM_GRID, ids=PARAM_IDS)
 @pytest.mark.parametrize("policy", ["lazy", "eager"])
-def test_delete_update_match_cold_refit(stream_values, params, policy):
-    """Acceptance: interleaved append/update/delete == cold refit (rtol 1e-9)."""
+def test_delete_update_match_cold_refit(
+    stream_values, params, policy, sync_each_mutation
+):
+    """Acceptance: interleaved append/update/delete == cold refit (rtol 1e-9),
+    whether states catch up at the next impute or after every mutation."""
     values = stream_values
     rng = np.random.default_rng(3)
-    engine = OnlineImputationEngine(refresh_policy=policy, **params)
+    engine = OnlineImputationEngine(**params)
+    if policy == "eager":
+        sync_each_mutation(engine)
     store = values[:150].copy()
     engine.append(store)
     offset = 150
@@ -180,9 +185,7 @@ def test_delete_to_empty_store_and_resume(stream_values):
 
 def test_lazy_mutations_batch_into_one_refresh(stream_values):
     values = stream_values
-    engine = OnlineImputationEngine(
-        refresh_policy="lazy", k=4, learning="fixed", learning_neighbors=5
-    )
+    engine = OnlineImputationEngine(k=4, learning="fixed", learning_neighbors=5)
     engine.append(values[:100])
     queries = values[300:305].copy()
     queries[:, 0] = np.nan
@@ -207,27 +210,10 @@ def test_lazy_mutations_batch_into_one_refresh(stream_values):
     )
 
 
-def test_eager_mutations_refresh_immediately(stream_values):
-    values = stream_values
-    engine = OnlineImputationEngine(
-        refresh_policy="eager", k=4, learning="fixed", learning_neighbors=5
-    )
-    engine.append(values[:100])
-    queries = values[300:305].copy()
-    queries[:, 0] = np.nan
-    engine.impute_batch(queries)
-    before = engine.stats["incremental_refreshes"]
-    engine.update(11, values[200])
-    engine.delete([5])
-    assert engine.stats["incremental_refreshes"] == before + 2
-
-
 def test_empty_append_is_a_true_noop(stream_values):
     """Satellite regression: zero-row appends touch no counters or states."""
     values = stream_values
-    engine = OnlineImputationEngine(
-        refresh_policy="eager", k=4, learning="fixed", learning_neighbors=5
-    )
+    engine = OnlineImputationEngine(k=4, learning="fixed", learning_neighbors=5)
     engine.append(values[:50])
     queries = values[300:303].copy()
     queries[:, 0] = np.nan

@@ -109,12 +109,18 @@ MUTATIONS = [
 
 @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__[1:])
 @pytest.mark.parametrize("policy", ["lazy", "eager"])
-def test_reads_after_each_mutation_match_cold_refit(values, tmp_path, mutate, policy):
-    engine = OnlineImputationEngine(refresh_policy=policy, **PARAMS)
+def test_reads_after_each_mutation_match_cold_refit(
+    values, tmp_path, mutate, policy, sync_each_mutation
+):
+    """The eager case brings every state up to date after each mutation,
+    a loaded engine's too."""
+    engine = OnlineImputationEngine(**PARAMS)
     engine.append(values[:150])
     queries = _queries(values, np.arange(290, 302), seed=1)
     _check_against_cold(engine, queries)
     for round_index in range(2):
+        if policy == "eager":
+            sync_each_mutation(engine)
         engine = mutate(engine, values, tmp_path / str(round_index))
         first = _check_against_cold(engine, queries)
         # A second read at the same version reuses everything and must

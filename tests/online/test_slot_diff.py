@@ -47,9 +47,7 @@ def _queries(pool):
 
 
 def _engine(pool):
-    engine = OnlineImputationEngine(
-        refresh_policy="lazy", model_cache_size=None, **PARAMS
-    )
+    engine = OnlineImputationEngine(model_cache_size=None, **PARAMS)
     engine.append(pool[:N])
     engine.impute_batch(_queries(pool))  # every attribute state resident
     return engine, pool[:N].copy()

@@ -375,7 +375,7 @@ def test_growth_keeps_the_versions_a_lagging_state_replays():
     width = 4
     values = np.random.default_rng(11).normal(size=(floor + 200, width))
     params = dict(k=4, learning="adaptive", stepping=4, max_learning_neighbors=12)
-    engine = OnlineImputationEngine(refresh_policy="lazy", **params)
+    engine = OnlineImputationEngine(**params)
     engine.append(values[:120])
     queries = values[-12:].copy()
     queries[np.arange(12), 2 * (np.arange(12) % 2)] = np.nan

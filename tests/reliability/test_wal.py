@@ -288,6 +288,7 @@ class TestDurableSessions:
         ),
         pytest.param("shard_capacity", 4096, id="shard_capacity"),
         pytest.param("journal_capacity", 512, id="journal_capacity"),
+        pytest.param("refresh_policy", "eager", id="refresh_policy"),
     ])
     def test_log_naming_a_removed_engine_knob_still_recovers(
         self, tmp_path, knob, value

@@ -68,11 +68,12 @@ def sample_spec(case: int) -> ScenarioSpec:
         model["learning"] = "fixed"
         model["learning_neighbors"] = model["k"]
     engine = {}
+    # The draws of two since-removed engine knobs (the refresh schedule,
+    # then a churn-only one); consumed so every other generated spec stays
+    # the same.
     if rng.random() < 0.5:
-        engine["refresh_policy"] = ["lazy", "eager"][int(rng.integers(2))]
+        rng.integers(2)
     if generator == "churn" and rng.random() < 0.5:
-        # The draw of a since-removed engine knob; consumed so every other
-        # generated spec stays the same.
         rng.integers(2)
     return ScenarioSpec(
         name=f"property_case_{case}",

@@ -30,7 +30,7 @@ SMALL_CHURN = ScenarioSpec(
             "queries_per_round": 5, "updates_per_round": 2,
             "deletes_per_round": 3},
     model={"k": 4, "learning": "fixed", "learning_neighbors": 4},
-    engine={"refresh_policy": "lazy"},
+    engine={"model_cache_size": None},
 )
 
 

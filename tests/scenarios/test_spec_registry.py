@@ -99,8 +99,10 @@ class TestSpecValidation:
             make_spec(engine={"shard_capacity": 4096})
         with pytest.raises(ScenarioError, match="unknown engine knob"):
             make_spec(engine={"journal_capacity": 512})
-        spec = make_spec(engine={"refresh_policy": "lazy"})
-        assert spec.engine == {"refresh_policy": "lazy"}
+        with pytest.raises(ScenarioError, match="unknown engine knob"):
+            make_spec(engine={"refresh_policy": "lazy"})
+        spec = make_spec(engine={"model_cache_size": 4})
+        assert spec.engine == {"model_cache_size": 4}
 
     @pytest.mark.parametrize("tenants,fragment", [
         ([], "non-empty 'tenants' list"),
@@ -131,7 +133,7 @@ class TestSpecValidation:
 class TestSpecSerialization:
     def test_json_round_trip_is_lossless(self):
         spec = make_spec(
-            model={"k": 4}, engine={"refresh_policy": "eager"}, seed=17,
+            model={"k": 4}, engine={"model_cache_size": 4}, seed=17,
             version=2, description="round-trip fixture",
         )
         clone = ScenarioSpec.from_json(spec.to_json())

@@ -19,7 +19,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SPELLINGS = {
     "backend": ("LOOP", "loop"),
     "model_cache_size": (" 3 ", 3),
-    "refresh_policy": ("Eager", "eager"),
     "wal_sync": ("off", "off"),
     "max_request_bytes": ("unbounded", None),
     "deadline_seconds": ("2.5", 2.5),
@@ -30,9 +29,7 @@ SPELLINGS = {
     "max_queued_requests": ("8", 8),
     "obs_enabled": ("off", False),
     "trace_sample": ("0.5", 0.5),
-    "query_provenance": ("no", False),
     "scenario_transport": ("TCP", "tcp"),
-    "scenario_digest_check": ("0", False),
 }
 
 
@@ -115,13 +112,13 @@ def test_set_returns_the_parsed_previous_value():
 
 class TestAccessors:
     def test_override_restores_and_resolve_defers(self):
-        before = config.get("refresh_policy")
-        with config.override("refresh_policy", "EAGER"):
-            assert config.get("refresh_policy") == "eager"
-            assert config.resolve("refresh_policy") == "eager"
-            assert config.resolve("refresh_policy", None) == "eager"
-            assert config.resolve("refresh_policy", "lazy") == "lazy"
-        assert config.get("refresh_policy") == before
+        before = config.get("scenario_transport")
+        with config.override("scenario_transport", "TCP"):
+            assert config.get("scenario_transport") == "tcp"
+            assert config.resolve("scenario_transport") == "tcp"
+            assert config.resolve("scenario_transport", None) == "tcp"
+            assert config.resolve("scenario_transport", "serve") == "serve"
+        assert config.get("scenario_transport") == before
 
     def test_none_is_a_value_only_of_nullable_knobs(self):
         assert config.resolve("max_sessions", None) is None
