@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro import IIMImputer, config, load_dataset
-from repro.core import (
-    adaptive_learning,
-    learn_individual_models,
-    learn_models_for_candidates,
-)
 from repro.data.relation import Relation, Schema
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
-from repro.neighbors import NeighborOrderCache
 from repro.online import OnlineImputationEngine
 
 
@@ -87,68 +81,36 @@ COLD_VARIANTS = {
         k=4, learning="adaptive", stepping=3, max_learning_neighbors=12,
         incremental=False,
     ),
+    # Every ℓ up to n: the grid reaches n, so the global candidate is off.
+    "uncapped": dict(k=4, learning="adaptive", stepping=1),
 }
 
 
-@pytest.mark.parametrize("n", [9, 60], ids=["below-cap", "above-cap"])
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 9, 60],
+    ids=["1-row", "2-rows", "3-rows", "below-cap", "above-cap"],
+)
 @pytest.mark.parametrize("variant", list(COLD_VARIANTS))
-def test_a_fresh_state_equals_the_cold_functions(stream_values, variant, n):
+def test_a_fresh_state_equals_the_cold_functions(
+    stream_values, variant, n, assert_cold_state
+):
     """A state's first build runs the refresh's kernels with every row
     dirty; its arrays equal the cold learning functions' bit for bit, over
-    a matrix-backed ordering with the state's cap (duplicate rows tie)."""
+    a matrix-backed ordering with the state's cap (duplicate rows tie).
+    The warm-up sizes clamp the validation k to n - 1, and switch the
+    global candidate on (a one-candidate grid below n) or off (n = 1)."""
     params = COLD_VARIANTS[variant]
     store = stream_values[:n].copy()
-    store[n // 2 : n // 2 + 3] = store[:3]
+    half = n // 2
+    duplicates = min(3, half)
+    store[half : half + duplicates] = store[:duplicates]
     engine = OnlineImputationEngine(model_cache_size=None, **params)
     engine.append(store)
     query = store[:1].copy()
     query[0, 1:3] = np.nan
     engine.impute_batch(query)
     for target_index in (1, 2):
-        state = engine._states[target_index]
-        # Row-major, as the state's gathered block (the global ridge fit's
-        # rounding follows the layout).
-        features = np.ascontiguousarray(store[:, state.feature_indices])
-        target = store[:, target_index]
-        cache = NeighborOrderCache(
-            features, include_self=True, max_length=state._requested_cache_length()
-        )
-        np.testing.assert_array_equal(state.cache.order_matrix(), cache.order_matrix())
-        imputer = engine.imputer
-        if imputer.learning == "fixed":
-            models = learn_individual_models(
-                features, target, min(imputer.learning_neighbors, n),
-                order_cache=cache, backend="vectorized",
-            )
-            np.testing.assert_array_equal(state.parameters, models.parameters)
-        else:
-            np.testing.assert_array_equal(
-                state.all_parameters,
-                learn_models_for_candidates(
-                    features, target, state.candidates,
-                    incremental=imputer.incremental, order_cache=cache,
-                    backend="vectorized",
-                ),
-            )
-            cold = adaptive_learning(
-                features, target,
-                validation_neighbors=imputer.validation_neighbors or imputer.k,
-                stepping=imputer.stepping,
-                max_ell=imputer.max_learning_neighbors,
-                incremental=imputer.incremental,
-                include_global=imputer.include_global,
-                backend="vectorized",
-            )
-            costs = state.costs
-            if state.global_active:
-                costs = np.hstack([costs, state.global_costs[:, None]])
-            np.testing.assert_array_equal(costs, cold.costs)
-            np.testing.assert_array_equal(state.counts, cold.validation_counts)
-            models = cold.models
-        np.testing.assert_array_equal(state.models.parameters, models.parameters)
-        np.testing.assert_array_equal(
-            state.models.learning_neighbors, models.learning_neighbors
-        )
+        assert_cold_state(engine._states[target_index], store)
 
 
 def test_engine_warmup_from_tiny_store(stream_values):

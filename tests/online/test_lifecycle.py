@@ -217,20 +217,26 @@ def test_empty_append_is_a_true_noop(stream_values):
     engine.append(values[:50])
     queries = values[300:303].copy()
     queries[:, 0] = np.nan
-    engine.impute_batch(queries)
-    stats_before = dict(engine.stats)
+    answer = engine.impute_batch(queries)
+    stats_before, version = dict(engine.stats), engine._version
     engine.append(np.empty((0, values.shape[1])))
     assert engine.stats == stats_before
+    assert engine._version == version
     assert engine.n_tuples == 50
+    # The cached state is still current: the next read refreshes nothing.
+    np.testing.assert_array_equal(engine.impute_batch(queries), answer)
+    for key in ("full_refreshes", "incremental_refreshes", "rows_refreshed"):
+        assert engine.stats[key] == stats_before[key]
 
 
 def test_empty_delete_is_a_noop(stream_values):
     values = stream_values
     engine = OnlineImputationEngine(k=4, learning="fixed", learning_neighbors=5)
     engine.append(values[:50])
-    stats_before = dict(engine.stats)
+    stats_before, version = dict(engine.stats), engine._version
     engine.delete(np.empty(0, dtype=int))
     assert engine.stats == stats_before and engine.n_tuples == 50
+    assert engine._version == version
 
 
 def test_lifecycle_errors(stream_values):

@@ -10,7 +10,8 @@ store.  After every imputation the engine must match a cold
 :class:`~repro.core.iim.IIMImputer` refit over the surviving tuples at
 ``rtol = 1e-9``, and every state the imputation synced must equal, array
 for array and bit for bit, the state a fresh engine builds over the same
-store, exposed neighbour orderings and distances included; after every
+store, exposed neighbour orderings and distances included, and that fresh
+state must equal the cold learning functions' arrays; after every
 operation the store must retain exactly the retired slots some lagging
 state's view still holds — none once every state has synced.  Traces are seeded, so a failure reproduces from its
 parametrisation alone.
@@ -98,7 +99,7 @@ def _check_invariants(engine, ref):
     )
 
 
-def _check_impute(engine, ref, rng, params, n_queries=4):
+def _check_impute(engine, ref, rng, params, cold_state, n_queries=4):
     queries = ref[rng.choice(ref.shape[0], min(n_queries, ref.shape[0]),
                              replace=False)].copy()
     for row in range(queries.shape[0]):
@@ -108,18 +109,22 @@ def _check_impute(engine, ref, rng, params, n_queries=4):
     got = engine.impute_batch(queries)
     want = _cold_impute(ref, queries.copy(), **params)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-    _check_states(engine, params)
+    _check_states(engine, params, cold_state)
 
 
-def _check_states(engine, params):
-    """Every synced state equals a fresh engine's state over the same store."""
+def _check_states(engine, params, cold_state):
+    """Every synced state equals a fresh engine's state over the same
+    store, and that fresh state equals the cold learning functions'."""
+    store = engine.store_relation().raw
     fresh = OnlineImputationEngine(**STRESS_KNOBS, **params)
-    fresh.append(engine.store_relation().raw)
+    fresh.append(store)
     for target_index, state in engine._states.items():
         if not state.current:
             continue
+        fresh_state = fresh._get_state(target_index)
+        cold_state(fresh_state, store)
         got = state.state_arrays()
-        want = fresh._get_state(target_index).state_arrays()
+        want = fresh_state.state_arrays()
         assert got.keys() == want.keys()
         for key in STATE_ARRAYS:
             if key in want:
@@ -129,7 +134,9 @@ def _check_states(engine, params):
                 )
 
 
-def _run_trace(engine, pool, rng, params, n_ops, tmp_path=None, n_start=30):
+def _run_trace(
+    engine, pool, rng, params, n_ops, cold_state, tmp_path=None, n_start=30
+):
     """Drive one random lifecycle trace; returns the final reference store."""
     ref = pool[:n_start].copy()
     engine.append(ref)
@@ -186,7 +193,7 @@ def _run_trace(engine, pool, rng, params, n_ops, tmp_path=None, n_start=30):
         elif op == "impute":
             if ref.shape[0] < 8:
                 continue
-            _check_impute(engine, ref, rng, params)
+            _check_impute(engine, ref, rng, params, cold_state)
         else:
             if tmp_path is None or ref.shape[0] < 8:
                 continue
@@ -203,26 +210,30 @@ def _run_trace(engine, pool, rng, params, n_ops, tmp_path=None, n_start=30):
             engine = restored  # continue the trace on the restored engine
         _check_invariants(engine, ref)
     if ref.shape[0] >= 8:
-        _check_impute(engine, ref, rng, params)
+        _check_impute(engine, ref, rng, params, cold_state)
     return engine, ref
 
 
 @pytest.mark.parametrize("params", PARAM_GRID, ids=PARAM_IDS)
 @pytest.mark.parametrize("seed", [0, 1])
-def test_random_lifecycle_trace_matches_cold_refit(pool, params, seed, tmp_path):
+def test_random_lifecycle_trace_matches_cold_refit(
+    pool, params, seed, tmp_path, assert_cold_state
+):
     rng = np.random.default_rng(seed)
     engine = OnlineImputationEngine(**STRESS_KNOBS, **params)
-    _run_trace(engine, pool, rng, params, N_OPS, tmp_path=tmp_path)
+    _run_trace(engine, pool, rng, params, N_OPS, assert_cold_state, tmp_path=tmp_path)
 
 
-def test_random_trace_with_a_short_candidate_grid(pool, tmp_path):
+def test_random_trace_with_a_short_candidate_grid(pool, tmp_path, assert_cold_state):
     params = dict(k=4, learning="adaptive", stepping=3, max_learning_neighbors=8)
     rng = np.random.default_rng(11)
     engine = OnlineImputationEngine(**STRESS_KNOBS, **params)
-    _run_trace(engine, pool, rng, params, N_OPS, tmp_path=tmp_path)
+    _run_trace(engine, pool, rng, params, N_OPS, assert_cold_state, tmp_path=tmp_path)
 
 
-def test_random_trace_across_validation_blocks(pool, tmp_path, monkeypatch):
+def test_random_trace_across_validation_blocks(
+    pool, tmp_path, monkeypatch, assert_cold_state
+):
     """A shrunk pair block cuts a 200-row store's validators into two
     blocks: subset cost rebuilds must group each owner's sum across the
     boundary as a full pass does, also after deletes renumber validators
@@ -231,7 +242,10 @@ def test_random_trace_across_validation_blocks(pool, tmp_path, monkeypatch):
     params = dict(k=4, learning="adaptive", stepping=4, max_learning_neighbors=12)
     rng = np.random.default_rng(7)
     engine = OnlineImputationEngine(**STRESS_KNOBS, **params)
-    _run_trace(engine, pool, rng, params, N_OPS, tmp_path=tmp_path, n_start=200)
+    _run_trace(
+        engine, pool, rng, params, N_OPS, assert_cold_state,
+        tmp_path=tmp_path, n_start=200,
+    )
 
 
 def test_long_lazy_burst_retains_at_most_the_lagging_view(pool):
